@@ -9,6 +9,7 @@ randomized parameter sweeps.
 
 from .bounds import (
     SymmetricBoundSet,
+    class_outer,
     kramer_bound,
     mixed_outer,
     new_sum_bound,
@@ -42,10 +43,12 @@ from .errors import (
     UnboundedRegionError,
 )
 from .gap import (
+    Audit,
     GapReport,
     SweepRecord,
     SweepResult,
     asymptotic_tightness_check,
+    audit,
     audit_regions,
     delta_audit,
     kramer_gap,
@@ -87,6 +90,7 @@ from .region import (
     RateConstraint,
     RateRegion,
     Vertex,
+    certificates,
     contains,
     intersect,
     normalize,

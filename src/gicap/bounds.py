@@ -31,12 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelParams, InterferenceTag, classify
+from .channel import ChannelParams, InterferenceTag
 from .errors import ClassMismatchError, DomainError
 from .region import RateConstraint, RateRegion
 
 __all__ = [
     "SymmetricBoundSet",
+    "class_outer",
     "kramer_bound",
     "mixed_outer",
     "new_sum_bound",
@@ -77,7 +78,7 @@ def weak_outer(params: ChannelParams) -> RateRegion:
     the contract; gap audits pair it positionally with the achievable
     region's constraints.
     """
-    if classify(params).tag is not InterferenceTag.WEAK:
+    if params.strong_at_1 or params.strong_at_2:
         raise ClassMismatchError(f"weak_outer needs a weak channel, got {params}")
     s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
     return RateRegion(
@@ -109,39 +110,39 @@ def mixed_outer(params: ChannelParams) -> RateRegion:
     """Five-constraint outer bound for mixed interference channels.
 
     Stated for the orientation INR1 >= SNR2, INR2 < SNR1 (strong at
-    receiver 1); the opposite orientation is the user-swapped image, with
-    the weighted constraint becoming 2R1+R2.  Redundant constraints (the
+    receiver 1); the opposite orientation is the user-swapped image: the
+    same rows on the swapped ratios with mirrored coefficients, so the
+    weighted constraint becomes 2R1+R2.  Redundant constraints (the
     interference-limited sum bound and one weighted bound) are excluded.
     """
-    tag = classify(params).tag
-    if tag is InterferenceTag.MIXED_STRONG_AT_2:
-        swapped = mixed_outer(params.swapped())
-        return RateRegion(
-            [RateConstraint(c.c2, c.c1, c.rhs) for c in swapped.constraints]
-        )
-    if tag is not InterferenceTag.MIXED_STRONG_AT_1:
+    if params.strong_at_1 == params.strong_at_2:
         raise ClassMismatchError(f"mixed_outer needs a mixed channel, got {params}")
+    mirror = params.strong_at_2
     s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
+    if mirror:
+        s1, s2, i1, i2 = s2, s1, i2, i1
+    rows = (
+        (1.0, 0.0, _LOG2(1.0 + s1)),
+        (0.0, 1.0, _LOG2(1.0 + s2)),
+        (1.0, 1.0, _LOG2(1.0 + s1) + _LOG2(1.0 + s2 / (1.0 + i2))),
+        (1.0, 1.0, _LOG2(1.0 + s1 + i1)),
+        (
+            1.0,
+            2.0,
+            _LOG2(1.0 + s2 + i2)
+            + _LOG2(1.0 + i1 + s1 / (1.0 + i2))
+            + _LOG2(1.0 + s2 / (1.0 + i1)),
+        ),
+    )
     return RateRegion(
-        [
-            RateConstraint(1.0, 0.0, _LOG2(1.0 + s1)),
-            RateConstraint(0.0, 1.0, _LOG2(1.0 + s2)),
-            RateConstraint(1.0, 1.0, _LOG2(1.0 + s1) + _LOG2(1.0 + s2 / (1.0 + i2))),
-            RateConstraint(1.0, 1.0, _LOG2(1.0 + s1 + i1)),
-            RateConstraint(
-                1.0,
-                2.0,
-                _LOG2(1.0 + s2 + i2)
-                + _LOG2(1.0 + i1 + s1 / (1.0 + i2))
-                + _LOG2(1.0 + s2 / (1.0 + i1)),
-            ),
-        ]
+        RateConstraint(c2, c1, rhs) if mirror else RateConstraint(c1, c2, rhs)
+        for c1, c2, rhs in rows
     )
 
 
 def strong_capacity(params: ChannelParams) -> RateRegion:
     """Exact capacity of a strong channel: intersection of the two MACs."""
-    if classify(params).tag is not InterferenceTag.STRONG:
+    if not (params.strong_at_1 and params.strong_at_2):
         raise ClassMismatchError(f"strong_capacity needs a strong channel, got {params}")
     s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
     return RateRegion(
@@ -162,6 +163,20 @@ def pt2pt_outer(params: ChannelParams) -> RateRegion:
             RateConstraint(0.0, 1.0, _LOG2(1.0 + params.snr2)),
         ]
     )
+
+
+def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
+    """Outer region matched to the channel's class ``tag = classify(params).tag``.
+
+    Weak channels get :func:`weak_outer`, mixed ones :func:`mixed_outer`
+    and strong ones the exact :func:`strong_capacity`.  Each builder checks
+    the class itself, so a wrong tag raises :class:`ClassMismatchError`.
+    """
+    if tag is InterferenceTag.WEAK:
+        return weak_outer(params)
+    if tag is InterferenceTag.STRONG:
+        return strong_capacity(params)
+    return mixed_outer(params)
 
 
 def symmetric_capacity_strong(snr: float, inr: float) -> float:

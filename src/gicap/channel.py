@@ -66,14 +66,24 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("snr1", "snr2", "inr1", "inr2"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
+            if isinstance(v, bool) or not math.isfinite(v) or v < 0.0:
                 raise InvalidParameterError(
-                    f"{name} must be finite and nonnegative, got {v!r}"
+                    f"{name} must be a finite nonnegative number, got {v!r}"
                 )
 
     @property
     def is_symmetric(self) -> bool:
         return self.snr1 == self.snr2 and self.inr1 == self.inr2
+
+    @property
+    def strong_at_1(self) -> bool:
+        """Receiver 1 sees strong interference: INR1 >= SNR2."""
+        return self.inr1 >= self.snr2
+
+    @property
+    def strong_at_2(self) -> bool:
+        """Receiver 2 sees strong interference: INR2 >= SNR1."""
+        return self.inr2 >= self.snr1
 
     def swapped(self) -> "ChannelParams":
         """The same channel with the user indices exchanged."""
@@ -136,8 +146,7 @@ def classify(params: ChannelParams) -> InterferenceClass:
     Weak requires both strict inequalities INR1 < SNR2 and INR2 < SNR1;
     equality on either cross link goes to the mixed or strong tag.
     """
-    strong_at_1 = params.inr1 >= params.snr2
-    strong_at_2 = params.inr2 >= params.snr1
+    strong_at_1, strong_at_2 = params.strong_at_1, params.strong_at_2
     if strong_at_1 and strong_at_2:
         tag = InterferenceTag.STRONG
     elif strong_at_1:

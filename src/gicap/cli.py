@@ -34,7 +34,6 @@ from . import gdof as _gdof
 from . import hk as _hk
 from .channel import (
     ChannelParams,
-    InterferenceTag,
     alpha as _alpha,
     classify,
     db_to_linear,
@@ -43,12 +42,11 @@ from .channel import (
 from .errors import GicapError
 from .region import (
     RateRegion,
-    one_bit_certificate,
+    certificates,
     region_to_jsonable,
     sigfig,
     symmetric_rate,
     vertices,
-    within_half_certificate,
 )
 
 __all__ = ["main", "entrypoint"]
@@ -175,22 +173,12 @@ def _flatten(obj, prefix=""):
         yield prefix[:-1], obj
 
 
-def _scalar_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
-
-
 def _emit_object(obj, args, stream) -> None:
     """Emit a result object as JSON, or as key,value CSV with dotted paths."""
     if (args.format or "json") == "csv":
         stream.write("key,value\n")
         for path, value in _flatten(obj):
-            stream.write(f"{path},{_scalar_cell(value)}\n")
+            stream.write(f"{path},{_gap._cell(value)}\n")
         return
     json.dump(_round_floats(obj), stream, indent=2)
     stream.write("\n")
@@ -230,17 +218,6 @@ def _cmd_classify(args, stdout) -> int:
     return 0
 
 
-def _outer_for(params: ChannelParams, mode: str) -> RateRegion:
-    if mode == "pt2pt":
-        return _bounds.pt2pt_outer(params)
-    tag = classify(params).tag
-    if tag is InterferenceTag.WEAK:
-        return _bounds.weak_outer(params)
-    if tag is InterferenceTag.STRONG:
-        return _bounds.strong_capacity(params)
-    return _bounds.mixed_outer(params)
-
-
 def _cmd_region(args, stdout) -> int:
     params = _channel_from_args(args)
     if args.split == "explicit":
@@ -252,14 +229,19 @@ def _cmd_region(args, stdout) -> int:
     else:
         split = _hk.recommended_split(params)
     inner = _hk.hk_region(params, split)
-    outer = _outer_for(params, args.bound)
+    tag = classify(params).tag
+    if args.bound == "pt2pt":
+        outer = _bounds.pt2pt_outer(params)
+    else:
+        outer = _bounds.class_outer(params, tag)
+    one_bit, within_half = certificates(inner, outer)
     out = {
-        "class": classify(params).tag.value,
+        "class": tag.value,
         "split": {"inr_p2": split.inr_p2, "inr_p1": split.inr_p1},
         "inner": region_to_jsonable(inner),
         "outer": region_to_jsonable(outer),
-        "one_bit": one_bit_certificate(inner, outer),
-        "within_half": within_half_certificate(inner, outer),
+        "one_bit": one_bit,
+        "within_half": within_half,
     }
     _emit_object(out, args, stdout)
     return 0
@@ -291,11 +273,10 @@ def _cmd_symrate(args, stdout) -> int:
 
 
 def _cmd_gap_audit(args, stdout) -> int:
-    params = _channel_from_args(args)
-    rep = _gap.delta_audit(params)
-    inner, outer = _gap.audit_regions(params)
+    result = _gap.audit(_channel_from_args(args))
+    rep = result.report
     out = {
-        "class": rep.tag.value,
+        "class": result.tag.value,
         "deltas": {
             "r1": rep.delta_r1,
             "r2": rep.delta_r2,
@@ -305,8 +286,8 @@ def _cmd_gap_audit(args, stdout) -> int:
         },
         "paired_deltas": {k: list(v) for k, v in rep.paired_deltas.items()},
         "delta_pass": rep.passed,
-        "one_bit": one_bit_certificate(inner, outer),
-        "within_half": within_half_certificate(inner, outer),
+        "one_bit": result.one_bit,
+        "within_half": result.within_half,
     }
     _emit_object(out, args, stdout)
     return 0
@@ -390,19 +371,14 @@ def _figure_rows(figure_id: str, alpha_arg: float | None):
             for a in _grid(250)
         ]
         return header, rows
-    if figure_id == "hk-fraction":
-        header = ("alpha", "hk_fraction")
-        rows = [
-            (a, min(1.0 - a / 2.0, max(a, 1.0 - a)))
-            for a in _grid(100)
-        ]
-        return header, rows
-    if figure_id == "ub-vs-hk":
+    if figure_id in ("hk-fraction", "ub-vs-hk"):
         header = ("alpha", "hk_fraction", "ub_fraction")
         rows = [
             (a, min(1.0 - a / 2.0, max(a, 1.0 - a)), 1.0 - a / 2.0)
             for a in _grid(100)
         ]
+        if figure_id == "hk-fraction":
+            return header[:2], [row[:2] for row in rows]
         return header, rows
     if figure_id == "diff-rates":
         snr1, inr2 = db_to_linear(20.0), db_to_linear(10.0)

@@ -1,7 +1,12 @@
 """Machine verification of the one-bit and within-half gap guarantees.
 
-For each weak or mixed channel the audit builds the recommended-split
-achievable region and the matching outer bound, then measures per-family
+:func:`audit` is one pass per weak or mixed channel: it classifies the
+channel once, builds the recommended-split achievable region and the
+class-matched outer bound once each, reads the family deltas off both
+constraint lists by coefficient pattern (either mixed orientation, no
+user swap), and runs one inner-in-outer containment check that feeds
+both geometric certificates.  :func:`delta_audit` and
+:func:`audit_regions` are views of that pass.  It measures per-family
 deltas
 
     delta_f = min(outer constraints of family f) - min(inner constraints of f)
@@ -15,7 +20,9 @@ checked alongside the independent geometric certificates on the region
 polytopes.  Families absent from the mixed outer bound are skipped and
 reported as not-applicable.  The per-index paired deltas (i-th outer
 constraint minus i-th inner constraint of the same family) are reported
-for diagnosis; the exact min-min deltas decide pass/fail.
+for diagnosis; the exact min-min deltas decide pass/fail.  On
+MIXED_STRONG_AT_2 channels the inner sum rows are paired in their
+user-swapped order, so both mixed orientations pair alike.
 
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
@@ -34,19 +41,16 @@ from typing import IO, Iterable, NamedTuple
 from . import bounds as _bounds
 from . import hk as _hk
 from .channel import ChannelParams, InterferenceTag, classify, db_to_linear
-from .errors import ClassMismatchError, DomainError, NotCoveredError
-from .region import (
-    RateRegion,
-    one_bit_certificate,
-    sigfig,
-    within_half_certificate,
-)
+from .errors import ClassMismatchError, DomainError, InvalidParameterError, NotCoveredError
+from .region import RateRegion, certificates, sigfig
 
 __all__ = [
+    "Audit",
     "GapReport",
     "SweepRecord",
     "SweepResult",
     "asymptotic_tightness_check",
+    "audit",
     "audit_regions",
     "delta_audit",
     "kramer_gap",
@@ -68,6 +72,10 @@ _FAMILIES = {
 }
 _THRESHOLDS = {"r1": 1.0, "r2": 1.0, "sum": 2.0, "2r1_r2": 3.0, "r1_2r2": 3.0}
 _SLACK = 1e-9
+# The MIXED_STRONG_AT_2 bound is the user-swapped image of the AT_1 bound.
+# Swapping the users exchanges the first two achievable sum rows, so its sum
+# rows pair with the inner sums in this order.
+_SWAPPED_SUM_ORDER = (1, 0, 2)
 
 SNR_DB_RANGE = (0.0, 60.0)
 INR_DB_RANGE = (-20.0, 60.0)
@@ -94,24 +102,21 @@ class GapReport:
     passed: bool
 
 
-def audit_regions(params: ChannelParams) -> tuple[RateRegion, RateRegion]:
-    """(inner, outer) pair audited for this channel.
+@dataclass(frozen=True)
+class Audit:
+    """Everything one audit pass derives for a weak or mixed channel.
 
-    Inner is the recommended-split achievable region; outer is the
-    class-matching bound.  Strong channels have zero gap by exactness and
-    are rejected here.
+    ``inner`` is the recommended-split achievable region, ``outer`` the
+    class-matched bound, ``report`` the per-family deltas, and
+    ``one_bit`` / ``within_half`` the two geometric certificates.
     """
-    tag = classify(params).tag
-    if tag is InterferenceTag.STRONG:
-        raise ClassMismatchError(
-            "gap audit is undefined for strong channels (capacity is exact)"
-        )
-    inner = _hk.hk_region(params, _hk.recommended_split(params))
-    if tag is InterferenceTag.WEAK:
-        outer = _bounds.weak_outer(params)
-    else:
-        outer = _bounds.mixed_outer(params)
-    return inner, outer
+
+    tag: InterferenceTag
+    inner: RateRegion
+    outer: RateRegion
+    report: GapReport
+    one_bit: bool
+    within_half: bool
 
 
 def _family_rhs(region: RateRegion) -> dict[str, list[float]]:
@@ -123,36 +128,32 @@ def _family_rhs(region: RateRegion) -> dict[str, list[float]]:
     return out
 
 
-def delta_audit(params: ChannelParams) -> GapReport:
-    """Exact per-family delta audit of the one-bit criterion."""
-    tag = classify(params).tag
-    if tag is InterferenceTag.MIXED_STRONG_AT_2:
-        # Audit the user-swapped channel and relabel; the bound set for
-        # this orientation is the mirror image of the other one.
-        rep = delta_audit(params.swapped())
-        paired = dict(rep.paired_deltas)
-        paired["r1"], paired["r2"] = paired.get("r2", ()), paired.get("r1", ())
-        swap21 = paired.pop("2r1_r2", None)
-        swap12 = paired.pop("r1_2r2", None)
-        if swap12 is not None:
-            paired["2r1_r2"] = swap12
-        if swap21 is not None:
-            paired["r1_2r2"] = swap21
-        return GapReport(
-            params=params,
-            tag=tag,
-            delta_r1=rep.delta_r2,
-            delta_r2=rep.delta_r1,
-            delta_sum=rep.delta_sum,
-            delta_2r1_r2=rep.delta_r1_2r2,
-            delta_r1_2r2=rep.delta_2r1_r2,
-            paired_deltas=paired,
-            passed=rep.passed,
-        )
+def audit(params: ChannelParams) -> Audit:
+    """One audit pass: classify, build both regions, take deltas, certify.
 
-    inner, outer = audit_regions(params)
+    Strong channels have zero gap by exactness and are rejected.  A
+    channel whose ratios overflow a region formula raises
+    :class:`DomainError` naming the channel.
+    """
+    return _audit(params, classify(params).tag)
+
+
+def _audit(params: ChannelParams, tag: InterferenceTag) -> Audit:
+    if tag is InterferenceTag.STRONG:
+        raise ClassMismatchError(
+            "gap audit is undefined for strong channels (capacity is exact)"
+        )
+    try:
+        inner = _hk.hk_region(params, _hk.recommended_split(params))
+        outer = _bounds.class_outer(params, tag)
+    except InvalidParameterError as exc:
+        raise DomainError(
+            f"cannot audit {params}: its rates overflow double precision ({exc})"
+        ) from exc
     inner_f = _family_rhs(inner)
     outer_f = _family_rhs(outer)
+    if tag is InterferenceTag.MIXED_STRONG_AT_2:
+        inner_f["sum"] = [inner_f["sum"][k] for k in _SWAPPED_SUM_ORDER]
 
     deltas: dict[str, float | None] = {}
     paired: dict[str, tuple[float, ...]] = {}
@@ -166,17 +167,21 @@ def delta_audit(params: ChannelParams) -> GapReport:
         paired[fam] = tuple(o - i for o, i in zip(outer_f[fam], inner_f[fam]))
         if not (d < thresh + _SLACK):
             ok = False
-    return GapReport(
-        params=params,
-        tag=tag,
-        delta_r1=deltas["r1"],
-        delta_r2=deltas["r2"],
-        delta_sum=deltas["sum"],
-        delta_2r1_r2=deltas["2r1_r2"],
-        delta_r1_2r2=deltas["r1_2r2"],
-        paired_deltas=paired,
-        passed=ok,
-    )
+    # deltas holds the families in the order of GapReport's delta fields
+    report = GapReport(params, tag, *deltas.values(), paired_deltas=paired, passed=ok)
+    one_bit, within_half = certificates(inner, outer)
+    return Audit(tag, inner, outer, report, one_bit, within_half)
+
+
+def audit_regions(params: ChannelParams) -> tuple[RateRegion, RateRegion]:
+    """(inner, outer) pair audited for this channel; a view of :func:`audit`."""
+    result = audit(params)
+    return result.inner, result.outer
+
+
+def delta_audit(params: ChannelParams) -> GapReport:
+    """Exact per-family delta audit of the one-bit criterion; a view of :func:`audit`."""
+    return audit(params).report
 
 
 class SweepRecord(NamedTuple):
@@ -251,10 +256,8 @@ def _run_records(n: int, seed: int, class_filter: str) -> list[SweepRecord]:
         tag = classify(params).tag
         if tag not in accepted_tags:
             continue
-        rep = delta_audit(params)
-        inner, outer = audit_regions(params)
-        one_bit = one_bit_certificate(inner, outer)
-        within_half = within_half_certificate(inner, outer)
+        result = _audit(params, tag)
+        rep = result.report
         records.append(
             SweepRecord(
                 snr1_db=snr1_db,
@@ -268,8 +271,8 @@ def _run_records(n: int, seed: int, class_filter: str) -> list[SweepRecord]:
                 delta_2r1_r2=rep.delta_2r1_r2,
                 delta_r1_2r2=rep.delta_r1_2r2,
                 delta_pass=rep.passed,
-                one_bit=one_bit,
-                within_half=within_half,
+                one_bit=result.one_bit,
+                within_half=result.within_half,
             )
         )
     return records
@@ -278,19 +281,26 @@ def _run_records(n: int, seed: int, class_filter: str) -> list[SweepRecord]:
 def _worst_deltas(records: Iterable[SweepRecord]) -> dict[str, float | None]:
     worst: dict[str, float | None] = {f: None for f in _THRESHOLDS}
     for rec in records:
-        for fam, value in (
-            ("r1", rec.delta_r1),
-            ("r2", rec.delta_r2),
-            ("sum", rec.delta_sum),
-            ("2r1_r2", rec.delta_2r1_r2),
-            ("r1_2r2", rec.delta_r1_2r2),
-        ):
+        values = (rec.delta_r1, rec.delta_r2, rec.delta_sum, rec.delta_2r1_r2, rec.delta_r1_2r2)
+        for fam, value in zip(_THRESHOLDS, values):
             if value is None:
                 continue
             cur = worst[fam]
             if cur is None or value > cur:
                 worst[fam] = value
     return worst
+
+
+def _sweep(n: int, seed: int, class_filter: str, failed) -> SweepResult:
+    records = _run_records(n, seed, class_filter)
+    return SweepResult(
+        n=n,
+        seed=seed,
+        class_filter=class_filter,
+        records=tuple(records),
+        failures=tuple(r for r in records if failed(r)),
+        worst_deltas=_worst_deltas(records),
+    )
 
 
 def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
@@ -300,30 +310,12 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     whose geometric one-bit certificate is false.  Failures are returned
     as data, never raised.
     """
-    records = _run_records(n, seed, class_filter)
-    failures = tuple(r for r in records if not (r.delta_pass and r.one_bit))
-    return SweepResult(
-        n=n,
-        seed=seed,
-        class_filter=class_filter,
-        records=tuple(records),
-        failures=failures,
-        worst_deltas=_worst_deltas(records),
-    )
+    return _sweep(n, seed, class_filter, lambda r: not (r.delta_pass and r.one_bit))
 
 
 def within_half_sweep(n: int, seed: int) -> SweepResult:
     """Random-channel audit of the factor-two guarantee over weak and mixed."""
-    records = _run_records(n, seed, "any")
-    failures = tuple(r for r in records if not r.within_half)
-    return SweepResult(
-        n=n,
-        seed=seed,
-        class_filter="any",
-        records=tuple(records),
-        failures=failures,
-        worst_deltas=_worst_deltas(records),
-    )
+    return _sweep(n, seed, "any", lambda r: not r.within_half)
 
 
 _CSV_COLUMNS = (

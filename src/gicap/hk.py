@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import ChannelParams, InterferenceTag, classify
+from .channel import ChannelParams
 from .errors import DomainError, InvalidSplitError
 from .region import RateConstraint, RateRegion, Vertex
 
@@ -148,16 +148,13 @@ def recommended_split(params: ChannelParams) -> PowerSplit:
     Weak channels put each private codeword at the other receiver's noise
     floor (capped by the cross ratio itself); mixed channels make the
     strongly-received user all common; strong channels make everything
-    common.
+    common.  So a user goes all common exactly when its interference is
+    strong at the other receiver.
     """
-    tag = classify(params).tag
-    if tag is InterferenceTag.WEAK:
-        return PowerSplit(min(1.0, params.inr2), min(1.0, params.inr1))
-    if tag is InterferenceTag.MIXED_STRONG_AT_1:
-        return PowerSplit(min(1.0, params.inr2), 0.0)
-    if tag is InterferenceTag.MIXED_STRONG_AT_2:
-        return PowerSplit(0.0, min(1.0, params.inr1))
-    return PowerSplit(0.0, 0.0)
+    return PowerSplit(
+        0.0 if params.strong_at_2 else min(1.0, params.inr2),
+        0.0 if params.strong_at_1 else min(1.0, params.inr1),
+    )
 
 
 def symmetric_hk_rate(snr: float, inr: float) -> float:

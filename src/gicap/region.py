@@ -28,6 +28,7 @@ __all__ = [
     "RateConstraint",
     "RateRegion",
     "Vertex",
+    "certificates",
     "contains",
     "intersect",
     "normalize",
@@ -111,13 +112,11 @@ def vertices(region: RateRegion, tol: float = DEFAULT_TOL) -> list[Vertex]:
             "region is unbounded: need a positive coefficient on each rate"
         )
     rows = [(c.c1, c.c2, c.rhs) for c in region.constraints]
+    caps = [(a, b, r + tol) for a, b, r in rows]
     lines = rows + [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-    m = len(lines)
     pts: list[tuple[float, float]] = []
-    for i in range(m - 1):
-        a1, b1, r1 = lines[i]
-        for j in range(i + 1, m):
-            a2, b2, r2 = lines[j]
+    for i, (a1, b1, r1) in enumerate(lines, 1):
+        for a2, b2, r2 in lines[i:]:
             det = a1 * b2 - a2 * b1
             if -_PARALLEL_EPS < det < _PARALLEL_EPS:
                 continue
@@ -125,12 +124,10 @@ def vertices(region: RateRegion, tol: float = DEFAULT_TOL) -> list[Vertex]:
             y = (a1 * r2 - a2 * r1) / det
             if x < -tol or y < -tol:
                 continue
-            feasible = True
-            for ca, cb, cr in rows:
-                if ca * x + cb * y > cr + tol:
-                    feasible = False
+            for ca, cb, cap in caps:
+                if ca * x + cb * y > cap:
                     break
-            if feasible:
+            else:
                 pts.append((x, y))
 
     # Dedup within tol (Chebyshev); point counts are tiny.
@@ -164,6 +161,11 @@ def contains(region: RateRegion, point, tol: float = DEFAULT_TOL) -> bool:
     r1, r2 = point
     if r1 < -tol or r2 < -tol:
         return False
+    return _satisfies(region, r1, r2, tol)
+
+
+def _satisfies(region: RateRegion, r1: float, r2: float, tol: float) -> bool:
+    """Every half-plane holds at (r1, r2) within ``tol``; the axes are not checked."""
     for c in region.constraints:
         if c.c1 * r1 + c.c2 * r2 > c.rhs + tol:
             return False
@@ -180,17 +182,21 @@ def intersect(a: RateRegion, b: RateRegion) -> RateRegion:
     return RateRegion(a.constraints + b.constraints)
 
 
-def one_bit_certificate(
+def certificates(
     inner: RateRegion, outer: RateRegion, tol: float = DEFAULT_TOL
-) -> bool:
-    """Check that ``inner`` reaches within one bit of ``outer``.
+) -> tuple[bool, bool]:
+    """Both gap certificates, ``(one_bit, within_half)``, from one containment check.
 
-    True iff for every vertex v of the outer region the pulled-back point
+    One bit: for every vertex v of the outer region the pulled-back point
     (v.r1 - 1, v.r2 - 1) satisfies every inner constraint within ``tol``.
     A pulled-back coordinate may be negative (that user falls silent);
     only the half-plane system is evaluated, since clamping a negative
     coordinate up to zero would add spurious weight to the weighted-sum
     constraints and reject channels the guarantee actually covers.
+
+    Within half: every outer vertex, scaled by 1/2 per coordinate, lies in
+    the inner region, so doubling any inner boundary point exits ``outer``.
+
     Vertex checking suffices: the constraints are linear and the outer
     region is the convex hull of its vertices, so each family's maximum
     over the outer region is attained at a vertex.
@@ -199,38 +205,33 @@ def one_bit_certificate(
     ``outer`` -- an achievable region exceeding its outer bound means a
     formula bug, not a gap result.
     """
-    _require_containment(inner, outer, tol)
-    for v in vertices(outer, tol):
-        p1 = v.r1 - 1.0
-        p2 = v.r2 - 1.0
-        for c in inner.constraints:
-            if c.c1 * p1 + c.c2 * p2 > c.rhs + tol:
-                return False
-    return True
-
-
-def within_half_certificate(
-    inner: RateRegion, outer: RateRegion, tol: float = DEFAULT_TOL
-) -> bool:
-    """Check that doubling any inner boundary point exits ``outer``.
-
-    Equivalently: every outer vertex, scaled by 1/2 per coordinate, lies
-    in the inner region.  Same containment precondition as
-    :func:`one_bit_certificate`.
-    """
-    _require_containment(inner, outer, tol)
-    for v in vertices(outer, tol):
-        if not contains(inner, (0.5 * v.r1, 0.5 * v.r2), tol):
-            return False
-    return True
-
-
-def _require_containment(inner: RateRegion, outer: RateRegion, tol: float) -> None:
     for v in vertices(inner, tol):
         if not contains(outer, v, tol):
             raise ContainmentError(
                 f"inner vertex {v} violates the outer bound (formula bug upstream)"
             )
+    outer_vertices = vertices(outer, tol)
+    one_bit = all(
+        _satisfies(inner, v.r1 - 1.0, v.r2 - 1.0, tol) for v in outer_vertices
+    )
+    within_half = all(
+        contains(inner, (0.5 * v.r1, 0.5 * v.r2), tol) for v in outer_vertices
+    )
+    return one_bit, within_half
+
+
+def one_bit_certificate(
+    inner: RateRegion, outer: RateRegion, tol: float = DEFAULT_TOL
+) -> bool:
+    """Check that ``inner`` reaches within one bit of ``outer``; see :func:`certificates`."""
+    return certificates(inner, outer, tol)[0]
+
+
+def within_half_certificate(
+    inner: RateRegion, outer: RateRegion, tol: float = DEFAULT_TOL
+) -> bool:
+    """Check that doubling any inner boundary point exits ``outer``; see :func:`certificates`."""
+    return certificates(inner, outer, tol)[1]
 
 
 def normalize(region: RateRegion, tol: float = DEFAULT_TOL) -> RateRegion:

@@ -51,6 +51,13 @@ class TestChannelParams:
         with pytest.raises(InvalidParameterError):
             ChannelParams(1, math.nan, 1, 1)
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_bool_rejected(self, position):
+        ratios = [1, 1, 1, 1]
+        ratios[position] = True
+        with pytest.raises(InvalidParameterError, match="True"):
+            ChannelParams(*ratios)
+
     def test_symmetry_flag(self):
         assert ChannelParams(2, 2, 3, 3).is_symmetric
         assert not ChannelParams(2, 2.5, 3, 3).is_symmetric

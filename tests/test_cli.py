@@ -133,6 +133,19 @@ class TestGapAudit:
         )
         assert code == 2
 
+    def test_overflow_names_the_channel(self, capsys):
+        # weak channel whose 1 + SNR + INR overflows to inf
+        code, out = run_cli(
+            ["gap-audit", "--snr1", "1.7e308", "--snr2", "1.7e308",
+             "--inr1", "1e308", "--inr2", "1e308"]
+        )
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot audit ChannelParams(")
+        for ratio in ("snr1=1.7e+308", "snr2=1.7e+308", "inr1=1e+308", "inr2=1e+308"):
+            assert ratio in err
+
 
 class TestSweep:
     def test_deterministic_and_clean(self, tmp_path):

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 
 import pytest
 
@@ -9,8 +10,12 @@ from gicap import (
     DomainError,
     InterferenceTag,
     NotCoveredError,
+    RateConstraint,
+    RateRegion,
     asymptotic_tightness_check,
+    audit,
     audit_regions,
+    certificates,
     delta_audit,
     kramer_gap,
     one_bit_certificate,
@@ -21,6 +26,12 @@ from gicap import (
     write_sweep_csv,
 )
 from conftest import random_channel
+from reference_audit import (
+    ref_delta_audit,
+    ref_one_bit,
+    ref_regions,
+    ref_within_half,
+)
 
 log2 = math.log2
 
@@ -72,6 +83,12 @@ class TestDeltaAudit:
         assert b.delta_2r1_r2 == a.delta_r1_2r2
         assert b.delta_r1_2r2 == a.delta_2r1_r2
         assert b.tag is InterferenceTag.MIXED_STRONG_AT_2
+        assert list(a.paired_deltas) == ["r1", "r2", "sum", "r1_2r2"]
+        assert list(b.paired_deltas) == ["r1", "r2", "sum", "2r1_r2"]
+        assert b.paired_deltas["r1"] == a.paired_deltas["r2"]
+        assert b.paired_deltas["r2"] == a.paired_deltas["r1"]
+        assert b.paired_deltas["sum"] == a.paired_deltas["sum"]
+        assert b.paired_deltas["2r1_r2"] == a.paired_deltas["r1_2r2"]
 
     def test_family_delta_bounded_by_paired_max(self, rng):
         for _ in range(120):
@@ -271,3 +288,56 @@ class TestAuditRegions:
     def test_strong_rejected(self):
         with pytest.raises(ClassMismatchError):
             audit_regions(ChannelParams(1, 1, 5, 5))
+
+
+AUDITED_TAGS = (
+    InterferenceTag.WEAK,
+    InterferenceTag.MIXED_STRONG_AT_1,
+    InterferenceTag.MIXED_STRONG_AT_2,
+)
+
+
+class TestAuditAgainstReference:
+    """The single pass equals the reference path bit for bit."""
+
+    @pytest.mark.parametrize("tag", AUDITED_TAGS, ids=lambda t: t.value)
+    def test_audit_matches_reference(self, tag):
+        rng = random.Random(f"audit-{tag.value}")
+        for _ in range(200):
+            p = random_channel(rng, tag)
+            got = audit(p)
+            want = ref_delta_audit(p)
+            assert got.tag is tag
+            assert got.report == want
+            assert list(got.report.paired_deltas) == list(want.paired_deltas)
+            inner, outer = ref_regions(p)
+            assert got.inner == inner
+            assert got.outer == outer
+            assert got.one_bit == ref_one_bit(inner, outer)
+            assert got.within_half == ref_within_half(inner, outer)
+            assert delta_audit(p) == want
+            assert audit_regions(p) == (inner, outer)
+
+    @pytest.mark.parametrize("slack", [0.0, 0.6, 1.2])
+    def test_certificates_match_reference_when_they_fail(self, slack):
+        # loosen the outer bound so that some verdicts turn false
+        rng = random.Random(f"certificates-{slack}")
+        verdicts = set()
+        for tag in AUDITED_TAGS:
+            for _ in range(60):
+                inner, outer = ref_regions(random_channel(rng, tag))
+                loose = RateRegion(
+                    RateConstraint(c.c1, c.c2, c.rhs + slack) for c in outer.constraints
+                )
+                want = (ref_one_bit(inner, loose), ref_within_half(inner, loose))
+                assert certificates(inner, loose) == want
+                assert one_bit_certificate(inner, loose) == want[0]
+                assert within_half_certificate(inner, loose) == want[1]
+                verdicts.add(want)
+        if slack > 1.0:
+            assert (False, False) in verdicts or (False, True) in verdicts
+
+    def test_overflow_names_the_channel(self):
+        p = ChannelParams(1.7e308, 1.7e308, 1e308, 1e308)
+        with pytest.raises(DomainError, match=r"snr1=1\.7e\+308.*inr2=1e\+308"):
+            audit(p)
