@@ -61,7 +61,6 @@ from .gdof import (
     BaselineScheme,
     FiniteSnrSandwich,
     GdofParams,
-    GdofRegion,
     baseline_gdof,
     d_sym,
     finite_snr_convergence,
@@ -92,8 +91,6 @@ from .region import (
     Vertex,
     certificates,
     contains,
-    intersect,
-    normalize,
     one_bit_certificate,
     region_to_jsonable,
     symmetric_rate,

@@ -44,7 +44,10 @@ __all__ = [
 
 def db_to_linear(db: float) -> float:
     """Convert a dB value to a linear power ratio: 10**(db/10)."""
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{db!r} dB is beyond the float range") from None
 
 
 def linear_to_db(x: float) -> float:
@@ -184,6 +187,23 @@ class SymmetricRegime:
     bset: str | None
 
 
+def _at_least(sides, snr: float, inr: float) -> bool:
+    """``lhs >= rhs`` for ``lhs, rhs = sides(snr, inr)``, products of the ratios.
+
+    Where both float sides overflow (or ``**`` raises), compares exact rationals.
+    """
+    try:
+        lhs, rhs = sides(snr, inr)
+        if not (lhs == rhs == math.inf):
+            return lhs >= rhs
+    except OverflowError:
+        pass
+    from fractions import Fraction  # imported here: it costs start-up time
+
+    lhs, rhs = sides(Fraction(snr), Fraction(inr))
+    return lhs >= rhs
+
+
 def symmetric_regime(snr: float, inr: float) -> SymmetricRegime:
     """Locate a symmetric channel among the five capacity regimes.
 
@@ -191,7 +211,8 @@ def symmetric_regime(snr: float, inr: float) -> SymmetricRegime:
     the comparisons are done in the linear domain (inr^2 vs snr, inr^3 vs
     snr^2, inr vs snr) so threshold cases are decided by exact arithmetic
     rather than rounded logarithms.  Regime 5 uses the exact very-strong
-    condition INR >= SNR^2 + SNR.
+    condition INR >= SNR^2 + SNR.  The inr^3 and B-set comparisons can
+    overflow on both sides; those are decided in exact rationals.
     """
     if not (snr > 1.0):
         raise DomainError(f"symmetric_regime needs snr > 1, got snr={snr!r}")
@@ -202,7 +223,7 @@ def symmetric_regime(snr: float, inr: float) -> SymmetricRegime:
         regime = 5
     elif inr >= snr:
         regime = 4
-    elif inr ** 3 >= snr * snr:
+    elif _at_least(lambda s, i: (i**3, s * s), snr, inr):
         regime = 3
     elif inr * inr >= snr:
         regime = 2
@@ -212,5 +233,6 @@ def symmetric_regime(snr: float, inr: float) -> SymmetricRegime:
     bset: str | None = None
     if inr >= 1.0:
         # B1 uses strict <, B2 the weak reverse inequality.
-        bset = "B1" if snr * (snr + inr) < inr * inr * (inr + 1.0) else "B2"
+        b2 = _at_least(lambda s, i: (s * (s + i), i * i * (i + 1)), snr, inr)
+        bset = "B2" if b2 else "B1"
     return SymmetricRegime(regime=regime, bset=bset)

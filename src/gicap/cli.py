@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -39,7 +40,7 @@ from .channel import (
     db_to_linear,
     symmetric_regime,
 )
-from .errors import GicapError
+from .errors import GicapError, InvalidParameterError
 from .region import (
     RateRegion,
     certificates,
@@ -59,31 +60,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gicap",
         description="Two-user Gaussian interference channel calculator and verifier.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--db", action="store_true", help="interpret ratios as dB")
-    common.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
-    common.add_argument("--out", type=str, default=None, help="output file path")
-    common.add_argument(
+    # Small parent parsers: each subcommand takes exactly the flags it reads.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format",
         choices=("json", "csv"),
         default=None,
         help="output format (default: json; figure data defaults to csv)",
     )
+    db = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    db.add_argument("--db", action="store_true", help="interpret ratios as dB")
+    channel = argparse.ArgumentParser(add_help=False, parents=[db])
+    for flag in ("--snr1", "--snr2", "--inr1", "--inr2"):
+        channel.add_argument(flag, type=float, required=True)
+    out = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    out.add_argument("--out", type=str, default=None, help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def channel_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--snr1", type=float, required=True)
-        p.add_argument("--snr2", type=float, required=True)
-        p.add_argument("--inr1", type=float, required=True)
-        p.add_argument("--inr2", type=float, required=True)
-
-    p = sub.add_parser("classify", parents=[common], help="classify a channel")
-    channel_args(p)
+    sub.add_parser("classify", parents=[channel], help="classify a channel")
 
     p = sub.add_parser(
-        "region", parents=[common], help="achievable and outer regions + certificates"
+        "region", parents=[channel], help="achievable and outer regions + certificates"
     )
-    channel_args(p)
     p.add_argument(
         "--split",
         choices=("recommended", "explicit"),
@@ -99,14 +97,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="outer bound: class-matched or the point-to-point box",
     )
 
-    p = sub.add_parser("symrate", parents=[common], help="symmetric rate and bounds")
+    p = sub.add_parser("symrate", parents=[db], help="symmetric rate and bounds")
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--inr", type=float, required=True)
 
-    p = sub.add_parser("gap-audit", parents=[common], help="single-channel delta audit")
-    channel_args(p)
+    sub.add_parser("gap-audit", parents=[channel], help="single-channel delta audit")
 
-    p = sub.add_parser("sweep", parents=[common], help="randomized verification sweep")
+    p = sub.add_parser("sweep", parents=[out], help="randomized verification sweep")
+    p.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
     p.add_argument("--n", type=int, required=True, help="number of channels")
     p.add_argument(
         "--class",
@@ -122,17 +120,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which guarantee the failure count tracks",
     )
 
-    p = sub.add_parser("gdof", parents=[common], help="degrees-of-freedom regions")
+    p = sub.add_parser("gdof", parents=[fmt], help="degrees-of-freedom regions")
     p.add_argument("--alpha", type=float, default=None, help="symmetric level")
     p.add_argument("--alpha1", type=float, default=None)
     p.add_argument("--alpha2", type=float, default=None)
     p.add_argument("--alpha3", type=float, default=None)
 
-    p = sub.add_parser("figures", parents=[common], help="emit figure-ready CSV data")
+    p = sub.add_parser("figures", parents=[out], help="emit figure-ready CSV data")
     p.add_argument("figure_id", choices=_FIGURE_IDS)
     p.add_argument("--alpha", type=float, default=None, help="gdof-region level")
 
-    p = sub.add_parser("diffrate", parents=[common], help="differential rate densities")
+    p = sub.add_parser("diffrate", parents=[db], help="differential rate densities")
     p.add_argument("--snr1", type=float, required=True)
     p.add_argument("--inr2", type=float, required=True)
     p.add_argument("--z", type=float, required=True, help="normalized power level")
@@ -228,12 +226,15 @@ def _cmd_region(args, stdout) -> int:
         )
     else:
         split = _hk.recommended_split(params)
-    inner = _hk.hk_region(params, split)
     tag = classify(params).tag
-    if args.bound == "pt2pt":
-        outer = _bounds.pt2pt_outer(params)
-    else:
-        outer = _bounds.class_outer(params, tag)
+
+    def regions():
+        inner = _hk.hk_region(params, split)
+        if args.bound == "pt2pt":
+            return inner, _bounds.pt2pt_outer(params)
+        return inner, _bounds.class_outer(params, tag)
+
+    inner, outer = _gap._overflow_checked(params, regions)
     one_bit, within_half = certificates(inner, outer)
     out = {
         "class": tag.value,
@@ -250,12 +251,22 @@ def _cmd_region(args, stdout) -> int:
 def _cmd_symrate(args, stdout) -> int:
     snr = _ratio(args.snr, args.db)
     inr = _ratio(args.inr, args.db)
+    params = ChannelParams(snr, snr, inr, inr)
+    out = _gap._overflow_checked(params, lambda: _symmetric_rates(params))
+    if snr > 1.0:
+        reg = symmetric_regime(snr, inr)
+        out["regime"] = reg.regime
+        out["bset"] = reg.bset
+    _emit_object(out, args, stdout)
+    return 0
+
+
+def _symmetric_rates(params: ChannelParams) -> dict:
+    snr, inr = params.snr1, params.inr1
     out: dict = {"snr": snr, "inr": inr}
     if inr >= snr:
         out["capacity"] = _bounds.symmetric_capacity_strong(snr, inr)
-        out["hk_rate"] = symmetric_rate(
-            _hk.hk_region(ChannelParams(snr, snr, inr, inr), _hk.PowerSplit(0.0, 0.0))
-        )
+        out["hk_rate"] = symmetric_rate(_hk.hk_region(params, _hk.PowerSplit(0.0, 0.0)))
     else:
         out["hk_rate"] = _hk.symmetric_hk_rate(snr, inr)
         sb = _bounds.symmetric_bounds(snr, inr)
@@ -264,12 +275,12 @@ def _cmd_symrate(args, stdout) -> int:
         out["kramer_ub"] = sb.kramer_ub
         out["best_ub"] = sb.best
         out["gap_to_best"] = sb.best - out["hk_rate"]
-    if snr > 1.0:
-        reg = symmetric_regime(snr, inr)
-        out["regime"] = reg.regime
-        out["bset"] = reg.bset
-    _emit_object(out, args, stdout)
-    return 0
+    # symmetric_hk_rate's min can hide an overflowed term; that term
+    # overflows only where kramer_ub does too, so this check still sees it.
+    infinite = [k for k, v in out.items() if v is not None and not math.isfinite(v)]
+    if infinite:
+        raise InvalidParameterError(f"{', '.join(infinite)} not finite")
+    return out
 
 
 def _cmd_gap_audit(args, stdout) -> int:
@@ -294,8 +305,6 @@ def _cmd_gap_audit(args, stdout) -> int:
 
 
 def _cmd_sweep(args, stdout) -> int:
-    if args.n < 1:
-        raise GicapError(f"--n must be >= 1, got {args.n}")
     if args.out is None:
         raise GicapError("sweep needs --out for the per-instance CSV")
     if args.check == "one-bit":

@@ -138,18 +138,25 @@ def audit(params: ChannelParams) -> Audit:
     return _audit(params, classify(params).tag)
 
 
+def _overflow_checked(params: ChannelParams, build):
+    """``build()``; a rate that overflows raises :class:`DomainError` naming ``params``."""
+    try:
+        return build()
+    except InvalidParameterError as exc:  # RateConstraint rejects an inf rate
+        raise DomainError(
+            f"cannot audit {params}: its rates overflow double precision ({exc})"
+        ) from exc
+
+
 def _audit(params: ChannelParams, tag: InterferenceTag) -> Audit:
     if tag is InterferenceTag.STRONG:
         raise ClassMismatchError(
             "gap audit is undefined for strong channels (capacity is exact)"
         )
-    try:
-        inner = _hk.hk_region(params, _hk.recommended_split(params))
-        outer = _bounds.class_outer(params, tag)
-    except InvalidParameterError as exc:
-        raise DomainError(
-            f"cannot audit {params}: its rates overflow double precision ({exc})"
-        ) from exc
+    split = _hk.recommended_split(params)
+    inner, outer = _overflow_checked(
+        params, lambda: (_hk.hk_region(params, split), _bounds.class_outer(params, tag))
+    )
     inner_f = _family_rhs(inner)
     outer_f = _family_rhs(outer)
     if tag is InterferenceTag.MIXED_STRONG_AT_2:

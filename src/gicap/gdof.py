@@ -40,7 +40,6 @@ __all__ = [
     "BaselineScheme",
     "FiniteSnrSandwich",
     "GdofParams",
-    "GdofRegion",
     "baseline_gdof",
     "d_sym",
     "finite_snr_convergence",
@@ -53,10 +52,6 @@ __all__ = [
 ]
 
 _LOG2 = math.log2
-
-# A gdof region is an ordinary rate region over (d1, d2).
-GdofRegion = RateRegion
-
 
 @dataclass(frozen=True)
 class GdofParams:
@@ -149,7 +144,7 @@ def _strong_expansion_rows(
     ]
 
 
-def _rows_to_gdof(rows, alpha1: float) -> GdofRegion:
+def _rows_to_gdof(rows, alpha1: float) -> RateRegion:
     constraints = []
     for m1, m2, rhs in rows:
         if m1 == 0.0 and m2 == 1.0:
@@ -159,7 +154,7 @@ def _rows_to_gdof(rows, alpha1: float) -> GdofRegion:
     return RateRegion(constraints)
 
 
-def weak_gdof_region(g: GdofParams) -> GdofRegion:
+def weak_gdof_region(g: GdofParams) -> RateRegion:
     """Seven-constraint gdof region for weak interference slopes."""
     if not (g.alpha2 < g.alpha1 and g.alpha3 < 1.0):
         raise ClassMismatchError(
@@ -170,7 +165,7 @@ def weak_gdof_region(g: GdofParams) -> GdofRegion:
     )
 
 
-def mixed_gdof_region(g: GdofParams) -> GdofRegion:
+def mixed_gdof_region(g: GdofParams) -> RateRegion:
     """Five-constraint gdof region, strong-at-receiver-1 orientation."""
     if not (g.alpha2 >= g.alpha1 and g.alpha3 < 1.0):
         raise ClassMismatchError(
@@ -181,7 +176,7 @@ def mixed_gdof_region(g: GdofParams) -> GdofRegion:
     )
 
 
-def strong_gdof_region(g: GdofParams) -> GdofRegion:
+def strong_gdof_region(g: GdofParams) -> RateRegion:
     """Gdof region for strong interference slopes (both MAC cuts)."""
     if not (g.alpha2 >= g.alpha1 and g.alpha3 >= 1.0):
         raise ClassMismatchError(
@@ -192,7 +187,7 @@ def strong_gdof_region(g: GdofParams) -> GdofRegion:
     )
 
 
-def symmetric_gdof_region(alpha_value: float) -> GdofRegion:
+def symmetric_gdof_region(alpha_value: float) -> RateRegion:
     """Gdof region of the symmetric channel at interference level alpha."""
     a = alpha_value
     if not math.isfinite(a) or a < 0.0:
@@ -211,7 +206,7 @@ def symmetric_gdof_region(alpha_value: float) -> GdofRegion:
     )
 
 
-def one_sided_gdof_region(g: GdofParams, strong: bool) -> GdofRegion:
+def one_sided_gdof_region(g: GdofParams, strong: bool) -> RateRegion:
     """Gdof region with one cross link absent (alpha2 = 0 convention).
 
     Weak (alpha3 <= 1): d1 + alpha1*d2 <= max(1, 1 + alpha1 - alpha3);
@@ -292,8 +287,15 @@ def first_order_expansion(params: ChannelParams) -> RateRegion:
     """Log-domain piecewise-linear expansion of the capacity region, in bits.
 
     Weak channels keep all seven rows; mixed channels drop the two rows
-    whose finite-SNR parents are provably redundant.  Rows whose rhs is
-    non-finite (a vanishing cross ratio makes them vacuous) are omitted.
+    whose finite-SNR parents are provably redundant.  A channel strong at
+    receiver 2 takes the strong-at-receiver-1 rows on the user-swapped
+    logs with mirrored coefficients.  Rows whose rhs is non-finite (a
+    vanishing cross ratio makes them vacuous) are omitted.
+
+    The expansion is meant for ratios >= 1.  A cross ratio below 1 has a
+    negative log, which inflates the rows it enters: at SNR = 100 and
+    INR = 1e-300 a sum row allows about 1,009 bits.  Such rows are valid
+    but vacuous; INR = 0 drops them altogether.
     """
     if not (params.snr1 > 1.0 and params.snr2 > 1.0):
         raise DomainError(
@@ -302,25 +304,22 @@ def first_order_expansion(params: ChannelParams) -> RateRegion:
     tag = classify(params).tag
     if tag is InterferenceTag.STRONG:
         raise ClassMismatchError("first-order expansion covers weak and mixed only")
-    if tag is InterferenceTag.MIXED_STRONG_AT_2:
-        swapped = first_order_expansion(params.swapped())
-        return RateRegion(
-            [RateConstraint(c.c2, c.c1, c.rhs) for c in swapped.constraints]
-        )
+    mirror = tag is InterferenceTag.MIXED_STRONG_AT_2
+    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
+    if mirror:
+        s1, s2, i1, i2 = s2, s1, i2, i1
     logs = (
-        _LOG2(params.snr1),
-        _LOG2(params.snr2),
-        _LOG2(params.inr1) if params.inr1 > 0.0 else -math.inf,
-        _LOG2(params.inr2) if params.inr2 > 0.0 else -math.inf,
+        _LOG2(s1),
+        _LOG2(s2),
+        _LOG2(i1) if i1 > 0.0 else -math.inf,
+        _LOG2(i2) if i2 > 0.0 else -math.inf,
     )
     if tag is InterferenceTag.WEAK:
         rows = _weak_expansion_rows(*logs)
     else:
         rows = _mixed_expansion_rows(*logs)
     return RateRegion(
-        [
-            RateConstraint(m1, m2, rhs)
-            for m1, m2, rhs in rows
-            if math.isfinite(rhs)
-        ]
+        RateConstraint(m2, m1, rhs) if mirror else RateConstraint(m1, m2, rhs)
+        for m1, m2, rhs in rows
+        if math.isfinite(rhs)
     )

@@ -40,6 +40,7 @@ bound families positionally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 _LOG2 = math.log2
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,19 @@ def _validate_split(params: ChannelParams, split: PowerSplit) -> None:
         )
 
 
+def _private_snr(snr: float, inr_p: float, inr: float) -> float:
+    """SNR * inr_p / INR, the private SNR of a user (SNR itself when INR = 0).
+
+    Divides first only where the product underflows (a subnormal INR).
+    """
+    if inr == 0.0:
+        return snr
+    product = snr * inr_p
+    if product < _FLOAT_MIN:
+        return snr * (inr_p / inr)
+    return product / inr
+
+
 def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
     """Seven-constraint achievable region for a fixed power split.
 
@@ -109,8 +124,8 @@ def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
     i1, i2 = params.inr1, params.inr2
     p2, p1 = split.inr_p2, split.inr_p1  # user-1 and user-2 private levels
 
-    s1p = s1 if i2 == 0.0 else s1 * p2 / i2
-    s2p = s2 if i1 == 0.0 else s2 * p1 / i1
+    s1p = _private_snr(s1, p2, i2)
+    s2p = _private_snr(s2, p1, i1)
     n1 = 1.0 + p1
     n2 = 1.0 + p2
 

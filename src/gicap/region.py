@@ -12,14 +12,13 @@ precision sits around 1e-12 relative error, well under that tolerance.
 
 The constraint list is ordered and never silently pruned: downstream
 per-family gap audits pair inner and outer constraints by position.
-:func:`normalize` provides an explicit cleanup pass for display.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContainmentError, InvalidParameterError, UnboundedRegionError
 
@@ -30,8 +29,6 @@ __all__ = [
     "Vertex",
     "certificates",
     "contains",
-    "intersect",
-    "normalize",
     "one_bit_certificate",
     "region_to_jsonable",
     "sigfig",
@@ -69,49 +66,33 @@ class RateConstraint:
             raise InvalidParameterError("constraint must involve at least one rate")
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class RateRegion:
     """Ordered half-plane representation of a down-closed rate polytope."""
 
     constraints: tuple[RateConstraint, ...]
-    _vcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __init__(self, constraints: Iterable[RateConstraint]):
-        object.__setattr__(self, "constraints", tuple(constraints))
-        object.__setattr__(self, "_vcache", {})
+    def __post_init__(self) -> None:
+        # callers pass lists and generators; store the immutable tuple
+        object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.constraints:
             raise InvalidParameterError("a rate region needs at least one constraint")
 
-    @property
-    def is_bounded(self) -> bool:
-        return any(c.c1 > 0.0 for c in self.constraints) and any(
-            c.c2 > 0.0 for c in self.constraints
-        )
 
-    # Convenience method forms; the module-level functions are the API.
-    def vertices(self, tol: float = DEFAULT_TOL) -> list[Vertex]:
-        return vertices(self, tol)
-
-    def contains(self, point, tol: float = DEFAULT_TOL) -> bool:
-        return contains(self, point, tol)
-
-
-def vertices(region: RateRegion, tol: float = DEFAULT_TOL) -> list[Vertex]:
+def vertices(region: RateRegion) -> list[Vertex]:
     """Enumerate the extreme points of a bounded region.
 
     Returns the boundary chain sorted by increasing R1 then decreasing R2
     (the origin itself is dropped when other vertices exist), deduplicated
-    at ``tol``.  Raises :class:`UnboundedRegionError` when no constraint
-    caps one of the rates.
+    at :data:`DEFAULT_TOL`.  Raises :class:`UnboundedRegionError` when no
+    constraint caps one of the rates.
     """
-    cached = region._vcache.get(tol)
-    if cached is not None:
-        return cached
-    if not region.is_bounded:
+    rows = [(c.c1, c.c2, c.rhs) for c in region.constraints]
+    if not (any(a > 0.0 for a, _, _ in rows) and any(b > 0.0 for _, b, _ in rows)):
         raise UnboundedRegionError(
             "region is unbounded: need a positive coefficient on each rate"
         )
-    rows = [(c.c1, c.c2, c.rhs) for c in region.constraints]
+    tol = DEFAULT_TOL
     caps = [(a, b, r + tol) for a, b, r in rows]
     lines = rows + [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     pts: list[tuple[float, float]] = []
@@ -151,9 +132,7 @@ def vertices(region: RateRegion, tol: float = DEFAULT_TOL) -> list[Vertex]:
             anchor = x
         keyed.append((anchor, -y, x, y))
     keyed.sort()
-    out = [Vertex(x + 0.0, y + 0.0) for _, _, x, y in keyed]  # normalizes -0.0
-    region._vcache[tol] = out
-    return out
+    return [Vertex(x + 0.0, y + 0.0) for _, _, x, y in keyed]  # normalizes -0.0
 
 
 def contains(region: RateRegion, point, tol: float = DEFAULT_TOL) -> bool:
@@ -177,22 +156,16 @@ def symmetric_rate(region: RateRegion) -> float:
     return min(c.rhs / (c.c1 + c.c2) for c in region.constraints)
 
 
-def intersect(a: RateRegion, b: RateRegion) -> RateRegion:
-    """Concatenate constraint lists; redundant constraints are kept."""
-    return RateRegion(a.constraints + b.constraints)
-
-
-def certificates(
-    inner: RateRegion, outer: RateRegion, tol: float = DEFAULT_TOL
-) -> tuple[bool, bool]:
+def certificates(inner: RateRegion, outer: RateRegion) -> tuple[bool, bool]:
     """Both gap certificates, ``(one_bit, within_half)``, from one containment check.
 
     One bit: for every vertex v of the outer region the pulled-back point
-    (v.r1 - 1, v.r2 - 1) satisfies every inner constraint within ``tol``.
-    A pulled-back coordinate may be negative (that user falls silent);
-    only the half-plane system is evaluated, since clamping a negative
-    coordinate up to zero would add spurious weight to the weighted-sum
-    constraints and reject channels the guarantee actually covers.
+    (v.r1 - 1, v.r2 - 1) satisfies every inner constraint within
+    :data:`DEFAULT_TOL`.  A pulled-back coordinate may be negative (that
+    user falls silent); only the half-plane system is evaluated, since
+    clamping a negative coordinate up to zero would add spurious weight to
+    the weighted-sum constraints and reject channels the guarantee
+    actually covers.
 
     Within half: every outer vertex, scaled by 1/2 per coordinate, lies in
     the inner region, so doubling any inner boundary point exits ``outer``.
@@ -205,57 +178,29 @@ def certificates(
     ``outer`` -- an achievable region exceeding its outer bound means a
     formula bug, not a gap result.
     """
-    for v in vertices(inner, tol):
-        if not contains(outer, v, tol):
+    for v in vertices(inner):
+        if not contains(outer, v):
             raise ContainmentError(
                 f"inner vertex {v} violates the outer bound (formula bug upstream)"
             )
-    outer_vertices = vertices(outer, tol)
+    outer_vertices = vertices(outer)
     one_bit = all(
-        _satisfies(inner, v.r1 - 1.0, v.r2 - 1.0, tol) for v in outer_vertices
+        _satisfies(inner, v.r1 - 1.0, v.r2 - 1.0, DEFAULT_TOL) for v in outer_vertices
     )
     within_half = all(
-        contains(inner, (0.5 * v.r1, 0.5 * v.r2), tol) for v in outer_vertices
+        contains(inner, (0.5 * v.r1, 0.5 * v.r2)) for v in outer_vertices
     )
     return one_bit, within_half
 
 
-def one_bit_certificate(
-    inner: RateRegion, outer: RateRegion, tol: float = DEFAULT_TOL
-) -> bool:
+def one_bit_certificate(inner: RateRegion, outer: RateRegion) -> bool:
     """Check that ``inner`` reaches within one bit of ``outer``; see :func:`certificates`."""
-    return certificates(inner, outer, tol)[0]
+    return certificates(inner, outer)[0]
 
 
-def within_half_certificate(
-    inner: RateRegion, outer: RateRegion, tol: float = DEFAULT_TOL
-) -> bool:
+def within_half_certificate(inner: RateRegion, outer: RateRegion) -> bool:
     """Check that doubling any inner boundary point exits ``outer``; see :func:`certificates`."""
-    return certificates(inner, outer, tol)[1]
-
-
-def normalize(region: RateRegion, tol: float = DEFAULT_TOL) -> RateRegion:
-    """Display cleanup: drop duplicate and same-direction dominated constraints.
-
-    Two constraints with proportional coefficient vectors bound the same
-    direction; only the tighter one is kept.  Ordering of the survivors
-    follows first appearance.  This is never applied implicitly.
-    """
-    kept: list[RateConstraint] = []
-    for c in region.constraints:
-        norm = math.hypot(c.c1, c.c2)
-        dir1, dir2, scaled = c.c1 / norm, c.c2 / norm, c.rhs / norm
-        same_direction = False
-        for k, existing in enumerate(kept):
-            en = math.hypot(existing.c1, existing.c2)
-            if abs(existing.c1 / en - dir1) <= tol and abs(existing.c2 / en - dir2) <= tol:
-                same_direction = True
-                if scaled < existing.rhs / en - tol:
-                    kept[k] = c
-                break
-        if not same_direction:
-            kept.append(c)
-    return RateRegion(kept)
+    return certificates(inner, outer)[1]
 
 
 def sigfig(x: float, digits: int = 12) -> float:
@@ -265,12 +210,12 @@ def sigfig(x: float, digits: int = 12) -> float:
     return float(f"{x:.{digits}g}")
 
 
-def region_to_jsonable(region: RateRegion, tol: float = DEFAULT_TOL) -> dict:
+def region_to_jsonable(region: RateRegion) -> dict:
     """Canonical JSON shape: constraints plus the enumerated vertex chain."""
     return {
         "constraints": [
             {"c1": sigfig(c.c1), "c2": sigfig(c.c2), "rhs": sigfig(c.rhs)}
             for c in region.constraints
         ],
-        "vertices": [[sigfig(v.r1), sigfig(v.r2)] for v in vertices(region, tol)],
+        "vertices": [[sigfig(v.r1), sigfig(v.r2)] for v in vertices(region)],
     }

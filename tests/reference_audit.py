@@ -155,14 +155,14 @@ def ref_delta_audit(p: ChannelParams) -> GapReport:
 
 
 def _require_containment(inner: RateRegion, outer: RateRegion) -> None:
-    for v in vertices(inner, TOL):
+    for v in vertices(inner):
         if not contains(outer, v, TOL):
             raise ContainmentError(f"inner vertex {v} outside the outer bound")
 
 
 def ref_one_bit(inner: RateRegion, outer: RateRegion) -> bool:
     _require_containment(inner, outer)
-    for v in vertices(outer, TOL):
+    for v in vertices(outer):
         p1, p2 = v.r1 - 1.0, v.r2 - 1.0
         for c in inner.constraints:
             if c.c1 * p1 + c.c2 * p2 > c.rhs + TOL:
@@ -172,4 +172,4 @@ def ref_one_bit(inner: RateRegion, outer: RateRegion) -> bool:
 
 def ref_within_half(inner: RateRegion, outer: RateRegion) -> bool:
     _require_containment(inner, outer)
-    return all(contains(inner, (0.5 * v.r1, 0.5 * v.r2), TOL) for v in vertices(outer, TOL))
+    return all(contains(inner, (0.5 * v.r1, 0.5 * v.r2), TOL) for v in vertices(outer))

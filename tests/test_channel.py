@@ -8,6 +8,7 @@ from gicap import (
     DomainError,
     InterferenceTag,
     InvalidParameterError,
+    SymmetricRegime,
     alpha,
     classify,
     db_to_linear,
@@ -160,6 +161,19 @@ class TestSymmetricRegime:
     def test_bset(self, snr, inr, bset):
         assert symmetric_regime(snr, inr).bset == bset
 
+    @pytest.mark.parametrize(
+        "snr,inr,regime,bset",
+        [
+            (1e200, 1e150, 3, "B1"),  # inr**3 overflows
+            (1e160, 1e200, 4, "B1"),  # both B-set sides overflow: 1e360 < 1e600
+            (1e200, 1e110, 2, "B2"),  # both sides of inr^3 vs snr^2 overflow
+            (2.0**600, 2.0**400, 3, "B2"),  # exact tie inr^3 == snr^2 beyond the float range
+            (1.7e308, 1e308, 3, "B1"),
+        ],
+    )
+    def test_overflowing_products_decided_exactly(self, snr, inr, regime, bset):
+        assert symmetric_regime(snr, inr) == SymmetricRegime(regime, bset)
+
     def test_inr_zero_is_regime_1(self):
         assert symmetric_regime(100, 0.0).regime == 1
 
@@ -193,6 +207,10 @@ class TestDbHelpers:
     @given(st.floats(-100, 100))
     def test_round_trip(self, db):
         assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-9)
+
+    def test_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError, match="4000"):
+            db_to_linear(4000.0)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):

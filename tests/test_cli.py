@@ -6,7 +6,7 @@ import pytest
 
 import gicap.gap
 from gicap import SweepRecord, SweepResult
-from gicap.cli import main
+from gicap.cli import _build_parser, main
 
 
 def run_cli(args):
@@ -19,6 +19,17 @@ def run_json(args):
     code, out = run_cli(args)
     assert code == 0, out
     return json.loads(out)
+
+
+def assert_overflow_names_the_channel(args, capsys, ratios):
+    code, out = run_cli(args)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot audit ChannelParams(")
+    assert "overflow" in err
+    for ratio in ratios:
+        assert ratio in err
 
 
 class TestClassify:
@@ -39,6 +50,27 @@ class TestClassify:
         assert obj["class"] == "mixed_strong_at_1"
         assert obj["very_strong"] is None
         assert "regime" not in obj
+
+    def test_inr_cubed_beyond_float_range(self):
+        # inr**3 = 1e450 overflows; alpha = 0.75 is regime 3
+        obj = run_json(
+            ["classify", "--snr1", "1e200", "--snr2", "1e200", "--inr1", "1e150", "--inr2", "1e150"]
+        )
+        assert obj["regime"] == 3 and obj["bset"] == "B1"
+
+    def test_bset_when_both_sides_overflow(self):
+        # 1e160 * (1e160 + 1e200) ~ 1e360 < 1e200**2 * (1e200 + 1) ~ 1e600
+        obj = run_json(
+            ["classify", "--snr1", "1e160", "--snr2", "1e160", "--inr1", "1e200", "--inr2", "1e200"]
+        )
+        assert obj["regime"] == 4 and obj["bset"] == "B1"
+
+    def test_db_beyond_float_range(self, capsys):
+        code, _ = run_cli(
+            ["classify", "--snr1", "4000", "--snr2", "1", "--inr1", "1", "--inr2", "1", "--db"]
+        )
+        assert code == 2
+        assert "4000.0 dB" in capsys.readouterr().err
 
     def test_missing_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -85,6 +117,14 @@ class TestRegion:
         )
         assert code == 2
 
+    def test_overflow_names_the_channel(self, capsys):
+        assert_overflow_names_the_channel(
+            ["region", "--snr1", "1.7e308", "--snr2", "1.7e308",
+             "--inr1", "1e308", "--inr2", "1e308"],
+            capsys,
+            ("snr1=1.7e+308", "snr2=1.7e+308", "inr1=1e+308", "inr2=1e+308"),
+        )
+
     def test_pt2pt_bound(self):
         obj = run_json(
             [
@@ -109,6 +149,19 @@ class TestSymrate:
         obj = run_json(["symrate", "--snr", "10", "--inr", "100"])
         assert obj["capacity"] == pytest.approx(0.5 * math.log2(111), abs=1e-9)
         assert obj["hk_rate"] == pytest.approx(obj["capacity"], abs=1e-9)
+
+    def test_overflow_names_the_channel(self, capsys):
+        # the Kramer bound's a^2 + 4*SNR*a overflows
+        assert_overflow_names_the_channel(
+            ["symrate", "--snr", "1.7e308", "--inr", "1e308"],
+            capsys,
+            ("snr1=1.7e+308", "inr1=1e+308"),
+        )
+
+    def test_strong_overflow_names_the_channel(self, capsys):
+        assert_overflow_names_the_channel(
+            ["symrate", "--snr", "1.7e308", "--inr", "1.7e308"], capsys, ("snr1=1.7e+308",)
+        )
 
 
 class TestGapAudit:
@@ -350,3 +403,62 @@ class TestFormatFlag:
         assert fig_text.startswith("alpha,")  # figure data defaults to csv
         _, obj_text = run_cli(["symrate", "--snr", "100", "--inr", "10"])
         assert obj_text.lstrip().startswith("{")  # objects default to json
+
+
+CHANNEL = ["--snr1", "100", "--snr2", "100", "--inr1", "10", "--inr2", "10"]
+
+
+class TestFlagSlots:
+    """Each subcommand accepts only the flags it reads; argparse rejects the rest."""
+
+    BASE = {
+        "classify": ["classify", *CHANNEL],
+        "region": ["region", *CHANNEL],
+        "symrate": ["symrate", "--snr", "100", "--inr", "10"],
+        "gap-audit": ["gap-audit", *CHANNEL],
+        "sweep": ["sweep", "--n", "1"],
+        "gdof": ["gdof", "--alpha", "0.5"],
+        "figures": ["figures", "gdof-curve"],
+        "diffrate": ["diffrate", "--snr1", "100", "--inr2", "10", "--z", "0.1"],
+    }
+    VALUES = {"--db": [], "--seed": ["1"], "--out": ["x.json"], "--format": ["csv"]}
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("classify", "--seed"), ("classify", "--out"),
+            ("region", "--seed"), ("region", "--out"),
+            ("symrate", "--seed"), ("symrate", "--out"),
+            ("gap-audit", "--seed"), ("gap-audit", "--out"),
+            ("sweep", "--db"),
+            ("gdof", "--db"), ("gdof", "--seed"), ("gdof", "--out"),
+            ("figures", "--db"), ("figures", "--seed"),
+            ("diffrate", "--seed"), ("diffrate", "--out"),
+        ],
+    )
+    def test_removed_flag_is_a_usage_error(self, command, flag, capsys):
+        base = self.BASE[command]
+        _build_parser().parse_args(base)  # the command line is valid without the flag
+        with pytest.raises(SystemExit) as exc:
+            main([*base, flag, *self.VALUES[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("classify", ("--db", "--format")),
+            ("region", ("--db", "--format")),
+            ("symrate", ("--db", "--format")),
+            ("gap-audit", ("--db", "--format")),
+            ("sweep", ("--seed", "--out", "--format")),
+            ("gdof", ("--format",)),
+            ("figures", ("--out", "--format")),
+            ("diffrate", ("--db", "--format")),
+        ],
+    )
+    def test_kept_flags_parse(self, command, flags):
+        argv = [*self.BASE[command]]
+        for flag in flags:
+            argv += [flag, *self.VALUES[flag]]
+        _build_parser().parse_args(argv)

@@ -1,8 +1,10 @@
 import io
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gicap import (
     ChannelParams,
@@ -16,6 +18,7 @@ from gicap import (
     audit,
     audit_regions,
     certificates,
+    classify,
     delta_audit,
     kramer_gap,
     one_bit_certificate,
@@ -341,3 +344,33 @@ class TestAuditAgainstReference:
         p = ChannelParams(1.7e308, 1.7e308, 1e308, 1e308)
         with pytest.raises(DomainError, match=r"snr1=1\.7e\+308.*inr2=1e\+308"):
             audit(p)
+
+
+# Ratios (snr1, snr2, inr1, inr2) whose subnormal INR used to underflow
+# the private SNR to 0, collapsing the inner region so within_half failed.
+SUBNORMAL_INR = [
+    (3.455422016422343e-08, 4.8879955201920175e-230, 13.501834581522525, 4.12e-321),
+    (2.596302711260805e-243, 1.9634149299729926e-05, 7.16e-322, 2.132764761709782e-96),
+]
+RATIO = st.floats(0.0, sys.float_info.max)
+
+
+class TestWholeFloatRange:
+    @pytest.mark.parametrize("ratios", SUBNORMAL_INR)
+    def test_subnormal_inr_certified(self, ratios):
+        result = audit(ChannelParams(*ratios))
+        assert result.report.passed and result.one_bit and result.within_half
+
+    @given(RATIO, RATIO, RATIO, RATIO)
+    @example(*SUBNORMAL_INR[0])
+    @example(*SUBNORMAL_INR[1])
+    @settings(max_examples=1000, deadline=None)
+    def test_weak_and_mixed_certified_unless_rates_overflow(self, snr1, snr2, inr1, inr2):
+        params = ChannelParams(snr1, snr2, inr1, inr2)
+        assume(classify(params).tag is not InterferenceTag.STRONG)
+        try:
+            result = audit(params)
+        except DomainError as exc:
+            assert "overflow" in str(exc)
+            return
+        assert result.report.passed and result.one_bit and result.within_half

@@ -13,8 +13,6 @@ from gicap import (
     UnboundedRegionError,
     Vertex,
     contains,
-    intersect,
-    normalize,
     one_bit_certificate,
     region_to_jsonable,
     symmetric_rate,
@@ -138,16 +136,16 @@ class TestSymmetricRate:
 class TestIntersect:
     def test_idempotent_vertex_set(self):
         b = box(2, 3)
-        assert vertices(intersect(b, b)) == vertices(b)
+        assert vertices(RateRegion(b.constraints + b.constraints)) == vertices(b)
 
     def test_symmetric_mac_pair(self):
         mac = strong_symmetric_region()
-        both = intersect(mac, mac)
+        both = RateRegion(mac.constraints + mac.constraints)
         assert vertices(both) == vertices(mac)
 
     def test_half_plane_rejected_on_enumeration(self):
         half = RateRegion([RateConstraint(1, 0, 2)])
-        merged = intersect(half, half)
+        merged = RateRegion(half.constraints + half.constraints)
         with pytest.raises(UnboundedRegionError):
             vertices(merged)
 
@@ -175,31 +173,6 @@ class TestCertificates:
             one_bit_certificate(box(3, 3), box(2, 2))
         with pytest.raises(ContainmentError):
             within_half_certificate(box(3, 3), box(2, 2))
-
-
-class TestNormalize:
-    def test_drops_dominated_parallel(self):
-        r = RateRegion(
-            [
-                RateConstraint(1, 0, 2),
-                RateConstraint(1, 0, 5),
-                RateConstraint(2, 0, 3),  # same direction, tighter (1.5 per unit)
-                RateConstraint(0, 1, 1),
-            ]
-        )
-        n = normalize(r)
-        assert len(n.constraints) == 2
-        assert vertices(n) == vertices(r)
-
-    def test_keeps_distinct_directions(self):
-        r = RateRegion(
-            [
-                RateConstraint(1, 0, 2),
-                RateConstraint(0, 1, 2),
-                RateConstraint(1, 1, 3),
-            ]
-        )
-        assert len(normalize(r).constraints) == 3
 
 
 class TestJson:
