@@ -53,6 +53,8 @@ from .gap import (
     delta_audit,
     kramer_gap,
     one_bit_sweep,
+    stream_sweep,
+    sweep_chunks,
     sweep_summary,
     within_half_sweep,
     write_sweep_csv,

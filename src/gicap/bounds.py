@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, InterferenceTag
 from .errors import ClassMismatchError, DomainError
-from .region import RateConstraint, RateRegion
+from .region import RateConstraint, RateRegion, region_from_rows
 
 __all__ = [
     "SymmetricBoundSet",
@@ -42,6 +42,7 @@ __all__ = [
     "mixed_outer",
     "new_sum_bound",
     "one_sided_sum_capacity",
+    "outer_rows",
     "pt2pt_outer",
     "strong_capacity",
     "symmetric_bounds",
@@ -71,6 +72,55 @@ def one_sided_sum_capacity(snr1: float, snr2: float, inr2: float) -> float:
     return _LOG2(1.0 + snr1) + _LOG2(1.0 + snr2 / (1.0 + inr2))
 
 
+# (c1, c2) of the outer-bound rows, in contract order.  The mixed rows are
+# stated for a channel strong at receiver 1; the other orientation mirrors
+# the coefficients.
+_WEAK_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
+_MIXED_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 2.0))
+_MIRRORED_MIXED_COEFFS = tuple((c2, c1) for c1, c2 in _MIXED_COEFFS)
+
+
+def outer_rows(
+    params: ChannelParams, tag: InterferenceTag
+) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+    """``(coeffs, rhs)`` of the outer bound of a weak or mixed channel of class ``tag``.
+
+    The rows of :func:`weak_outer` or :func:`mixed_outer`; ``tag`` is
+    trusted, not checked against the ratios.
+    """
+    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
+    if tag is InterferenceTag.WEAK:
+        return _WEAK_COEFFS, (
+            _LOG2(1.0 + s1),
+            _LOG2(1.0 + s2),
+            _LOG2(1.0 + s1) + _LOG2(1.0 + s2 / (1.0 + i2)),
+            _LOG2(1.0 + s2) + _LOG2(1.0 + s1 / (1.0 + i1)),
+            new_sum_bound(params),
+            _LOG2(1.0 + s1 + i1)
+            + _LOG2(1.0 + i2 + s2 / (1.0 + i1))
+            + _LOG2((1.0 + s1) / (1.0 + i2)),
+            _LOG2(1.0 + s2 + i2)
+            + _LOG2(1.0 + i1 + s1 / (1.0 + i2))
+            + _LOG2((1.0 + s2) / (1.0 + i1)),
+        )
+    if tag is InterferenceTag.MIXED_STRONG_AT_1:
+        coeffs = _MIXED_COEFFS
+    elif tag is InterferenceTag.MIXED_STRONG_AT_2:
+        coeffs = _MIRRORED_MIXED_COEFFS
+        s1, s2, i1, i2 = s2, s1, i2, i1
+    else:
+        raise ClassMismatchError(f"outer_rows covers weak and mixed channels, got {tag}")
+    return coeffs, (
+        _LOG2(1.0 + s1),
+        _LOG2(1.0 + s2),
+        _LOG2(1.0 + s1) + _LOG2(1.0 + s2 / (1.0 + i2)),
+        _LOG2(1.0 + s1 + i1),
+        _LOG2(1.0 + s2 + i2)
+        + _LOG2(1.0 + i1 + s1 / (1.0 + i2))
+        + _LOG2(1.0 + s2 / (1.0 + i1)),
+    )
+
+
 def weak_outer(params: ChannelParams) -> RateRegion:
     """Seven-constraint outer bound for weak interference channels.
 
@@ -80,30 +130,7 @@ def weak_outer(params: ChannelParams) -> RateRegion:
     """
     if params.strong_at_1 or params.strong_at_2:
         raise ClassMismatchError(f"weak_outer needs a weak channel, got {params}")
-    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
-    return RateRegion(
-        [
-            RateConstraint(1.0, 0.0, _LOG2(1.0 + s1)),
-            RateConstraint(0.0, 1.0, _LOG2(1.0 + s2)),
-            RateConstraint(1.0, 1.0, _LOG2(1.0 + s1) + _LOG2(1.0 + s2 / (1.0 + i2))),
-            RateConstraint(1.0, 1.0, _LOG2(1.0 + s2) + _LOG2(1.0 + s1 / (1.0 + i1))),
-            RateConstraint(1.0, 1.0, new_sum_bound(params)),
-            RateConstraint(
-                2.0,
-                1.0,
-                _LOG2(1.0 + s1 + i1)
-                + _LOG2(1.0 + i2 + s2 / (1.0 + i1))
-                + _LOG2((1.0 + s1) / (1.0 + i2)),
-            ),
-            RateConstraint(
-                1.0,
-                2.0,
-                _LOG2(1.0 + s2 + i2)
-                + _LOG2(1.0 + i1 + s1 / (1.0 + i2))
-                + _LOG2((1.0 + s2) / (1.0 + i1)),
-            ),
-        ]
-    )
+    return region_from_rows(*outer_rows(params, InterferenceTag.WEAK))
 
 
 def mixed_outer(params: ChannelParams) -> RateRegion:
@@ -117,27 +144,12 @@ def mixed_outer(params: ChannelParams) -> RateRegion:
     """
     if params.strong_at_1 == params.strong_at_2:
         raise ClassMismatchError(f"mixed_outer needs a mixed channel, got {params}")
-    mirror = params.strong_at_2
-    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
-    if mirror:
-        s1, s2, i1, i2 = s2, s1, i2, i1
-    rows = (
-        (1.0, 0.0, _LOG2(1.0 + s1)),
-        (0.0, 1.0, _LOG2(1.0 + s2)),
-        (1.0, 1.0, _LOG2(1.0 + s1) + _LOG2(1.0 + s2 / (1.0 + i2))),
-        (1.0, 1.0, _LOG2(1.0 + s1 + i1)),
-        (
-            1.0,
-            2.0,
-            _LOG2(1.0 + s2 + i2)
-            + _LOG2(1.0 + i1 + s1 / (1.0 + i2))
-            + _LOG2(1.0 + s2 / (1.0 + i1)),
-        ),
+    tag = (
+        InterferenceTag.MIXED_STRONG_AT_2
+        if params.strong_at_2
+        else InterferenceTag.MIXED_STRONG_AT_1
     )
-    return RateRegion(
-        RateConstraint(c2, c1, rhs) if mirror else RateConstraint(c1, c2, rhs)
-        for c1, c2, rhs in rows
-    )
+    return region_from_rows(*outer_rows(params, tag))
 
 
 def strong_capacity(params: ChannelParams) -> RateRegion:

@@ -174,6 +174,16 @@ def alpha(snr: float, inr: float) -> float:
     return math.log(inr) / math.log(snr)
 
 
+def _power_inr(snr: float, alpha_value: float) -> float:
+    """INR = SNR**alpha; a result beyond the float range raises :class:`DomainError`."""
+    try:
+        return snr ** alpha_value
+    except OverflowError:
+        raise DomainError(
+            f"INR = snr ** alpha overflows double precision at snr={snr!r}, alpha={alpha_value!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SymmetricRegime:
     """Symmetric-channel regime index (1..5) and active common-rate set.

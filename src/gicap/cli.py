@@ -275,8 +275,8 @@ def _symmetric_rates(params: ChannelParams) -> dict:
         out["kramer_ub"] = sb.kramer_ub
         out["best_ub"] = sb.best
         out["gap_to_best"] = sb.best - out["hk_rate"]
-    # symmetric_hk_rate's min can hide an overflowed term; that term
-    # overflows only where kramer_ub does too, so this check still sees it.
+    # symmetric_hk_rate raises on an overflowed term itself; the bounds
+    # return inf, which this check turns into the overflow error.
     infinite = [k for k, v in out.items() if v is not None and not math.isfinite(v)]
     if infinite:
         raise InvalidParameterError(f"{', '.join(infinite)} not finite")
@@ -307,16 +307,11 @@ def _cmd_gap_audit(args, stdout) -> int:
 def _cmd_sweep(args, stdout) -> int:
     if args.out is None:
         raise GicapError("sweep needs --out for the per-instance CSV")
-    if args.check == "one-bit":
-        result = _gap.one_bit_sweep(args.n, args.seed, args.class_filter)
-    else:
-        if args.class_filter != "any":
-            raise GicapError("--check within-half sweeps weak and mixed jointly")
-        result = _gap.within_half_sweep(args.n, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _gap.write_sweep_csv(result, fh)
-    _emit_object(_gap.sweep_summary(result), args, stdout)
-    return 3 if result.failures else 0
+    if args.check == "within-half" and args.class_filter != "any":
+        raise GicapError("--check within-half sweeps weak and mixed jointly")
+    summary = _gap.stream_sweep(args.n, args.seed, args.class_filter, args.check, args.out)
+    _emit_object(summary, args, stdout)
+    return 3 if summary["failures"] else 0
 
 
 def _gdof_region_for(args) -> tuple[dict, RateRegion]:

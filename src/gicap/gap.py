@@ -26,8 +26,12 @@ user-swapped order, so both mixed orientations pair alike.
 
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
-class.  Records are evaluated independently and aggregated
-order-insensitively, so results are identical for any evaluation order.
+class.  They are audited :data:`SWEEP_CHUNK` channels at a time
+(:func:`sweep_chunks`); :func:`stream_sweep` writes each chunk's CSV rows
+as it goes and keeps only the failure count and the worst deltas, so its
+memory does not grow with the sweep size.  Records are evaluated
+independently and aggregated order-insensitively, so results are
+identical for any evaluation order.
 """
 
 from __future__ import annotations
@@ -36,13 +40,19 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import ChannelParams, InterferenceTag, classify, db_to_linear
-from .errors import ClassMismatchError, DomainError, InvalidParameterError, NotCoveredError
-from .region import RateRegion, certificates, sigfig
+from .channel import ChannelParams, InterferenceTag, _power_inr, classify, db_to_linear
+from .errors import (
+    ClassMismatchError,
+    ContainmentError,
+    DomainError,
+    InvalidParameterError,
+    NotCoveredError,
+)
+from .region import RateRegion, certificates, region_from_rows, sigfig
 
 __all__ = [
     "Audit",
@@ -55,6 +65,8 @@ __all__ = [
     "delta_audit",
     "kramer_gap",
     "one_bit_sweep",
+    "stream_sweep",
+    "sweep_chunks",
     "sweep_summary",
     "within_half_sweep",
     "write_sweep_csv",
@@ -119,13 +131,44 @@ class Audit:
     within_half: bool
 
 
-def _family_rhs(region: RateRegion) -> dict[str, list[float]]:
+def _families(coeffs, rhs) -> dict[str, list[float]]:
     out: dict[str, list[float]] = {}
-    for c in region.constraints:
-        key = _FAMILIES.get((c.c1, c.c2))
-        if key is not None:
-            out.setdefault(key, []).append(c.rhs)
+    for c, r in zip(coeffs, rhs):
+        out.setdefault(_FAMILIES[c], []).append(r)
     return out
+
+
+def _family_deltas(inner_f, outer_f) -> tuple[list[float | None], bool]:
+    """Min-min delta per family in GapReport's field order (None if the outer
+    bound lacks the family), and whether every delta clears its threshold."""
+    deltas: list[float | None] = []
+    ok = True
+    for fam, thresh in _THRESHOLDS.items():
+        if fam not in outer_f:
+            deltas.append(None)
+            continue
+        d = min(outer_f[fam]) - min(inner_f[fam])
+        deltas.append(d)
+        if not (d < thresh + _SLACK):
+            ok = False
+    return deltas, ok
+
+
+_OVERFLOW = "cannot audit {}: its rates overflow double precision"
+
+
+def _rows(params: ChannelParams, tag: InterferenceTag):
+    """``(inner_rhs, outer_coeffs, outer_rhs)`` of a weak or mixed channel.
+
+    A rate that overflows raises :class:`DomainError` naming ``params``.
+    """
+    inner = _hk.hk_rhs(params, _hk.recommended_split(params))
+    coeffs, outer = _bounds.outer_rows(params, tag)
+    # Finite rates are at most a few thousand bits, so the sum is finite
+    # exactly when every rate is.
+    if not math.isfinite(sum(inner) + sum(outer)):
+        raise DomainError(_OVERFLOW.format(params))
+    return inner, coeffs, outer
 
 
 def audit(params: ChannelParams) -> Audit:
@@ -142,10 +185,9 @@ def _overflow_checked(params: ChannelParams, build):
     """``build()``; a rate that overflows raises :class:`DomainError` naming ``params``."""
     try:
         return build()
-    except InvalidParameterError as exc:  # RateConstraint rejects an inf rate
-        raise DomainError(
-            f"cannot audit {params}: its rates overflow double precision ({exc})"
-        ) from exc
+    # RateConstraint rejects an inf rate, symmetric_hk_rate an overflowed term
+    except (InvalidParameterError, DomainError) as exc:
+        raise DomainError(f"{_OVERFLOW.format(params)} ({exc})") from exc
 
 
 def _audit(params: ChannelParams, tag: InterferenceTag) -> Audit:
@@ -153,29 +195,20 @@ def _audit(params: ChannelParams, tag: InterferenceTag) -> Audit:
         raise ClassMismatchError(
             "gap audit is undefined for strong channels (capacity is exact)"
         )
-    split = _hk.recommended_split(params)
-    inner, outer = _overflow_checked(
-        params, lambda: (_hk.hk_region(params, split), _bounds.class_outer(params, tag))
-    )
-    inner_f = _family_rhs(inner)
-    outer_f = _family_rhs(outer)
+    inner_rhs, outer_coeffs, outer_rhs = _rows(params, tag)
+    inner_f = _families(_hk.HK_COEFFS, inner_rhs)
+    outer_f = _families(outer_coeffs, outer_rhs)
+    deltas, ok = _family_deltas(inner_f, outer_f)
     if tag is InterferenceTag.MIXED_STRONG_AT_2:
         inner_f["sum"] = [inner_f["sum"][k] for k in _SWAPPED_SUM_ORDER]
-
-    deltas: dict[str, float | None] = {}
-    paired: dict[str, tuple[float, ...]] = {}
-    ok = True
-    for fam, thresh in _THRESHOLDS.items():
-        if fam not in outer_f:
-            deltas[fam] = None
-            continue
-        d = min(outer_f[fam]) - min(inner_f[fam])
-        deltas[fam] = d
-        paired[fam] = tuple(o - i for o, i in zip(outer_f[fam], inner_f[fam]))
-        if not (d < thresh + _SLACK):
-            ok = False
-    # deltas holds the families in the order of GapReport's delta fields
-    report = GapReport(params, tag, *deltas.values(), paired_deltas=paired, passed=ok)
+    paired = {
+        fam: tuple(o - i for o, i in zip(outer_f[fam], inner_f[fam]))
+        for fam in _THRESHOLDS
+        if fam in outer_f
+    }
+    report = GapReport(params, tag, *deltas, paired_deltas=paired, passed=ok)
+    inner = region_from_rows(_hk.HK_COEFFS, inner_rhs)
+    outer = region_from_rows(outer_coeffs, outer_rhs)
     one_bit, within_half = certificates(inner, outer)
     return Audit(tag, inner, outer, report, one_bit, within_half)
 
@@ -232,7 +265,24 @@ _CLASS_FILTERS = {
 }
 
 
-def _run_records(n: int, seed: int, class_filter: str) -> list[SweepRecord]:
+# Channels drawn, audited and certified together.  A larger chunk spreads
+# the numpy kernel's per-call cost thinner but raises peak RSS, since its
+# temporaries are (SWEEP_CHUNK, line pairs) arrays: a 40,000-channel weak
+# sweep peaked 3.6 MiB higher with chunks of 1,024 than of 256.
+SWEEP_CHUNK = 256
+
+
+def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[list[SweepRecord]]:
+    """The audited records of a sweep, in draw order, :data:`SWEEP_CHUNK` at a time.
+
+    Each candidate takes four ``rng.random()`` draws (SNR1, SNR2, INR1,
+    INR2 in dB) and is rejected after drawing unless its class passes
+    ``class_filter``.  Both certificates of a chunk are decided together,
+    by the numpy kernel in :mod:`gicap.kernel` where numpy can be
+    imported and otherwise by :func:`region.certificates` per channel;
+    the verdicts are identical.  The arguments are checked before the
+    first chunk is drawn.
+    """
     if n < 1:
         raise DomainError(f"sweep needs n >= 1, got {n!r}")
     try:
@@ -241,52 +291,80 @@ def _run_records(n: int, seed: int, class_filter: str) -> list[SweepRecord]:
         raise DomainError(
             f"unknown class filter {class_filter!r}; expected one of {sorted(_CLASS_FILTERS)}"
         ) from None
-    rng = random.Random(seed)
+    return _chunks(n, random.Random(seed), accepted_tags, _chunk_certifier())
 
+
+def _chunks(n, rng, accepted_tags, certify):
     def draw(lo: float, hi: float) -> float:
         # scale rng.random() directly: it is the one generator method with
         # a documented cross-version reproducibility guarantee
         return lo + (hi - lo) * rng.random()
 
-    records: list[SweepRecord] = []
-    while len(records) < n:
-        snr1_db = draw(*SNR_DB_RANGE)
-        snr2_db = draw(*SNR_DB_RANGE)
-        inr1_db = draw(*INR_DB_RANGE)
-        inr2_db = draw(*INR_DB_RANGE)
-        params = ChannelParams(
-            db_to_linear(snr1_db),
-            db_to_linear(snr2_db),
-            db_to_linear(inr1_db),
-            db_to_linear(inr2_db),
-        )
-        tag = classify(params).tag
-        if tag not in accepted_tags:
-            continue
-        result = _audit(params, tag)
-        rep = result.report
-        records.append(
-            SweepRecord(
-                snr1_db=snr1_db,
-                snr2_db=snr2_db,
-                inr1_db=inr1_db,
-                inr2_db=inr2_db,
-                tag=tag.value,
-                delta_r1=rep.delta_r1,
-                delta_r2=rep.delta_r2,
-                delta_sum=rep.delta_sum,
-                delta_2r1_r2=rep.delta_2r1_r2,
-                delta_r1_2r2=rep.delta_r1_2r2,
-                delta_pass=rep.passed,
-                one_bit=result.one_bit,
-                within_half=result.within_half,
+    for start in range(0, n, SWEEP_CHUNK):
+        size = min(SWEEP_CHUNK, n - start)
+        drawn, rows = [], []
+        while len(drawn) < size:
+            dbs = (
+                draw(*SNR_DB_RANGE),
+                draw(*SNR_DB_RANGE),
+                draw(*INR_DB_RANGE),
+                draw(*INR_DB_RANGE),
             )
-        )
-    return records
+            params = ChannelParams(*map(db_to_linear, dbs))
+            tag = classify(params).tag
+            if tag in accepted_tags:
+                drawn.append((dbs, params, tag))
+                rows.append(_rows(params, tag))
+        verdicts = certify(_hk.HK_COEFFS, *zip(*rows))
+        records = []
+        for (dbs, params, tag), (inner, coeffs, outer), verdict in zip(drawn, rows, verdicts):
+            if verdict is None:
+                raise ContainmentError(
+                    f"the inner region of {params} exceeds its outer bound (formula bug upstream)"
+                )
+            deltas, ok = _family_deltas(
+                _families(_hk.HK_COEFFS, inner), _families(coeffs, outer)
+            )
+            records.append(SweepRecord(*dbs, tag.value, *deltas, ok, *verdict))
+        yield records
 
 
-def _worst_deltas(records: Iterable[SweepRecord]) -> dict[str, float | None]:
-    worst: dict[str, float | None] = {f: None for f in _THRESHOLDS}
+def _chunk_certifier():
+    """The numpy chunk kernel where numpy can be imported, else the scalar path."""
+    try:
+        from .kernel import chunk_certificates
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        return _scalar_chunk_certificates
+    return chunk_certificates
+
+
+def _scalar_chunk_certificates(inner_coeffs, inner_rows, outer_coeffs, outer_rows):
+    """``(one_bit, within_half)`` per channel by :func:`region.certificates`;
+    None where the inner region is not contained in the outer one."""
+    verdicts = []
+    for inner, coeffs, outer in zip(inner_rows, outer_coeffs, outer_rows):
+        try:
+            verdicts.append(
+                certificates(
+                    region_from_rows(inner_coeffs, inner), region_from_rows(coeffs, outer)
+                )
+            )
+        except ContainmentError:
+            verdicts.append(None)
+    return verdicts
+
+
+# The records a sweep counts as failures, by the guarantee it checks.
+_FAILED = {
+    "one-bit": lambda r: not (r.delta_pass and r.one_bit),
+    "within-half": lambda r: not r.within_half,
+}
+
+
+def _fold_worst(worst: dict[str, float | None], records: Iterable[SweepRecord]) -> None:
+    """Raise each family's entry of ``worst`` to its largest delta in ``records``."""
     for rec in records:
         values = (rec.delta_r1, rec.delta_r2, rec.delta_sum, rec.delta_2r1_r2, rec.delta_r1_2r2)
         for fam, value in zip(_THRESHOLDS, values):
@@ -295,18 +373,19 @@ def _worst_deltas(records: Iterable[SweepRecord]) -> dict[str, float | None]:
             cur = worst[fam]
             if cur is None or value > cur:
                 worst[fam] = value
-    return worst
 
 
 def _sweep(n: int, seed: int, class_filter: str, failed) -> SweepResult:
-    records = _run_records(n, seed, class_filter)
+    records = tuple(r for chunk in sweep_chunks(n, seed, class_filter) for r in chunk)
+    worst = dict.fromkeys(_THRESHOLDS)
+    _fold_worst(worst, records)
     return SweepResult(
         n=n,
         seed=seed,
         class_filter=class_filter,
-        records=tuple(records),
-        failures=tuple(r for r in records if failed(r)),
-        worst_deltas=_worst_deltas(records),
+        records=records,
+        failures=tuple(filter(failed, records)),
+        worst_deltas=worst,
     )
 
 
@@ -317,12 +396,12 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     whose geometric one-bit certificate is false.  Failures are returned
     as data, never raised.
     """
-    return _sweep(n, seed, class_filter, lambda r: not (r.delta_pass and r.one_bit))
+    return _sweep(n, seed, class_filter, _FAILED["one-bit"])
 
 
 def within_half_sweep(n: int, seed: int) -> SweepResult:
     """Random-channel audit of the factor-two guarantee over weak and mixed."""
-    return _sweep(n, seed, "any", lambda r: not r.within_half)
+    return _sweep(n, seed, "any", _FAILED["within-half"])
 
 
 _CSV_COLUMNS = (
@@ -351,40 +430,68 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_row(r: SweepRecord) -> list[str]:
+    return [
+        _cell(r.snr1_db),
+        _cell(r.snr2_db),
+        _cell(r.inr1_db),
+        _cell(r.inr2_db),
+        r.tag,
+        _cell(r.delta_r1),
+        _cell(r.delta_r2),
+        _cell(r.delta_sum),
+        _cell(r.delta_2r1_r2),
+        _cell(r.delta_r1_2r2),
+        _cell(r.one_bit and r.delta_pass),
+        _cell(r.within_half),
+    ]
+
+
 def write_sweep_csv(result: SweepResult, fileobj: IO[str]) -> None:
     """One row per audited instance, numbers at 12 significant digits."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
-    for r in result.records:
-        writer.writerow(
-            [
-                _cell(r.snr1_db),
-                _cell(r.snr2_db),
-                _cell(r.inr1_db),
-                _cell(r.inr2_db),
-                r.tag,
-                _cell(r.delta_r1),
-                _cell(r.delta_r2),
-                _cell(r.delta_sum),
-                _cell(r.delta_2r1_r2),
-                _cell(r.delta_r1_2r2),
-                _cell(r.one_bit and r.delta_pass),
-                _cell(r.within_half),
-            ]
-        )
+    writer.writerows(map(_csv_row, result.records))
+
+
+def _summary(n: int, failures: int, worst: dict[str, float | None], seed: int) -> dict:
+    return {
+        "n": n,
+        "failures": failures,
+        "worst_deltas": {
+            fam: (None if v is None else sigfig(v)) for fam, v in worst.items()
+        },
+        "seed": seed,
+    }
 
 
 def sweep_summary(result: SweepResult) -> dict:
     """Compact JSON-ready summary: {n, failures, worst_deltas, seed}."""
-    return {
-        "n": result.n,
-        "failures": len(result.failures),
-        "worst_deltas": {
-            fam: (None if v is None else sigfig(v))
-            for fam, v in result.worst_deltas.items()
-        },
-        "seed": result.seed,
-    }
+    return _summary(result.n, len(result.failures), result.worst_deltas, result.seed)
+
+
+def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) -> dict:
+    """Run a sweep chunk by chunk, writing each chunk's CSV rows to ``path`` as it is audited.
+
+    Only the running failure count and worst deltas are kept, so memory
+    does not grow with ``n``.  ``check`` ("one-bit" or "within-half")
+    names the guarantee the failure count tracks.  The arguments are
+    checked before ``path`` is opened.  The CSV bytes equal
+    :func:`write_sweep_csv`'s and the returned dict equals
+    :func:`sweep_summary`'s for the matching sweep.
+    """
+    failed = _FAILED[check]
+    chunks = sweep_chunks(n, seed, class_filter)
+    failures = 0
+    worst = dict.fromkeys(_THRESHOLDS)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        for chunk in chunks:
+            writer.writerows(map(_csv_row, chunk))
+            failures += sum(map(failed, chunk))
+            _fold_worst(worst, chunk)
+    return _summary(n, failures, worst, seed)
 
 
 def kramer_gap(snr: float, inr: float) -> float:
@@ -453,7 +560,7 @@ def asymptotic_tightness_check(
 
     gaps: list[float] = []
     for snr in snrs:
-        inr = snr ** alpha_value
+        inr = _power_inr(snr, alpha_value)
         if alpha_value < 0.5:
             gaps.append(_hk.regime1_gap(snr, inr))
         elif alpha_value < 2.0 / 3.0:

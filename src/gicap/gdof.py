@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import ChannelParams, InterferenceTag, classify
+from .channel import ChannelParams, InterferenceTag, _power_inr, classify
 from .errors import ClassMismatchError, DomainError
 from .region import RateConstraint, RateRegion
 
@@ -273,7 +273,7 @@ def finite_snr_convergence(snr: float, alpha_value: float) -> FiniteSnrSandwich:
     if not math.isfinite(alpha_value) or alpha_value < 0.0:
         raise DomainError(f"alpha must be finite and >= 0, got {alpha_value!r}")
     scale = _LOG2(snr)
-    inr = snr ** alpha_value
+    inr = _power_inr(snr, alpha_value)
     if alpha_value >= 1.0:
         exact = _bounds.symmetric_capacity_strong(snr, inr)
         lower = upper = exact / scale

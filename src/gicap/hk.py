@@ -46,14 +46,16 @@ from typing import NamedTuple
 
 from .channel import ChannelParams
 from .errors import DomainError, InvalidSplitError
-from .region import RateConstraint, RateRegion, Vertex
+from .region import RateConstraint, RateRegion, Vertex, region_from_rows
 
 __all__ = [
     "DifferentialRatePair",
+    "HK_COEFFS",
     "PowerSplit",
     "costa_point",
     "differential_rates",
     "hk_region",
+    "hk_rhs",
     "recommended_split",
     "regime1_gap",
     "regime1_rate",
@@ -112,14 +114,15 @@ def _private_snr(snr: float, inr_p: float, inr: float) -> float:
     return product / inr
 
 
-def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
-    """Seven-constraint achievable region for a fixed power split.
+# (c1, c2) of the seven hk_region rows, in contract order.
+HK_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 
-    When a cross link is absent (INR_i = 0) the corresponding split value
-    must be 0 and that user's message is all-private at full power: the
-    split is unobservable at the other receiver.
+
+def hk_rhs(params: ChannelParams, split: PowerSplit) -> tuple[float, ...]:
+    """Right-hand sides of the seven :func:`hk_region` rows, in :data:`HK_COEFFS` order.
+
+    The split is not checked against the channel; :func:`hk_region` does that.
     """
-    _validate_split(params, split)
     s1, s2 = params.snr1, params.snr2
     i1, i2 = params.inr1, params.inr2
     p2, p1 = split.inr_p2, split.inr_p1  # user-1 and user-2 private levels
@@ -129,32 +132,30 @@ def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
     n1 = 1.0 + p1
     n2 = 1.0 + p2
 
-    r1_only = _LOG2(1.0 + s1 / n1)
-    r2_only = _LOG2(1.0 + s2 / n2)
-    sum_a = _LOG2((1.0 + s2 + i2) / n2) + _LOG2(1.0 + s1p / n1)
-    sum_b = _LOG2((1.0 + s1 + i1) / n1) + _LOG2(1.0 + s2p / n2)
-    sum_c = _LOG2(1.0 + (s1p + i1 - p1) / n1) + _LOG2(1.0 + (s2p + i2 - p2) / n2)
-    two_r1 = (
+    return (
+        _LOG2(1.0 + s1 / n1),
+        _LOG2(1.0 + s2 / n2),
+        _LOG2((1.0 + s2 + i2) / n2) + _LOG2(1.0 + s1p / n1),
+        _LOG2((1.0 + s1 + i1) / n1) + _LOG2(1.0 + s2p / n2),
+        _LOG2(1.0 + (s1p + i1 - p1) / n1) + _LOG2(1.0 + (s2p + i2 - p2) / n2),
         _LOG2((1.0 + s1 + i1) / n1)
         + _LOG2(1.0 + s1p / n1)
-        + _LOG2(1.0 + (s2p + i2 - p2) / n2)
-    )
-    two_r2 = (
+        + _LOG2(1.0 + (s2p + i2 - p2) / n2),
         _LOG2((1.0 + s2 + i2) / n2)
         + _LOG2(1.0 + s2p / n2)
-        + _LOG2(1.0 + (s1p + i1 - p1) / n1)
+        + _LOG2(1.0 + (s1p + i1 - p1) / n1),
     )
-    return RateRegion(
-        [
-            RateConstraint(1.0, 0.0, r1_only),
-            RateConstraint(0.0, 1.0, r2_only),
-            RateConstraint(1.0, 1.0, sum_a),
-            RateConstraint(1.0, 1.0, sum_b),
-            RateConstraint(1.0, 1.0, sum_c),
-            RateConstraint(2.0, 1.0, two_r1),
-            RateConstraint(1.0, 2.0, two_r2),
-        ]
-    )
+
+
+def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
+    """Seven-constraint achievable region for a fixed power split.
+
+    When a cross link is absent (INR_i = 0) the corresponding split value
+    must be 0 and that user's message is all-private at full power: the
+    split is unobservable at the other receiver.
+    """
+    _validate_split(params, split)
+    return region_from_rows(HK_COEFFS, hk_rhs(params, split))
 
 
 def recommended_split(params: ChannelParams) -> PowerSplit:
@@ -182,15 +183,23 @@ def symmetric_hk_rate(snr: float, inr: float) -> float:
 
     the first term active on B1 and the second on B2.  For INR < 1 the
     private level is capped at INR and everything is treated as noise:
-    log(1 + SNR/(1+INR)).
+    log(1 + SNR/(1+INR)).  A term that overflows double precision raises
+    :class:`DomainError` naming the ratios.
     """
     if not (snr > 0.0) or inr < 0.0:
         raise DomainError(f"symmetric_hk_rate needs snr > 0, inr >= 0, got {snr!r}, {inr!r}")
     if inr < 1.0:
-        return _LOG2(1.0 + snr / (1.0 + inr))
-    first = 0.5 * _LOG2(1.0 + snr + inr) + 0.5 * _LOG2(2.0 + snr / inr) - 1.0
-    second = _LOG2(1.0 + inr + snr / inr) - 1.0
-    return min(first, second)
+        terms = (_LOG2(1.0 + snr / (1.0 + inr)),)
+    else:
+        terms = (
+            0.5 * _LOG2(1.0 + snr + inr) + 0.5 * _LOG2(2.0 + snr / inr) - 1.0,
+            _LOG2(1.0 + inr + snr / inr) - 1.0,
+        )
+    if not all(map(math.isfinite, terms)):
+        raise DomainError(
+            f"symmetric_hk_rate overflows double precision at snr={snr!r}, inr={inr!r}"
+        )
+    return min(terms)
 
 
 def treat_as_noise_region(params: ChannelParams) -> RateRegion:

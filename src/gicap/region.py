@@ -30,6 +30,7 @@ __all__ = [
     "certificates",
     "contains",
     "one_bit_certificate",
+    "region_from_rows",
     "region_to_jsonable",
     "sigfig",
     "symmetric_rate",
@@ -77,6 +78,11 @@ class RateRegion:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.constraints:
             raise InvalidParameterError("a rate region needs at least one constraint")
+
+
+def region_from_rows(coeffs, rhs) -> RateRegion:
+    """Region with a constraint ``c1*R1 + c2*R2 <= r`` per pair of ``(c1, c2)`` and ``r``."""
+    return RateRegion(RateConstraint(c1, c2, r) for (c1, c2), r in zip(coeffs, rhs))
 
 
 def vertices(region: RateRegion) -> list[Vertex]:

@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import gicap
 from gicap import ChannelParams, InterferenceTag, classify, db_to_linear
+
+
+def gicap_child_env() -> dict[str, str]:
+    """Environment for ``python`` children that import ``gicap``.
+
+    The root of the ``gicap`` package this process imported goes first on
+    ``PYTHONPATH``, so a child runs the same source tree as the in-process
+    checks, whatever its working directory and whatever else is installed.
+    """
+    root = str(Path(gicap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        entry for entry in (root, env.get("PYTHONPATH")) if entry
+    )
+    return env
 
 
 def vertex_sets_equal(a, b, tol=1e-9) -> bool:

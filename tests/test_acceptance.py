@@ -7,7 +7,6 @@ lines (without ``-s`` they appear only for failing tests).
 from __future__ import annotations
 
 import math
-import os
 import random
 import shlex
 import subprocess
@@ -42,7 +41,7 @@ from gicap import (
     vertices,
 )
 from gicap.cli import main as cli_main
-from conftest import vertex_sets_equal
+from conftest import gicap_child_env, vertex_sets_equal
 from reference_regions import (
     closed_form_mixed_common,
     closed_form_mixed_noise,
@@ -384,23 +383,8 @@ def test_c09_polytope_engine_oracles():
     )
 
 
-def _gicap_child_env() -> dict[str, str]:
-    """Environment for ``python -m gicap`` children.
-
-    The root of the ``gicap`` package this process imported goes first on
-    ``PYTHONPATH``, so a child runs the same source tree as the in-process
-    checks, whatever its working directory and whatever else is installed.
-    """
-    root = str(Path(gicap.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        entry for entry in (root, env.get("PYTHONPATH")) if entry
-    )
-    return env
-
-
 def test_c10_cli_determinism_and_figures(tmp_path, monkeypatch, capsys):
-    env = _gicap_child_env()
+    env = gicap_child_env()
     problems: list[str] = []
 
     def run_child(argv: list[str], out: Path) -> subprocess.CompletedProcess | None:
@@ -476,7 +460,7 @@ def test_c10_cli_determinism_and_figures(tmp_path, monkeypatch, capsys):
         n=1, seed=1, class_filter="weak", records=(record,), failures=(record,),
         worst_deltas={"r1": 1.2, "r2": 0.2, "sum": 0.2, "2r1_r2": 0.2, "r1_2r2": 0.2},
     )
-    monkeypatch.setattr(gicap.gap, "one_bit_sweep", lambda *a, **k: fake)
+    monkeypatch.setattr(gicap.gap, "sweep_chunks", lambda *a, **k: iter([fake.records]))
     code = cli_main(
         ["sweep", "--n", "1", "--seed", "1", "--out", str(tmp_path / "viol.csv")]
     )

@@ -232,6 +232,7 @@ class TestSweep:
             ["sweep", "--n", "0", "--seed", "1", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_out_rejected(self):
         code, _ = run_cli(["sweep", "--n", "5", "--seed", "1"])
@@ -254,7 +255,7 @@ class TestSweep:
             failures=(record,), worst_deltas={"r1": 1.5, "r2": 0.5, "sum": 1.0,
                                               "2r1_r2": 2.0, "r1_2r2": 2.0},
         )
-        monkeypatch.setattr(gicap.gap, "one_bit_sweep", lambda *a, **k: fake)
+        monkeypatch.setattr(gicap.gap, "sweep_chunks", lambda *a, **k: iter([fake.records]))
         code, text = run_cli(
             ["sweep", "--n", "1", "--seed", "1", "--class", "weak",
              "--out", str(tmp_path / "v.csv")]

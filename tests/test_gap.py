@@ -277,6 +277,10 @@ class TestAsymptoticTightness:
         with pytest.raises(DomainError):
             asymptotic_tightness_check(0.25, [0.5, 1e6])
 
+    def test_overflowing_inr_names_snr_and_alpha(self):
+        with pytest.raises(DomainError, match=r"snr=1e\+200, alpha=2\.5"):
+            asymptotic_tightness_check(2.5, [1e200])
+
 
 class TestAuditRegions:
     def test_inner_outer_relationship(self, rng):

@@ -288,6 +288,10 @@ class TestFiniteSnrConvergence:
         with pytest.raises(DomainError):
             finite_snr_convergence(100.0, -0.1)
 
+    def test_overflowing_inr_names_snr_and_alpha(self):
+        with pytest.raises(DomainError, match=r"snr=1e\+200, alpha=2\.0"):
+            finite_snr_convergence(1e200, 2.0)
+
 
 class TestFirstOrderExpansion:
     def test_weak_interference_limited_row(self):

@@ -222,6 +222,12 @@ class TestSymmetricHkRate:
         with pytest.raises(DomainError):
             symmetric_hk_rate(0.0, 1.0)
 
+    def test_overflowed_term_names_the_ratios(self):
+        # log2(1 + SNR + INR) overflows; the min used to return the other
+        # term, 1022.15 bits, where the exact rate is about 512.2 bits
+        with pytest.raises(DomainError, match=r"snr=1\.7e\+308, inr=1e\+308"):
+            symmetric_hk_rate(1.7e308, 1e308)
+
 
 class TestTreatAsNoise:
     def test_no_interference(self):
