@@ -55,9 +55,6 @@ from .gap import (
     one_bit_sweep,
     stream_sweep,
     sweep_chunks,
-    sweep_summary,
-    within_half_sweep,
-    write_sweep_csv,
 )
 from .gdof import (
     BaselineScheme,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelParams, InterferenceTag
 from .errors import ClassMismatchError, DomainError
-from .region import RateConstraint, RateRegion, region_from_rows
+from .region import RateConstraint, RateRegion, log2_rows, region_from_rows
 
 __all__ = [
     "SymmetricBoundSet",
@@ -42,6 +42,7 @@ __all__ = [
     "mixed_outer",
     "new_sum_bound",
     "one_sided_sum_capacity",
+    "outer_args",
     "outer_rows",
     "pt2pt_outer",
     "strong_capacity",
@@ -53,10 +54,16 @@ __all__ = [
 _LOG2 = math.log2
 
 
+def _new_sum_args(s1, s2, i1, i2):
+    """The two log2 arguments of the interference-limited sum bound."""
+    return 1.0 + i1 + s1 / (1.0 + i2), 1.0 + i2 + s2 / (1.0 + i1)
+
+
 def new_sum_bound(params: ChannelParams) -> float:
     """Interference-limited sum-rate upper bound, valid for any channel."""
-    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
-    return _LOG2(1.0 + i1 + s1 / (1.0 + i2)) + _LOG2(1.0 + i2 + s2 / (1.0 + i1))
+    return log2_rows(
+        (_new_sum_args(params.snr1, params.snr2, params.inr1, params.inr2),)
+    )[0]
 
 
 def one_sided_sum_capacity(snr1: float, snr2: float, inr2: float) -> float:
@@ -80,28 +87,27 @@ _MIXED_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 2.0))
 _MIRRORED_MIXED_COEFFS = tuple((c2, c1) for c1, c2 in _MIXED_COEFFS)
 
 
-def outer_rows(
-    params: ChannelParams, tag: InterferenceTag
-) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
-    """``(coeffs, rhs)`` of the outer bound of a weak or mixed channel of class ``tag``.
+def outer_args(s1, s2, i1, i2, tag: InterferenceTag):
+    """``(coeffs, args)`` of the outer bound of a weak or mixed channel of class ``tag``.
 
-    The rows of :func:`weak_outer` or :func:`mixed_outer`; ``tag`` is
-    trusted, not checked against the ratios.
+    Row ``k``'s rhs is the left-to-right sum of log2 over ``args[k]``, as in
+    :func:`gicap.hk.hk_args`: only ``+ - * /`` on the ratios, so floats and
+    numpy arrays give the same doubles, and an argument shared by two rows
+    is the same object in both.  ``tag`` is trusted, not checked against
+    the ratios.
     """
-    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
     if tag is InterferenceTag.WEAK:
+        ns1, ns2 = _new_sum_args(s1, s2, i1, i2)
+        p1 = 1.0 + s1
+        p2 = 1.0 + s2
         return _WEAK_COEFFS, (
-            _LOG2(1.0 + s1),
-            _LOG2(1.0 + s2),
-            _LOG2(1.0 + s1) + _LOG2(1.0 + s2 / (1.0 + i2)),
-            _LOG2(1.0 + s2) + _LOG2(1.0 + s1 / (1.0 + i1)),
-            new_sum_bound(params),
-            _LOG2(1.0 + s1 + i1)
-            + _LOG2(1.0 + i2 + s2 / (1.0 + i1))
-            + _LOG2((1.0 + s1) / (1.0 + i2)),
-            _LOG2(1.0 + s2 + i2)
-            + _LOG2(1.0 + i1 + s1 / (1.0 + i2))
-            + _LOG2((1.0 + s2) / (1.0 + i1)),
+            (p1,),
+            (p2,),
+            (p1, 1.0 + s2 / (1.0 + i2)),
+            (p2, 1.0 + s1 / (1.0 + i1)),
+            (ns1, ns2),
+            (1.0 + s1 + i1, ns2, p1 / (1.0 + i2)),
+            (1.0 + s2 + i2, ns1, p2 / (1.0 + i1)),
         )
     if tag is InterferenceTag.MIXED_STRONG_AT_1:
         coeffs = _MIXED_COEFFS
@@ -109,16 +115,26 @@ def outer_rows(
         coeffs = _MIRRORED_MIXED_COEFFS
         s1, s2, i1, i2 = s2, s1, i2, i1
     else:
-        raise ClassMismatchError(f"outer_rows covers weak and mixed channels, got {tag}")
+        raise ClassMismatchError(f"outer_args covers weak and mixed channels, got {tag}")
+    p1 = 1.0 + s1
     return coeffs, (
-        _LOG2(1.0 + s1),
-        _LOG2(1.0 + s2),
-        _LOG2(1.0 + s1) + _LOG2(1.0 + s2 / (1.0 + i2)),
-        _LOG2(1.0 + s1 + i1),
-        _LOG2(1.0 + s2 + i2)
-        + _LOG2(1.0 + i1 + s1 / (1.0 + i2))
-        + _LOG2(1.0 + s2 / (1.0 + i1)),
+        (p1,),
+        (1.0 + s2,),
+        (p1, 1.0 + s2 / (1.0 + i2)),
+        (1.0 + s1 + i1,),
+        (1.0 + s2 + i2, 1.0 + i1 + s1 / (1.0 + i2), 1.0 + s2 / (1.0 + i1)),
     )
+
+
+def outer_rows(
+    params: ChannelParams, tag: InterferenceTag
+) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
+    """``(coeffs, rhs)`` of the outer bound of a weak or mixed channel of class ``tag``.
+
+    The rows of :func:`weak_outer` or :func:`mixed_outer`, from :func:`outer_args`.
+    """
+    coeffs, args = outer_args(params.snr1, params.snr2, params.inr1, params.inr2, tag)
+    return coeffs, log2_rows(args)
 
 
 def weak_outer(params: ChannelParams) -> RateRegion:

@@ -131,6 +131,15 @@ class InterferenceTag(str, Enum):
     STRONG = "strong"
 
 
+# The class of a channel by (strong at receiver 1, strong at receiver 2).
+TAG_BY_STRENGTH = {
+    (False, False): InterferenceTag.WEAK,
+    (True, False): InterferenceTag.MIXED_STRONG_AT_1,
+    (False, True): InterferenceTag.MIXED_STRONG_AT_2,
+    (True, True): InterferenceTag.STRONG,
+}
+
+
 @dataclass(frozen=True)
 class InterferenceClass:
     """Interference class tag plus the very-strong flag.
@@ -149,15 +158,7 @@ def classify(params: ChannelParams) -> InterferenceClass:
     Weak requires both strict inequalities INR1 < SNR2 and INR2 < SNR1;
     equality on either cross link goes to the mixed or strong tag.
     """
-    strong_at_1, strong_at_2 = params.strong_at_1, params.strong_at_2
-    if strong_at_1 and strong_at_2:
-        tag = InterferenceTag.STRONG
-    elif strong_at_1:
-        tag = InterferenceTag.MIXED_STRONG_AT_1
-    elif strong_at_2:
-        tag = InterferenceTag.MIXED_STRONG_AT_2
-    else:
-        tag = InterferenceTag.WEAK
+    tag = TAG_BY_STRENGTH[params.strong_at_1, params.strong_at_2]
     very_strong: bool | None = None
     if params.is_symmetric:
         snr, inr = params.snr1, params.inr1

@@ -171,12 +171,22 @@ def _flatten(obj, prefix=""):
         yield prefix[:-1], obj
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
 def _emit_object(obj, args, stream) -> None:
     """Emit a result object as JSON, or as key,value CSV with dotted paths."""
     if (args.format or "json") == "csv":
         stream.write("key,value\n")
         for path, value in _flatten(obj):
-            stream.write(f"{path},{_gap._cell(value)}\n")
+            stream.write(f"{path},{_cell(value)}\n")
         return
     json.dump(_round_floats(obj), stream, indent=2)
     stream.write("\n")

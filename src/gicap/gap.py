@@ -26,25 +26,35 @@ user-swapped order, so both mixed orientations pair alike.
 
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
-class.  They are audited :data:`SWEEP_CHUNK` channels at a time
-(:func:`sweep_chunks`); :func:`stream_sweep` writes each chunk's CSV rows
-as it goes and keeps only the failure count and the worst deltas, so its
-memory does not grow with the sweep size.  Records are evaluated
-independently and aggregated order-insensitively, so results are
-identical for any evaluation order.
+class.  They are drawn and audited :data:`SWEEP_CHUNK` channels at a time
+(:func:`sweep_chunks`).  A sweep of more than one chunk audits each
+chunk as a whole in numpy (:func:`gicap.kernel.audit_chunk`: rows, family
+deltas and certificates); a sweep of one chunk, or one where numpy cannot
+be imported, audits channel by channel and never imports numpy.  Both
+paths give the same records bit for bit.  :func:`stream_sweep` writes
+each chunk's CSV rows as it goes and keeps only the failure count and
+the worst deltas, so its memory does not grow with the sweep size.
+Records are evaluated independently and aggregated order-insensitively,
+so results are identical for any evaluation order.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import ChannelParams, InterferenceTag, _power_inr, classify, db_to_linear
+from .channel import (
+    TAG_BY_STRENGTH,
+    ChannelParams,
+    InterferenceTag,
+    _power_inr,
+    classify,
+    db_to_linear,
+)
 from .errors import (
     ClassMismatchError,
     ContainmentError,
@@ -67,9 +77,6 @@ __all__ = [
     "one_bit_sweep",
     "stream_sweep",
     "sweep_chunks",
-    "sweep_summary",
-    "within_half_sweep",
-    "write_sweep_csv",
 ]
 
 _LOG2 = math.log2
@@ -268,8 +275,21 @@ _CLASS_FILTERS = {
 # Channels drawn, audited and certified together.  A larger chunk spreads
 # the numpy kernel's per-call cost thinner but raises peak RSS, since its
 # temporaries are (SWEEP_CHUNK, line pairs) arrays: a 40,000-channel weak
-# sweep peaked 3.6 MiB higher with chunks of 1,024 than of 256.
+# sweep peaked 3.6 MiB higher with chunks of 1,024 than of 256.  Sweeps of
+# at most one chunk take the scalar path and never import numpy.
 SWEEP_CHUNK = 256
+
+
+def _checked_sweep_args(n: int, class_filter: str) -> tuple[InterferenceTag, ...]:
+    """The accepted tags of ``class_filter``; a bad ``n`` or filter raises :class:`DomainError`."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"sweep needs an integer n >= 1, got {n!r}")
+    try:
+        return _CLASS_FILTERS[class_filter]
+    except (KeyError, TypeError):
+        raise DomainError(
+            f"unknown class filter {class_filter!r}; expected one of {sorted(_CLASS_FILTERS)}"
+        ) from None
 
 
 def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[list[SweepRecord]]:
@@ -277,83 +297,86 @@ def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[list[
 
     Each candidate takes four ``rng.random()`` draws (SNR1, SNR2, INR1,
     INR2 in dB) and is rejected after drawing unless its class passes
-    ``class_filter``.  Both certificates of a chunk are decided together,
-    by the numpy kernel in :mod:`gicap.kernel` where numpy can be
-    imported and otherwise by :func:`region.certificates` per channel;
-    the verdicts are identical.  The arguments are checked before the
-    first chunk is drawn.
+    ``class_filter``; a chunk draws only as many candidates as it still
+    needs.  Sweeps of more than one chunk are audited a chunk at a time by
+    :func:`gicap.kernel.audit_chunk` where numpy can be imported, and
+    otherwise channel by channel (:func:`_scalar_audit_chunk`); the records
+    are identical.  The arguments are checked before the first chunk is
+    drawn.
     """
-    if n < 1:
-        raise DomainError(f"sweep needs n >= 1, got {n!r}")
-    try:
-        accepted_tags = _CLASS_FILTERS[class_filter]
-    except KeyError:
-        raise DomainError(
-            f"unknown class filter {class_filter!r}; expected one of {sorted(_CLASS_FILTERS)}"
-        ) from None
-    return _chunks(n, random.Random(seed), accepted_tags, _chunk_certifier())
+    accepted = _checked_sweep_args(n, class_filter)
+    return _chunks(n, random.Random(seed), accepted, _chunk_engine(n))
 
 
-def _chunks(n, rng, accepted_tags, certify):
-    def draw(lo: float, hi: float) -> float:
-        # scale rng.random() directly: it is the one generator method with
-        # a documented cross-version reproducibility guarantee
-        return lo + (hi - lo) * rng.random()
-
+def _chunks(n, rng, accepted, audit_chunk):
+    draw = rng.random
+    snr_lo, snr_hi = SNR_DB_RANGE
+    inr_lo, inr_hi = INR_DB_RANGE
+    snr_span, inr_span = snr_hi - snr_lo, inr_hi - inr_lo
+    accept = {
+        strength: tag.value for strength, tag in TAG_BY_STRENGTH.items() if tag in accepted
+    }
     for start in range(0, n, SWEEP_CHUNK):
         size = min(SWEEP_CHUNK, n - start)
-        drawn, rows = [], []
-        while len(drawn) < size:
-            dbs = (
-                draw(*SNR_DB_RANGE),
-                draw(*SNR_DB_RANGE),
-                draw(*INR_DB_RANGE),
-                draw(*INR_DB_RANGE),
-            )
-            params = ChannelParams(*map(db_to_linear, dbs))
-            tag = classify(params).tag
-            if tag in accepted_tags:
-                drawn.append((dbs, params, tag))
-                rows.append(_rows(params, tag))
-        verdicts = certify(_hk.HK_COEFFS, *zip(*rows))
-        records = []
-        for (dbs, params, tag), (inner, coeffs, outer), verdict in zip(drawn, rows, verdicts):
-            if verdict is None:
-                raise ContainmentError(
-                    f"the inner region of {params} exceeds its outer bound (formula bug upstream)"
-                )
-            deltas, ok = _family_deltas(
-                _families(_hk.HK_COEFFS, inner), _families(coeffs, outer)
-            )
-            records.append(SweepRecord(*dbs, tag.value, *deltas, ok, *verdict))
-        yield records
+        drawn, tags = [], []
+        while len(tags) < size:
+            for _ in range(size - len(tags)):
+                # scale rng.random() directly: it is the one generator method
+                # with a documented cross-version reproducibility guarantee
+                snr1_db = snr_lo + snr_span * draw()
+                snr2_db = snr_lo + snr_span * draw()
+                inr1_db = inr_lo + inr_span * draw()
+                inr2_db = inr_lo + inr_span * draw()
+                snr1, snr2 = db_to_linear(snr1_db), db_to_linear(snr2_db)
+                inr1, inr2 = db_to_linear(inr1_db), db_to_linear(inr2_db)
+                tag = accept.get((inr1 >= snr2, inr2 >= snr1))
+                if tag is not None:
+                    tags.append(tag)
+                    drawn.append((snr1_db, snr2_db, inr1_db, inr2_db, snr1, snr2, inr1, inr2))
+        columns = list(zip(*drawn))
+        audited = audit_chunk(*columns[4:])
+        yield list(map(SweepRecord._make, zip(*columns[:4], tags, *audited)))
 
 
-def _chunk_certifier():
-    """The numpy chunk kernel where numpy can be imported, else the scalar path."""
-    try:
-        from .kernel import chunk_certificates
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        return _scalar_chunk_certificates
-    return chunk_certificates
-
-
-def _scalar_chunk_certificates(inner_coeffs, inner_rows, outer_coeffs, outer_rows):
-    """``(one_bit, within_half)`` per channel by :func:`region.certificates`;
-    None where the inner region is not contained in the outer one."""
-    verdicts = []
-    for inner, coeffs, outer in zip(inner_rows, outer_coeffs, outer_rows):
+def _chunk_engine(n: int):
+    """The numpy chunk audit for sweeps of more than one chunk where numpy can
+    be imported, else the scalar path."""
+    if n > SWEEP_CHUNK:
         try:
-            verdicts.append(
-                certificates(
-                    region_from_rows(inner_coeffs, inner), region_from_rows(coeffs, outer)
-                )
+            from .kernel import audit_chunk
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+        else:
+            return audit_chunk
+    return _scalar_audit_chunk
+
+
+_NOT_CONTAINED = "the inner region of {} exceeds its outer bound (formula bug upstream)"
+
+
+def _scalar_audit_chunk(snr1, snr2, inr1, inr2):
+    """Columns of a chunk's records after the class: the five family deltas
+    (None where the outer bound lacks the family), the delta verdict and the
+    two certificates, one channel at a time.
+
+    A channel whose rates overflow raises :class:`DomainError`, and then one
+    whose inner region exceeds its outer bound :class:`ContainmentError`,
+    each naming the first such channel in draw order.
+    """
+    channels = [ChannelParams(*ratios) for ratios in zip(snr1, snr2, inr1, inr2)]
+    rows = [(params, *_rows(params, classify(params).tag)) for params in channels]
+    out = []
+    for params, inner, coeffs, outer in rows:
+        deltas, ok = _family_deltas(_families(_hk.HK_COEFFS, inner), _families(coeffs, outer))
+        try:
+            verdict = certificates(
+                region_from_rows(_hk.HK_COEFFS, inner), region_from_rows(coeffs, outer)
             )
         except ContainmentError:
-            verdicts.append(None)
-    return verdicts
+            raise ContainmentError(_NOT_CONTAINED.format(params)) from None
+        out.append((*deltas, ok, *verdict))
+    return zip(*out)
 
 
 # The records a sweep counts as failures, by the guarantee it checks.
@@ -363,30 +386,14 @@ _FAILED = {
 }
 
 
-def _fold_worst(worst: dict[str, float | None], records: Iterable[SweepRecord]) -> None:
+def _fold_worst(worst: dict[str, float | None], records: list[SweepRecord]) -> None:
     """Raise each family's entry of ``worst`` to its largest delta in ``records``."""
-    for rec in records:
-        values = (rec.delta_r1, rec.delta_r2, rec.delta_sum, rec.delta_2r1_r2, rec.delta_r1_2r2)
-        for fam, value in zip(_THRESHOLDS, values):
-            if value is None:
-                continue
-            cur = worst[fam]
-            if cur is None or value > cur:
-                worst[fam] = value
-
-
-def _sweep(n: int, seed: int, class_filter: str, failed) -> SweepResult:
-    records = tuple(r for chunk in sweep_chunks(n, seed, class_filter) for r in chunk)
-    worst = dict.fromkeys(_THRESHOLDS)
-    _fold_worst(worst, records)
-    return SweepResult(
-        n=n,
-        seed=seed,
-        class_filter=class_filter,
-        records=records,
-        failures=tuple(filter(failed, records)),
-        worst_deltas=worst,
-    )
+    for fam, values in zip(_THRESHOLDS, list(zip(*records))[5:10]):
+        present = [value for value in values if value is not None]
+        if present:
+            top = max(present)
+            if worst[fam] is None or top > worst[fam]:
+                worst[fam] = top
 
 
 def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
@@ -396,62 +403,45 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     whose geometric one-bit certificate is false.  Failures are returned
     as data, never raised.
     """
-    return _sweep(n, seed, class_filter, _FAILED["one-bit"])
+    records = [r for chunk in sweep_chunks(n, seed, class_filter) for r in chunk]
+    worst = dict.fromkeys(_THRESHOLDS)
+    _fold_worst(worst, records)
+    return SweepResult(
+        n=n,
+        seed=seed,
+        class_filter=class_filter,
+        records=tuple(records),
+        failures=tuple(filter(_FAILED["one-bit"], records)),
+        worst_deltas=worst,
+    )
 
 
-def within_half_sweep(n: int, seed: int) -> SweepResult:
-    """Random-channel audit of the factor-two guarantee over weak and mixed."""
-    return _sweep(n, seed, "any", _FAILED["within-half"])
-
-
-_CSV_COLUMNS = (
-    "snr1_db",
-    "snr2_db",
-    "inr1_db",
-    "inr2_db",
-    "class",
-    "delta_r1",
-    "delta_r2",
-    "delta_sum",
-    "delta_2r1_r2",
-    "delta_r1_2r2",
-    "one_bit_pass",
-    "within_half_pass",
+_CSV_HEADER = (
+    "snr1_db,snr2_db,inr1_db,inr2_db,class,delta_r1,delta_r2,"
+    "delta_sum,delta_2r1_r2,delta_r1_2r2,one_bit_pass,within_half_pass\n"
 )
+_BOOL = {False: "false", True: "true"}
+# One %-template per (2r1_r2 absent, r1_2r2 absent, one-bit pass, within-half
+# pass), taking a whole SweepRecord: numbers at 12 significant digits, an
+# absent delta as an empty cell (``%.0s``), the verdicts baked in.
+_CSV_TEMPLATES = {
+    (no_21, no_12, one_bit, half): ",".join(
+        ["%.12g"] * 4
+        + ["%s"]
+        + ["%.12g"] * 3
+        + ["%.0s" if no_21 else "%.12g", "%.0s" if no_12 else "%.12g"]
+        + ["%.0s%.0s" + _BOOL[one_bit], "%.0s" + _BOOL[half]]
+    )
+    + "\n"
+    for no_21 in (False, True)
+    for no_12 in (False, True)
+    for one_bit in (False, True)
+    for half in (False, True)
+}
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _csv_row(r: SweepRecord) -> list[str]:
-    return [
-        _cell(r.snr1_db),
-        _cell(r.snr2_db),
-        _cell(r.inr1_db),
-        _cell(r.inr2_db),
-        r.tag,
-        _cell(r.delta_r1),
-        _cell(r.delta_r2),
-        _cell(r.delta_sum),
-        _cell(r.delta_2r1_r2),
-        _cell(r.delta_r1_2r2),
-        _cell(r.one_bit and r.delta_pass),
-        _cell(r.within_half),
-    ]
-
-
-def write_sweep_csv(result: SweepResult, fileobj: IO[str]) -> None:
-    """One row per audited instance, numbers at 12 significant digits."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    writer.writerows(map(_csv_row, result.records))
+def _csv_line(r: SweepRecord) -> str:
+    return _CSV_TEMPLATES[r[8] is None, r[9] is None, r[10] and r[11], r[12]] % r
 
 
 def _summary(n: int, failures: int, worst: dict[str, float | None], seed: int) -> dict:
@@ -465,30 +455,26 @@ def _summary(n: int, failures: int, worst: dict[str, float | None], seed: int) -
     }
 
 
-def sweep_summary(result: SweepResult) -> dict:
-    """Compact JSON-ready summary: {n, failures, worst_deltas, seed}."""
-    return _summary(result.n, len(result.failures), result.worst_deltas, result.seed)
-
-
 def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) -> dict:
     """Run a sweep chunk by chunk, writing each chunk's CSV rows to ``path`` as it is audited.
 
-    Only the running failure count and worst deltas are kept, so memory
-    does not grow with ``n``.  ``check`` ("one-bit" or "within-half")
-    names the guarantee the failure count tracks.  The arguments are
-    checked before ``path`` is opened.  The CSV bytes equal
-    :func:`write_sweep_csv`'s and the returned dict equals
-    :func:`sweep_summary`'s for the matching sweep.
+    One row per audited channel, numbers at 12 significant digits.  Only
+    the running failure count and worst deltas are kept, so memory does
+    not grow with ``n``.  ``check`` ("one-bit" or "within-half") names the
+    guarantee the failure count tracks.  The arguments are checked before
+    ``path`` is opened; a bad one raises :class:`DomainError`.  Returns the
+    JSON-ready summary ``{n, failures, worst_deltas, seed}``.
     """
-    failed = _FAILED[check]
+    failed = _FAILED.get(check) if isinstance(check, str) else None
+    if failed is None:
+        raise DomainError(f"unknown check {check!r}; expected one of {sorted(_FAILED)}")
     chunks = sweep_chunks(n, seed, class_filter)
     failures = 0
     worst = dict.fromkeys(_THRESHOLDS)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        fh.write(_CSV_HEADER)
         for chunk in chunks:
-            writer.writerows(map(_csv_row, chunk))
+            fh.write("".join(map(_csv_line, chunk)))
             failures += sum(map(failed, chunk))
             _fold_worst(worst, chunk)
     return _summary(n, failures, worst, seed)

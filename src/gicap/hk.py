@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .channel import ChannelParams
 from .errors import DomainError, InvalidSplitError
-from .region import RateConstraint, RateRegion, Vertex, region_from_rows
+from .region import RateConstraint, RateRegion, Vertex, log2_rows, region_from_rows
 
 __all__ = [
     "DifferentialRatePair",
@@ -54,6 +54,7 @@ __all__ = [
     "PowerSplit",
     "costa_point",
     "differential_rates",
+    "hk_args",
     "hk_region",
     "hk_rhs",
     "recommended_split",
@@ -118,32 +119,44 @@ def _private_snr(snr: float, inr_p: float, inr: float) -> float:
 HK_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 
 
+def hk_args(s1, s2, i1, i2, p2, p1, private_snr=_private_snr):
+    """The log2 arguments of the seven :func:`hk_region` rows, in :data:`HK_COEFFS` order.
+
+    Row ``k``'s rhs is the left-to-right sum of log2 over ``args[k]``.  The
+    arguments use only ``+ - * /``, so floats and numpy arrays of the
+    ratios (``s1, s2, i1, i2``) and private levels (``p2, p1``) give the
+    same doubles; ``private_snr(snr, inr_p, inr)`` is the private-SNR rule
+    for the number type (:func:`_private_snr` for floats).  An argument
+    shared by two rows is the same object in both.
+    """
+    s1p = private_snr(s1, p2, i2)
+    s2p = private_snr(s2, p1, i1)
+    n1 = 1.0 + p1
+    n2 = 1.0 + p2
+    common1 = (1.0 + s1 + i1) / n1
+    common2 = (1.0 + s2 + i2) / n2
+    private1 = 1.0 + s1p / n1
+    private2 = 1.0 + s2p / n2
+    cross1 = 1.0 + (s1p + i1 - p1) / n1
+    cross2 = 1.0 + (s2p + i2 - p2) / n2
+    return (
+        (1.0 + s1 / n1,),
+        (1.0 + s2 / n2,),
+        (common2, private1),
+        (common1, private2),
+        (cross1, cross2),
+        (common1, private1, cross2),
+        (common2, private2, cross1),
+    )
+
+
 def hk_rhs(params: ChannelParams, split: PowerSplit) -> tuple[float, ...]:
     """Right-hand sides of the seven :func:`hk_region` rows, in :data:`HK_COEFFS` order.
 
     The split is not checked against the channel; :func:`hk_region` does that.
     """
-    s1, s2 = params.snr1, params.snr2
-    i1, i2 = params.inr1, params.inr2
-    p2, p1 = split.inr_p2, split.inr_p1  # user-1 and user-2 private levels
-
-    s1p = _private_snr(s1, p2, i2)
-    s2p = _private_snr(s2, p1, i1)
-    n1 = 1.0 + p1
-    n2 = 1.0 + p2
-
-    return (
-        _LOG2(1.0 + s1 / n1),
-        _LOG2(1.0 + s2 / n2),
-        _LOG2((1.0 + s2 + i2) / n2) + _LOG2(1.0 + s1p / n1),
-        _LOG2((1.0 + s1 + i1) / n1) + _LOG2(1.0 + s2p / n2),
-        _LOG2(1.0 + (s1p + i1 - p1) / n1) + _LOG2(1.0 + (s2p + i2 - p2) / n2),
-        _LOG2((1.0 + s1 + i1) / n1)
-        + _LOG2(1.0 + s1p / n1)
-        + _LOG2(1.0 + (s2p + i2 - p2) / n2),
-        _LOG2((1.0 + s2 + i2) / n2)
-        + _LOG2(1.0 + s2p / n2)
-        + _LOG2(1.0 + (s1p + i1 - p1) / n1),
+    return log2_rows(
+        hk_args(params.snr1, params.snr2, params.inr1, params.inr2, split.inr_p2, split.inr_p1)
     )
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "Vertex",
     "certificates",
     "contains",
+    "log2_rows",
     "one_bit_certificate",
     "region_from_rows",
     "region_to_jsonable",
@@ -83,6 +84,11 @@ class RateRegion:
 def region_from_rows(coeffs, rhs) -> RateRegion:
     """Region with a constraint ``c1*R1 + c2*R2 <= r`` per pair of ``(c1, c2)`` and ``r``."""
     return RateRegion(RateConstraint(c1, c2, r) for (c1, c2), r in zip(coeffs, rhs))
+
+
+def log2_rows(args) -> tuple[float, ...]:
+    """Each row's rhs: the sum of ``math.log2`` over its arguments, left to right."""
+    return tuple(sum(map(math.log2, row)) for row in args)
 
 
 def vertices(region: RateRegion) -> list[Vertex]:

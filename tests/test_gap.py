@@ -1,4 +1,3 @@
-import io
 import math
 import random
 import sys
@@ -23,10 +22,8 @@ from gicap import (
     kramer_gap,
     one_bit_certificate,
     one_bit_sweep,
-    sweep_summary,
+    stream_sweep,
     within_half_certificate,
-    within_half_sweep,
-    write_sweep_csv,
 )
 from conftest import random_channel
 from reference_audit import (
@@ -138,9 +135,9 @@ class TestSweeps:
         assert result.failures == ()
         assert all(r.tag.startswith("mixed") for r in result.records)
 
-    def test_within_half_clean(self):
-        result = within_half_sweep(300, 9)
-        assert result.failures == ()
+    def test_within_half_clean(self, tmp_path):
+        summary = stream_sweep(300, 9, "any", "within-half", tmp_path / "s.csv")
+        assert summary["failures"] == 0
 
     def test_determinism(self):
         a = one_bit_sweep(50, 123, "any")
@@ -158,6 +155,21 @@ class TestSweeps:
         with pytest.raises(DomainError):
             one_bit_sweep(5, 1, "bogus")
 
+    def test_unknown_check_rejected_before_opening_the_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        with pytest.raises(DomainError, match="two-bit"):
+            stream_sweep(10, 1, "weak", "two-bit", path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n", [True, 10.0], ids=["bool", "float"])
+    def test_non_integer_n_rejected_before_opening_the_file(self, tmp_path, n):
+        with pytest.raises(DomainError, match="integer"):
+            one_bit_sweep(n, 1, "weak")
+        path = tmp_path / "s.csv"
+        with pytest.raises(DomainError, match="integer"):
+            stream_sweep(n, 1, "weak", "one-bit", path)
+        assert not path.exists()
+
     def test_single_instance_consistency(self):
         result = one_bit_sweep(1, 4, "weak")
         (rec,) = result.records
@@ -172,13 +184,12 @@ class TestSweeps:
 
 
 class TestSweepSerialization:
-    def test_csv_shape_and_determinism(self):
-        result = one_bit_sweep(10, 5, "any")
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        write_sweep_csv(result, buf1)
-        write_sweep_csv(one_bit_sweep(10, 5, "any"), buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-        lines = buf1.getvalue().splitlines()
+    def test_csv_shape_and_determinism(self, tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        stream_sweep(10, 5, "any", "one-bit", first)
+        stream_sweep(10, 5, "any", "one-bit", second)
+        assert first.read_bytes() == second.read_bytes()
+        lines = first.read_text().splitlines()
         assert lines[0] == (
             "snr1_db,snr2_db,inr1_db,inr2_db,class,delta_r1,delta_r2,"
             "delta_sum,delta_2r1_r2,delta_r1_2r2,one_bit_pass,within_half_pass"
@@ -187,16 +198,14 @@ class TestSweepSerialization:
         for line in lines[1:]:
             assert line.endswith("true,true")
 
-    def test_mixed_rows_have_empty_cells(self):
-        result = one_bit_sweep(5, 6, "mixed")
-        buf = io.StringIO()
-        write_sweep_csv(result, buf)
-        body = buf.getvalue().splitlines()[1:]
+    def test_mixed_rows_have_empty_cells(self, tmp_path):
+        path = tmp_path / "s.csv"
+        stream_sweep(5, 6, "mixed", "one-bit", path)
+        body = path.read_text().splitlines()[1:]
         assert any(",," in line for line in body)
 
-    def test_summary_shape(self):
-        result = one_bit_sweep(10, 5, "weak")
-        s = sweep_summary(result)
+    def test_summary_shape(self, tmp_path):
+        s = stream_sweep(10, 5, "weak", "one-bit", tmp_path / "s.csv")
         assert set(s) == {"n", "failures", "worst_deltas", "seed"}
         assert s["n"] == 10 and s["failures"] == 0 and s["seed"] == 5
         assert set(s["worst_deltas"]) == {"r1", "r2", "sum", "2r1_r2", "r1_2r2"}

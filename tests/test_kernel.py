@@ -5,11 +5,12 @@ sweep must write the same bytes on either engine; only a sweep may import
 numpy; and a streamed sweep must hold flat memory in n.
 """
 
+import gc
 import io
 import random
 import subprocess
 import sys
-import tracemalloc
+import types
 
 import pytest
 
@@ -37,16 +38,32 @@ AUDITED_TAGS = (
 )
 
 
-def columns(pairs):
-    """chunk_certificates' arguments for a list of (inner, outer) regions."""
+def kernel_verdicts(kernel, pairs):
+    """``(one_bit, within_half)`` per (inner, outer) pair by ``kernel.chunk_certificates``,
+    None where the inner region is not contained in the outer one."""
+    import numpy as np
+
     inner_coeffs = tuple((c.c1, c.c2) for c in pairs[0][0].constraints)
-    inner_rows, outer_coeffs, outer_rows = [], [], []
-    for inner, outer in pairs:
+    groups = {}
+    for k, (inner, outer) in enumerate(pairs):
         assert tuple((c.c1, c.c2) for c in inner.constraints) == inner_coeffs
-        inner_rows.append(tuple(c.rhs for c in inner.constraints))
-        outer_coeffs.append(tuple((c.c1, c.c2) for c in outer.constraints))
-        outer_rows.append(tuple(c.rhs for c in outer.constraints))
-    return inner_coeffs, inner_rows, outer_coeffs, outer_rows
+        coeffs = tuple((c.c1, c.c2) for c in outer.constraints)
+        groups.setdefault(coeffs, []).append(k)
+    verdicts = [None] * len(pairs)
+    for coeffs, index in groups.items():
+        inner, outer = (
+            np.array([[c.rhs for c in pairs[k][side].constraints] for k in index])
+            for side in (0, 1)
+        )
+        contained, one_bit, within_half = kernel.chunk_certificates(
+            inner_coeffs, inner, coeffs, outer
+        )
+        for k, ok, verdict in zip(
+            index, contained.tolist(), zip(one_bit.tolist(), within_half.tolist())
+        ):
+            if ok:
+                verdicts[k] = verdict
+    return verdicts
 
 
 def shifted(region, bits):
@@ -83,7 +100,7 @@ class TestKernelAgainstScalar:
             inner, outer = audit_regions(params)
             pairs.append((inner, shifted(outer, slack)))
         want = [scalar_verdict(inner, outer) for inner, outer in pairs]
-        assert kernel.chunk_certificates(*columns(pairs)) == want
+        assert kernel_verdicts(kernel, pairs) == want
         if slack > 1.0:
             assert any(verdict != (True, True) for verdict in want)
 
@@ -93,28 +110,32 @@ class TestKernelAgainstScalar:
         pairs = [(i, shifted(o, -3.0) if k % 5 == 3 else o) for k, (i, o) in enumerate(pairs)]
         want = [scalar_verdict(inner, outer) for inner, outer in pairs]
         assert [k for k, v in enumerate(want) if v is None] == list(range(3, 64, 5))
-        assert kernel.chunk_certificates(*columns(pairs)) == want
+        assert kernel_verdicts(kernel, pairs) == want
 
 
 @pytest.fixture(params=["numpy", "scalar"])
 def engine(request, monkeypatch):
-    """Run the test on one engine: with numpy, or with numpy blocked."""
+    """Run the test on one engine: with numpy, or with numpy blocked.
+
+    Sweeps of at most one chunk always take the scalar path, so the tests
+    sweep more than :data:`SWEEP_CHUNK` channels.
+    """
     if request.param == "numpy":
         kernel = pytest.importorskip("gicap.kernel")
-        assert gicap.gap._chunk_certifier() is kernel.chunk_certificates
+        assert gicap.gap._chunk_engine(SWEEP_CHUNK + 1) is kernel.audit_chunk
     else:
         monkeypatch.setitem(sys.modules, "numpy", None)
         monkeypatch.delitem(sys.modules, "gicap.kernel", raising=False)
-        assert gicap.gap._chunk_certifier() is gicap.gap._scalar_chunk_certificates
+        assert gicap.gap._chunk_engine(SWEEP_CHUNK + 1) is gicap.gap._scalar_audit_chunk
     return request.param
 
 
 class TestSweepOnEachEngine:
     def test_containment_error_names_the_first_bad_channel(self, engine, monkeypatch):
-        def bad(snr1: float, snr2: float) -> bool:
-            return max(snr1, snr2) > 10**5.5
+        def bad(snr1, snr2):
+            return (snr1 > 10**5.5) | (snr2 > 10**5.5)
 
-        records = one_bit_sweep(SWEEP_CHUNK, 3, "any").records
+        records = one_bit_sweep(SWEEP_CHUNK + 1, 3, "any").records
         bad_records = [
             r for r in records if bad(db_to_linear(r.snr1_db), db_to_linear(r.snr2_db))
         ]
@@ -122,39 +143,51 @@ class TestSweepOnEachEngine:
         first = bad_records[0]
         # the first bad channel is not the chunk's first, and the class group
         # the kernel decides first (that of channel 0) has a later bad channel
-        assert records.index(first) > 0
+        assert 0 < records.index(first) < SWEEP_CHUNK
         assert first.tag != records[0].tag and records[0].tag in bad_tags
         params = ChannelParams(
             *map(db_to_linear, (first.snr1_db, first.snr2_db, first.inr1_db, first.inr2_db))
         )
-        real = gicap.bounds.outer_rows
+        real = gicap.bounds.outer_args
 
-        def shrunk(params, tag):
-            coeffs, rhs = real(params, tag)
-            return coeffs, tuple(r - 3.0 for r in rhs) if bad(params.snr1, params.snr2) else rhs
+        def shrunk(s1, s2, i1, i2, tag):
+            # one argument of each row over 8: its rhs 3 bits lower; works on
+            # floats and on numpy arrays alike
+            coeffs, args = real(s1, s2, i1, i2, tag)
+            scale = 1.0 - 0.875 * bad(s1, s2)
+            return coeffs, tuple((row[0] * scale, *row[1:]) for row in args)
 
-        monkeypatch.setattr(gicap.bounds, "outer_rows", shrunk)
+        monkeypatch.setattr(gicap.bounds, "outer_args", shrunk)
         with pytest.raises(ContainmentError) as info:
-            list(sweep_chunks(SWEEP_CHUNK, 3, "any"))
+            list(sweep_chunks(SWEEP_CHUNK + 1, 3, "any"))
         assert repr(params) in str(info.value)
 
-    def test_streamed_memory_is_flat_in_n(self, engine, tmp_path):
+    def test_streamed_memory_is_flat_in_n(self, engine, tmp_path, monkeypatch):
+        # The sweep's live Python blocks, sampled at every draw: records kept
+        # across chunks would grow them with n.
+        class SamplingRandom(random.Random):
+            peak = 0
+
+            def random(self):
+                SamplingRandom.peak = max(SamplingRandom.peak, sys.getallocatedblocks())
+                return super().random()
+
+        monkeypatch.setattr(gicap.gap, "random", types.SimpleNamespace(Random=SamplingRandom))
+
         def peak(n: int) -> int:
             argv = ["sweep", "--seed", "1", "--n", str(n), "--out", str(tmp_path / "s.csv")]
-            tracemalloc.start()
-            try:
-                code = main(argv, stdout=io.StringIO())
-                peak_bytes = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            return peak_bytes
+            gc.collect()  # garbage left by earlier code would move the baseline
+            before = SamplingRandom.peak = sys.getallocatedblocks()
+            assert main(argv, stdout=io.StringIO()) == 0
+            return SamplingRandom.peak - before
 
-        peak(10)  # imports the engine outside the measurement
+        peak(SWEEP_CHUNK + 1)  # imports the engine outside the measurement
         small, large = peak(1_000), peak(8_000)
         assert large <= 1.5 * small, (small, large)
 
 
+# argv[1] is "numpy" (the kernel must run), "blocked" (numpy cannot be
+# imported) or "small" (numpy must not even be imported)
 ENGINE_CHILD = """
 import sys
 if sys.argv[1] == "blocked":
@@ -164,6 +197,8 @@ code = main(sys.argv[2:])
 sys.stdout.flush()
 if ("gicap.kernel" in sys.modules) != (sys.argv[1] == "numpy"):
     sys.exit(f"the sweep ran on the wrong engine for {sys.argv[1]}")
+if sys.argv[1] == "small" and "numpy" in sys.modules:
+    sys.exit("a small sweep imported numpy")
 sys.exit(code)
 """
 
@@ -184,11 +219,13 @@ sys.exit("numpy was imported" if "numpy" in sys.modules else 0)
 class TestEngineChoice:
     @pytest.mark.parametrize(
         "flags",
-        [["--class", "weak"], ["--class", "mixed"], ["--check", "within-half"]],
-        ids=["weak", "mixed", "within-half"],
+        [["--class", "weak"], ["--class", "mixed"], ["--class", "any"], ["--check", "within-half"]],
+        ids=["weak", "mixed", "any", "within-half"],
     )
     def test_blocked_numpy_gives_the_same_bytes(self, tmp_path, flags):
         pytest.importorskip("numpy")
+        # 2,000 channels end in a partial chunk
+        assert 2000 % SWEEP_CHUNK
         outputs = {}
         for mode in ("numpy", "blocked"):
             out = tmp_path / f"{mode}.csv"
@@ -207,3 +244,19 @@ class TestEngineChoice:
             [sys.executable, "-c", IMPORT_CHILD], capture_output=True, env=gicap_child_env()
         )
         assert child.returncode == 0, child.stderr.decode(errors="replace")
+
+    def test_small_sweep_is_stdlib_only_and_a_prefix_of_a_larger_one(self, tmp_path):
+        pytest.importorskip("numpy")
+        csv = {}
+        for mode, n in (("small", 100), ("numpy", 300)):
+            out = tmp_path / f"{mode}.csv"
+            argv = ["sweep", "--seed", "1", "--n", str(n), "--class", "any", "--out", str(out)]
+            child = subprocess.run(
+                [sys.executable, "-c", ENGINE_CHILD, mode, *argv],
+                capture_output=True,
+                env=gicap_child_env(),
+            )
+            assert child.returncode == 0, child.stderr.decode(errors="replace")
+            csv[mode] = out.read_text().splitlines(keepends=True)
+        assert len(csv["small"]) == 101
+        assert csv["small"] == csv["numpy"][:101]
