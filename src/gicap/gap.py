@@ -27,11 +27,12 @@ user-swapped order, so both mixed orientations pair alike.
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
 class.  They are drawn and audited :data:`SWEEP_CHUNK` channels at a time
-(:func:`sweep_chunks`).  A sweep of more than one chunk audits each
-chunk as a whole in numpy (:func:`gicap.kernel.audit_chunk`: rows, family
-deltas and certificates); a sweep of one chunk, or one where numpy cannot
-be imported, audits channel by channel and never imports numpy.  Both
-paths give the same records bit for bit.  :func:`stream_sweep` writes
+(:func:`sweep_chunks`).  A sweep of at least :data:`NUMPY_MIN_N`
+channels audits each chunk as a whole in numpy
+(:func:`gicap.kernel.audit_chunk`: rows, family deltas and
+certificates); a smaller sweep, or one where numpy cannot be imported,
+audits channel by channel and never imports numpy.  Both paths give the
+same records bit for bit.  :func:`stream_sweep` writes
 each chunk's CSV rows as it goes and keeps only the failure count and
 the worst deltas, so its memory does not grow with the sweep size.
 Records are evaluated independently and aggregated order-insensitively,
@@ -41,6 +42,7 @@ so results are identical for any evaluation order.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -275,21 +277,26 @@ _CLASS_FILTERS = {
 # Channels drawn, audited and certified together.  A larger chunk spreads
 # the numpy kernel's per-call cost thinner but raises peak RSS, since its
 # temporaries are (SWEEP_CHUNK, line pairs) arrays: a 40,000-channel weak
-# sweep peaked 3.6 MiB higher with chunks of 1,024 than of 256.  Sweeps of
-# at most one chunk take the scalar path and never import numpy.
+# sweep peaked 3.6 MiB higher with chunks of 1,024 than of 256.
 SWEEP_CHUNK = 256
 
+# The smallest sweep audited by the numpy kernel; smaller ones take the
+# scalar path and never import numpy.  Importing numpy costs a fresh
+# process about as much as the kernel saves on 700 channels: whole
+# `gicap sweep` runs were faster on the scalar path at n = 640 and on the
+# kernel at n = 768, on weak and on any-class sweeps alike.
+NUMPY_MIN_N = 768
 
-def _checked_sweep_args(n: int, class_filter: str) -> tuple[InterferenceTag, ...]:
-    """The accepted tags of ``class_filter``; a bad ``n`` or filter raises :class:`DomainError`."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"sweep needs an integer n >= 1, got {n!r}")
+
+def _checked_n(n: int) -> int:
+    """``n`` as an int; anything but an integer >= 1 raises :class:`DomainError`."""
     try:
-        return _CLASS_FILTERS[class_filter]
-    except (KeyError, TypeError):
-        raise DomainError(
-            f"unknown class filter {class_filter!r}; expected one of {sorted(_CLASS_FILTERS)}"
-        ) from None
+        count = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or count < 1:
+        raise DomainError(f"sweep needs an integer n >= 1, got {n!r}")
+    return count
 
 
 def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[list[SweepRecord]]:
@@ -298,13 +305,19 @@ def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[list[
     Each candidate takes four ``rng.random()`` draws (SNR1, SNR2, INR1,
     INR2 in dB) and is rejected after drawing unless its class passes
     ``class_filter``; a chunk draws only as many candidates as it still
-    needs.  Sweeps of more than one chunk are audited a chunk at a time by
-    :func:`gicap.kernel.audit_chunk` where numpy can be imported, and
-    otherwise channel by channel (:func:`_scalar_audit_chunk`); the records
-    are identical.  The arguments are checked before the first chunk is
-    drawn.
+    needs.  Sweeps of at least :data:`NUMPY_MIN_N` channels are audited a
+    chunk at a time by :func:`gicap.kernel.audit_chunk` where numpy can be
+    imported, and otherwise channel by channel (:func:`_scalar_audit_chunk`);
+    the records are identical.  The arguments are checked before the first
+    chunk is drawn.
     """
-    accepted = _checked_sweep_args(n, class_filter)
+    n = _checked_n(n)
+    try:
+        accepted = _CLASS_FILTERS[class_filter]
+    except (KeyError, TypeError):
+        raise DomainError(
+            f"unknown class filter {class_filter!r}; expected one of {sorted(_CLASS_FILTERS)}"
+        ) from None
     return _chunks(n, random.Random(seed), accepted, _chunk_engine(n))
 
 
@@ -313,9 +326,7 @@ def _chunks(n, rng, accepted, audit_chunk):
     snr_lo, snr_hi = SNR_DB_RANGE
     inr_lo, inr_hi = INR_DB_RANGE
     snr_span, inr_span = snr_hi - snr_lo, inr_hi - inr_lo
-    accept = {
-        strength: tag.value for strength, tag in TAG_BY_STRENGTH.items() if tag in accepted
-    }
+    accept = {strength: tag for strength, tag in TAG_BY_STRENGTH.items() if tag in accepted}
     for start in range(0, n, SWEEP_CHUNK):
         size = min(SWEEP_CHUNK, n - start)
         drawn, tags = [], []
@@ -329,19 +340,21 @@ def _chunks(n, rng, accepted, audit_chunk):
                 inr2_db = inr_lo + inr_span * draw()
                 snr1, snr2 = db_to_linear(snr1_db), db_to_linear(snr2_db)
                 inr1, inr2 = db_to_linear(inr1_db), db_to_linear(inr2_db)
+                # ChannelParams.strong_at_1, strong_at_2
                 tag = accept.get((inr1 >= snr2, inr2 >= snr1))
                 if tag is not None:
                     tags.append(tag)
                     drawn.append((snr1_db, snr2_db, inr1_db, inr2_db, snr1, snr2, inr1, inr2))
         columns = list(zip(*drawn))
-        audited = audit_chunk(*columns[4:])
-        yield list(map(SweepRecord._make, zip(*columns[:4], tags, *audited)))
+        audited = audit_chunk(tags, *columns[4:])
+        values = [tag.value for tag in tags]
+        yield list(map(SweepRecord._make, zip(*columns[:4], values, *audited)))
 
 
 def _chunk_engine(n: int):
-    """The numpy chunk audit for sweeps of more than one chunk where numpy can
-    be imported, else the scalar path."""
-    if n > SWEEP_CHUNK:
+    """The numpy chunk audit for sweeps of at least :data:`NUMPY_MIN_N`
+    channels where numpy can be imported, else the scalar path."""
+    if n >= NUMPY_MIN_N:
         try:
             from .kernel import audit_chunk
         except ModuleNotFoundError as exc:
@@ -355,17 +368,18 @@ def _chunk_engine(n: int):
 _NOT_CONTAINED = "the inner region of {} exceeds its outer bound (formula bug upstream)"
 
 
-def _scalar_audit_chunk(snr1, snr2, inr1, inr2):
+def _scalar_audit_chunk(tags, snr1, snr2, inr1, inr2):
     """Columns of a chunk's records after the class: the five family deltas
     (None where the outer bound lacks the family), the delta verdict and the
-    two certificates, one channel at a time.
+    two certificates, one channel at a time, for weak and mixed channels of
+    class ``tags[k]`` with ratios ``snr1[k], snr2[k], inr1[k], inr2[k]``.
 
     A channel whose rates overflow raises :class:`DomainError`, and then one
     whose inner region exceeds its outer bound :class:`ContainmentError`,
     each naming the first such channel in draw order.
     """
     channels = [ChannelParams(*ratios) for ratios in zip(snr1, snr2, inr1, inr2)]
-    rows = [(params, *_rows(params, classify(params).tag)) for params in channels]
+    rows = [(params, *_rows(params, tag)) for params, tag in zip(channels, tags)]
     out = []
     for params, inner, coeffs, outer in rows:
         deltas, ok = _family_deltas(_families(_hk.HK_COEFFS, inner), _families(coeffs, outer))
@@ -403,6 +417,7 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     whose geometric one-bit certificate is false.  Failures are returned
     as data, never raised.
     """
+    n = _checked_n(n)
     records = [r for chunk in sweep_chunks(n, seed, class_filter) for r in chunk]
     worst = dict.fromkeys(_THRESHOLDS)
     _fold_worst(worst, records)
@@ -468,6 +483,7 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     failed = _FAILED.get(check) if isinstance(check, str) else None
     if failed is None:
         raise DomainError(f"unknown check {check!r}; expected one of {sorted(_FAILED)}")
+    n = _checked_n(n)
     chunks = sweep_chunks(n, seed, class_filter)
     failures = 0
     worst = dict.fromkeys(_THRESHOLDS)

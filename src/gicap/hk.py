@@ -57,6 +57,7 @@ __all__ = [
     "hk_args",
     "hk_region",
     "hk_rhs",
+    "recommended_levels",
     "recommended_split",
     "regime1_gap",
     "regime1_rate",
@@ -171,6 +172,19 @@ def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
     return region_from_rows(HK_COEFFS, hk_rhs(params, split))
 
 
+def recommended_levels(strong_at_1, strong_at_2, inr1, inr2, minimum=min):
+    """``(inr_p2, inr_p1)`` of :func:`recommended_split` for a channel of the given strengths.
+
+    ``inr1``/``inr2`` may be floats or numpy arrays of channels sharing the
+    strengths; ``minimum`` is the elementwise min for the number type
+    (``min`` for floats), as ``private_snr`` is for :func:`hk_args`.
+    """
+    return (
+        0.0 if strong_at_2 else minimum(1.0, inr2),
+        0.0 if strong_at_1 else minimum(1.0, inr1),
+    )
+
+
 def recommended_split(params: ChannelParams) -> PowerSplit:
     """The private level that lands within one bit of capacity per class.
 
@@ -181,8 +195,7 @@ def recommended_split(params: ChannelParams) -> PowerSplit:
     strong at the other receiver.
     """
     return PowerSplit(
-        0.0 if params.strong_at_2 else min(1.0, params.inr2),
-        0.0 if params.strong_at_1 else min(1.0, params.inr1),
+        *recommended_levels(params.strong_at_1, params.strong_at_2, params.inr1, params.inr2)
     )
 
 

@@ -1,10 +1,11 @@
 """numpy audit of a whole chunk of sweep channels, bit-identical to the scalar path.
 
-:func:`audit_chunk` takes a chunk's four ratio columns and returns the
-columns of its sweep records, doing in arrays what the scalar path does
-per channel:
+:func:`audit_chunk` takes a chunk's class tags and four ratio columns and
+returns the columns of its sweep records, doing in arrays what the scalar
+path does per channel, one class group at a time:
 
-* the recommended split and the class by array comparisons;
+* the recommended split by :func:`gicap.hk.recommended_levels` with the
+  group's strengths;
 * the rows from :func:`gicap.hk.hk_args` and :func:`gicap.bounds.outer_args`
   on arrays, with ``math.log2`` mapped over the arguments (``np.log2``
   rounds differently on some inputs), so every rhs is the same double;
@@ -26,9 +27,9 @@ of smaller rhs (``r + tol`` rises with ``r``).  So the verdicts are
 identical.  Temporaries are ``(channels, line pairs)`` arrays, built one
 coefficient pair at a time.
 
-Only sweeps of more than one chunk import this module, and only where
-numpy is installed (the ``fast`` extra); elsewhere the sweep takes the
-scalar path.
+Only sweeps of at least :data:`gicap.gap.NUMPY_MIN_N` channels import
+this module, and only where numpy is installed (the ``fast`` extra);
+elsewhere the sweep takes the scalar path.
 """
 
 from __future__ import annotations
@@ -39,22 +40,25 @@ import math
 import numpy as np
 
 from . import bounds as _bounds
-from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag
+from .channel import TAG_BY_STRENGTH, ChannelParams
 from .errors import ContainmentError, DomainError
 from .gap import _FAMILIES, _NOT_CONTAINED, _OVERFLOW, _SLACK, _THRESHOLDS
-from .hk import HK_COEFFS, _FLOAT_MIN, hk_args
+from .hk import HK_COEFFS, _FLOAT_MIN, hk_args, recommended_levels
 from .region import _PARALLEL_EPS, DEFAULT_TOL
 
 __all__ = ["audit_chunk", "chunk_certificates"]
 
 _AXES = ((1.0, 0.0), (0.0, 1.0))
-_AUDITED = {
-    strength: tag for strength, tag in TAG_BY_STRENGTH.items() if tag is not InterferenceTag.STRONG
-}
+# (strong at receiver 1, strong at receiver 2) of each class
+_STRENGTHS = {tag: strengths for strengths, tag in TAG_BY_STRENGTH.items()}
 
 
 def _private_snr(snr, inr_p, inr):
-    """:func:`gicap.hk._private_snr` on arrays: divides first only where the product underflows."""
+    """:func:`gicap.hk._private_snr` on arrays.
+
+    The same three cases, chosen per channel by ``np.where``: the float
+    rule branches instead, since it cannot divide by a zero INR.
+    """
     product = snr * inr_p
     return np.where(
         inr == 0.0, snr, np.where(product < _FLOAT_MIN, snr * (inr_p / inr), product / inr)
@@ -82,59 +86,62 @@ def _rhs(args):
     return out
 
 
-def _inner_rhs(s1, s2, i1, i2):
-    """``hk_rhs(params, recommended_split(params))`` for arrays of ratios."""
-    p2 = np.where(i2 >= s1, 0.0, np.minimum(1.0, i2))
-    p1 = np.where(i1 >= s2, 0.0, np.minimum(1.0, i1))
-    return _rhs(hk_args(s1, s2, i1, i2, p2, p1, _private_snr))
+def _rows(tag, s1, s2, i1, i2):
+    """``(inner, outer_coeffs, outer)`` of channels of class ``tag`` with ratio
+    arrays ``s1, s2, i1, i2``: :func:`gicap.gap._rows` on arrays, the rhs as
+    ``(channels, rows)`` arrays."""
+    p2, p1 = recommended_levels(*_STRENGTHS[tag], i1, i2, np.minimum)
+    inner = _rhs(hk_args(s1, s2, i1, i2, p2, p1, _private_snr))
+    coeffs, args = _bounds.outer_args(s1, s2, i1, i2, tag)
+    return inner, coeffs, _rhs(args)
 
 
-def audit_chunk(snr1, snr2, inr1, inr2):
+def audit_chunk(tags, snr1, snr2, inr1, inr2):
     """Columns of a chunk's records after the class, as :func:`gicap.gap._scalar_audit_chunk`.
 
     The five family deltas (None where the outer bound lacks the family),
     the delta verdict and the two certificates, for weak and mixed
-    channels with ratios ``snr1[k], snr2[k], inr1[k], inr2[k]``.  A channel
-    whose rates overflow raises :class:`DomainError`, and then one whose
-    inner region exceeds its outer bound :class:`ContainmentError`, each
-    naming the first such channel in draw order.
+    channels of class ``tags[k]`` with ratios ``snr1[k], snr2[k], inr1[k],
+    inr2[k]``.  A channel whose rates overflow raises :class:`DomainError`,
+    and then one whose inner region exceeds its outer bound
+    :class:`ContainmentError`, each naming the first such channel in draw
+    order.
     """
-    s1, s2, i1, i2 = map(np.array, (snr1, snr2, inr1, inr2))
-    strong1, strong2 = i1 >= s2, i2 >= s1
+    members: dict = {}
+    for k, tag in enumerate(tags):
+        members.setdefault(tag, []).append(k)
+    ratios = np.array((snr1, snr2, inr1, inr2))
+    groups = []
     with np.errstate(all="ignore"):
-        inner = _inner_rhs(s1, s2, i1, i2)
-        groups = []
-        for (at1, at2), tag in _AUDITED.items():
-            index = np.flatnonzero((strong1 == at1) & (strong2 == at2))
-            if index.size:
-                coeffs, args = _bounds.outer_args(s1[index], s2[index], i1[index], i2[index], tag)
-                groups.append((index, coeffs, _rhs(args)))
+        for tag, index in members.items():
+            index = np.array(index)
+            groups.append((index, *_rows(tag, *ratios[:, index])))
 
     def first_channel(bad) -> ChannelParams:
         k = int(np.flatnonzero(bad)[0])
         return ChannelParams(snr1[k], snr2[k], inr1[k], inr2[k])
 
-    finite = np.isfinite(inner).all(axis=1)
-    for index, _, outer in groups:
-        finite[index] &= np.isfinite(outer).all(axis=1)
+    size = len(tags)
+    finite = np.ones(size, dtype=bool)
+    for index, inner, _, outer in groups:
+        finite[index] = np.isfinite(inner).all(axis=1) & np.isfinite(outer).all(axis=1)
     if not finite.all():
         raise DomainError(_OVERFLOW.format(first_channel(~finite)))
 
-    size = len(s1)
     # object columns: a family the outer bound lacks stays None
     deltas = {fam: np.full(size, None, dtype=object) for fam in _THRESHOLDS}
     passed = np.ones(size, dtype=bool)
     contained = np.ones(size, dtype=bool)
     one_bit = np.ones(size, dtype=bool)
     within_half = np.ones(size, dtype=bool)
-    inner_mins = _mins(HK_COEFFS, inner)
-    for index, coeffs, outer in groups:
+    for index, inner, coeffs, outer in groups:
+        inner_mins = _mins(HK_COEFFS, inner)
         for c, outer_min in _mins(coeffs, outer).items():
-            delta = outer_min - inner_mins[c][index]
+            delta = outer_min - inner_mins[c]
             deltas[_FAMILIES[c]][index] = delta
             passed[index] &= delta < _THRESHOLDS[_FAMILIES[c]] + _SLACK
         contained[index], one_bit[index], within_half[index] = chunk_certificates(
-            HK_COEFFS, inner[index], coeffs, outer
+            HK_COEFFS, inner, coeffs, outer
         )
     if not contained.all():
         raise ContainmentError(_NOT_CONTAINED.format(first_channel(~contained)))

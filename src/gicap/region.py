@@ -16,7 +16,9 @@ per-family gap audits pair inner and outer constraints by position.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,8 +89,12 @@ def region_from_rows(coeffs, rhs) -> RateRegion:
 
 
 def log2_rows(args) -> tuple[float, ...]:
-    """Each row's rhs: the sum of ``math.log2`` over its arguments, left to right."""
-    return tuple(sum(map(math.log2, row)) for row in args)
+    """Each row's rhs: the sum of ``math.log2`` over its arguments, left to right.
+
+    An explicit fold rather than ``sum``, which adds floats with compensation
+    from Python 3.12 on and so can round ``a + b + c`` differently.
+    """
+    return tuple(functools.reduce(operator.add, map(math.log2, row)) for row in args)
 
 
 def vertices(region: RateRegion) -> list[Vertex]:

@@ -170,6 +170,16 @@ class TestSweeps:
             stream_sweep(n, 1, "weak", "one-bit", path)
         assert not path.exists()
 
+    def test_integer_types_with_index_are_accepted(self, tmp_path):
+        np = pytest.importorskip("numpy")
+        plain = stream_sweep(10, 1, "weak", "one-bit", tmp_path / "plain.csv")
+        summary = stream_sweep(np.int64(10), 1, "weak", "one-bit", tmp_path / "np.csv")
+        assert summary == plain and type(summary["n"]) is int
+        assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        result = one_bit_sweep(np.int64(10), 1, "weak")
+        assert result.records == one_bit_sweep(10, 1, "weak").records
+        assert type(result.n) is int
+
     def test_single_instance_consistency(self):
         result = one_bit_sweep(1, 4, "weak")
         (rec,) = result.records

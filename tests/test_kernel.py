@@ -28,7 +28,7 @@ from gicap import (
     one_bit_sweep,
 )
 from gicap.cli import main
-from gicap.gap import SWEEP_CHUNK, sweep_chunks
+from gicap.gap import NUMPY_MIN_N, SWEEP_CHUNK, sweep_chunks
 from conftest import gicap_child_env, random_channel
 
 AUDITED_TAGS = (
@@ -117,16 +117,17 @@ class TestKernelAgainstScalar:
 def engine(request, monkeypatch):
     """Run the test on one engine: with numpy, or with numpy blocked.
 
-    Sweeps of at most one chunk always take the scalar path, so the tests
-    sweep more than :data:`SWEEP_CHUNK` channels.
+    Sweeps of fewer than :data:`NUMPY_MIN_N` channels always take the
+    scalar path, so the tests sweep at least that many.
     """
     if request.param == "numpy":
         kernel = pytest.importorskip("gicap.kernel")
-        assert gicap.gap._chunk_engine(SWEEP_CHUNK + 1) is kernel.audit_chunk
+        assert gicap.gap._chunk_engine(NUMPY_MIN_N) is kernel.audit_chunk
+        assert gicap.gap._chunk_engine(NUMPY_MIN_N - 1) is gicap.gap._scalar_audit_chunk
     else:
         monkeypatch.setitem(sys.modules, "numpy", None)
         monkeypatch.delitem(sys.modules, "gicap.kernel", raising=False)
-        assert gicap.gap._chunk_engine(SWEEP_CHUNK + 1) is gicap.gap._scalar_audit_chunk
+        assert gicap.gap._chunk_engine(NUMPY_MIN_N) is gicap.gap._scalar_audit_chunk
     return request.param
 
 
@@ -135,7 +136,7 @@ class TestSweepOnEachEngine:
         def bad(snr1, snr2):
             return (snr1 > 10**5.5) | (snr2 > 10**5.5)
 
-        records = one_bit_sweep(SWEEP_CHUNK + 1, 3, "any").records
+        records = one_bit_sweep(NUMPY_MIN_N, 3, "any").records
         bad_records = [
             r for r in records if bad(db_to_linear(r.snr1_db), db_to_linear(r.snr2_db))
         ]
@@ -159,7 +160,7 @@ class TestSweepOnEachEngine:
 
         monkeypatch.setattr(gicap.bounds, "outer_args", shrunk)
         with pytest.raises(ContainmentError) as info:
-            list(sweep_chunks(SWEEP_CHUNK + 1, 3, "any"))
+            list(sweep_chunks(NUMPY_MIN_N, 3, "any"))
         assert repr(params) in str(info.value)
 
     def test_streamed_memory_is_flat_in_n(self, engine, tmp_path, monkeypatch):
@@ -181,7 +182,7 @@ class TestSweepOnEachEngine:
             assert main(argv, stdout=io.StringIO()) == 0
             return SamplingRandom.peak - before
 
-        peak(SWEEP_CHUNK + 1)  # imports the engine outside the measurement
+        peak(NUMPY_MIN_N)  # imports the engine outside the measurement
         small, large = peak(1_000), peak(8_000)
         assert large <= 1.5 * small, (small, large)
 
@@ -248,7 +249,7 @@ class TestEngineChoice:
     def test_small_sweep_is_stdlib_only_and_a_prefix_of_a_larger_one(self, tmp_path):
         pytest.importorskip("numpy")
         csv = {}
-        for mode, n in (("small", 100), ("numpy", 300)):
+        for mode, n in (("small", 100), ("numpy", NUMPY_MIN_N)):
             out = tmp_path / f"{mode}.csv"
             argv = ["sweep", "--seed", "1", "--n", str(n), "--class", "any", "--out", str(out)]
             child = subprocess.run(

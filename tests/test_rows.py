@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gicap.gap
-from gicap import ChannelParams, InterferenceTag, PowerSplit, recommended_split
+from gicap import ChannelParams, InterferenceTag, PowerSplit, classify, recommended_split
 from gicap.bounds import outer_args, outer_rows
-from gicap.hk import hk_rhs
+from gicap.channel import TAG_BY_STRENGTH
+from gicap.hk import hk_args, hk_rhs, recommended_levels
+from gicap.region import log2_rows
 
 log2 = math.log2
 FLOAT_MIN = sys.float_info.min
@@ -120,8 +122,32 @@ ratio = st.floats(0.0, sys.float_info.max)
 channel = st.builds(ChannelParams, ratio, ratio, ratio, ratio)
 
 
+def compensated_sum(values):
+    """``sum`` of floats from Python 3.12 on: Neumaier's compensated summation."""
+    total = compensation = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation else total
+
+
 class TestFloatRows:
     """The rows equal the written-out formulas, so their terms keep their order."""
+
+    def test_logs_are_added_left_to_right_without_compensation(self):
+        # log2(2) + log2(10) + log2(5) rounds once per addition to a value
+        # one ulp from the compensated sum, which Python 3.12+ ``sum`` gives
+        logs = (log2(2.0), log2(10.0), log2(5.0))
+        naive = logs[0] + logs[1] + logs[2]
+        assert compensated_sum(logs) != naive
+        assert compensated_sum(logs) == math.fsum(logs)
+        assert bits(log2_rows(((2.0, 10.0, 5.0), (2.0, 10.0), (5.0,)))) == bits(
+            (naive, logs[0] + logs[1], logs[2])
+        )
 
     def test_written_out_formulas_on_the_float_range(self):
         for p in EDGE_CHANNELS + wide_channels("float-rows", 4000):
@@ -146,16 +172,25 @@ def kernel():
 
 
 def array_rows(kernel, channels):
-    """Inner rows and each tag's outer rows of ``channels``, computed on arrays."""
+    """Inner rows (the recommended split, from each class's strengths) and
+    each tag's outer rows of ``channels``, computed on arrays."""
     import numpy as np
 
-    s1, s2, i1, i2 = (np.array(column) for column in zip(*(
-        (p.snr1, p.snr2, p.inr1, p.inr2) for p in channels
-    )))
+    ratios = np.array([(p.snr1, p.snr2, p.inr1, p.inr2) for p in channels]).T
+    inner = [None] * len(channels)
     with np.errstate(all="ignore"):
-        inner = kernel._inner_rhs(s1, s2, i1, i2)
-        outer = {tag: kernel._rhs(outer_args(s1, s2, i1, i2, tag)[1]) for tag in AUDITED_TAGS}
-    return inner.tolist(), {tag: rows.tolist() for tag, rows in outer.items()}
+        for strengths in TAG_BY_STRENGTH:
+            index = [
+                k for k, p in enumerate(channels) if (p.strong_at_1, p.strong_at_2) == strengths
+            ]
+            if index:
+                s1, s2, i1, i2 = ratios[:, index]
+                p2, p1 = recommended_levels(*strengths, i1, i2, np.minimum)
+                rows = kernel._rhs(hk_args(s1, s2, i1, i2, p2, p1, kernel._private_snr))
+                for k, row in zip(index, rows.tolist()):
+                    inner[k] = row
+        outer = {tag: kernel._rhs(outer_args(*ratios, tag)[1]) for tag in AUDITED_TAGS}
+    return inner, {tag: rows.tolist() for tag, rows in outer.items()}
 
 
 class TestArrayRows:
@@ -188,8 +223,9 @@ audited_channel = channel.filter(lambda p: not (p.strong_at_1 and p.strong_at_2)
 
 def outcome(audit, channels):
     """The columns ``audit`` returns for ``channels`` as text, or the error it raises."""
+    tags = [classify(p).tag for p in channels]
     try:
-        return repr([list(column) for column in audit(*zip(*(
+        return repr([list(column) for column in audit(tags, *zip(*(
             (p.snr1, p.snr2, p.inr1, p.inr2) for p in channels
         )))])
     except gicap.GicapError as exc:
