@@ -10,7 +10,10 @@ Three bound families cover the class taxonomy:
 * strong channels: the exact capacity region (intersection of the two
   MAC regions), which serves as both inner and outer region.
 
-The interference-limited sum bound (``new_sum_bound``) is
+Each row is written once, as log2 arguments in :func:`outer_args`;
+:func:`class_outer` checks the class and builds the region, and the other
+bounds here read their terms off the same rows.  The interference-limited
+sum bound (``new_sum_bound``) is
 
     R1 + R2 <= log(1 + INR1 + SNR1/(1+INR2)) + log(1 + INR2 + SNR2/(1+INR1)),
 
@@ -23,7 +26,7 @@ rate bound
     log[2 - A + sqrt(A^2 + 4*SNR*A)] - 1,   A = 1 + SNR/INR,
 
 which is only defined on the normalization 0 < INR < SNR and is reported
-as undefined outside it.
+as undefined outside it; it has no row of its own.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelParams, InterferenceTag
+from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag
 from .errors import ClassMismatchError, DomainError
-from .region import RateConstraint, RateRegion, log2_rows, region_from_rows
+from .region import RateRegion, log2_rows, region_from_rows
 
 __all__ = [
     "SymmetricBoundSet",
@@ -51,44 +54,17 @@ __all__ = [
     "weak_outer",
 ]
 
-_LOG2 = math.log2
-
-
-def _new_sum_args(s1, s2, i1, i2):
-    """The two log2 arguments of the interference-limited sum bound."""
-    return 1.0 + i1 + s1 / (1.0 + i2), 1.0 + i2 + s2 / (1.0 + i1)
-
-
-def new_sum_bound(params: ChannelParams) -> float:
-    """Interference-limited sum-rate upper bound, valid for any channel."""
-    return log2_rows(
-        (_new_sum_args(params.snr1, params.snr2, params.inr1, params.inr2),)
-    )[0]
-
-
-def one_sided_sum_capacity(snr1: float, snr2: float, inr2: float) -> float:
-    """Sum capacity of the one-sided (Z) channel with weak interference.
-
-    Valid only for INR2 < SNR1; the strong one-sided case is the MAC sum
-    bound and is handled by the mixed outer bound instead.
-    """
-    if not (inr2 < snr1):
-        raise DomainError(
-            f"one-sided sum capacity needs inr2 < snr1, got inr2={inr2!r}, snr1={snr1!r}"
-        )
-    return _LOG2(1.0 + snr1) + _LOG2(1.0 + snr2 / (1.0 + inr2))
-
-
 # (c1, c2) of the outer-bound rows, in contract order.  The mixed rows are
 # stated for a channel strong at receiver 1; the other orientation mirrors
 # the coefficients.
 _WEAK_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 _MIXED_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 2.0))
 _MIRRORED_MIXED_COEFFS = tuple((c2, c1) for c1, c2 in _MIXED_COEFFS)
+_STRONG_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0))
 
 
 def outer_args(s1, s2, i1, i2, tag: InterferenceTag):
-    """``(coeffs, args)`` of the outer bound of a weak or mixed channel of class ``tag``.
+    """``(coeffs, args)`` of the outer bound of a channel of class ``tag``.
 
     Row ``k``'s rhs is the left-to-right sum of log2 over ``args[k]``, as in
     :func:`gicap.hk.hk_args`: only ``+ - * /`` on the ratios, so floats and
@@ -97,7 +73,8 @@ def outer_args(s1, s2, i1, i2, tag: InterferenceTag):
     the ratios.
     """
     if tag is InterferenceTag.WEAK:
-        ns1, ns2 = _new_sum_args(s1, s2, i1, i2)
+        ns1 = 1.0 + i1 + s1 / (1.0 + i2)
+        ns2 = 1.0 + i2 + s2 / (1.0 + i1)
         p1 = 1.0 + s1
         p2 = 1.0 + s2
         return _WEAK_COEFFS, (
@@ -114,8 +91,10 @@ def outer_args(s1, s2, i1, i2, tag: InterferenceTag):
     elif tag is InterferenceTag.MIXED_STRONG_AT_2:
         coeffs = _MIRRORED_MIXED_COEFFS
         s1, s2, i1, i2 = s2, s1, i2, i1
+    elif tag is InterferenceTag.STRONG:
+        return _STRONG_COEFFS, ((1.0 + s1,), (1.0 + s2,), (1.0 + s1 + i1,), (1.0 + s2 + i2,))
     else:
-        raise ClassMismatchError(f"outer_args covers weak and mixed channels, got {tag}")
+        raise ClassMismatchError(f"outer_args needs an interference class, got {tag!r}")
     p1 = 1.0 + s1
     return coeffs, (
         (p1,),
@@ -126,15 +105,36 @@ def outer_args(s1, s2, i1, i2, tag: InterferenceTag):
     )
 
 
+def _rhs(tag: InterferenceTag, s1, s2, i1, i2, *rows: int) -> tuple[float, ...]:
+    """The rhs of the :func:`outer_args` rows numbered ``rows`` (from 0)."""
+    args = outer_args(s1, s2, i1, i2, tag)[1]
+    return log2_rows([args[k] for k in rows])
+
+
+def new_sum_bound(params: ChannelParams) -> float:
+    """Interference-limited sum-rate upper bound, valid for any channel: weak row 5."""
+    return _rhs(InterferenceTag.WEAK, params.snr1, params.snr2, params.inr1, params.inr2, 4)[0]
+
+
 def outer_rows(
     params: ChannelParams, tag: InterferenceTag
 ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
-    """``(coeffs, rhs)`` of the outer bound of a weak or mixed channel of class ``tag``.
-
-    The rows of :func:`weak_outer` or :func:`mixed_outer`, from :func:`outer_args`.
-    """
+    """``(coeffs, rhs)`` of the outer bound of a channel of class ``tag``."""
     coeffs, args = outer_args(params.snr1, params.snr2, params.inr1, params.inr2, tag)
     return coeffs, log2_rows(args)
+
+
+def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
+    """Outer region matched to the channel's class ``tag = classify(params).tag``.
+
+    Weak channels get :func:`weak_outer`, mixed ones :func:`mixed_outer`
+    and strong ones the exact :func:`strong_capacity`.  A ``tag`` other
+    than the channel's class raises :class:`ClassMismatchError`.
+    """
+    actual = TAG_BY_STRENGTH[params.strong_at_1, params.strong_at_2]
+    if tag is not actual:
+        raise ClassMismatchError(f"{params} is a {actual.value} channel, got tag {tag!r}")
+    return region_from_rows(*outer_rows(params, tag))
 
 
 def weak_outer(params: ChannelParams) -> RateRegion:
@@ -144,9 +144,7 @@ def weak_outer(params: ChannelParams) -> RateRegion:
     the contract; gap audits pair it positionally with the achievable
     region's constraints.
     """
-    if params.strong_at_1 or params.strong_at_2:
-        raise ClassMismatchError(f"weak_outer needs a weak channel, got {params}")
-    return region_from_rows(*outer_rows(params, InterferenceTag.WEAK))
+    return class_outer(params, InterferenceTag.WEAK)
 
 
 def mixed_outer(params: ChannelParams) -> RateRegion:
@@ -158,68 +156,49 @@ def mixed_outer(params: ChannelParams) -> RateRegion:
     weighted constraint becomes 2R1+R2.  Redundant constraints (the
     interference-limited sum bound and one weighted bound) are excluded.
     """
-    if params.strong_at_1 == params.strong_at_2:
-        raise ClassMismatchError(f"mixed_outer needs a mixed channel, got {params}")
-    tag = (
-        InterferenceTag.MIXED_STRONG_AT_2
-        if params.strong_at_2
-        else InterferenceTag.MIXED_STRONG_AT_1
-    )
-    return region_from_rows(*outer_rows(params, tag))
+    # the mixed tag of the orientation given by receiver 2's strength
+    return class_outer(params, TAG_BY_STRENGTH[not params.strong_at_2, params.strong_at_2])
 
 
 def strong_capacity(params: ChannelParams) -> RateRegion:
     """Exact capacity of a strong channel: intersection of the two MACs."""
-    if not (params.strong_at_1 and params.strong_at_2):
-        raise ClassMismatchError(f"strong_capacity needs a strong channel, got {params}")
-    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
-    return RateRegion(
-        [
-            RateConstraint(1.0, 0.0, _LOG2(1.0 + s1)),
-            RateConstraint(0.0, 1.0, _LOG2(1.0 + s2)),
-            RateConstraint(1.0, 1.0, _LOG2(1.0 + s1 + i1)),
-            RateConstraint(1.0, 1.0, _LOG2(1.0 + s2 + i2)),
-        ]
-    )
+    return class_outer(params, InterferenceTag.STRONG)
 
 
 def pt2pt_outer(params: ChannelParams) -> RateRegion:
-    """Interference-free point-to-point box: R_i <= log(1 + SNR_i)."""
-    return RateRegion(
-        [
-            RateConstraint(1.0, 0.0, _LOG2(1.0 + params.snr1)),
-            RateConstraint(0.0, 1.0, _LOG2(1.0 + params.snr2)),
-        ]
-    )
+    """Interference-free point-to-point box: R_i <= log(1 + SNR_i), the first two rows."""
+    ratios = params.snr1, params.snr2, params.inr1, params.inr2
+    return region_from_rows(_STRONG_COEFFS[:2], _rhs(InterferenceTag.STRONG, *ratios, 0, 1))
 
 
-def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
-    """Outer region matched to the channel's class ``tag = classify(params).tag``.
+def one_sided_sum_capacity(snr1: float, snr2: float, inr2: float) -> float:
+    """Sum capacity of the one-sided (Z) channel with weak interference: weak row 3.
 
-    Weak channels get :func:`weak_outer`, mixed ones :func:`mixed_outer`
-    and strong ones the exact :func:`strong_capacity`.  Each builder checks
-    the class itself, so a wrong tag raises :class:`ClassMismatchError`.
+    Valid only for INR2 < SNR1; the strong one-sided case is the MAC sum
+    bound and is handled by the mixed outer bound instead.
     """
-    if tag is InterferenceTag.WEAK:
-        return weak_outer(params)
-    if tag is InterferenceTag.STRONG:
-        return strong_capacity(params)
-    return mixed_outer(params)
+    if not (inr2 < snr1):
+        raise DomainError(
+            f"one-sided sum capacity needs inr2 < snr1, got inr2={inr2!r}, snr1={snr1!r}"
+        )
+    return _rhs(InterferenceTag.WEAK, snr1, snr2, 0.0, inr2, 2)[0]
 
 
 def symmetric_capacity_strong(snr: float, inr: float) -> float:
     """Exact symmetric capacity for INR >= SNR.
 
     log(1+SNR) in the very strong case (INR >= SNR^2 + SNR, interference
-    decodable up front at no cost), else 1/2 log(1+SNR+INR).
+    decodable up front at no cost), else 1/2 log(1+SNR+INR): strong rows
+    1 and 3.
     """
     if inr < snr:
         raise ClassMismatchError(
             f"strong symmetric capacity needs inr >= snr, got inr={inr!r}, snr={snr!r}"
         )
+    cap, mac = _rhs(InterferenceTag.STRONG, snr, snr, inr, inr, 0, 2)
     if inr >= snr * snr + snr:
-        return _LOG2(1.0 + snr)
-    return 0.5 * _LOG2(1.0 + snr + inr)
+        return cap
+    return 0.5 * mac
 
 
 def kramer_bound(snr: float, inr: float) -> float:
@@ -229,7 +208,7 @@ def kramer_bound(snr: float, inr: float) -> float:
             f"kramer bound needs 0 < inr < snr, got inr={inr!r}, snr={snr!r}"
         )
     a = 1.0 + snr / inr
-    return _LOG2(2.0 - a + math.sqrt(a * a + 4.0 * snr * a)) - 1.0
+    return math.log2(2.0 - a + math.sqrt(a * a + 4.0 * snr * a)) - 1.0
 
 
 @dataclass(frozen=True)
@@ -248,18 +227,20 @@ def symmetric_bounds(snr: float, inr: float) -> SymmetricBoundSet:
     genie_ub = 1/2 log(1+SNR) + 1/2 log(1+SNR/(1+INR)) comes from the
     one-sided genie; new_ub = log(1+INR+SNR/(1+INR)) is the symmetric
     interference-limited bound.  For INR < 1 the point-to-point cap
-    log(1+SNR) is folded into ``best`` as well.
+    log(1+SNR) is folded into ``best`` as well.  They are weak rows 3, 5
+    and 1 of the symmetric channel, the sum rows halved.
     """
     if not (snr > 0.0) or inr < 0.0:
         raise DomainError(f"symmetric_bounds needs snr > 0, inr >= 0, got {snr!r}, {inr!r}")
-    genie = 0.5 * _LOG2(1.0 + snr) + 0.5 * _LOG2(1.0 + snr / (1.0 + inr))
-    new_ub = _LOG2(1.0 + inr + snr / (1.0 + inr))
+    cap, genie, new_ub = _rhs(InterferenceTag.WEAK, snr, snr, inr, inr, 0, 2, 4)
+    genie /= 2.0
+    new_ub /= 2.0
     kramer: float | None = kramer_bound(snr, inr) if 0.0 < inr < snr else None
     candidates = [genie, new_ub]
     if kramer is not None:
         candidates.append(kramer)
     if inr < 1.0:
-        candidates.append(_LOG2(1.0 + snr))
+        candidates.append(cap)
     return SymmetricBoundSet(
         genie_ub=genie, new_ub=new_ub, kramer_ub=kramer, best=min(candidates)
     )

@@ -184,9 +184,7 @@ def _cell(value) -> str:
 def _emit_object(obj, args, stream) -> None:
     """Emit a result object as JSON, or as key,value CSV with dotted paths."""
     if (args.format or "json") == "csv":
-        stream.write("key,value\n")
-        for path, value in _flatten(obj):
-            stream.write(f"{path},{_cell(value)}\n")
+        _emit_csv(("key", "value"), _flatten(obj), stream)
         return
     json.dump(_round_floats(obj), stream, indent=2)
     stream.write("\n")
@@ -195,10 +193,7 @@ def _emit_object(obj, args, stream) -> None:
 def _emit_csv(header, rows, stream) -> None:
     stream.write(",".join(header) + "\n")
     for row in rows:
-        stream.write(
-            ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
-            + "\n"
-        )
+        stream.write(",".join(map(_cell, row)) + "\n")
 
 
 def _write_text(path: str | None, text_producer, stdout) -> None:
@@ -387,10 +382,7 @@ def _figure_rows(figure_id: str, alpha_arg: float | None):
         return header, rows
     if figure_id in ("hk-fraction", "ub-vs-hk"):
         header = ("alpha", "hk_fraction", "ub_fraction")
-        rows = [
-            (a, min(1.0 - a / 2.0, max(a, 1.0 - a)), 1.0 - a / 2.0)
-            for a in _grid(100)
-        ]
+        rows = [(a, _gdof.d_sym(a), 1.0 - a / 2.0) for a in _grid(100)]
         if figure_id == "hk-fraction":
             return header[:2], [row[:2] for row in rows]
         return header, rows

@@ -288,15 +288,17 @@ SWEEP_CHUNK = 256
 NUMPY_MIN_N = 768
 
 
-def _checked_n(n: int) -> int:
-    """``n`` as an int; anything but an integer >= 1 raises :class:`DomainError`."""
+def _checked_int(value, what: str, least: float = -math.inf) -> int:
+    """``value`` as an int; a bool, a non-integer or an int below ``least`` raises
+    :class:`DomainError`.  That refuses a seed of ``None`` too: ``random.Random``
+    would seed from the operating system, and the sweep could not be replayed."""
     try:
-        count = None if isinstance(n, bool) else operator.index(n)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        count = None
-    if count is None or count < 1:
-        raise DomainError(f"sweep needs an integer n >= 1, got {n!r}")
-    return count
+        number = None
+    if number is None or number < least:
+        raise DomainError(f"sweep needs {what}, got {value!r}")
+    return number
 
 
 def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[list[SweepRecord]]:
@@ -311,7 +313,7 @@ def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[list[
     the records are identical.  The arguments are checked before the first
     chunk is drawn.
     """
-    n = _checked_n(n)
+    n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     try:
         accepted = _CLASS_FILTERS[class_filter]
     except (KeyError, TypeError):
@@ -417,7 +419,7 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     whose geometric one-bit certificate is false.  Failures are returned
     as data, never raised.
     """
-    n = _checked_n(n)
+    n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     records = [r for chunk in sweep_chunks(n, seed, class_filter) for r in chunk]
     worst = dict.fromkeys(_THRESHOLDS)
     _fold_worst(worst, records)
@@ -483,7 +485,7 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     failed = _FAILED.get(check) if isinstance(check, str) else None
     if failed is None:
         raise DomainError(f"unknown check {check!r}; expected one of {sorted(_FAILED)}")
-    n = _checked_n(n)
+    n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     chunks = sweep_chunks(n, seed, class_filter)
     failures = 0
     worst = dict.fromkeys(_THRESHOLDS)

@@ -92,7 +92,8 @@ def d_sym(alpha_value: float) -> float:
 
 
 def _pos(x: float) -> float:
-    return x if x > 0.0 else 0.0
+    # a zero of x's own type, so Fraction slopes give exact rows
+    return x if x > 0.0 else type(x)(0)
 
 
 def _weak_expansion_rows(

@@ -35,6 +35,10 @@ the region is
 The constraint order above is part of the contract: gap audits pair the
 three sum constraints (and the two weighted constraints) with the outer
 bound families positionally.
+
+The rows are written once, as the log2 arguments of :func:`hk_args`;
+treating interference as noise (:func:`treat_as_noise_region`,
+:func:`regime1_rate`) reads the first rows at the split (INR2, INR1).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import NamedTuple
 
 from .channel import ChannelParams
 from .errors import DomainError, InvalidSplitError
-from .region import RateConstraint, RateRegion, Vertex, log2_rows, region_from_rows
+from .region import RateRegion, Vertex, log2_rows, region_from_rows
 
 __all__ = [
     "DifferentialRatePair",
@@ -209,14 +213,16 @@ def symmetric_hk_rate(snr: float, inr: float) -> float:
 
     the first term active on B1 and the second on B2.  For INR < 1 the
     private level is capped at INR and everything is treated as noise:
-    log(1 + SNR/(1+INR)).  A term that overflows double precision raises
+    :func:`regime1_rate`.  A term that overflows double precision raises
     :class:`DomainError` naming the ratios.
     """
     if not (snr > 0.0) or inr < 0.0:
         raise DomainError(f"symmetric_hk_rate needs snr > 0, inr >= 0, got {snr!r}, {inr!r}")
     if inr < 1.0:
-        terms = (_LOG2(1.0 + snr / (1.0 + inr)),)
+        terms = (regime1_rate(snr, inr),)
     else:
+        # a closed form: the hk_args row log2(1 + (SNR/INR)/2) can round
+        # differently from log2(2 + SNR/INR) - 1
         terms = (
             0.5 * _LOG2(1.0 + snr + inr) + 0.5 * _LOG2(2.0 + snr / inr) - 1.0,
             _LOG2(1.0 + inr + snr / inr) - 1.0,
@@ -229,13 +235,10 @@ def symmetric_hk_rate(snr: float, inr: float) -> float:
 
 
 def treat_as_noise_region(params: ChannelParams) -> RateRegion:
-    """Box achieved by decoding nothing of the interference."""
-    return RateRegion(
-        [
-            RateConstraint(1.0, 0.0, _LOG2(1.0 + params.snr1 / (1.0 + params.inr1))),
-            RateConstraint(0.0, 1.0, _LOG2(1.0 + params.snr2 / (1.0 + params.inr2))),
-        ]
-    )
+    """Box achieved by decoding nothing of the interference: the R1 and R2
+    rows of the all-private split (inr_p2, inr_p1) = (INR2, INR1)."""
+    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
+    return region_from_rows(HK_COEFFS[:2], log2_rows(hk_args(s1, s2, i1, i2, i2, i1)[:2]))
 
 
 def costa_point(params: ChannelParams) -> Vertex:
@@ -252,10 +255,10 @@ def costa_point(params: ChannelParams) -> Vertex:
 
 
 def regime1_rate(snr: float, inr: float) -> float:
-    """Symmetric rate of pure treat-as-noise (all private, full power)."""
+    """Symmetric rate of pure treat-as-noise (all private, full power): log(1 + SNR/(1+INR))."""
     if not (snr > 0.0) or inr < 0.0:
         raise DomainError(f"regime1_rate needs snr > 0, inr >= 0, got {snr!r}, {inr!r}")
-    return _LOG2(1.0 + snr / (1.0 + inr))
+    return log2_rows(hk_args(snr, snr, inr, inr, inr, inr)[:1])[0]
 
 
 def regime1_gap(snr: float, inr: float) -> float:

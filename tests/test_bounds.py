@@ -8,6 +8,7 @@ from gicap import (
     DomainError,
     InterferenceTag,
     PowerSplit,
+    class_outer,
     classify,
     hk_region,
     kramer_bound,
@@ -159,6 +160,34 @@ class TestStrongCapacity:
             p = random_channel(rng, InterferenceTag.STRONG)
             inner = hk_region(p, PowerSplit(0, 0))
             assert vertex_sets_equal(vertices(inner), vertices(strong_capacity(p)))
+
+
+class TestClassOuter:
+    CHANNELS = {
+        InterferenceTag.WEAK: ChannelParams(100, 100, 10, 10),
+        InterferenceTag.MIXED_STRONG_AT_1: ChannelParams(100, 10, 20, 5),
+        InterferenceTag.MIXED_STRONG_AT_2: ChannelParams(10, 10, 5, 20),
+        InterferenceTag.STRONG: ChannelParams(10, 10, 100, 100),
+    }
+
+    def test_matching_tag_gives_the_class_builder(self):
+        builders = {
+            InterferenceTag.WEAK: weak_outer,
+            InterferenceTag.MIXED_STRONG_AT_1: mixed_outer,
+            InterferenceTag.MIXED_STRONG_AT_2: mixed_outer,
+            InterferenceTag.STRONG: strong_capacity,
+        }
+        for tag, p in self.CHANNELS.items():
+            assert classify(p).tag is tag
+            assert class_outer(p, tag) == builders[tag](p)
+
+    @pytest.mark.parametrize("actual", list(CHANNELS), ids=lambda t: t.value)
+    def test_every_wrong_tag_raises(self, actual):
+        p = self.CHANNELS[actual]
+        for tag in InterferenceTag:
+            if tag is not actual:
+                with pytest.raises(ClassMismatchError):
+                    class_outer(p, tag)
 
 
 class TestSymmetricBounds:

@@ -180,6 +180,26 @@ class TestSweeps:
         assert result.records == one_bit_sweep(10, 1, "weak").records
         assert type(result.n) is int
 
+    @pytest.mark.parametrize("seed", [None, "abc", True], ids=["none", "str", "bool"])
+    def test_non_integer_seed_rejected_before_opening_the_file(self, tmp_path, seed):
+        # None would seed from the operating system: the sweep could not be replayed
+        with pytest.raises(DomainError, match="integer seed"):
+            one_bit_sweep(5, seed, "weak")
+        path = tmp_path / "s.csv"
+        with pytest.raises(DomainError, match="integer seed"):
+            stream_sweep(5, seed, "weak", "one-bit", path)
+        assert not path.exists()
+
+    def test_integer_seed_types_with_index_are_accepted(self, tmp_path):
+        np = pytest.importorskip("numpy")
+        plain = stream_sweep(5, 3, "weak", "one-bit", tmp_path / "plain.csv")
+        summary = stream_sweep(5, np.int64(3), "weak", "one-bit", tmp_path / "np.csv")
+        assert summary == plain and type(summary["seed"]) is int
+        assert (tmp_path / "np.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        result = one_bit_sweep(5, np.int64(3), "weak")
+        assert result.records == one_bit_sweep(5, 3, "weak").records
+        assert type(result.seed) is int
+
     def test_single_instance_consistency(self):
         result = one_bit_sweep(1, 4, "weak")
         (rec,) = result.records

@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -23,6 +25,8 @@ from gicap import (
     weak_gdof_region,
 )
 from conftest import random_channel, vertex_sets_equal
+from gicap.bounds import outer_args
+from gicap.gdof import _mixed_expansion_rows, _strong_expansion_rows, _weak_expansion_rows
 
 log2 = math.log2
 
@@ -353,3 +357,90 @@ class TestFirstOrderExpansion:
             first_order_expansion(ChannelParams(10, 10, 100, 100))
         with pytest.raises(DomainError):
             first_order_expansion(ChannelParams(0.5, 10, 0.1, 0.1))
+
+
+class MaxPlus:
+    """A ratio growing like SNR1 ** e, known only by its slope ``e`` (a Fraction).
+
+    In the limit ``+`` of two such ratios keeps the larger slope, ``*``
+    and ``/`` add and subtract slopes, and a positive constant has slope 0.
+    """
+
+    def __init__(self, e):
+        self.e = Fraction(e)
+
+    @staticmethod
+    def of(x):
+        if isinstance(x, MaxPlus):
+            return x
+        assert x > 0, x
+        return MaxPlus(0)
+
+    def __add__(self, other):
+        return MaxPlus(max(self.e, MaxPlus.of(other).e))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return MaxPlus(self.e + MaxPlus.of(other).e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return MaxPlus(self.e - MaxPlus.of(other).e)
+
+    def __rtruediv__(self, other):
+        return MaxPlus(MaxPlus.of(other).e - self.e)
+
+
+# slopes with the W curve's breakpoints 1/2, 2/3, 1 and 2 among them
+SLOPES = [
+    Fraction(v)
+    for v in ("0", "1/4", "1/3", "1/2", "3/5", "2/3", "3/4", "1", "4/3", "3/2", "2", "5/2")
+]
+
+# (tag, hand rows, slopes in the class's domain: SNR1 = SNR, SNR2 = SNR ** a1,
+# INR1 = SNR ** a2, INR2 = SNR ** a3)
+EXPANSIONS = [
+    (InterferenceTag.WEAK, _weak_expansion_rows, lambda a1, a2, a3: a2 < a1 and a3 < 1),
+    (
+        InterferenceTag.MIXED_STRONG_AT_1,
+        _mixed_expansion_rows,
+        lambda a1, a2, a3: a2 >= a1 and a3 < 1,
+    ),
+    (InterferenceTag.STRONG, _strong_expansion_rows, lambda a1, a2, a3: a2 >= a1 and a3 >= 1),
+]
+
+
+def derived_expansion_rows(tag, slopes):
+    """(c1, c2, rhs) of each ``outer_args`` row, each log2 argument replaced by its slope."""
+    coeffs, args = outer_args(*map(MaxPlus, slopes), tag)
+    return [
+        (c1, c2, sum((arg.e for arg in row), Fraction(0))) for (c1, c2), row in zip(coeffs, args)
+    ]
+
+
+class TestExpansionRowsOracle:
+    """The hand-written GDoF rows are the slopes of the finite-SNR outer rows, exactly."""
+
+    @pytest.mark.parametrize(
+        "tag, hand_rows, domain", EXPANSIONS, ids=lambda v: getattr(v, "value", "")
+    )
+    def test_hand_rows_equal_the_max_plus_rows(self, tag, hand_rows, domain):
+        grid = [
+            (Fraction(1), a1, a2, a3)
+            for a1, a2, a3 in product(SLOPES, repeat=3)
+            if a1 > 0 and domain(a1, a2, a3)
+        ]
+        for breakpoint in ("1/2", "2/3", "1", "2"):
+            assert any(Fraction(breakpoint) in slopes[1:] for slopes in grid)
+        for slopes in grid:
+            hand = hand_rows(*slopes)
+            assert all(isinstance(rhs, Fraction) for _, _, rhs in hand), slopes
+            assert hand == derived_expansion_rows(tag, slopes), slopes
+
+    def test_max_plus_reads_a_known_row(self):
+        # the sum row log(1 + INR1 + SNR1/(1+INR2)) + log(1 + INR2 + SNR2/(1+INR1))
+        # has slope max(a2, 1 - a3) + max(a3, a1 - a2) = 2/3 + 1/3
+        slopes = (1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 3))
+        assert derived_expansion_rows(InterferenceTag.WEAK, slopes)[4] == (1.0, 1.0, 1)

@@ -203,16 +203,32 @@ if sys.argv[1] == "small" and "numpy" in sys.modules:
 sys.exit(code)
 """
 
+# every subcommand but sweep, in both formats: none may import numpy
 IMPORT_CHILD = """
 import io
 import sys
 import gicap.cli
+channel = ["--snr1", "100", "--snr2", "10", "--inr1", "20", "--inr2", "5"]
 for argv in (
-    ["gap-audit", "--snr1", "100", "--snr2", "10", "--inr1", "20", "--inr2", "5"],
+    ["classify", *channel],
+    ["classify", "--snr1", "100", "--snr2", "100", "--inr1", "10", "--inr2", "10"],
+    ["region", *channel],
     ["region", "--snr1", "100", "--snr2", "100", "--inr1", "10", "--inr2", "10"],
+    ["region", "--snr1", "10", "--snr2", "10", "--inr1", "100", "--inr2", "100"],
+    ["region", *channel, "--bound", "pt2pt"],
+    ["symrate", "--snr", "100", "--inr", "10"],
+    ["symrate", "--snr", "10", "--inr", "100"],
+    ["gap-audit", *channel],
+    ["gdof", "--alpha", "0.6"],
+    ["gdof", "--alpha1", "1", "--alpha2", "0.5", "--alpha3", "0.5"],
     ["figures", "gdof-curve"],
+    ["figures", "hk-fraction"],
+    ["figures", "ub-vs-hk"],
+    ["figures", "diff-rates"],
+    ["figures", "gdof-region", "--alpha", "0.6"],
 ):
-    assert gicap.cli.main(argv, stdout=io.StringIO()) == 0, argv
+    for fmt in ("json", "csv"):
+        assert gicap.cli.main([*argv, "--format", fmt], stdout=io.StringIO()) == 0, argv
 sys.exit("numpy was imported" if "numpy" in sys.modules else 0)
 """
 

@@ -14,9 +14,30 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gicap.gap
-from gicap import ChannelParams, InterferenceTag, PowerSplit, classify, recommended_split
+from gicap import (
+    ChannelParams,
+    ClassMismatchError,
+    DomainError,
+    InterferenceTag,
+    PowerSplit,
+    RateConstraint,
+    RateRegion,
+    SymmetricBoundSet,
+    classify,
+    kramer_bound,
+    one_sided_sum_capacity,
+    pt2pt_outer,
+    recommended_split,
+    regime1_rate,
+    strong_capacity,
+    symmetric_bounds,
+    symmetric_capacity_strong,
+    symmetric_hk_rate,
+    treat_as_noise_region,
+)
 from gicap.bounds import outer_args, outer_rows
 from gicap.channel import TAG_BY_STRENGTH
+from gicap.cli import _figure_rows
 from gicap.hk import hk_args, hk_rhs, recommended_levels
 from gicap.region import log2_rows
 
@@ -164,6 +185,172 @@ class TestFloatRows:
             assert bits(hk_rhs(p, split)) == bits(written_out_hk_rows(p, split)), p
             for tag in AUDITED_TAGS:
                 assert bits(outer_rows(p, tag)[1]) == bits(written_out_outer_rows(p, tag)), (p, tag)
+
+
+# The closed forms the functions below evaluated before they read their
+# terms off ``outer_args``/``hk_args``/``d_sym``, copied as they were.
+
+
+def written_out_strong_capacity(p: ChannelParams) -> RateRegion:
+    if not (p.strong_at_1 and p.strong_at_2):
+        raise ClassMismatchError(f"strong_capacity needs a strong channel, got {p}")
+    s1, s2, i1, i2 = p.snr1, p.snr2, p.inr1, p.inr2
+    return RateRegion(
+        [
+            RateConstraint(1.0, 0.0, log2(1.0 + s1)),
+            RateConstraint(0.0, 1.0, log2(1.0 + s2)),
+            RateConstraint(1.0, 1.0, log2(1.0 + s1 + i1)),
+            RateConstraint(1.0, 1.0, log2(1.0 + s2 + i2)),
+        ]
+    )
+
+
+def written_out_pt2pt_outer(p: ChannelParams) -> RateRegion:
+    return RateRegion(
+        [
+            RateConstraint(1.0, 0.0, log2(1.0 + p.snr1)),
+            RateConstraint(0.0, 1.0, log2(1.0 + p.snr2)),
+        ]
+    )
+
+
+def written_out_treat_as_noise_region(p: ChannelParams) -> RateRegion:
+    return RateRegion(
+        [
+            RateConstraint(1.0, 0.0, log2(1.0 + p.snr1 / (1.0 + p.inr1))),
+            RateConstraint(0.0, 1.0, log2(1.0 + p.snr2 / (1.0 + p.inr2))),
+        ]
+    )
+
+
+def written_out_one_sided_sum_capacity(snr1, snr2, inr2):
+    if not (inr2 < snr1):
+        raise DomainError("one-sided sum capacity needs inr2 < snr1")
+    return log2(1.0 + snr1) + log2(1.0 + snr2 / (1.0 + inr2))
+
+
+def written_out_symmetric_capacity_strong(snr, inr):
+    if inr < snr:
+        raise ClassMismatchError("strong symmetric capacity needs inr >= snr")
+    if inr >= snr * snr + snr:
+        return log2(1.0 + snr)
+    return 0.5 * log2(1.0 + snr + inr)
+
+
+def written_out_symmetric_bounds(snr, inr) -> SymmetricBoundSet:
+    if not (snr > 0.0) or inr < 0.0:
+        raise DomainError("symmetric_bounds needs snr > 0, inr >= 0")
+    genie = 0.5 * log2(1.0 + snr) + 0.5 * log2(1.0 + snr / (1.0 + inr))
+    new_ub = log2(1.0 + inr + snr / (1.0 + inr))
+    kramer = kramer_bound(snr, inr) if 0.0 < inr < snr else None
+    candidates = [genie, new_ub]
+    if kramer is not None:
+        candidates.append(kramer)
+    if inr < 1.0:
+        candidates.append(log2(1.0 + snr))
+    return SymmetricBoundSet(genie_ub=genie, new_ub=new_ub, kramer_ub=kramer, best=min(candidates))
+
+
+def written_out_regime1_rate(snr, inr):
+    if not (snr > 0.0) or inr < 0.0:
+        raise DomainError("regime1_rate needs snr > 0, inr >= 0")
+    return log2(1.0 + snr / (1.0 + inr))
+
+
+def written_out_symmetric_hk_rate(snr, inr):
+    if not (snr > 0.0) or inr < 0.0:
+        raise DomainError("symmetric_hk_rate needs snr > 0, inr >= 0")
+    if inr < 1.0:
+        terms = (log2(1.0 + snr / (1.0 + inr)),)
+    else:
+        terms = (
+            0.5 * log2(1.0 + snr + inr) + 0.5 * log2(2.0 + snr / inr) - 1.0,
+            log2(1.0 + inr + snr / inr) - 1.0,
+        )
+    if not all(map(math.isfinite, terms)):
+        raise DomainError("symmetric_hk_rate overflows double precision")
+    return min(terms)
+
+
+def exact(value):
+    """``value`` with every float as its hex bits, for exact comparison."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, RateRegion):
+        return [exact((c.c1, c.c2, c.rhs)) for c in value.constraints]
+    if isinstance(value, SymmetricBoundSet):
+        return exact((value.genie_ub, value.new_ub, value.kramer_ub, value.best))
+    if isinstance(value, tuple):
+        return [exact(v) for v in value]
+    return value
+
+
+def result(function, *args):
+    """``function(*args)`` as exact bits, or the type of the error it raises."""
+    try:
+        return exact(function(*args))
+    except (gicap.GicapError, ValueError) as exc:  # kramer_bound can take log2(0)
+        return type(exc).__name__
+
+
+def strong_image(p: ChannelParams) -> ChannelParams:
+    """A strong channel from the ratios of ``p``: each SNR the smaller of its pair."""
+    return ChannelParams(
+        min(p.snr1, p.inr2), min(p.snr2, p.inr1), max(p.snr2, p.inr1), max(p.snr1, p.inr2)
+    )
+
+
+REWIRED_CHANNEL_FUNCTIONS = (
+    (strong_capacity, written_out_strong_capacity),
+    (pt2pt_outer, written_out_pt2pt_outer),
+    (treat_as_noise_region, written_out_treat_as_noise_region),
+)
+REWIRED_SYMMETRIC_FUNCTIONS = (
+    (symmetric_capacity_strong, written_out_symmetric_capacity_strong),
+    (symmetric_bounds, written_out_symmetric_bounds),
+    (regime1_rate, written_out_regime1_rate),
+    (symmetric_hk_rate, written_out_symmetric_hk_rate),
+)
+
+
+class TestRewiredFunctions:
+    """Functions reading their terms off the rows give the closed forms bit for bit."""
+
+    def check(self, channels):
+        outcomes = set()
+        for p in channels:
+            for q in (p, strong_image(p)):
+                for new, old in REWIRED_CHANNEL_FUNCTIONS:
+                    assert result(new, q) == result(old, q), (new.__name__, q)
+                args = (q.snr1, q.snr2, q.inr2)
+                got = result(one_sided_sum_capacity, *args)
+                assert got == result(written_out_one_sided_sum_capacity, *args), args
+                outcomes.add(got == "DomainError")
+                for snr, inr in ((q.snr1, q.inr1), (q.snr2, q.inr2)):
+                    for new, old in REWIRED_SYMMETRIC_FUNCTIONS:
+                        want = result(old, snr, inr)
+                        assert result(new, snr, inr) == want, (new.__name__, snr, inr)
+        return outcomes
+
+    def test_sweep_box(self):
+        assert self.check(sweep_box_channels("rewired", 5000)) == {True, False}
+
+    def test_float_range(self):
+        # zero, subnormal and huge ratios: the errors must match as well
+        self.check(EDGE_CHANNELS + wide_channels("rewired", 5000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=channel)
+    @example(p=ChannelParams(1.0, 1.0, 5e-324, 0.0))
+    def test_property(self, p):
+        self.check([p])
+
+    def test_hk_fraction_is_d_sym_on_its_grid(self):
+        header, rows = _figure_rows("hk-fraction", None)
+        assert header == ("alpha", "hk_fraction")
+        assert len(rows) == 101
+        for a, fraction in rows:
+            assert exact(fraction) == exact(min(1.0 - a / 2.0, max(a, 1.0 - a))), a
 
 
 @pytest.fixture(scope="module")
