@@ -208,7 +208,12 @@ def kramer_bound(snr: float, inr: float) -> float:
             f"kramer bound needs 0 < inr < snr, got inr={inr!r}, snr={snr!r}"
         )
     a = 1.0 + snr / inr
-    return math.log2(2.0 - a + math.sqrt(a * a + 4.0 * snr * a)) - 1.0
+    root = math.sqrt(a * a + 4.0 * snr * a)
+    arg = 2.0 - a + root
+    if not arg > 0.0:
+        # -a + root cancels when INR << SNR; this form of it does not
+        arg = 2.0 + 4.0 * snr * a / (a + root)
+    return math.log2(arg) - 1.0
 
 
 @dataclass(frozen=True)

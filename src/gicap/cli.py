@@ -109,13 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--class",
         dest="class_filter",
-        choices=("weak", "mixed", "any"),
+        choices=_gap._CLASS_FILTERS,
         default="any",
         help="interference class filter",
     )
     p.add_argument(
         "--check",
-        choices=("one-bit", "within-half"),
+        choices=_gap._FAILED,
         default="one-bit",
         help="which guarantee the failure count tracks",
     )
@@ -362,9 +362,9 @@ def _cmd_gdof(args, stdout) -> int:
     return 0
 
 
-def _grid(count: int, step_denominator: int = 100):
+def _grid(count: int):
     # i/100 keeps two-decimal grid points (0.5, 1.0, 2.0) exact.
-    return [i / step_denominator for i in range(count + 1)]
+    return [i / 100 for i in range(count + 1)]
 
 
 def _figure_rows(figure_id: str, alpha_arg: float | None):

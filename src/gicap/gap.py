@@ -26,21 +26,25 @@ user-swapped order, so both mixed orientations pair alike.
 
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
-class.  They are drawn and audited :data:`SWEEP_CHUNK` channels at a time
-(:func:`sweep_chunks`).  A sweep of at least :data:`NUMPY_MIN_N`
-channels audits each chunk as a whole in numpy
-(:func:`gicap.kernel.audit_chunk`: rows, family deltas and
+class.  They are drawn and audited :data:`SWEEP_CHUNK` channels at a time,
+each chunk a tuple of record columns (:func:`sweep_chunks`).  A sweep of
+at least :data:`NUMPY_MIN_N` channels audits each chunk as a whole in
+numpy (:func:`gicap.kernel.audit_chunk`: rows, family deltas and
 certificates); a smaller sweep, or one where numpy cannot be imported,
-audits channel by channel and never imports numpy.  Both paths give the
-same records bit for bit.  :func:`stream_sweep` writes
-each chunk's CSV rows as it goes and keeps only the failure count and
-the worst deltas, so its memory does not grow with the sweep size.
-Records are evaluated independently and aggregated order-insensitively,
-so results are identical for any evaluation order.
+calls :func:`audit` on each channel and never imports numpy.  Both engines
+give the same columns bit for bit and raise by one rule: the first channel
+in draw order whose rates overflow (:class:`DomainError`) or whose inner
+region exceeds its outer bound (:class:`ContainmentError`) raises that
+error, naming the channel.  :func:`stream_sweep` writes each chunk's CSV
+rows as it goes and keeps only the failure count and the worst deltas, so
+its memory does not grow with the sweep size.  Channels are audited
+independently and aggregated order-insensitively, so results are
+identical for any evaluation order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -147,37 +151,8 @@ def _families(coeffs, rhs) -> dict[str, list[float]]:
     return out
 
 
-def _family_deltas(inner_f, outer_f) -> tuple[list[float | None], bool]:
-    """Min-min delta per family in GapReport's field order (None if the outer
-    bound lacks the family), and whether every delta clears its threshold."""
-    deltas: list[float | None] = []
-    ok = True
-    for fam, thresh in _THRESHOLDS.items():
-        if fam not in outer_f:
-            deltas.append(None)
-            continue
-        d = min(outer_f[fam]) - min(inner_f[fam])
-        deltas.append(d)
-        if not (d < thresh + _SLACK):
-            ok = False
-    return deltas, ok
-
-
 _OVERFLOW = "cannot audit {}: its rates overflow double precision"
-
-
-def _rows(params: ChannelParams, tag: InterferenceTag):
-    """``(inner_rhs, outer_coeffs, outer_rhs)`` of a weak or mixed channel.
-
-    A rate that overflows raises :class:`DomainError` naming ``params``.
-    """
-    inner = _hk.hk_rhs(params, _hk.recommended_split(params))
-    coeffs, outer = _bounds.outer_rows(params, tag)
-    # Finite rates are at most a few thousand bits, so the sum is finite
-    # exactly when every rate is.
-    if not math.isfinite(sum(inner) + sum(outer)):
-        raise DomainError(_OVERFLOW.format(params))
-    return inner, coeffs, outer
+_NOT_CONTAINED = "the inner region of {} exceeds its outer bound (formula bug upstream)"
 
 
 def audit(params: ChannelParams) -> Audit:
@@ -185,7 +160,8 @@ def audit(params: ChannelParams) -> Audit:
 
     Strong channels have zero gap by exactness and are rejected.  A
     channel whose ratios overflow a region formula raises
-    :class:`DomainError` naming the channel.
+    :class:`DomainError`, and one whose inner region exceeds its outer
+    bound :class:`ContainmentError`, each naming the channel.
     """
     return _audit(params, classify(params).tag)
 
@@ -204,10 +180,18 @@ def _audit(params: ChannelParams, tag: InterferenceTag) -> Audit:
         raise ClassMismatchError(
             "gap audit is undefined for strong channels (capacity is exact)"
         )
-    inner_rhs, outer_coeffs, outer_rhs = _rows(params, tag)
+    inner_rhs = _hk.hk_rhs(params, _hk.recommended_split(params))
+    outer_coeffs, outer_rhs = _bounds.outer_rows(params, tag)
+    # Finite rates are at most a few thousand bits, so the sum is finite
+    # exactly when every rate is.
+    if not math.isfinite(sum(inner_rhs) + sum(outer_rhs)):
+        raise DomainError(_OVERFLOW.format(params))
     inner_f = _families(_hk.HK_COEFFS, inner_rhs)
     outer_f = _families(outer_coeffs, outer_rhs)
-    deltas, ok = _family_deltas(inner_f, outer_f)
+    # min-min delta per family in GapReport's field order, None where the
+    # outer bound lacks the family
+    deltas = [min(outer_f[f]) - min(inner_f[f]) if f in outer_f else None for f in _THRESHOLDS]
+    ok = all(d is None or d < t + _SLACK for d, t in zip(deltas, _THRESHOLDS.values()))
     if tag is InterferenceTag.MIXED_STRONG_AT_2:
         inner_f["sum"] = [inner_f["sum"][k] for k in _SWAPPED_SUM_ORDER]
     paired = {
@@ -218,7 +202,10 @@ def _audit(params: ChannelParams, tag: InterferenceTag) -> Audit:
     report = GapReport(params, tag, *deltas, paired_deltas=paired, passed=ok)
     inner = region_from_rows(_hk.HK_COEFFS, inner_rhs)
     outer = region_from_rows(outer_coeffs, outer_rhs)
-    one_bit, within_half = certificates(inner, outer)
+    try:
+        one_bit, within_half = certificates(inner, outer)
+    except ContainmentError:
+        raise ContainmentError(_NOT_CONTAINED.format(params)) from None
     return Audit(tag, inner, outer, report, one_bit, within_half)
 
 
@@ -301,16 +288,17 @@ def _checked_int(value, what: str, least: float = -math.inf) -> int:
     return number
 
 
-def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[list[SweepRecord]]:
-    """The audited records of a sweep, in draw order, :data:`SWEEP_CHUNK` at a time.
+def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[tuple]:
+    """A sweep in draw order, :data:`SWEEP_CHUNK` channels at a time, each
+    chunk a tuple of 13 columns in :class:`SweepRecord` field order.
 
     Each candidate takes four ``rng.random()`` draws (SNR1, SNR2, INR1,
     INR2 in dB) and is rejected after drawing unless its class passes
     ``class_filter``; a chunk draws only as many candidates as it still
     needs.  Sweeps of at least :data:`NUMPY_MIN_N` channels are audited a
     chunk at a time by :func:`gicap.kernel.audit_chunk` where numpy can be
-    imported, and otherwise channel by channel (:func:`_scalar_audit_chunk`);
-    the records are identical.  The arguments are checked before the first
+    imported, and otherwise by :func:`audit` of each channel; the columns
+    and the error are identical.  The arguments are checked before the first
     chunk is drawn.
     """
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
@@ -348,9 +336,7 @@ def _chunks(n, rng, accepted, audit_chunk):
                     tags.append(tag)
                     drawn.append((snr1_db, snr2_db, inr1_db, inr2_db, snr1, snr2, inr1, inr2))
         columns = list(zip(*drawn))
-        audited = audit_chunk(tags, *columns[4:])
-        values = [tag.value for tag in tags]
-        yield list(map(SweepRecord._make, zip(*columns[:4], values, *audited)))
+        yield (*columns[:4], [tag.value for tag in tags], *audit_chunk(tags, *columns[4:]))
 
 
 def _chunk_engine(n: int):
@@ -367,49 +353,40 @@ def _chunk_engine(n: int):
     return _scalar_audit_chunk
 
 
-_NOT_CONTAINED = "the inner region of {} exceeds its outer bound (formula bug upstream)"
-
-
 def _scalar_audit_chunk(tags, snr1, snr2, inr1, inr2):
     """Columns of a chunk's records after the class: the five family deltas
     (None where the outer bound lacks the family), the delta verdict and the
-    two certificates, one channel at a time, for weak and mixed channels of
-    class ``tags[k]`` with ratios ``snr1[k], snr2[k], inr1[k], inr2[k]``.
-
-    A channel whose rates overflow raises :class:`DomainError`, and then one
-    whose inner region exceeds its outer bound :class:`ContainmentError`,
-    each naming the first such channel in draw order.
+    two certificates, by :func:`audit` of each weak or mixed channel of
+    class ``tags[k]`` with ratios ``snr1[k], snr2[k], inr1[k], inr2[k]``;
+    the first channel that :func:`audit` rejects raises.
     """
-    channels = [ChannelParams(*ratios) for ratios in zip(snr1, snr2, inr1, inr2)]
-    rows = [(params, *_rows(params, tag)) for params, tag in zip(channels, tags)]
     out = []
-    for params, inner, coeffs, outer in rows:
-        deltas, ok = _family_deltas(_families(_hk.HK_COEFFS, inner), _families(coeffs, outer))
-        try:
-            verdict = certificates(
-                region_from_rows(_hk.HK_COEFFS, inner), region_from_rows(coeffs, outer)
-            )
-        except ContainmentError:
-            raise ContainmentError(_NOT_CONTAINED.format(params)) from None
-        out.append((*deltas, ok, *verdict))
+    for tag, *ratios in zip(tags, snr1, snr2, inr1, inr2):
+        audited = _audit(ChannelParams(*ratios), tag)
+        r = audited.report
+        out.append((r.delta_r1, r.delta_r2, r.delta_sum, r.delta_2r1_r2, r.delta_r1_2r2,
+                    r.passed, audited.one_bit, audited.within_half))
     return zip(*out)
 
 
-# The records a sweep counts as failures, by the guarantee it checks.
+# A chunk's failure flags by the guarantee a sweep checks, from its last three
+# columns: the delta verdict and the two certificates.
 _FAILED = {
-    "one-bit": lambda r: not (r.delta_pass and r.one_bit),
-    "within-half": lambda r: not r.within_half,
+    "one-bit": lambda passed, one_bit, _: [not (p and o) for p, o in zip(passed, one_bit)],
+    "within-half": lambda passed, one_bit, within_half: [not w for w in within_half],
 }
 
 
-def _fold_worst(worst: dict[str, float | None], records: list[SweepRecord]) -> None:
-    """Raise each family's entry of ``worst`` to its largest delta in ``records``."""
-    for fam, values in zip(_THRESHOLDS, list(zip(*records))[5:10]):
+def _fold_worst(worst: dict[str, float | None], columns, check: str) -> list[bool]:
+    """Raise each family's entry of ``worst`` to its largest delta in the chunk
+    ``columns``; returns the chunk's failure flags under ``check``."""
+    for fam, values in zip(_THRESHOLDS, columns[5:10]):
         present = [value for value in values if value is not None]
         if present:
             top = max(present)
             if worst[fam] is None or top > worst[fam]:
                 worst[fam] = top
+    return _FAILED[check](*columns[10:])
 
 
 def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
@@ -420,15 +397,17 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     as data, never raised.
     """
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
-    records = [r for chunk in sweep_chunks(n, seed, class_filter) for r in chunk]
+    parts = zip(*sweep_chunks(n, seed, class_filter))  # each column, chunk by chunk
+    columns = [list(itertools.chain.from_iterable(column)) for column in parts]
     worst = dict.fromkeys(_THRESHOLDS)
-    _fold_worst(worst, records)
+    failed = _fold_worst(worst, columns, "one-bit")
+    records = tuple(map(SweepRecord._make, zip(*columns)))
     return SweepResult(
         n=n,
         seed=seed,
         class_filter=class_filter,
-        records=tuple(records),
-        failures=tuple(filter(_FAILED["one-bit"], records)),
+        records=records,
+        failures=tuple(itertools.compress(records, failed)),
         worst_deltas=worst,
     )
 
@@ -439,8 +418,9 @@ _CSV_HEADER = (
 )
 _BOOL = {False: "false", True: "true"}
 # One %-template per (2r1_r2 absent, r1_2r2 absent, one-bit pass, within-half
-# pass), taking a whole SweepRecord: numbers at 12 significant digits, an
-# absent delta as an empty cell (``%.0s``), the verdicts baked in.
+# pass), taking a whole row in SweepRecord field order: numbers at 12
+# significant digits, an absent delta as an empty cell (``%.0s``), the
+# verdicts baked in.
 _CSV_TEMPLATES = {
     (no_21, no_12, one_bit, half): ",".join(
         ["%.12g"] * 4
@@ -457,7 +437,7 @@ _CSV_TEMPLATES = {
 }
 
 
-def _csv_line(r: SweepRecord) -> str:
+def _csv_line(r: tuple) -> str:
     return _CSV_TEMPLATES[r[8] is None, r[9] is None, r[10] and r[11], r[12]] % r
 
 
@@ -482,8 +462,7 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     ``path`` is opened; a bad one raises :class:`DomainError`.  Returns the
     JSON-ready summary ``{n, failures, worst_deltas, seed}``.
     """
-    failed = _FAILED.get(check) if isinstance(check, str) else None
-    if failed is None:
+    if not (isinstance(check, str) and check in _FAILED):
         raise DomainError(f"unknown check {check!r}; expected one of {sorted(_FAILED)}")
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     chunks = sweep_chunks(n, seed, class_filter)
@@ -491,10 +470,9 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     worst = dict.fromkeys(_THRESHOLDS)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_CSV_HEADER)
-        for chunk in chunks:
-            fh.write("".join(map(_csv_line, chunk)))
-            failures += sum(map(failed, chunk))
-            _fold_worst(worst, chunk)
+        for columns in chunks:
+            fh.write("".join(map(_csv_line, zip(*columns))))
+            failures += sum(_fold_worst(worst, columns, check))
     return _summary(n, failures, worst, seed)
 
 

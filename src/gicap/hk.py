@@ -312,10 +312,12 @@ def differential_rates(z: float, snr1: float, inr2: float) -> DifferentialRatePa
 
     r1(z) = SNR1/(1+SNR1*z) is the density on the direct link, r2(z) =
     INR2/(1+INR2*z) on the cross link.  Returned as raw ratios; scale by
-    1/ln 2 for bit densities.
+    1/ln 2 for bit densities.  Each argument must be finite and >= 0, or
+    :class:`DomainError` is raised.
     """
-    if z < 0.0:
-        raise DomainError(f"power level z must be >= 0, got {z!r}")
+    for name, value in (("power level z", z), ("snr1", snr1), ("inr2", inr2)):
+        if not (0.0 <= value < math.inf):
+            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
     return DifferentialRatePair(
         r1=snr1 / (1.0 + snr1 * z),
         r2=inr2 / (1.0 + inr2 * z),

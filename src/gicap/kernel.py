@@ -2,7 +2,8 @@
 
 :func:`audit_chunk` takes a chunk's class tags and four ratio columns and
 returns the columns of its sweep records, doing in arrays what the scalar
-path does per channel, one class group at a time:
+engine (:func:`gicap.gap.audit` of each channel) does, in one pass over the
+chunk's class groups:
 
 * the recommended split by :func:`gicap.hk.recommended_levels` with the
   group's strengths;
@@ -12,6 +13,9 @@ path does per channel, one class group at a time:
 * the family deltas as minima over coefficient-keyed column groups;
 * both certificates and the containment check by
   :func:`chunk_certificates`.
+
+It then raises by the scalar engine's rule: the first channel in draw order
+that :func:`gicap.gap.audit` would reject raises its error.
 
 :func:`chunk_certificates` asks whether a linear function, maximised over
 the outer polytope, stays inside the inner region, and whether the inner
@@ -88,8 +92,8 @@ def _rhs(args):
 
 def _rows(tag, s1, s2, i1, i2):
     """``(inner, outer_coeffs, outer)`` of channels of class ``tag`` with ratio
-    arrays ``s1, s2, i1, i2``: :func:`gicap.gap._rows` on arrays, the rhs as
-    ``(channels, rows)`` arrays."""
+    arrays ``s1, s2, i1, i2``: the rows :func:`gicap.gap.audit` builds, on
+    arrays, the rhs as ``(channels, rows)`` arrays."""
     p2, p1 = recommended_levels(*_STRENGTHS[tag], i1, i2, np.minimum)
     inner = _rhs(hk_args(s1, s2, i1, i2, p2, p1, _private_snr))
     coeffs, args = _bounds.outer_args(s1, s2, i1, i2, tag)
@@ -102,49 +106,38 @@ def audit_chunk(tags, snr1, snr2, inr1, inr2):
     The five family deltas (None where the outer bound lacks the family),
     the delta verdict and the two certificates, for weak and mixed
     channels of class ``tags[k]`` with ratios ``snr1[k], snr2[k], inr1[k],
-    inr2[k]``.  A channel whose rates overflow raises :class:`DomainError`,
-    and then one whose inner region exceeds its outer bound
-    :class:`ContainmentError`, each naming the first such channel in draw
-    order.
+    inr2[k]``.  The first channel in draw order whose rates overflow
+    (:class:`DomainError`) or whose inner region exceeds its outer bound
+    (:class:`ContainmentError`) raises that error, naming the channel.
     """
     members: dict = {}
     for k, tag in enumerate(tags):
         members.setdefault(tag, []).append(k)
     ratios = np.array((snr1, snr2, inr1, inr2))
-    groups = []
+    size = len(tags)
+    # object columns: a family the outer bound lacks stays None
+    deltas = {fam: np.full(size, None, dtype=object) for fam in _THRESHOLDS}
+    finite, passed, contained, one_bit, within_half = np.ones((5, size), dtype=bool)
     with np.errstate(all="ignore"):
         for tag, index in members.items():
             index = np.array(index)
-            groups.append((index, *_rows(tag, *ratios[:, index])))
-
-    def first_channel(bad) -> ChannelParams:
-        k = int(np.flatnonzero(bad)[0])
-        return ChannelParams(snr1[k], snr2[k], inr1[k], inr2[k])
-
-    size = len(tags)
-    finite = np.ones(size, dtype=bool)
-    for index, inner, _, outer in groups:
-        finite[index] = np.isfinite(inner).all(axis=1) & np.isfinite(outer).all(axis=1)
-    if not finite.all():
-        raise DomainError(_OVERFLOW.format(first_channel(~finite)))
-
-    # object columns: a family the outer bound lacks stays None
-    deltas = {fam: np.full(size, None, dtype=object) for fam in _THRESHOLDS}
-    passed = np.ones(size, dtype=bool)
-    contained = np.ones(size, dtype=bool)
-    one_bit = np.ones(size, dtype=bool)
-    within_half = np.ones(size, dtype=bool)
-    for index, inner, coeffs, outer in groups:
-        inner_mins = _mins(HK_COEFFS, inner)
-        for c, outer_min in _mins(coeffs, outer).items():
-            delta = outer_min - inner_mins[c]
-            deltas[_FAMILIES[c]][index] = delta
-            passed[index] &= delta < _THRESHOLDS[_FAMILIES[c]] + _SLACK
-        contained[index], one_bit[index], within_half[index] = chunk_certificates(
-            HK_COEFFS, inner, coeffs, outer
-        )
-    if not contained.all():
-        raise ContainmentError(_NOT_CONTAINED.format(first_channel(~contained)))
+            inner, coeffs, outer = _rows(tag, *ratios[:, index])
+            finite[index] = np.isfinite(inner).all(axis=1) & np.isfinite(outer).all(axis=1)
+            inner_mins = _mins(HK_COEFFS, inner)
+            for c, outer_min in _mins(coeffs, outer).items():
+                delta = outer_min - inner_mins[c]
+                deltas[_FAMILIES[c]][index] = delta
+                passed[index] &= delta < _THRESHOLDS[_FAMILIES[c]] + _SLACK
+            contained[index], one_bit[index], within_half[index] = chunk_certificates(
+                HK_COEFFS, inner, coeffs, outer
+            )
+    bad = np.flatnonzero(~(finite & contained))
+    if bad.size:
+        k = int(bad[0])
+        params = ChannelParams(snr1[k], snr2[k], inr1[k], inr2[k])
+        if not finite[k]:
+            raise DomainError(_OVERFLOW.format(params))
+        raise ContainmentError(_NOT_CONTAINED.format(params))
     return (
         *(column.tolist() for column in deltas.values()),
         passed.tolist(),

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ContainmentError, InvalidParameterError, UnboundedRegionError
+from .errors import ContainmentError, DomainError, InvalidParameterError, UnboundedRegionError
 
 __all__ = [
     "DEFAULT_TOL",
@@ -103,7 +103,8 @@ def vertices(region: RateRegion) -> list[Vertex]:
     Returns the boundary chain sorted by increasing R1 then decreasing R2
     (the origin itself is dropped when other vertices exist), deduplicated
     at :data:`DEFAULT_TOL`.  Raises :class:`UnboundedRegionError` when no
-    constraint caps one of the rates.
+    constraint caps one of the rates, and :class:`DomainError` when a vertex
+    is not finite (its determinant or coordinates overflow).
     """
     rows = [(c.c1, c.c2, c.rhs) for c in region.constraints]
     if not (any(a > 0.0 for a, _, _ in rows) and any(b > 0.0 for _, b, _ in rows)):
@@ -150,6 +151,8 @@ def vertices(region: RateRegion) -> list[Vertex]:
             anchor = x
         keyed.append((anchor, -y, x, y))
     keyed.sort()
+    if not all(math.isfinite(x) and math.isfinite(y) for _, _, x, y in keyed):
+        raise DomainError(f"a vertex of {region} is not finite")
     return [Vertex(x + 0.0, y + 0.0) for _, _, x, y in keyed]  # normalizes -0.0
 
 
@@ -221,11 +224,11 @@ def within_half_certificate(inner: RateRegion, outer: RateRegion) -> bool:
     return certificates(inner, outer)[1]
 
 
-def sigfig(x: float, digits: int = 12) -> float:
-    """Round to ``digits`` significant digits (serialization contract)."""
+def sigfig(x: float) -> float:
+    """Round to 12 significant digits (serialization contract)."""
     if x == 0.0 or not math.isfinite(x):
         return x + 0.0
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.12g}")
 
 
 def region_to_jsonable(region: RateRegion) -> dict:

@@ -24,7 +24,6 @@ from gicap import (
     RateConstraint,
     RateRegion,
     SweepRecord,
-    SweepResult,
     asymptotic_tightness_check,
     contains,
     d_sym,
@@ -456,11 +455,10 @@ def test_c10_cli_determinism_and_figures(tmp_path, monkeypatch, capsys):
         delta_r1=1.2, delta_r2=0.2, delta_sum=0.2, delta_2r1_r2=0.2,
         delta_r1_2r2=0.2, delta_pass=False, one_bit=False, within_half=True,
     )
-    fake = SweepResult(
-        n=1, seed=1, class_filter="weak", records=(record,), failures=(record,),
-        worst_deltas={"r1": 1.2, "r2": 0.2, "sum": 0.2, "2r1_r2": 0.2, "r1_2r2": 0.2},
-    )
-    monkeypatch.setattr(gicap.gap, "sweep_chunks", lambda *a, **k: iter([fake.records]))
+    def engine(tags, *ratios):  # the one drawn channel audits as ``record``
+        return [[value] for value in record[5:]]
+
+    monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: engine)
     code = cli_main(
         ["sweep", "--n", "1", "--seed", "1", "--out", str(tmp_path / "viol.csv")]
     )

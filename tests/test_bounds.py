@@ -310,3 +310,8 @@ class TestKramerVsAchievable:
             kramer_bound(10, 10)
         with pytest.raises(DomainError):
             kramer_bound(10, 0)
+
+    @pytest.mark.parametrize("snr", [0.2858679206362913, 100.0])
+    def test_kramer_at_vanishing_interference(self, snr):
+        # 2 - a + sqrt(a^2 + 4 SNR a) cancels to 0 here; the limit is log2(1 + SNR)
+        assert kramer_bound(snr, 1e-40) == pytest.approx(math.log2(1.0 + snr), abs=1e-12)

@@ -1,11 +1,14 @@
+import functools
 import io
 import json
 import math
+import random
 
 import pytest
 
+import gicap.cli
 import gicap.gap
-from gicap import SweepRecord, SweepResult
+from gicap import SweepRecord
 from gicap.cli import _build_parser, main
 
 
@@ -150,6 +153,12 @@ class TestSymrate:
         assert obj["capacity"] == pytest.approx(0.5 * math.log2(111), abs=1e-9)
         assert obj["hk_rate"] == pytest.approx(obj["capacity"], abs=1e-9)
 
+    def test_kramer_cancellation(self):
+        obj = run_json(
+            ["symrate", "--snr", "0.2858679206362913", "--inr", "4.757332006037544e-40"]
+        )
+        assert obj["kramer_ub"] == pytest.approx(math.log2(1.2858679206362913), abs=1e-12)
+
     def test_overflow_names_the_channel(self, capsys):
         # the Kramer bound's a^2 + 4*SNR*a overflows
         assert_overflow_names_the_channel(
@@ -250,12 +259,10 @@ class TestSweep:
             delta_r1=1.5, delta_r2=0.5, delta_sum=1.0, delta_2r1_r2=2.0,
             delta_r1_2r2=2.0, delta_pass=False, one_bit=False, within_half=True,
         )
-        fake = SweepResult(
-            n=1, seed=1, class_filter="weak", records=(record,),
-            failures=(record,), worst_deltas={"r1": 1.5, "r2": 0.5, "sum": 1.0,
-                                              "2r1_r2": 2.0, "r1_2r2": 2.0},
-        )
-        monkeypatch.setattr(gicap.gap, "sweep_chunks", lambda *a, **k: iter([fake.records]))
+        def engine(tags, *ratios):  # the one drawn channel audits as ``record``
+            return [[value] for value in record[5:]]
+
+        monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: engine)
         code, text = run_cli(
             ["sweep", "--n", "1", "--seed", "1", "--class", "weak",
              "--out", str(tmp_path / "v.csv")]
@@ -463,3 +470,60 @@ class TestFlagSlots:
         for flag in flags:
             argv += [flag, *self.VALUES[flag]]
         _build_parser().parse_args(argv)
+
+
+class TestBadInputNeverCrashes:
+    """A seeded grid of edge-value argvs: each ends in exit 0 or 2 with valid JSON."""
+
+    # zero, subnormal, underflow, tiny, ordinary, float-limit, negative and
+    # non-finite values, read as ratios or, with --db, as dB
+    VALUES = ("0", "5e-324", "1e-300", "1e-40", "0.3", "1", "100", "1e300", "1.7e308",
+              "-1", "nan", "inf")
+    CHANNEL = ("--snr1", "--snr2", "--inr1", "--inr2")
+    # (leading argv, flags that take a value, whether --db applies)
+    FORMS = (
+        (["classify"], CHANNEL, True),
+        (["region"], CHANNEL, True),
+        (["region", "--bound", "pt2pt"], CHANNEL, True),
+        (["region", "--split", "explicit"], CHANNEL + ("--inr-p2", "--inr-p1"), True),
+        (["symrate"], ("--snr", "--inr"), True),
+        (["gap-audit"], CHANNEL, True),
+        (["gdof"], ("--alpha",), False),
+        (["gdof"], ("--alpha1", "--alpha2", "--alpha3"), False),
+        (["diffrate"], ("--snr1", "--inr2", "--z"), True),
+    )
+
+    @staticmethod
+    def reject_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    def argvs(self, count):
+        rng = random.Random("cli-bad-input")
+        for _ in range(count):
+            lead, flags, db = rng.choice(self.FORMS)
+            argv = [*lead]
+            for flag in flags:
+                argv += [flag, rng.choice(self.VALUES)]
+            if db and rng.random() < 0.5:
+                argv.append("--db")
+            yield argv
+
+    def test_exit_codes_and_json(self, capsys, monkeypatch):
+        # one parser for every call: building it is most of a call's time
+        monkeypatch.setattr(gicap.cli, "_build_parser", functools.lru_cache(_build_parser))
+        crashes = []
+        for argv in self.argvs(5_000):
+            stdout = io.StringIO()
+            try:
+                code = main(argv, stdout=stdout)
+                if code == 0:
+                    json.loads(stdout.getvalue(), parse_constant=self.reject_constant)
+                elif code != 2:
+                    crashes.append((argv, f"exit {code}"))
+            except SystemExit as exc:
+                if exc.code != 2:
+                    crashes.append((argv, f"SystemExit({exc.code})"))
+            except Exception as exc:  # noqa: BLE001 - every escape is a finding
+                crashes.append((argv, repr(exc)))
+            capsys.readouterr()
+        assert crashes == [], f"{len(crashes)} argvs: {crashes[:5]}"

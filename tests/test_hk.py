@@ -334,6 +334,20 @@ class TestDifferentialRates:
         with pytest.raises(DomainError):
             differential_rates(-0.1, 100, 10)
 
+    @pytest.mark.parametrize(
+        "z, snr1, inr2",
+        [
+            (1, 1e300, -1),
+            (0.1, math.nan, 10),
+            (0.1, -5, 10),
+            (math.inf, 100, 10),
+            (0.1, 100, math.inf),
+        ],
+    )
+    def test_non_finite_or_negative_rejected(self, z, snr1, inr2):
+        with pytest.raises(DomainError):
+            differential_rates(z, snr1, inr2)
+
     def test_decreasing_and_never_crossing(self, rng):
         for _ in range(50):
             snr1 = 10 ** rng.uniform(0.5, 5)

@@ -19,6 +19,7 @@ import gicap.gap
 from gicap import (
     ChannelParams,
     ContainmentError,
+    DomainError,
     InterferenceTag,
     RateConstraint,
     RateRegion,
@@ -161,6 +162,34 @@ class TestSweepOnEachEngine:
         monkeypatch.setattr(gicap.bounds, "outer_args", shrunk)
         with pytest.raises(ContainmentError) as info:
             list(sweep_chunks(NUMPY_MIN_N, 3, "any"))
+        assert repr(params) in str(info.value)
+
+    @pytest.mark.parametrize("containment_first", [True, False], ids=["containment", "overflow"])
+    def test_first_bad_channel_in_draw_order_raises(self, engine, monkeypatch, containment_first):
+        records = one_bit_sweep(NUMPY_MIN_N, 3, "any").records
+        # an earlier bad channel outside the class group the kernel decides
+        # first (that of channel 0), and a later one inside it
+        early = next(k for k, r in enumerate(records) if r.tag != records[0].tag)
+        late = next(k for k in range(early + 1, SWEEP_CHUNK) if records[k].tag == records[0].tag)
+        j, k = (early, late) if containment_first else (late, early)
+        shrunk, overflowed = (db_to_linear(records[i].snr1_db) for i in (j, k))
+        real = gicap.bounds.outer_args
+
+        def broken(s1, s2, i1, i2, tag):
+            # channel j: one argument of each row over 8, so its rhs is 3 bits
+            # lower; channel k: that argument infinite.  Works on floats and
+            # on numpy arrays alike.
+            coeffs, args = real(s1, s2, i1, i2, tag)
+            scale = 1.0 - 0.875 * (s1 == shrunk)
+            infinite = (s1 == overflowed) * 1e308 * 1e308
+            return coeffs, tuple((row[0] * scale + infinite, *row[1:]) for row in args)
+
+        monkeypatch.setattr(gicap.bounds, "outer_args", broken)
+        error, named = (ContainmentError, j) if containment_first else (DomainError, k)
+        with pytest.raises(error) as info:
+            list(sweep_chunks(NUMPY_MIN_N, 3, "any"))
+        r = records[named]
+        params = ChannelParams(*map(db_to_linear, (r.snr1_db, r.snr2_db, r.inr1_db, r.inr2_db)))
         assert repr(params) in str(info.value)
 
     def test_streamed_memory_is_flat_in_n(self, engine, tmp_path, monkeypatch):

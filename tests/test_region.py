@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gicap import (
     ContainmentError,
+    DomainError,
     InvalidParameterError,
     RateConstraint,
     RateRegion,
@@ -79,6 +80,13 @@ class TestVertices:
     def test_unbounded_raises(self):
         with pytest.raises(UnboundedRegionError):
             vertices(RateRegion([RateConstraint(1, 0, 2)]))
+
+    def test_overflowed_vertex_raises(self):
+        # the weak GDoF region at alpha1 = 1e200: 2e200 * 1e200 overflows
+        r = RateRegion([RateConstraint(1, 0, 1.0), RateConstraint(0, 1, 1.0),
+                        RateConstraint(2, 1e200, 1e200), RateConstraint(1, 2e200, 2e200)])
+        with pytest.raises(DomainError):
+            vertices(r)
 
     def test_degenerate_origin_only(self):
         r = RateRegion(
