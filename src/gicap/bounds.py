@@ -209,10 +209,12 @@ def kramer_bound(snr: float, inr: float) -> float:
         )
     a = 1.0 + snr / inr
     root = math.sqrt(a * a + 4.0 * snr * a)
-    arg = 2.0 - a + root
-    if not arg > 0.0:
-        # -a + root cancels when INR << SNR; this form of it does not
-        arg = 2.0 + 4.0 * snr * a / (a + root)
+    if math.isfinite(root) and root - a > a * 2.0**-13:
+        # root - a cancels at most 13 bits here
+        arg = 2.0 - a + root
+    else:
+        # root - a = 4 SNR / (1 + 2 sqrt(1/4 + SNR/a)): no cancellation, no overflow
+        arg = 2.0 + 4.0 * snr / (1.0 + 2.0 * math.sqrt(0.25 + snr / a))
     return math.log2(arg) - 1.0
 
 

@@ -181,27 +181,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _emit_object(obj, args, stream) -> None:
-    """Emit a result object as JSON, or as key,value CSV with dotted paths."""
-    if (args.format or "json") == "csv":
-        _emit_csv(("key", "value"), _flatten(obj), stream)
+def _emit(obj, args, stream, table=None) -> None:
+    """Write ``obj`` as JSON, or as CSV: ``table = (header, rows)`` if one is given,
+    else ``obj``'s key,value rows with dotted paths.  The default is csv for a table."""
+    if (args.format or ("json" if table is None else "csv")) == "json":
+        json.dump(_round_floats(obj), stream, indent=2)
+        stream.write("\n")
         return
-    json.dump(_round_floats(obj), stream, indent=2)
-    stream.write("\n")
-
-
-def _emit_csv(header, rows, stream) -> None:
+    header, rows = table or (("key", "value"), _flatten(obj))
     stream.write(",".join(header) + "\n")
     for row in rows:
         stream.write(",".join(map(_cell, row)) + "\n")
-
-
-def _write_text(path: str | None, text_producer, stdout) -> None:
-    if path is None:
-        text_producer(stdout)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        text_producer(fh)
 
 
 def _cmd_classify(args, stdout) -> int:
@@ -217,7 +207,7 @@ def _cmd_classify(args, stdout) -> int:
             out["regime"] = reg.regime
             if reg.bset is not None:
                 out["bset"] = reg.bset
-    _emit_object(out, args, stdout)
+    _emit(out, args, stdout)
     return 0
 
 
@@ -249,7 +239,7 @@ def _cmd_region(args, stdout) -> int:
         "one_bit": one_bit,
         "within_half": within_half,
     }
-    _emit_object(out, args, stdout)
+    _emit(out, args, stdout)
     return 0
 
 
@@ -262,7 +252,7 @@ def _cmd_symrate(args, stdout) -> int:
         reg = symmetric_regime(snr, inr)
         out["regime"] = reg.regime
         out["bset"] = reg.bset
-    _emit_object(out, args, stdout)
+    _emit(out, args, stdout)
     return 0
 
 
@@ -293,19 +283,13 @@ def _cmd_gap_audit(args, stdout) -> int:
     rep = result.report
     out = {
         "class": result.tag.value,
-        "deltas": {
-            "r1": rep.delta_r1,
-            "r2": rep.delta_r2,
-            "sum": rep.delta_sum,
-            "2r1_r2": rep.delta_2r1_r2,
-            "r1_2r2": rep.delta_r1_2r2,
-        },
+        "deltas": {fam: getattr(rep, f"delta_{fam}") for fam in _gap._THRESHOLDS},
         "paired_deltas": {k: list(v) for k, v in rep.paired_deltas.items()},
         "delta_pass": rep.passed,
         "one_bit": result.one_bit,
         "within_half": result.within_half,
     }
-    _emit_object(out, args, stdout)
+    _emit(out, args, stdout)
     return 0
 
 
@@ -315,7 +299,7 @@ def _cmd_sweep(args, stdout) -> int:
     if args.check == "within-half" and args.class_filter != "any":
         raise GicapError("--check within-half sweeps weak and mixed jointly")
     summary = _gap.stream_sweep(args.n, args.seed, args.class_filter, args.check, args.out)
-    _emit_object(summary, args, stdout)
+    _emit(summary, args, stdout)
     return 3 if summary["failures"] else 0
 
 
@@ -358,7 +342,7 @@ def _cmd_gdof(args, stdout) -> int:
     out = dict(meta)
     out["region"] = region_to_jsonable(region)
     out["symmetric_point"] = symmetric_rate(region)
-    _emit_object(out, args, stdout)
+    _emit(out, args, stdout)
     return 0
 
 
@@ -405,16 +389,13 @@ def _figure_rows(figure_id: str, alpha_arg: float | None):
 
 
 def _cmd_figures(args, stdout) -> int:
-    header, rows = _figure_rows(args.figure_id, args.alpha)
-    if (args.format or "csv") == "json":
-        payload = {"columns": list(header), "rows": [list(r) for r in rows]}
-        _write_text(
-            args.out,
-            lambda fh: (json.dump(_round_floats(payload), fh, indent=2), fh.write("\n")),
-            stdout,
-        )
+    table = _figure_rows(args.figure_id, args.alpha)
+    payload = {"columns": table[0], "rows": table[1]}
+    if args.out is None:
+        _emit(payload, args, stdout, table)
     else:
-        _write_text(args.out, lambda fh: _emit_csv(header, rows, fh), stdout)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            _emit(payload, args, fh, table)
     return 0
 
 
@@ -422,7 +403,7 @@ def _cmd_diffrate(args, stdout) -> int:
     snr1 = _ratio(args.snr1, args.db)
     inr2 = _ratio(args.inr2, args.db)
     d = _hk.differential_rates(args.z, snr1, inr2)
-    _emit_object({"z": args.z, "r1": d.r1, "r2": d.r2}, args, stdout)
+    _emit({"z": args.z, "r1": d.r1, "r2": d.r2}, args, stdout)
     return 0
 
 

@@ -107,35 +107,41 @@ def _validate_split(params: ChannelParams, split: PowerSplit) -> None:
         )
 
 
-def _private_snr(snr: float, inr_p: float, inr: float) -> float:
+def _where(c, a, b):
+    """``a if c else b``: the float form of ``np.where``."""
+    return a if c else b
+
+
+def _private_snr(snr, inr_p, inr, where):
     """SNR * inr_p / INR, the private SNR of a user (SNR itself when INR = 0).
 
     Divides first only where the product underflows (a subnormal INR).
+    Every branch is evaluated and ``where`` chooses, so one rule serves
+    floats and arrays; the divisor ``inr + (inr == 0)`` is INR itself
+    whenever INR > 0 and 1 at a zero INR, whose quotient is discarded.
     """
-    if inr == 0.0:
-        return snr
+    divisor = inr + (inr == 0.0)
     product = snr * inr_p
-    if product < _FLOAT_MIN:
-        return snr * (inr_p / inr)
-    return product / inr
+    quotient = where(product < _FLOAT_MIN, snr * (inr_p / divisor), product / divisor)
+    return where(inr == 0.0, snr, quotient)
 
 
 # (c1, c2) of the seven hk_region rows, in contract order.
 HK_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 
 
-def hk_args(s1, s2, i1, i2, p2, p1, private_snr=_private_snr):
+def hk_args(s1, s2, i1, i2, p2, p1, where=_where):
     """The log2 arguments of the seven :func:`hk_region` rows, in :data:`HK_COEFFS` order.
 
     Row ``k``'s rhs is the left-to-right sum of log2 over ``args[k]``.  The
     arguments use only ``+ - * /``, so floats and numpy arrays of the
     ratios (``s1, s2, i1, i2``) and private levels (``p2, p1``) give the
-    same doubles; ``private_snr(snr, inr_p, inr)`` is the private-SNR rule
-    for the number type (:func:`_private_snr` for floats).  An argument
-    shared by two rows is the same object in both.
+    same doubles; ``where(cond, a, b)`` picks the private-SNR branch for
+    the number type (``np.where`` for arrays).  An argument shared by two
+    rows is the same object in both.
     """
-    s1p = private_snr(s1, p2, i2)
-    s2p = private_snr(s2, p1, i1)
+    s1p = _private_snr(s1, p2, i2, where)
+    s2p = _private_snr(s2, p1, i1, where)
     n1 = 1.0 + p1
     n2 = 1.0 + p2
     common1 = (1.0 + s1 + i1) / n1
@@ -176,16 +182,16 @@ def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
     return region_from_rows(HK_COEFFS, hk_rhs(params, split))
 
 
-def recommended_levels(strong_at_1, strong_at_2, inr1, inr2, minimum=min):
+def recommended_levels(strong_at_1, strong_at_2, inr1, inr2, where=_where):
     """``(inr_p2, inr_p1)`` of :func:`recommended_split` for a channel of the given strengths.
 
     ``inr1``/``inr2`` may be floats or numpy arrays of channels sharing the
-    strengths; ``minimum`` is the elementwise min for the number type
-    (``min`` for floats), as ``private_snr`` is for :func:`hk_args`.
+    strengths; ``where`` is the choice for the number type, as for
+    :func:`hk_args`.  ``where(inr < 1, inr, 1)`` is ``min(1, inr)``, ties included.
     """
     return (
-        0.0 if strong_at_2 else minimum(1.0, inr2),
-        0.0 if strong_at_1 else minimum(1.0, inr1),
+        0.0 if strong_at_2 else where(inr2 < 1.0, inr2, 1.0),
+        0.0 if strong_at_1 else where(inr1 < 1.0, inr1, 1.0),
     )
 
 

@@ -8,8 +8,9 @@ chunk's class groups:
 * the recommended split by :func:`gicap.hk.recommended_levels` with the
   group's strengths;
 * the rows from :func:`gicap.hk.hk_args` and :func:`gicap.bounds.outer_args`
-  on arrays, with ``math.log2`` mapped over the arguments (``np.log2``
-  rounds differently on some inputs), so every rhs is the same double;
+  on arrays (``np.where`` choosing their branches), ``math.log2`` mapped
+  over the arguments (``np.log2`` rounds differently on some inputs) and
+  the fold of :func:`gicap.region.log2_rows`, so every rhs is the same double;
 * the family deltas as minima over coefficient-keyed column groups;
 * both certificates and the containment check by
   :func:`chunk_certificates`.
@@ -47,8 +48,8 @@ from . import bounds as _bounds
 from .channel import TAG_BY_STRENGTH, ChannelParams
 from .errors import ContainmentError, DomainError
 from .gap import _FAMILIES, _NOT_CONTAINED, _OVERFLOW, _SLACK, _THRESHOLDS
-from .hk import HK_COEFFS, _FLOAT_MIN, hk_args, recommended_levels
-from .region import _PARALLEL_EPS, DEFAULT_TOL
+from .hk import HK_COEFFS, hk_args, recommended_levels
+from .region import _PARALLEL_EPS, DEFAULT_TOL, _fold_rows
 
 __all__ = ["audit_chunk", "chunk_certificates"]
 
@@ -57,35 +58,16 @@ _AXES = ((1.0, 0.0), (0.0, 1.0))
 _STRENGTHS = {tag: strengths for strengths, tag in TAG_BY_STRENGTH.items()}
 
 
-def _private_snr(snr, inr_p, inr):
-    """:func:`gicap.hk._private_snr` on arrays.
-
-    The same three cases, chosen per channel by ``np.where``: the float
-    rule branches instead, since it cannot divide by a zero INR.
-    """
-    product = snr * inr_p
-    return np.where(
-        inr == 0.0, snr, np.where(product < _FLOAT_MIN, snr * (inr_p / inr), product / inr)
-    )
-
-
 def _rhs(args):
-    """``(channels, rows)`` array: row ``k`` is the left-to-right sum of
-    ``math.log2`` over ``args[k]``, each distinct argument array logged once."""
-    index: dict[int, int] = {}
-    distinct = []
-    for row in args:
-        for arg in row:
-            if id(arg) not in index:
-                index[id(arg)] = len(distinct)
-                distinct.append(arg)
-    flat = np.concatenate(distinct).tolist()
+    """``(channels, rows)`` array: row ``k`` is :func:`gicap.region.log2_rows`
+    of ``args[k]``, with each distinct argument array logged once."""
+    distinct = {id(arg): arg for row in args for arg in row}
+    flat = np.concatenate(list(distinct.values())).tolist()
     logs = np.fromiter(map(math.log2, flat), float, len(flat)).reshape(len(distinct), -1)
+    log_of = dict(zip(distinct, logs))
     out = np.empty((logs.shape[1], len(args)))
-    for k, row in enumerate(args):
-        total = logs[index[id(row[0])]]
-        for arg in row[1:]:
-            total = total + logs[index[id(arg)]]
+    # one row total alive at a time: holding all of them slows sweep-mixed
+    for k, total in enumerate(_fold_rows([log_of[id(arg)] for arg in row] for row in args)):
         out[:, k] = total
     return out
 
@@ -94,8 +76,8 @@ def _rows(tag, s1, s2, i1, i2):
     """``(inner, outer_coeffs, outer)`` of channels of class ``tag`` with ratio
     arrays ``s1, s2, i1, i2``: the rows :func:`gicap.gap.audit` builds, on
     arrays, the rhs as ``(channels, rows)`` arrays."""
-    p2, p1 = recommended_levels(*_STRENGTHS[tag], i1, i2, np.minimum)
-    inner = _rhs(hk_args(s1, s2, i1, i2, p2, p1, _private_snr))
+    p2, p1 = recommended_levels(*_STRENGTHS[tag], i1, i2, np.where)
+    inner = _rhs(hk_args(s1, s2, i1, i2, p2, p1, np.where))
     coeffs, args = _bounds.outer_args(s1, s2, i1, i2, tag)
     return inner, coeffs, _rhs(args)
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -315,3 +316,40 @@ class TestKramerVsAchievable:
     def test_kramer_at_vanishing_interference(self, snr):
         # 2 - a + sqrt(a^2 + 4 SNR a) cancels to 0 here; the limit is log2(1 + SNR)
         assert kramer_bound(snr, 1e-40) == pytest.approx(math.log2(1.0 + snr), abs=1e-12)
+
+    # where 2 - a + sqrt(a^2 + 4 SNR a) cancels to most of a bit, and where a * a overflows
+    WITNESSES = [(14057.298200159232, 1.489059452920308e-16), (1.5, 1e-320), (100.0, 1e-300)]
+
+    @staticmethod
+    def wide_pairs(rng, count):
+        """``count`` pairs 0 < INR < SNR, SNR log-uniform on 1e-3..1e300 and
+        INR/SNR on 1e-320..1, after the witnesses."""
+        pairs = list(TestKramerVsAchievable.WITNESSES)
+        while len(pairs) < count:
+            snr = 10.0 ** rng.uniform(-3.0, 300.0)
+            inr = snr * 10.0 ** rng.uniform(-320.0, 0.0)
+            if 0.0 < inr < snr:
+                pairs.append((snr, inr))
+        return pairs
+
+    @staticmethod
+    def decimal_kramer(snr, inr):
+        """80-digit kramer_bound from its cancellation-free form
+        2 + 4 SNR / (1 + sqrt(1 + 4 SNR / a)), a = 1 + SNR/INR."""
+        with localcontext() as ctx:
+            ctx.prec = 80
+            s = Decimal(snr)
+            a = 1 + s / Decimal(inr)
+            arg = 2 + 4 * s / (1 + (1 + 4 * s / a).sqrt())
+            return arg.ln() / Decimal(2).ln() - 1
+
+    def test_kramer_matches_decimal_reference(self, rng):
+        for snr, inr in self.wide_pairs(rng, 3000):
+            got = kramer_bound(snr, inr)
+            assert math.isfinite(got), (snr, inr)
+            assert abs(Decimal(got) - self.decimal_kramer(snr, inr)) < Decimal("1e-9"), (snr, inr)
+
+    def test_best_bound_is_above_the_scheme(self, rng):
+        for snr, inr in self.wide_pairs(rng, 5000):
+            best = symmetric_bounds(snr, inr).best
+            assert best >= symmetric_hk_rate(snr, inr) - 1e-9, (snr, inr)

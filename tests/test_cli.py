@@ -159,6 +159,16 @@ class TestSymrate:
         )
         assert obj["kramer_ub"] == pytest.approx(math.log2(1.2858679206362913), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "snr, inr",
+        [("14057.298200159232", "1.489059452920308e-16"), ("1.5", "1e-320"), ("100", "1e-300")],
+    )
+    def test_kramer_far_below_snr(self, snr, inr):
+        # the Kramer bound's a^2 overflows or 2 - a + sqrt(a^2 + 4*SNR*a) cancels
+        obj = run_json(["symrate", "--snr", snr, "--inr", inr])
+        assert obj["kramer_ub"] == pytest.approx(math.log2(1.0 + float(snr)), abs=1e-9)
+        assert obj["gap_to_best"] > -1e-9
+
     def test_overflow_names_the_channel(self, capsys):
         # the Kramer bound's a^2 + 4*SNR*a overflows
         assert_overflow_names_the_channel(
@@ -345,6 +355,19 @@ class TestFigures:
         rows = text.splitlines()
         assert rows[0] == "d1,d2"
         assert len(rows) >= 3
+
+    @pytest.mark.parametrize("figure_id", gicap.cli._FIGURE_IDS)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_is_what_stdout_gets(self, tmp_path, figure_id, fmt):
+        argv = ["figures", figure_id, "--format", fmt]
+        if figure_id == "gdof-region":
+            argv += ["--alpha", "0.6"]
+        code, text = run_cli(argv)
+        assert code == 0
+        out = tmp_path / "figure.txt"
+        code, printed = run_cli(argv + ["--out", str(out)])
+        assert code == 0 and printed == ""
+        assert out.read_bytes() == text.encode()
 
     def test_gdof_region_needs_alpha(self):
         code, _ = run_cli(["figures", "gdof-region"])

@@ -372,8 +372,8 @@ def array_rows(kernel, channels):
             ]
             if index:
                 s1, s2, i1, i2 = ratios[:, index]
-                p2, p1 = recommended_levels(*strengths, i1, i2, np.minimum)
-                rows = kernel._rhs(hk_args(s1, s2, i1, i2, p2, p1, kernel._private_snr))
+                p2, p1 = recommended_levels(*strengths, i1, i2, np.where)
+                rows = kernel._rhs(hk_args(s1, s2, i1, i2, p2, p1, np.where))
                 for k, row in zip(index, rows.tolist()):
                     inner[k] = row
         outer = {tag: kernel._rhs(outer_args(*ratios, tag)[1]) for tag in AUDITED_TAGS}
