@@ -207,15 +207,10 @@ def kramer_bound(snr: float, inr: float) -> float:
         raise DomainError(
             f"kramer bound needs 0 < inr < snr, got inr={inr!r}, snr={snr!r}"
         )
-    a = 1.0 + snr / inr
-    root = math.sqrt(a * a + 4.0 * snr * a)
-    if math.isfinite(root) and root - a > a * 2.0**-13:
-        # root - a cancels at most 13 bits here
-        arg = 2.0 - a + root
-    else:
-        # root - a = 4 SNR / (1 + 2 sqrt(1/4 + SNR/a)): no cancellation, no overflow
-        arg = 2.0 + 4.0 * snr / (1.0 + 2.0 * math.sqrt(0.25 + snr / a))
-    return math.log2(arg) - 1.0
+    # log2(2 - a + sqrt(a^2 + 4 SNR a)) - 1, a = 1 + SNR/INR, with the cancelling
+    # -a + sqrt(...) divided out and SNR/a written as INR/(1 + INR/SNR): the same
+    # value in reals, and no step rounds INR << SNR away or overflows
+    return math.log2(1.0 + snr / (0.5 + math.sqrt(0.25 + inr / (1.0 + inr / snr))))
 
 
 @dataclass(frozen=True)

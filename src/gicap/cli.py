@@ -24,6 +24,7 @@ which would indicate a formula bug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -182,8 +183,12 @@ def _cell(value) -> str:
 
 
 def _emit(obj, args, stream, table=None) -> None:
-    """Write ``obj`` as JSON, or as CSV: ``table = (header, rows)`` if one is given,
-    else ``obj``'s key,value rows with dotted paths.  The default is csv for a table."""
+    """Write ``obj`` as JSON, or as key,value CSV with dotted paths.
+
+    A figure passes ``table = (header, rows)`` in place of ``obj``: JSON
+    ``{"columns": header, "rows": rows}``, or CSV of the rows by default."""
+    if table is not None:
+        obj = {"columns": table[0], "rows": table[1]}
     if (args.format or ("json" if table is None else "csv")) == "json":
         json.dump(_round_floats(obj), stream, indent=2)
         stream.write("\n")
@@ -390,12 +395,12 @@ def _figure_rows(figure_id: str, alpha_arg: float | None):
 
 def _cmd_figures(args, stdout) -> int:
     table = _figure_rows(args.figure_id, args.alpha)
-    payload = {"columns": table[0], "rows": table[1]}
     if args.out is None:
-        _emit(payload, args, stdout, table)
+        stream = contextlib.nullcontext(stdout)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _emit(payload, args, fh, table)
+        stream = open(args.out, "w", encoding="utf-8", newline="")
+    with stream as fh:
+        _emit(None, args, fh, table)
     return 0
 
 

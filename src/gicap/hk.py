@@ -120,10 +120,11 @@ def _private_snr(snr, inr_p, inr, where):
     floats and arrays; the divisor ``inr + (inr == 0)`` is INR itself
     whenever INR > 0 and 1 at a zero INR, whose quotient is discarded.
     """
-    divisor = inr + (inr == 0.0)
+    zero = inr == 0.0
+    divisor = inr + zero
     product = snr * inr_p
     quotient = where(product < _FLOAT_MIN, snr * (inr_p / divisor), product / divisor)
-    return where(inr == 0.0, snr, quotient)
+    return where(zero, snr, quotient)
 
 
 # (c1, c2) of the seven hk_region rows, in contract order.

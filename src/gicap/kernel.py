@@ -8,9 +8,9 @@ chunk's class groups:
 * the recommended split by :func:`gicap.hk.recommended_levels` with the
   group's strengths;
 * the rows from :func:`gicap.hk.hk_args` and :func:`gicap.bounds.outer_args`
-  on arrays (``np.where`` choosing their branches), ``math.log2`` mapped
-  over the arguments (``np.log2`` rounds differently on some inputs) and
-  the fold of :func:`gicap.region.log2_rows`, so every rhs is the same double;
+  on arrays (``np.where`` choosing their branches), with ``math.log2`` mapped
+  over the arguments (``np.log2`` rounds differently on some inputs), so
+  every rhs is the same double;
 * the family deltas as minima over coefficient-keyed column groups;
 * both certificates and the containment check by
   :func:`chunk_certificates`.
@@ -49,7 +49,7 @@ from .channel import TAG_BY_STRENGTH, ChannelParams
 from .errors import ContainmentError, DomainError
 from .gap import _FAMILIES, _NOT_CONTAINED, _OVERFLOW, _SLACK, _THRESHOLDS
 from .hk import HK_COEFFS, hk_args, recommended_levels
-from .region import _PARALLEL_EPS, DEFAULT_TOL, _fold_rows
+from .region import _PARALLEL_EPS, DEFAULT_TOL
 
 __all__ = ["audit_chunk", "chunk_certificates"]
 
@@ -59,15 +59,17 @@ _STRENGTHS = {tag: strengths for strengths, tag in TAG_BY_STRENGTH.items()}
 
 
 def _rhs(args):
-    """``(channels, rows)`` array: row ``k`` is :func:`gicap.region.log2_rows`
-    of ``args[k]``, with each distinct argument array logged once."""
+    """``(channels, rows)`` array: row ``k`` is the left-to-right sum of
+    ``math.log2`` over ``args[k]``, each distinct argument array logged once."""
     distinct = {id(arg): arg for row in args for arg in row}
+    index = dict(zip(distinct, range(len(distinct))))
     flat = np.concatenate(list(distinct.values())).tolist()
     logs = np.fromiter(map(math.log2, flat), float, len(flat)).reshape(len(distinct), -1)
-    log_of = dict(zip(distinct, logs))
     out = np.empty((logs.shape[1], len(args)))
-    # one row total alive at a time: holding all of them slows sweep-mixed
-    for k, total in enumerate(_fold_rows([log_of[id(arg)] for arg in row] for row in args)):
+    for k, row in enumerate(args):
+        total = logs[index[id(row[0])]]
+        for arg in row[1:]:
+            total = total + logs[index[id(arg)]]
         out[:, k] = total
     return out
 

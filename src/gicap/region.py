@@ -89,17 +89,12 @@ def region_from_rows(coeffs, rhs) -> RateRegion:
 
 
 def log2_rows(args) -> tuple[float, ...]:
-    """Each row's rhs: ``math.log2`` of its arguments, added by :func:`_fold_rows`."""
-    return tuple(_fold_rows(map(math.log2, row) for row in args))
-
-
-def _fold_rows(rows):
-    """Each row of terms added left to right, lazily, for floats and numpy arrays alike.
+    """Each row's rhs: the sum of ``math.log2`` over its arguments, left to right.
 
     An explicit fold rather than ``sum``, which adds floats with compensation
     from Python 3.12 on and so can round ``a + b + c`` differently.
     """
-    return (functools.reduce(operator.add, row) for row in rows)
+    return tuple(functools.reduce(operator.add, map(math.log2, row)) for row in args)
 
 
 def vertices(region: RateRegion) -> list[Vertex]:

@@ -317,8 +317,15 @@ class TestKramerVsAchievable:
         # 2 - a + sqrt(a^2 + 4 SNR a) cancels to 0 here; the limit is log2(1 + SNR)
         assert kramer_bound(snr, 1e-40) == pytest.approx(math.log2(1.0 + snr), abs=1e-12)
 
-    # where 2 - a + sqrt(a^2 + 4 SNR a) cancels to most of a bit, and where a * a overflows
-    WITNESSES = [(14057.298200159232, 1.489059452920308e-16), (1.5, 1e-320), (100.0, 1e-300)]
+    # where 2 - a + sqrt(a^2 + 4 SNR a) cancels to most of a bit, and where
+    # a * a, 4 SNR or SNR / INR overflows
+    WITNESSES = [
+        (14057.298200159232, 1.489059452920308e-16),
+        (1.5, 1e-320),
+        (100.0, 1e-300),
+        (1e308, 1e307),
+        (1.7e308, 0.5),
+    ]
 
     @staticmethod
     def wide_pairs(rng, count):
@@ -334,13 +341,14 @@ class TestKramerVsAchievable:
 
     @staticmethod
     def decimal_kramer(snr, inr):
-        """80-digit kramer_bound from its cancellation-free form
-        2 + 4 SNR / (1 + sqrt(1 + 4 SNR / a)), a = 1 + SNR/INR."""
+        """The textbook Kramer bound, log2(2 - a + sqrt(a^2 + 4 SNR a)) - 1 with
+        a = 1 + SNR/INR, to 80 digits: 2 - a + sqrt(...) cancels about
+        log10(1/INR) digits, so that many more are carried."""
         with localcontext() as ctx:
-            ctx.prec = 80
-            s = Decimal(snr)
-            a = 1 + s / Decimal(inr)
-            arg = 2 + 4 * s / (1 + (1 + 4 * s / a).sqrt())
+            s, i = Decimal(snr), Decimal(inr)
+            ctx.prec = 90 + max(0, -i.adjusted())
+            a = 1 + s / i
+            arg = 2 - a + (a * a + 4 * s * a).sqrt()
             return arg.ln() / Decimal(2).ln() - 1
 
     def test_kramer_matches_decimal_reference(self, rng):

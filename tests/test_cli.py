@@ -170,7 +170,7 @@ class TestSymrate:
         assert obj["gap_to_best"] > -1e-9
 
     def test_overflow_names_the_channel(self, capsys):
-        # the Kramer bound's a^2 + 4*SNR*a overflows
+        # 1 + SNR + INR overflows in the achievable rate
         assert_overflow_names_the_channel(
             ["symrate", "--snr", "1.7e308", "--inr", "1e308"],
             capsys,
