@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -36,6 +37,7 @@ from . import gdof as _gdof
 from . import hk as _hk
 from .channel import (
     ChannelParams,
+    InterferenceTag,
     alpha as _alpha,
     classify,
     db_to_linear,
@@ -56,6 +58,7 @@ __all__ = ["main", "entrypoint"]
 _FIGURE_IDS = ("gdof-curve", "hk-fraction", "ub-vs-hk", "diff-rates", "gdof-region")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gicap",
@@ -78,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", type=str, default=None, help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("classify", parents=[channel], help="classify a channel")
+    p = sub.add_parser("classify", parents=[channel], help="classify a channel")
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser(
         "region", parents=[channel], help="achievable and outer regions + certificates"
@@ -97,12 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="outer bound: class-matched or the point-to-point box",
     )
+    p.set_defaults(run=_cmd_region)
 
     p = sub.add_parser("symrate", parents=[db], help="symmetric rate and bounds")
     p.add_argument("--snr", type=float, required=True)
     p.add_argument("--inr", type=float, required=True)
+    p.set_defaults(run=_cmd_symrate)
 
-    sub.add_parser("gap-audit", parents=[channel], help="single-channel delta audit")
+    p = sub.add_parser("gap-audit", parents=[channel], help="single-channel delta audit")
+    p.set_defaults(run=_cmd_gap_audit)
 
     p = sub.add_parser("sweep", parents=[out], help="randomized verification sweep")
     p.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
@@ -120,21 +127,25 @@ def _build_parser() -> argparse.ArgumentParser:
         default="one-bit",
         help="which guarantee the failure count tracks",
     )
+    p.set_defaults(run=_cmd_sweep)
 
     p = sub.add_parser("gdof", parents=[fmt], help="degrees-of-freedom regions")
     p.add_argument("--alpha", type=float, default=None, help="symmetric level")
     p.add_argument("--alpha1", type=float, default=None)
     p.add_argument("--alpha2", type=float, default=None)
     p.add_argument("--alpha3", type=float, default=None)
+    p.set_defaults(run=_cmd_gdof)
 
     p = sub.add_parser("figures", parents=[out], help="emit figure-ready CSV data")
     p.add_argument("figure_id", choices=_FIGURE_IDS)
     p.add_argument("--alpha", type=float, default=None, help="gdof-region level")
+    p.set_defaults(run=_cmd_figures)
 
     p = sub.add_parser("diffrate", parents=[db], help="differential rate densities")
     p.add_argument("--snr1", type=float, required=True)
     p.add_argument("--inr2", type=float, required=True)
     p.add_argument("--z", type=float, required=True, help="normalized power level")
+    p.set_defaults(run=_cmd_diffrate)
     return parser
 
 
@@ -224,6 +235,8 @@ def _cmd_region(args, stdout) -> int:
         split = _hk.PowerSplit(
             _ratio(args.inr_p2, args.db), _ratio(args.inr_p1, args.db)
         )
+    elif args.inr_p2 is not None or args.inr_p1 is not None:
+        raise GicapError("--inr-p2 and --inr-p1 need --split explicit")
     else:
         split = _hk.recommended_split(params)
     tag = classify(params).tag
@@ -309,26 +322,25 @@ def _cmd_sweep(args, stdout) -> int:
 
 
 def _gdof_region_for(args) -> tuple[dict, RateRegion]:
+    triple = (args.alpha1, args.alpha2, args.alpha3)
     if args.alpha is not None:
+        if triple != (None, None, None):
+            raise GicapError("gdof takes --alpha or --alpha1/--alpha2/--alpha3, not both")
         region = _gdof.symmetric_gdof_region(args.alpha)
         meta = {"alpha": args.alpha, "d_sym": _gdof.d_sym(args.alpha)}
         return meta, region
-    triple = (args.alpha1, args.alpha2, args.alpha3)
     if any(v is None for v in triple):
         raise GicapError("gdof needs --alpha or all of --alpha1/--alpha2/--alpha3")
     g = _gdof.GdofParams(*triple)
+    tag = _gdof._slope_tag(g)
     if g.alpha2 == 0.0:
         # one cross link absent: emit the compact one-sided region (for
-        # alpha3 < 1 its polygon coincides with the general weak one)
-        strong_side = g.alpha3 >= 1.0
-        region = _gdof.one_sided_gdof_region(g, strong=strong_side)
-        kind = "one_sided_strong" if strong_side else "one_sided_weak"
-    elif g.alpha2 < g.alpha1 and g.alpha3 < 1.0:
-        region, kind = _gdof.weak_gdof_region(g), "weak"
-    elif g.alpha2 >= g.alpha1 and g.alpha3 < 1.0:
-        region, kind = _gdof.mixed_gdof_region(g), "mixed"
-    elif g.alpha2 >= g.alpha1 and g.alpha3 >= 1.0:
-        region, kind = _gdof.strong_gdof_region(g), "strong"
+        # weak slopes its polygon coincides with the general weak one)
+        region = _gdof.one_sided_gdof_region(g)
+        kind = "one_sided_weak" if tag is InterferenceTag.WEAK else "one_sided_strong"
+    elif tag in _gdof._EXPANSION_ROWS:
+        # the class name without its orientation: mixed_strong_at_1 -> mixed
+        region, kind = _gdof._class_gdof_region(g, tag), tag.value.partition("_")[0]
     else:
         raise GicapError(
             "slopes fall in the swapped-mixed orientation; swap the users and retry"
@@ -357,6 +369,8 @@ def _grid(count: int):
 
 
 def _figure_rows(figure_id: str, alpha_arg: float | None):
+    if alpha_arg is not None and figure_id != "gdof-region":
+        raise GicapError(f"figure {figure_id} takes no --alpha")
     if figure_id == "gdof-curve":
         header = ("alpha", "d_sym", "d_orth", "d_tin")
         rows = [
@@ -412,25 +426,12 @@ def _cmd_diffrate(args, stdout) -> int:
     return 0
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "region": _cmd_region,
-    "symrate": _cmd_symrate,
-    "gap-audit": _cmd_gap_audit,
-    "sweep": _cmd_sweep,
-    "gdof": _cmd_gdof,
-    "figures": _cmd_figures,
-    "diffrate": _cmd_diffrate,
-}
-
-
 def main(argv: Sequence[str] | None = None, stdout=None) -> int:
     """Run one subcommand; returns the process exit code."""
     stdout = sys.stdout if stdout is None else stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, stdout)
+        return args.run(args, stdout)
     except GicapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

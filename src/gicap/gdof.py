@@ -11,6 +11,10 @@ and gdof regions live in (d1, d2) with constraints of the form
 ``c1*d1 + (c2*alpha1)*d2 <= rhs``, reusing the rate-region machinery.
 All regions here sit inside the unit box.
 
+The slope class is ``TAG_BY_STRENGTH[alpha2 >= alpha1, alpha3 >= 1]``,
+the finite-SNR class split: alpha2 >= alpha1 means INR1 >= SNR2 and
+alpha3 >= 1 means INR2 >= SNR1.
+
 The region constraint sets are the first-order (log-domain) expansions
 of the finite-SNR bounds; :func:`first_order_expansion` emits the same
 expressions in bits for a concrete channel, and
@@ -32,7 +36,7 @@ from typing import NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import ChannelParams, InterferenceTag, _power_inr, classify
+from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _power_inr, classify
 from .errors import ClassMismatchError, DomainError
 from .region import RateConstraint, RateRegion
 
@@ -155,37 +159,38 @@ def _rows_to_gdof(rows, alpha1: float) -> RateRegion:
     return RateRegion(constraints)
 
 
+_EXPANSION_ROWS = {
+    InterferenceTag.WEAK: _weak_expansion_rows,
+    InterferenceTag.MIXED_STRONG_AT_1: _mixed_expansion_rows,
+    InterferenceTag.STRONG: _strong_expansion_rows,
+}
+
+
+def _slope_tag(g: GdofParams) -> InterferenceTag:
+    return TAG_BY_STRENGTH[g.alpha2 >= g.alpha1, g.alpha3 >= 1.0]
+
+
+def _class_gdof_region(g: GdofParams, tag: InterferenceTag) -> RateRegion:
+    """Gdof region of class ``tag``; slopes of another class raise."""
+    actual = _slope_tag(g)
+    if tag is not actual:
+        raise ClassMismatchError(f"{g} has {actual.value} slopes, got tag {tag!r}")
+    return _rows_to_gdof(_EXPANSION_ROWS[tag](1.0, g.alpha1, g.alpha2, g.alpha3), g.alpha1)
+
+
 def weak_gdof_region(g: GdofParams) -> RateRegion:
     """Seven-constraint gdof region for weak interference slopes."""
-    if not (g.alpha2 < g.alpha1 and g.alpha3 < 1.0):
-        raise ClassMismatchError(
-            f"weak gdof region needs alpha2 < alpha1 and alpha3 < 1, got {g}"
-        )
-    return _rows_to_gdof(
-        _weak_expansion_rows(1.0, g.alpha1, g.alpha2, g.alpha3), g.alpha1
-    )
+    return _class_gdof_region(g, InterferenceTag.WEAK)
 
 
 def mixed_gdof_region(g: GdofParams) -> RateRegion:
     """Five-constraint gdof region, strong-at-receiver-1 orientation."""
-    if not (g.alpha2 >= g.alpha1 and g.alpha3 < 1.0):
-        raise ClassMismatchError(
-            f"mixed gdof region needs alpha2 >= alpha1 and alpha3 < 1, got {g}"
-        )
-    return _rows_to_gdof(
-        _mixed_expansion_rows(1.0, g.alpha1, g.alpha2, g.alpha3), g.alpha1
-    )
+    return _class_gdof_region(g, InterferenceTag.MIXED_STRONG_AT_1)
 
 
 def strong_gdof_region(g: GdofParams) -> RateRegion:
     """Gdof region for strong interference slopes (both MAC cuts)."""
-    if not (g.alpha2 >= g.alpha1 and g.alpha3 >= 1.0):
-        raise ClassMismatchError(
-            f"strong gdof region needs alpha2 >= alpha1 and alpha3 >= 1, got {g}"
-        )
-    return _rows_to_gdof(
-        _strong_expansion_rows(1.0, g.alpha1, g.alpha2, g.alpha3), g.alpha1
-    )
+    return _class_gdof_region(g, InterferenceTag.STRONG)
 
 
 def symmetric_gdof_region(alpha_value: float) -> RateRegion:
@@ -207,24 +212,18 @@ def symmetric_gdof_region(alpha_value: float) -> RateRegion:
     )
 
 
-def one_sided_gdof_region(g: GdofParams, strong: bool) -> RateRegion:
+def one_sided_gdof_region(g: GdofParams) -> RateRegion:
     """Gdof region with one cross link absent (alpha2 = 0 convention).
 
-    Weak (alpha3 <= 1): d1 + alpha1*d2 <= max(1, 1 + alpha1 - alpha3);
-    strong (alpha3 >= 1): d1 + alpha1*d2 <= max(alpha1, alpha3).
+    Weak (alpha3 < 1): d1 + alpha1*d2 <= max(1, 1 + alpha1 - alpha3);
+    strong at receiver 2 (alpha3 >= 1): d1 + alpha1*d2 <= max(alpha1, alpha3).
+    The two forms agree at alpha3 = 1.
     """
     if g.alpha2 != 0.0:
         raise ClassMismatchError(
             f"one-sided gdof region needs alpha2 = 0, got alpha2={g.alpha2!r}"
         )
-    if strong and g.alpha3 < 1.0:
-        raise ClassMismatchError(
-            f"strong one-sided region needs alpha3 >= 1, got alpha3={g.alpha3!r}"
-        )
-    if not strong and g.alpha3 > 1.0:
-        raise ClassMismatchError(
-            f"weak one-sided region needs alpha3 <= 1, got alpha3={g.alpha3!r}"
-        )
+    strong = _slope_tag(g) is not InterferenceTag.WEAK
     rhs = max(g.alpha1, g.alpha3) if strong else max(1.0, 1.0 + g.alpha1 - g.alpha3)
     return RateRegion(
         [
@@ -309,18 +308,15 @@ def first_order_expansion(params: ChannelParams) -> RateRegion:
     s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
     if mirror:
         s1, s2, i1, i2 = s2, s1, i2, i1
+        tag = InterferenceTag.MIXED_STRONG_AT_1
     logs = (
         _LOG2(s1),
         _LOG2(s2),
         _LOG2(i1) if i1 > 0.0 else -math.inf,
         _LOG2(i2) if i2 > 0.0 else -math.inf,
     )
-    if tag is InterferenceTag.WEAK:
-        rows = _weak_expansion_rows(*logs)
-    else:
-        rows = _mixed_expansion_rows(*logs)
     return RateRegion(
         RateConstraint(m2, m1, rhs) if mirror else RateConstraint(m1, m2, rhs)
-        for m1, m2, rhs in rows
+        for m1, m2, rhs in _EXPANSION_ROWS[tag](*logs)
         if math.isfinite(rhs)
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from pathlib import Path
@@ -34,6 +35,16 @@ def vertex_sets_equal(a, b, tol=1e-9) -> bool:
     return all(
         abs(p.r1 - q.r1) <= tol and abs(p.r2 - q.r2) <= tol for p, q in zip(a, b)
     )
+
+
+def slope_tie_grid():
+    """(alpha1, alpha2, alpha3) on the class ties alpha2 = 0, alpha2 = alpha1
+    and alpha3 = 1, each with its float neighbours."""
+    below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+    for a1 in (0.5, 1.0, 1.5):
+        for a2 in (0.0, 0.5, math.nextafter(a1, 0.0), a1, math.nextafter(a1, 2.0), 2.0):
+            for a3 in (0.0, 0.5, below, 1.0, above, 1.5):
+                yield a1, a2, a3
 
 
 def random_channel(rng: random.Random, want: InterferenceTag | None = None) -> ChannelParams:

@@ -1,4 +1,3 @@
-import functools
 import io
 import json
 import math
@@ -10,6 +9,7 @@ import gicap.cli
 import gicap.gap
 from gicap import SweepRecord
 from gicap.cli import _build_parser, main
+from conftest import slope_tie_grid
 
 
 def run_cli(args):
@@ -109,6 +109,20 @@ class TestRegion:
             ]
         )
         assert code == 2
+
+    def test_split_values_need_explicit_split(self, capsys):
+        # 0.5 asked for, yet the recommended split would be printed
+        code, out = run_cli(["region", *CHANNEL, "--inr-p2", "0.5", "--inr-p1", "0.5"])
+        assert code == 2 and out == ""
+        assert "--inr-p2" in capsys.readouterr().err
+
+    def test_no_parse_state_leaks_between_calls(self):
+        explicit = run_json(
+            ["region", *CHANNEL, "--split", "explicit", "--inr-p2", "0.5", "--inr-p1", "0.25"]
+        )
+        assert explicit["split"] == {"inr_p2": 0.5, "inr_p1": 0.25}
+        plain = run_json(["region", *CHANNEL])
+        assert plain["split"] == {"inr_p2": 1.0, "inr_p1": 1.0}
 
     def test_explicit_split_missing_values(self):
         code, _ = run_cli(
@@ -313,6 +327,37 @@ class TestGdofCommand:
         code, _ = run_cli(["gdof", "--alpha1", "1", "--alpha2", "0.4", "--alpha3", "1.5"])
         assert code == 2
 
+    def test_alpha_with_slope_triple(self, capsys):
+        code, out = run_cli(
+            ["gdof", "--alpha", "0.6", "--alpha1", "1", "--alpha2", "0.4", "--alpha3", "0.4"]
+        )
+        assert code == 2 and out == ""
+        assert "--alpha1" in capsys.readouterr().err
+
+    @staticmethod
+    def written_out_class(a1, a2, a3):
+        """The class by the hand-written slope conditions; None is swapped mixed."""
+        if a2 == 0.0:
+            return "one_sided_strong" if a3 >= 1.0 else "one_sided_weak"
+        if a2 < a1 and a3 < 1.0:
+            return "weak"
+        if a2 >= a1 and a3 < 1.0:
+            return "mixed"
+        if a2 >= a1 and a3 >= 1.0:
+            return "strong"
+        return None
+
+    def test_class_at_the_ties(self, capsys):
+        for a1, a2, a3 in slope_tie_grid():
+            argv = ["gdof", "--alpha1", repr(a1), "--alpha2", repr(a2), "--alpha3", repr(a3)]
+            code, out = run_cli(argv)
+            expect = self.written_out_class(a1, a2, a3)
+            if expect is None:
+                assert code == 2, argv
+                assert "swapped-mixed orientation" in capsys.readouterr().err
+            else:
+                assert code == 0 and json.loads(out)["class"] == expect, argv
+
 
 class TestFigures:
     def test_gdof_curve_breakpoints(self, tmp_path):
@@ -368,6 +413,12 @@ class TestFigures:
         code, printed = run_cli(argv + ["--out", str(out)])
         assert code == 0 and printed == ""
         assert out.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("figure_id", [f for f in gicap.cli._FIGURE_IDS if f != "gdof-region"])
+    def test_alpha_only_for_gdof_region(self, figure_id, capsys):
+        code, out = run_cli(["figures", figure_id, "--alpha", "0.6"])
+        assert code == 2 and out == ""
+        assert "--alpha" in capsys.readouterr().err
 
     def test_gdof_region_needs_alpha(self):
         code, _ = run_cli(["figures", "gdof-region"])
@@ -531,9 +582,7 @@ class TestBadInputNeverCrashes:
                 argv.append("--db")
             yield argv
 
-    def test_exit_codes_and_json(self, capsys, monkeypatch):
-        # one parser for every call: building it is most of a call's time
-        monkeypatch.setattr(gicap.cli, "_build_parser", functools.lru_cache(_build_parser))
+    def test_exit_codes_and_json(self, capsys):
         crashes = []
         for argv in self.argvs(5_000):
             stdout = io.StringIO()

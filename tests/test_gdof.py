@@ -24,7 +24,7 @@ from gicap import (
     vertices,
     weak_gdof_region,
 )
-from conftest import random_channel, vertex_sets_equal
+from conftest import random_channel, slope_tie_grid, vertex_sets_equal
 from gicap.bounds import outer_args
 from gicap.gdof import _mixed_expansion_rows, _strong_expansion_rows, _weak_expansion_rows
 
@@ -141,6 +141,34 @@ class TestMixedStrongGdofRegions:
             strong_gdof_region(GdofParams(1.0, 1.5, 0.5))
 
 
+class TestSlopeClassTies:
+    """Each class region raises exactly where its hand-written slope test fails."""
+
+    WRITTEN_OUT = {
+        weak_gdof_region: lambda g: g.alpha2 < g.alpha1 and g.alpha3 < 1.0,
+        mixed_gdof_region: lambda g: g.alpha2 >= g.alpha1 and g.alpha3 < 1.0,
+        strong_gdof_region: lambda g: g.alpha2 >= g.alpha1 and g.alpha3 >= 1.0,
+    }
+
+    @pytest.mark.parametrize("build", list(WRITTEN_OUT), ids=lambda f: f.__name__)
+    def test_raises_exactly_off_class(self, build):
+        holds = self.WRITTEN_OUT[build]
+        for g in (GdofParams(*slopes) for slopes in slope_tie_grid()):
+            if holds(g):
+                build(g)
+            else:
+                with pytest.raises(ClassMismatchError):
+                    build(g)
+
+    def test_one_sided_form_switches_at_alpha3_one(self):
+        # at alpha1 = 1/2 the weak form gives 1 and the strong one alpha3;
+        # they agree at the tie itself
+        below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+        for a3, rhs in ((below, 1.0), (1.0, 1.0), (above, above)):
+            r = one_sided_gdof_region(GdofParams(0.5, 0.0, a3))
+            assert r.constraints[2].rhs == rhs, a3
+
+
 class TestSymmetricGdofRegion:
     def test_half(self):
         r = symmetric_gdof_region(0.5)
@@ -178,7 +206,7 @@ class TestSymmetricGdofRegion:
 
 class TestOneSidedGdofRegion:
     def test_weak_corners(self):
-        r = one_sided_gdof_region(GdofParams(1.0, 0.0, 0.4), strong=False)
+        r = one_sided_gdof_region(GdofParams(1.0, 0.0, 0.4))
         vs = vertices(r)
         assert any(
             abs(v.r1 - 1.0) < 1e-12 and abs(v.r2 - 0.6) < 1e-12 for v in vs
@@ -188,7 +216,7 @@ class TestOneSidedGdofRegion:
         )
 
     def test_weak_dominant_cross(self):
-        r = one_sided_gdof_region(GdofParams(0.5, 0.0, 0.8), strong=False)
+        r = one_sided_gdof_region(GdofParams(0.5, 0.0, 0.8))
         sum_c = [c for c in r.constraints if c.c1 == 1.0 and c.c2 == 0.5]
         assert sum_c[0].rhs == pytest.approx(1.0, abs=1e-15)
         assert any(
@@ -196,17 +224,13 @@ class TestOneSidedGdofRegion:
         )
 
     def test_strong(self):
-        r = one_sided_gdof_region(GdofParams(1.0, 0.0, 1.5), strong=True)
+        r = one_sided_gdof_region(GdofParams(1.0, 0.0, 1.5))
         sums = [c.rhs for c in r.constraints if (c.c1, c.c2) == (1.0, 1.0)]
         assert sums[0] == pytest.approx(1.5, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ClassMismatchError):
-            one_sided_gdof_region(GdofParams(1.0, 0.3, 0.4), strong=False)
-        with pytest.raises(ClassMismatchError):
-            one_sided_gdof_region(GdofParams(1.0, 0.0, 1.5), strong=False)
-        with pytest.raises(ClassMismatchError):
-            one_sided_gdof_region(GdofParams(1.0, 0.0, 0.5), strong=True)
+            one_sided_gdof_region(GdofParams(1.0, 0.3, 0.4))
 
     def test_weak_case_matches_general_weak_region(self, rng):
         # with one cross link absent the compact three-constraint form
@@ -214,7 +238,7 @@ class TestOneSidedGdofRegion:
         for _ in range(60):
             g = GdofParams(rng.uniform(0.2, 2.0), 0.0, rng.uniform(0.0, 0.999))
             assert vertex_sets_equal(
-                vertices(one_sided_gdof_region(g, strong=False)),
+                vertices(one_sided_gdof_region(g)),
                 vertices(weak_gdof_region(g)),
             )
 
