@@ -157,19 +157,12 @@ def vertices(region: RateRegion) -> list[Vertex]:
 
 
 def contains(region: RateRegion, point, tol: float = DEFAULT_TOL) -> bool:
-    """Membership test: every constraint satisfied within ``tol`` bits."""
+    """Membership test: every constraint satisfied within ``tol`` bits.  Each
+    test fails on NaN, so a point with a NaN coordinate is outside."""
     r1, r2 = point
-    if r1 < -tol or r2 < -tol:
-        return False
-    return _satisfies(region, r1, r2, tol)
-
-
-def _satisfies(region: RateRegion, r1: float, r2: float, tol: float) -> bool:
-    """Every half-plane holds at (r1, r2) within ``tol``; the axes are not checked."""
-    for c in region.constraints:
-        if c.c1 * r1 + c.c2 * r2 > c.rhs + tol:
-            return False
-    return True
+    return r1 >= -tol and r2 >= -tol and all(
+        c.c1 * r1 + c.c2 * r2 <= c.rhs + tol for c in region.constraints
+    )
 
 
 def symmetric_rate(region: RateRegion) -> float:
@@ -178,40 +171,103 @@ def symmetric_rate(region: RateRegion) -> float:
 
 
 def certificates(inner: RateRegion, outer: RateRegion) -> tuple[bool, bool]:
-    """Both gap certificates, ``(one_bit, within_half)``, from one containment check.
+    """Both gap certificates, ``(one_bit, within_half)``, after one containment check.
 
-    One bit: for every vertex v of the outer region the pulled-back point
-    (v.r1 - 1, v.r2 - 1) satisfies every inner constraint within
-    :data:`DEFAULT_TOL`.  A pulled-back coordinate may be negative (that
-    user falls silent); only the half-plane system is evaluated, since
-    clamping a negative coordinate up to zero would add spurious weight to
-    the weighted-sum constraints and reject channels the guarantee
-    actually covers.
+    Each compares, per coefficient family ``c = (c1, c2)``, the support
+    function ``h_P(c)`` (the largest ``c1*R1 + c2*R2`` over region P) with
+    the smallest rhs ``m_P(c)`` of P's rows of that family, within
+    :data:`DEFAULT_TOL`:
 
-    Within half: every outer vertex, scaled by 1/2 per coordinate, lies in
-    the inner region, so doubling any inner boundary point exits ``outer``.
+    * contained: ``h_inner(c) <= m_outer(c)`` for each outer family;
+    * one bit: ``h_outer(c) - (c1 + c2) <= m_inner(c)`` for each inner
+      family: every outer point less one bit per user meets every inner
+      row.  A coordinate pulled below zero (that user falls silent) is not
+      clamped, which would reject channels the guarantee covers;
+    * within half: ``h_outer(c) / 2 <= m_inner(c)`` for each inner family:
+      every outer point halved lies in ``inner``.
 
-    Vertex checking suffices: the constraints are linear and the outer
-    region is the convex hull of its vertices, so each family's maximum
-    over the outer region is attained at a vertex.
+    By LP duality, for a region ``{R >= 0 : a_k . R <= b_k}`` that holds
+    the origin and caps both rates, ``h(c)`` is the least ``lambda . b``
+    over ``lambda >= 0`` with ``sum_k lambda_k a_k >= c``.  That dual has
+    one constraint per rate, so a basic optimum has at most two nonzero
+    weights, and rows sharing coefficients count only through the smallest
+    rhs.  So ``h(c)`` is the least of a fixed list of combinations of at
+    most two family minima (:func:`_support_table`), and one rule
+    (:func:`_verdicts`) decides floats and numpy chunks alike.
 
-    Raises :class:`ContainmentError` if ``inner`` is not contained in
-    ``outer`` -- an achievable region exceeding its outer bound means a
-    formula bug, not a gap result.
+    Raises :class:`UnboundedRegionError` when a region leaves a rate
+    uncapped, and :class:`ContainmentError` if ``inner`` is not contained in
+    ``outer``: an achievable region beyond its outer bound is a formula bug.
     """
-    for v in vertices(inner):
-        if not contains(outer, v):
-            raise ContainmentError(
-                f"inner vertex {v} violates the outer bound (formula bug upstream)"
-            )
-    outer_vertices = vertices(outer)
-    one_bit = all(
-        _satisfies(inner, v.r1 - 1.0, v.r2 - 1.0, DEFAULT_TOL) for v in outer_vertices
-    )
-    within_half = all(
-        contains(inner, (0.5 * v.r1, 0.5 * v.r2)) for v in outer_vertices
-    )
+    contained, one_bit, within_half = _verdicts(*(
+        _family_minima(((c.c1, c.c2), c.rhs) for c in region.constraints)
+        for region in (inner, outer)
+    ))
+    if not contained:
+        raise ContainmentError("the inner region violates the outer bound (formula bug upstream)")
     return one_bit, within_half
+
+
+def _family_minima(rows, minimum=min) -> dict:
+    """The smallest rhs of each coefficient pair over ``(coeffs, rhs)`` rows,
+    keyed in order of first appearance; array rhs take ``minimum=np.minimum``."""
+    mins: dict = {}
+    for c, r in rows:
+        mins[c] = minimum(mins[c], r) if c in mins else r
+    return mins
+
+
+@functools.lru_cache(maxsize=256)  # bounded: library callers may pass any coefficients
+def _support_table(families, c) -> tuple:
+    """The basic dual solutions for direction ``c`` over the coefficient
+    pairs ``families``, each a tuple of ``(family, weight > 0)``: a family
+    that covers ``c`` alone, and a pair whose exact 2x2 solve gives both
+    weights > 0.  Raises :class:`UnboundedRegionError` unless the families
+    cap both rates; then the table is never empty."""
+    from fractions import Fraction  # here, so commands that certify nothing never import it
+
+    if not (any(a1 > 0.0 for a1, _ in families) and any(a2 > 0.0 for _, a2 in families)):
+        raise UnboundedRegionError("region is unbounded: need a positive coefficient on each rate")
+    c1, c2 = map(Fraction, c)
+    table = []
+    for k, a in enumerate(families):
+        a1, a2 = map(Fraction, a)
+        if (a1 or not c1) and (a2 or not c2):  # a alone covers c
+            weight = max(c1 / a1 if a1 else 0, c2 / a2 if a2 else 0)
+            table.append(((a, float(weight)),))
+        for b in families[k + 1:]:
+            b1, b2 = map(Fraction, b)
+            det = a1 * b2 - b1 * a2
+            if det:
+                wa, wb = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+                if wa > 0 and wb > 0:
+                    table.append(((a, float(wa)), (b, float(wb))))
+    return tuple(table)
+
+
+def _support(mins: dict, c, minimum=min):
+    """``h(c)``, the largest ``c . R`` over the region with family minima ``mins``."""
+    h = None
+    for entry in _support_table(tuple(mins), c):
+        total = None
+        for family, weight in entry:
+            term = mins[family] if weight == 1.0 else weight * mins[family]
+            total = term if total is None else total + term
+        h = total if h is None else minimum(h, total)
+    return h
+
+
+def _verdicts(inner: dict, outer: dict, minimum=min):
+    """``(contained, one_bit, within_half)`` of the regions with family minima
+    ``inner`` and ``outer``; see :func:`certificates`."""
+    contained = one_bit = within_half = True
+    for c, m in outer.items():
+        contained = contained & (_support(inner, c, minimum) <= m + DEFAULT_TOL)
+    for (c1, c2), m in inner.items():
+        h = _support(outer, (c1, c2), minimum)
+        one_bit = one_bit & (h - (c1 + c2) <= m + DEFAULT_TOL)
+        within_half = within_half & (0.5 * h <= m + DEFAULT_TOL)
+    return contained, one_bit, within_half
 
 
 def one_bit_certificate(inner: RateRegion, outer: RateRegion) -> bool:

@@ -173,3 +173,27 @@ def ref_one_bit(inner: RateRegion, outer: RateRegion) -> bool:
 def ref_within_half(inner: RateRegion, outer: RateRegion) -> bool:
     _require_containment(inner, outer)
     return all(contains(inner, (0.5 * v.r1, 0.5 * v.r2), TOL) for v in vertices(outer))
+
+
+def ref_margins(inner: RateRegion, outer: RateRegion) -> tuple[float, float | None, float | None]:
+    """(containment, one-bit, within-half) margins by vertex enumeration.
+
+    Each is the least ``rhs - lhs`` over the rows and points that its check
+    above tests: the outer rows at the inner vertices, and the inner rows
+    at the outer vertices pulled back by one bit or halved.  A check passes
+    when its margin is at least ``-TOL``, up to rounding.  The last two are
+    None when the containment check fails.
+    """
+
+    def least(region, points):
+        return min(c.rhs - (c.c1 * p1 + c.c2 * p2) for c in region.constraints for p1, p2 in points)
+
+    contained = least(outer, vertices(inner))
+    if contained < -TOL:
+        return contained, None, None
+    outer_vertices = vertices(outer)
+    return (
+        contained,
+        least(inner, [(v.r1 - 1.0, v.r2 - 1.0) for v in outer_vertices]),
+        least(inner, [(0.5 * v.r1, 0.5 * v.r2) for v in outer_vertices]),
+    )

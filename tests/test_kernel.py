@@ -40,8 +40,9 @@ AUDITED_TAGS = (
 
 
 def kernel_verdicts(kernel, pairs):
-    """``(one_bit, within_half)`` per (inner, outer) pair by ``kernel.chunk_certificates``,
-    None where the inner region is not contained in the outer one."""
+    """``(one_bit, within_half)`` per (inner, outer) pair by the support-function
+    rule on chunk arrays, as ``kernel.audit_chunk`` runs it, None where the
+    inner region is not contained in the outer one."""
     import numpy as np
 
     inner_coeffs = tuple((c.c1, c.c2) for c in pairs[0][0].constraints)
@@ -56,9 +57,9 @@ def kernel_verdicts(kernel, pairs):
             np.array([[c.rhs for c in pairs[k][side].constraints] for k in index])
             for side in (0, 1)
         )
-        contained, one_bit, within_half = kernel.chunk_certificates(
-            inner_coeffs, inner, coeffs, outer
-        )
+        inner_mins = kernel._family_minima(zip(inner_coeffs, inner.T), np.minimum)
+        outer_mins = kernel._family_minima(zip(coeffs, outer.T), np.minimum)
+        contained, one_bit, within_half = kernel._verdicts(inner_mins, outer_mins, np.minimum)
         for k, ok, verdict in zip(
             index, contained.tolist(), zip(one_bit.tolist(), within_half.tolist())
         ):

@@ -1,18 +1,23 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gicap import (
+    ChannelParams,
     ContainmentError,
     DomainError,
+    InterferenceTag,
     InvalidParameterError,
     RateConstraint,
     RateRegion,
     UnboundedRegionError,
     Vertex,
+    audit_regions,
+    certificates,
     contains,
     one_bit_certificate,
     region_to_jsonable,
@@ -20,6 +25,9 @@ from gicap import (
     vertices,
     within_half_certificate,
 )
+from gicap.region import DEFAULT_TOL, _family_minima, _support
+from conftest import random_channel
+from reference_audit import _require_containment, ref_margins, ref_one_bit, ref_within_half
 
 log2 = math.log2
 
@@ -118,6 +126,13 @@ class TestContains:
     def test_negative_point(self):
         assert not contains(box(2, 3), (-1e-6, 1), tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "point", [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (1.0, math.nan)]
+    )
+    def test_nan_point_is_outside(self, point):
+        assert not contains(box(2, 3), point)
+        assert not contains(box(2, 3), point, tol=0)
+
 
 class TestSymmetricRate:
     def test_min_over_families(self):
@@ -181,6 +196,33 @@ class TestCertificates:
             one_bit_certificate(box(3, 3), box(2, 2))
         with pytest.raises(ContainmentError):
             within_half_certificate(box(3, 3), box(2, 2))
+
+    def test_unbounded_inner_region_raises(self):
+        with pytest.raises(UnboundedRegionError):
+            certificates(RateRegion([RateConstraint(1, 0, 1)]), box(2, 2))
+        with pytest.raises(UnboundedRegionError):
+            certificates(RateRegion([RateConstraint(0, 1, 1)]), RateRegion([RateConstraint(0, 1, 2)]))
+
+    def test_unbounded_outer_region_raises(self):
+        with pytest.raises(UnboundedRegionError):
+            certificates(box(1, 1), RateRegion([RateConstraint(1, 0, 2)]))
+        with pytest.raises(UnboundedRegionError):
+            certificates(box(1, 1), RateRegion([RateConstraint(1, 0, 2), RateConstraint(2, 0, 9)]))
+
+    def test_huge_coefficients_decided_exactly(self):
+        # the weak GDoF region at alpha1 = 1e200, whose vertices overflow
+        # (test_overflowed_vertex_raises); its support values do not
+        def region(r1_cap):
+            return RateRegion([RateConstraint(1, 0, r1_cap), RateConstraint(0, 1, 1.0),
+                               RateConstraint(2, 1e200, 1e200), RateConstraint(1, 2e200, 2e200)])
+
+        inner, outer = region(3.0), region(4.5)
+        want = exact_certificates(inner, outer)
+        assert want == (True, False, True)
+        assert certificates(inner, outer) == want[1:]
+        with pytest.raises(ContainmentError):
+            certificates(outer, inner)
+        assert exact_certificates(outer, inner)[0] is False
 
 
 class TestJson:
@@ -258,3 +300,131 @@ class TestPolytopeProperties:
             assert contains(r, v)
         # a box cut by one diagonal has between 1 and 4 canonical vertices
         assert 1 <= len(vs) <= 4
+
+
+def exact_support(region: RateRegion, c) -> Fraction:
+    """The largest ``c . R`` over ``region``, by exact vertex enumeration in ``Fraction``s."""
+    rows = [tuple(map(Fraction, (k.c1, k.c2, k.rhs))) for k in region.constraints]
+    lines = rows + [(Fraction(1), Fraction(0), Fraction(0)), (Fraction(0), Fraction(1), Fraction(0))]
+    best = None
+    for i, (a1, b1, r1) in enumerate(lines):
+        for a2, b2, r2 in lines[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if not det:
+                continue
+            x, y = (r1 * b2 - r2 * b1) / det, (a1 * r2 - a2 * r1) / det
+            if x >= 0 and y >= 0 and all(a * x + b * y <= r for a, b, r in rows):
+                value = c[0] * x + c[1] * y
+                best = value if best is None else max(best, value)
+    return best
+
+
+def exact_minima(region: RateRegion) -> dict:
+    """The smallest rhs of each coefficient pair of ``region``, in ``Fraction``s."""
+    mins: dict = {}
+    for k in region.constraints:
+        c, rhs = (Fraction(k.c1), Fraction(k.c2)), Fraction(k.rhs)
+        mins[c] = min(mins.get(c, rhs), rhs)
+    return mins
+
+
+def exact_certificates(inner: RateRegion, outer: RateRegion) -> tuple[bool, bool, bool]:
+    """(contained, one_bit, within_half) from exact support values, with the
+    certificates' tolerance."""
+    tol = Fraction(DEFAULT_TOL)
+    inner_m, outer_m = exact_minima(inner), exact_minima(outer)
+    h = {c: exact_support(outer, c) for c in inner_m}
+    return (
+        all(exact_support(inner, c) <= m + tol for c, m in outer_m.items()),
+        all(h[c] - c[0] - c[1] <= m + tol for c, m in inner_m.items()),
+        all(h[c] / 2 <= m + tol for c, m in inner_m.items()),
+    )
+
+
+def support_margins(inner: RateRegion, outer: RateRegion) -> tuple[float, float, float]:
+    """The (containment, one-bit, within-half) margins that ``certificates``
+    compares with ``-DEFAULT_TOL``, from support functions."""
+    inner_m, outer_m = (
+        _family_minima(((c.c1, c.c2), c.rhs) for c in region.constraints) for region in (inner, outer)
+    )
+    return (
+        min(m - _support(inner_m, c) for c, m in outer_m.items()),
+        min(m - (_support(outer_m, c) - c[0] - c[1]) for c, m in inner_m.items()),
+        min(m - 0.5 * _support(outer_m, c) for c, m in inner_m.items()),
+    )
+
+
+def shifted(region: RateRegion, bits: float) -> RateRegion:
+    return RateRegion(RateConstraint(c.c1, c.c2, c.rhs + bits) for c in region.constraints)
+
+
+def raised(params: ChannelParams, power: float) -> ChannelParams:
+    """The channel with every ratio raised to ``power`` (its dB values times ``power``)."""
+    return ChannelParams(*(x ** power for x in (params.snr1, params.snr2, params.inr1, params.inr2)))
+
+
+# Margins of the two forms must agree to this many bits, and so must the
+# verdicts wherever the vertex margin is farther than this from the threshold.
+# The forms differ by rounding only: at most 4.5e-12 bits in the 300 dB test.
+# A band of 1e-8, ten times the tolerance, would leave undecided the margins
+# of exactly 0 that rows shared by both regions give.
+MARGIN_AGREEMENT = 1e-10
+
+
+def check_against_vertex_oracle(inner: RateRegion, outer: RateRegion) -> tuple:
+    """Compare ``certificates`` with the vertex-enumeration oracle, margins
+    first; returns the (contained, one_bit, within_half) verdicts, None for
+    a margin too close to its threshold to decide or a verdict not reached."""
+    threshold = -DEFAULT_TOL
+    margins, support = ref_margins(inner, outer), support_margins(inner, outer)
+    assert support[0] == pytest.approx(margins[0], abs=MARGIN_AGREEMENT)
+    if abs(margins[0] - threshold) <= MARGIN_AGREEMENT:
+        return None, None, None
+    if margins[0] < threshold:
+        with pytest.raises(ContainmentError):
+            _require_containment(inner, outer)
+        with pytest.raises(ContainmentError):
+            certificates(inner, outer)
+        return False, None, None
+    assert support == pytest.approx(margins, abs=MARGIN_AGREEMENT)
+    got = certificates(inner, outer)
+    verdicts = [True]
+    for margin, verdict, ref in zip(margins[1:], got, (ref_one_bit, ref_within_half)):
+        decided = abs(margin - threshold) > MARGIN_AGREEMENT
+        if decided:
+            assert verdict == ref(inner, outer) == (margin >= threshold)
+        verdicts.append(verdict if decided else None)
+    return tuple(verdicts)
+
+
+class TestCertificatesAgainstVertexOracle:
+    """``certificates`` decides from support functions; the reference
+    enumerates vertices.  Margins agree to MARGIN_AGREEMENT bits, and so do
+    the verdicts away from their thresholds."""
+
+    def test_random_regions(self, rng):
+        verdicts = set()
+        for _ in range(400):
+            inner = _random_region(rng)
+            outer = shifted(inner, rng.uniform(-0.5, 2.5))
+            if rng.random() < 0.5:
+                # rows of arbitrary positive coefficients, which may cut the inner region
+                outer = RateRegion(outer.constraints + _random_region(rng).constraints[2:])
+            verdicts.add(check_against_vertex_oracle(inner, outer))
+        assert {(False, None, None), (True, True, True), (True, False, True),
+                (True, False, False)} <= verdicts
+
+    # power 5 raises every ratio to the 5th power: 0-300 dB SNRs
+    @pytest.mark.parametrize("power", [1, 5], ids=["60dB", "300dB"])
+    def test_audited_channels(self, power):
+        rng = random.Random(f"oracle-{power}")
+        verdicts = set()
+        for tag in (InterferenceTag.WEAK, InterferenceTag.MIXED_STRONG_AT_1,
+                    InterferenceTag.MIXED_STRONG_AT_2):
+            for _ in range(40):
+                inner, outer = audit_regions(raised(random_channel(rng, tag), power))
+                for slack in (0.0, 0.6, 1.2, 2.5):
+                    verdicts.add(check_against_vertex_oracle(inner, shifted(outer, slack)))
+        assert (True, True, True) in verdicts
+        assert any(v[1] is False for v in verdicts)
+        assert any(v[2] is False for v in verdicts)
