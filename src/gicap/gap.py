@@ -1,45 +1,40 @@
 """Machine verification of the one-bit and within-half gap guarantees.
 
-:func:`audit` is one pass per weak or mixed channel: it classifies the
-channel once, builds the recommended-split achievable region and the
-class-matched outer bound once each, reads the family deltas off both
-constraint lists by coefficient pattern (either mixed orientation, no
-user swap), and decides the containment check and both geometric
-certificates from the regions' support functions.  :func:`delta_audit`
-and :func:`audit_regions` are views of that pass.  It measures
-per-family deltas
+Every weak or mixed channel is audited by one judgment, :func:`_judge`:
+it builds the recommended-split achievable rows and the class-matched
+outer rows, takes for each coefficient family ``c = (c1, c2)`` among R1,
+R2, R1+R2, 2R1+R2, R1+2R2 the delta
 
-    delta_f = min(outer constraints of family f) - min(inner constraints of f)
+    delta_c = min(outer rows of family c) - min(inner rows of family c),
 
-for the families R1, R2, R1+R2, 2R1+R2, R1+2R2.  The one-bit criterion is
+passes the family when ``delta_c < c1 + c2`` bits (1e-9 slack), and
+decides the containment check and both geometric certificates from the
+family minima (:func:`gicap.region.certificates`).  Families absent from
+the mixed outer bound are skipped and reported as None.  The judgment runs
+on floats, or on numpy arrays of a chunk's channels with numpy's ``where``
+and ``minimum`` (:mod:`gicap.kernel`).
 
-    delta_R1 < 1, delta_R2 < 1, delta_sum < 2, delta_{2R1+R2} < 3,
-    delta_{R1+2R2} < 3          (1e-9 slack),
-
-checked alongside the independent geometric certificates on the region
-polytopes.  Families absent from the mixed outer bound are skipped and
-reported as not-applicable.  The per-index paired deltas (i-th outer
-constraint minus i-th inner constraint of the same family) are reported
-for diagnosis; the exact min-min deltas decide pass/fail.  On
-MIXED_STRONG_AT_2 channels the inner sum rows are paired in their
-user-swapped order, so both mixed orientations pair alike.
+:func:`audit` judges one channel and adds the two regions and the
+per-index paired deltas (i-th outer row minus i-th inner row of a
+family), reported for diagnosis only; :func:`delta_audit` and
+:func:`audit_regions` are views of it.  On MIXED_STRONG_AT_2 channels the
+inner sum rows are paired in their user-swapped order, so both mixed
+orientations pair alike.
 
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
-class.  They are drawn and audited :data:`SWEEP_CHUNK` channels at a time,
-each chunk a tuple of record columns (:func:`sweep_chunks`).  A sweep of
-at least :data:`NUMPY_MIN_N` channels audits each chunk as a whole in
-numpy (:func:`gicap.kernel.audit_chunk`: rows, family deltas and
-certificates); a smaller sweep, or one where numpy cannot be imported,
-calls :func:`audit` on each channel and never imports numpy.  Both engines
-give the same columns bit for bit and raise by one rule: the first channel
-in draw order whose rates overflow (:class:`DomainError`) or whose inner
-region exceeds its outer bound (:class:`ContainmentError`) raises that
-error, naming the channel.  :func:`stream_sweep` writes each chunk's CSV
-rows as it goes and keeps only the failure count and the worst deltas, so
-its memory does not grow with the sweep size.  Channels are audited
-independently and aggregated order-insensitively, so results are
-identical for any evaluation order.
+class.  They are drawn and judged :data:`SWEEP_CHUNK` channels at a time,
+each chunk a tuple of record columns (:func:`sweep_chunks`): in numpy
+(:func:`gicap.kernel.audit_chunk`) for sweeps of at least
+:data:`NUMPY_MIN_N` channels, else channel by channel without importing
+numpy.  Both engines give the same columns bit for bit and raise by one
+rule (:func:`_raise_first_bad`): the first channel in draw order whose
+rates overflow (:class:`DomainError`) or whose inner region exceeds its
+outer bound (:class:`ContainmentError`) raises that error, naming the
+channel.  :func:`stream_sweep` writes each chunk's CSV rows as it goes
+and keeps only the failure count and the worst deltas, so its memory does
+not grow with the sweep size.  Channels are judged independently, so the
+results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -68,7 +63,7 @@ from .errors import (
     InvalidParameterError,
     NotCoveredError,
 )
-from .region import RateRegion, certificates, region_from_rows, sigfig
+from .region import RateRegion, _family_minima, _verdicts, log2_rows, region_from_rows, sigfig
 
 __all__ = [
     "Audit",
@@ -87,7 +82,7 @@ __all__ = [
 
 _LOG2 = math.log2
 
-# Family keys by exact coefficient pattern, and the one-bit thresholds.
+# Family keys by exact coefficient pattern, in GapReport's field order.
 _FAMILIES = {
     (1.0, 0.0): "r1",
     (0.0, 1.0): "r2",
@@ -95,12 +90,13 @@ _FAMILIES = {
     (2.0, 1.0): "2r1_r2",
     (1.0, 2.0): "r1_2r2",
 }
-_THRESHOLDS = {"r1": 1.0, "r2": 1.0, "sum": 2.0, "2r1_r2": 3.0, "r1_2r2": 3.0}
 _SLACK = 1e-9
 # The MIXED_STRONG_AT_2 bound is the user-swapped image of the AT_1 bound.
 # Swapping the users exchanges the first two achievable sum rows, so its sum
 # rows pair with the inner sums in this order.
 _SWAPPED_SUM_ORDER = (1, 0, 2)
+# (strong at receiver 1, strong at receiver 2) of each class
+_STRENGTHS = {tag: strengths for strengths, tag in TAG_BY_STRENGTH.items()}
 
 SNR_DB_RANGE = (0.0, 60.0)
 INR_DB_RANGE = (-20.0, 60.0)
@@ -151,8 +147,66 @@ def _families(coeffs, rhs) -> dict[str, list[float]]:
     return out
 
 
+class _Judgment(NamedTuple):
+    """What :func:`_judge` decides of one channel, or of a class group of a chunk."""
+
+    inner: tuple
+    outer_coeffs: tuple
+    outer: tuple
+    deltas: list  # in _FAMILIES order; None where the outer bound lacks the family
+    passed: bool
+    finite: bool
+    contained: bool
+    one_bit: bool
+    within_half: bool
+
+
+def _judge(tag, s1, s2, i1, i2, rows=log2_rows, where=_hk._where, minimum=min) -> _Judgment:
+    """The audit of channels of the weak or mixed class ``tag`` with ratios
+    ``s1, s2, i1, i2``: the recommended-split rows, the class-matched outer
+    rows, the five family deltas ``m_outer(c) - m_inner(c)``, and the
+    verdicts.  A family passes when its delta is below ``c1 + c2`` bits
+    (within :data:`_SLACK`).
+
+    On floats the hooks are the defaults; on numpy arrays of a chunk's
+    channels they are the kernel's row evaluator, ``np.where`` and
+    ``np.minimum``, and every rate, delta and verdict is an array.
+    """
+    p2, p1 = _hk.recommended_levels(*_STRENGTHS[tag], i1, i2, where)
+    inner = rows(_hk.hk_args(s1, s2, i1, i2, p2, p1, where))
+    outer_coeffs, args = _bounds.outer_args(s1, s2, i1, i2, tag)
+    outer = rows(args)
+    inner_mins = _family_minima(zip(_hk.HK_COEFFS, inner), minimum)
+    outer_mins = _family_minima(zip(outer_coeffs, outer), minimum)
+    deltas = [outer_mins[c] - inner_mins[c] if c in outer_mins else None for c in _FAMILIES]
+    passed = True
+    for (c1, c2), delta in zip(_FAMILIES, deltas):
+        if delta is not None:
+            passed = passed & (delta < c1 + c2 + _SLACK)
+    # Finite rates are at most a few thousand bits, so the sum is finite
+    # exactly when every rate is.
+    finite = abs(sum(inner) + sum(outer)) < math.inf
+    verdicts = _verdicts(inner_mins, outer_mins, minimum)
+    return _Judgment(inner, outer_coeffs, outer, deltas, passed, finite, *verdicts)
+
+
 _OVERFLOW = "cannot audit {}: its rates overflow double precision"
 _NOT_CONTAINED = "the inner region of {} exceeds its outer bound (formula bug upstream)"
+
+
+def _raise_first_bad(finite, contained, channels) -> None:
+    """Raise for the first channel, in the order of ``channels`` (each the four
+    ratios), whose rates overflow (``finite`` false: :class:`DomainError`) or
+    whose inner region exceeds its outer bound (``contained`` false:
+    :class:`ContainmentError`); the error names the channel."""
+    if all(finite) and all(contained):  # the common case, without a Python loop
+        return
+    for ok, inside, ratios in zip(finite, contained, channels):
+        if not (ok and inside):
+            params = ChannelParams(*ratios)
+            if not ok:
+                raise DomainError(_OVERFLOW.format(params))
+            raise ContainmentError(_NOT_CONTAINED.format(params))
 
 
 def audit(params: ChannelParams) -> Audit:
@@ -163,7 +217,27 @@ def audit(params: ChannelParams) -> Audit:
     :class:`DomainError`, and one whose inner region exceeds its outer
     bound :class:`ContainmentError`, each naming the channel.
     """
-    return _audit(params, classify(params).tag)
+    tag = classify(params).tag
+    if tag is InterferenceTag.STRONG:
+        raise ClassMismatchError(
+            "gap audit is undefined for strong channels (capacity is exact)"
+        )
+    ratios = (params.snr1, params.snr2, params.inr1, params.inr2)
+    judged = _judge(tag, *ratios)
+    _raise_first_bad([judged.finite], [judged.contained], [ratios])
+    inner_f = _families(_hk.HK_COEFFS, judged.inner)
+    outer_f = _families(judged.outer_coeffs, judged.outer)
+    if tag is InterferenceTag.MIXED_STRONG_AT_2:
+        inner_f["sum"] = [inner_f["sum"][k] for k in _SWAPPED_SUM_ORDER]
+    paired = {
+        fam: tuple(o - i for o, i in zip(outer_f[fam], inner_f[fam]))
+        for fam in _FAMILIES.values()
+        if fam in outer_f
+    }
+    report = GapReport(params, tag, *judged.deltas, paired_deltas=paired, passed=judged.passed)
+    inner = region_from_rows(_hk.HK_COEFFS, judged.inner)
+    outer = region_from_rows(judged.outer_coeffs, judged.outer)
+    return Audit(tag, inner, outer, report, judged.one_bit, judged.within_half)
 
 
 def _overflow_checked(params: ChannelParams, build):
@@ -173,40 +247,6 @@ def _overflow_checked(params: ChannelParams, build):
     # RateConstraint rejects an inf rate, symmetric_hk_rate an overflowed term
     except (InvalidParameterError, DomainError) as exc:
         raise DomainError(f"{_OVERFLOW.format(params)} ({exc})") from exc
-
-
-def _audit(params: ChannelParams, tag: InterferenceTag) -> Audit:
-    if tag is InterferenceTag.STRONG:
-        raise ClassMismatchError(
-            "gap audit is undefined for strong channels (capacity is exact)"
-        )
-    inner_rhs = _hk.hk_rhs(params, _hk.recommended_split(params))
-    outer_coeffs, outer_rhs = _bounds.outer_rows(params, tag)
-    # Finite rates are at most a few thousand bits, so the sum is finite
-    # exactly when every rate is.
-    if not math.isfinite(sum(inner_rhs) + sum(outer_rhs)):
-        raise DomainError(_OVERFLOW.format(params))
-    inner_f = _families(_hk.HK_COEFFS, inner_rhs)
-    outer_f = _families(outer_coeffs, outer_rhs)
-    # min-min delta per family in GapReport's field order, None where the
-    # outer bound lacks the family
-    deltas = [min(outer_f[f]) - min(inner_f[f]) if f in outer_f else None for f in _THRESHOLDS]
-    ok = all(d is None or d < t + _SLACK for d, t in zip(deltas, _THRESHOLDS.values()))
-    if tag is InterferenceTag.MIXED_STRONG_AT_2:
-        inner_f["sum"] = [inner_f["sum"][k] for k in _SWAPPED_SUM_ORDER]
-    paired = {
-        fam: tuple(o - i for o, i in zip(outer_f[fam], inner_f[fam]))
-        for fam in _THRESHOLDS
-        if fam in outer_f
-    }
-    report = GapReport(params, tag, *deltas, paired_deltas=paired, passed=ok)
-    inner = region_from_rows(_hk.HK_COEFFS, inner_rhs)
-    outer = region_from_rows(outer_coeffs, outer_rhs)
-    try:
-        one_bit, within_half = certificates(inner, outer)
-    except ContainmentError:
-        raise ContainmentError(_NOT_CONTAINED.format(params)) from None
-    return Audit(tag, inner, outer, report, one_bit, within_half)
 
 
 def audit_regions(params: ChannelParams) -> tuple[RateRegion, RateRegion]:
@@ -356,17 +396,15 @@ def _chunk_engine(n: int):
 def _scalar_audit_chunk(tags, snr1, snr2, inr1, inr2):
     """Columns of a chunk's records after the class: the five family deltas
     (None where the outer bound lacks the family), the delta verdict and the
-    two certificates, by :func:`audit` of each weak or mixed channel of
+    two certificates, by :func:`_judge` of each weak or mixed channel of
     class ``tags[k]`` with ratios ``snr1[k], snr2[k], inr1[k], inr2[k]``;
-    the first channel that :func:`audit` rejects raises.
+    the first channel that cannot be audited raises (:func:`_raise_first_bad`).
     """
-    out = []
-    for tag, *ratios in zip(tags, snr1, snr2, inr1, inr2):
-        audited = _audit(ChannelParams(*ratios), tag)
-        r = audited.report
-        out.append((r.delta_r1, r.delta_r2, r.delta_sum, r.delta_2r1_r2, r.delta_r1_2r2,
-                    r.passed, audited.one_bit, audited.within_half))
-    return zip(*out)
+    judged = [_judge(*channel) for channel in zip(tags, snr1, snr2, inr1, inr2)]
+    _raise_first_bad(
+        [j.finite for j in judged], [j.contained for j in judged], zip(snr1, snr2, inr1, inr2)
+    )
+    return zip(*((*j.deltas, j.passed, j.one_bit, j.within_half) for j in judged))
 
 
 # A chunk's failure flags by the guarantee a sweep checks, from its last three
@@ -380,7 +418,7 @@ _FAILED = {
 def _fold_worst(worst: dict[str, float | None], columns, check: str) -> list[bool]:
     """Raise each family's entry of ``worst`` to its largest delta in the chunk
     ``columns``; returns the chunk's failure flags under ``check``."""
-    for fam, values in zip(_THRESHOLDS, columns[5:10]):
+    for fam, values in zip(_FAMILIES.values(), columns[5:10]):
         present = [value for value in values if value is not None]
         if present:
             top = max(present)
@@ -399,7 +437,7 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     parts = zip(*sweep_chunks(n, seed, class_filter))  # each column, chunk by chunk
     columns = [list(itertools.chain.from_iterable(column)) for column in parts]
-    worst = dict.fromkeys(_THRESHOLDS)
+    worst = dict.fromkeys(_FAMILIES.values())
     failed = _fold_worst(worst, columns, "one-bit")
     records = tuple(map(SweepRecord._make, zip(*columns)))
     return SweepResult(
@@ -467,7 +505,7 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     chunks = sweep_chunks(n, seed, class_filter)
     failures = 0
-    worst = dict.fromkeys(_THRESHOLDS)
+    worst = dict.fromkeys(_FAMILIES.values())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_CSV_HEADER)
         for columns in chunks:
@@ -519,18 +557,19 @@ def asymptotic_tightness_check(
       (1/2 log2 INR below the very-strong slope 2, log2 SNR at or above).
 
     The band 2/3 <= alpha <= 1 (and the boundary alpha = 1/2) has no
-    vanishing-gap scheme and raises :class:`NotCoveredError`.
+    vanishing-gap scheme and raises :class:`NotCoveredError`; a ``gamma``
+    given outside 1/2 < alpha < 2/3 raises :class:`DomainError`.
     """
     if not (alpha_value > 0.0) or not math.isfinite(alpha_value):
         raise DomainError(f"alpha must be positive and finite, got {alpha_value!r}")
-    covered = (
-        alpha_value < 0.5
-        or 0.5 < alpha_value < 2.0 / 3.0
-        or alpha_value > 1.0
-    )
-    if not covered:
+    regime2 = 0.5 < alpha_value < 2.0 / 3.0
+    if not (alpha_value < 0.5 or regime2 or alpha_value > 1.0):
         raise NotCoveredError(
             f"no asymptotically tight scheme is known for alpha={alpha_value!r}"
+        )
+    if gamma is not None and not regime2:
+        raise DomainError(
+            f"gamma={gamma!r} applies only when 1/2 < alpha < 2/3, got alpha={alpha_value!r}"
         )
     snrs = list(snr_list)
     if not snrs:
@@ -545,7 +584,7 @@ def asymptotic_tightness_check(
         inr = _power_inr(snr, alpha_value)
         if alpha_value < 0.5:
             gaps.append(_hk.regime1_gap(snr, inr))
-        elif alpha_value < 2.0 / 3.0:
+        elif regime2:
             g = _default_regime2_gamma(alpha_value) if gamma is None else gamma
             gaps.append(abs(_LOG2(inr) - _hk.regime2_rate(snr, inr, g)))
         else:

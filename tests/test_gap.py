@@ -294,6 +294,11 @@ class TestAsymptoticTightness:
         gaps = asymptotic_tightness_check(0.55, [1e12], gamma=0.5)
         assert gaps[0] < 0.01
 
+    @pytest.mark.parametrize("alpha", [0.25, 1.5, 2.5])
+    def test_gamma_outside_regime2_rejected(self, alpha):
+        with pytest.raises(DomainError, match=r"gamma=123\.0"):
+            asymptotic_tightness_check(alpha, [1e6], gamma=123.0)
+
     def test_strong_slopes(self):
         gaps = asymptotic_tightness_check(1.5, [1e6, 1e9, 1e12])
         assert all(a > b for a, b in zip(gaps, gaps[1:]))

@@ -6,7 +6,9 @@ numpy; and a streamed sweep must hold flat memory in n.
 """
 
 import gc
+import hashlib
 import io
+import json
 import random
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 import gicap.bounds
 import gicap.gap
+import gicap.region
 from gicap import (
     ChannelParams,
     ContainmentError,
@@ -23,6 +26,7 @@ from gicap import (
     InterferenceTag,
     RateConstraint,
     RateRegion,
+    audit,
     audit_regions,
     certificates,
     db_to_linear,
@@ -31,6 +35,7 @@ from gicap import (
 from gicap.cli import main
 from gicap.gap import NUMPY_MIN_N, SWEEP_CHUNK, sweep_chunks
 from conftest import gicap_child_env, random_channel
+from reference_audit import THRESHOLDS
 
 AUDITED_TAGS = (
     InterferenceTag.WEAK,
@@ -39,7 +44,7 @@ AUDITED_TAGS = (
 )
 
 
-def kernel_verdicts(kernel, pairs):
+def kernel_verdicts(pairs):
     """``(one_bit, within_half)`` per (inner, outer) pair by the support-function
     rule on chunk arrays, as ``kernel.audit_chunk`` runs it, None where the
     inner region is not contained in the outer one."""
@@ -57,9 +62,9 @@ def kernel_verdicts(kernel, pairs):
             np.array([[c.rhs for c in pairs[k][side].constraints] for k in index])
             for side in (0, 1)
         )
-        inner_mins = kernel._family_minima(zip(inner_coeffs, inner.T), np.minimum)
-        outer_mins = kernel._family_minima(zip(coeffs, outer.T), np.minimum)
-        contained, one_bit, within_half = kernel._verdicts(inner_mins, outer_mins, np.minimum)
+        inner_mins = gicap.region._family_minima(zip(inner_coeffs, inner.T), np.minimum)
+        outer_mins = gicap.region._family_minima(zip(coeffs, outer.T), np.minimum)
+        contained, one_bit, within_half = gicap.region._verdicts(inner_mins, outer_mins, np.minimum)
         for k, ok, verdict in zip(
             index, contained.tolist(), zip(one_bit.tolist(), within_half.tolist())
         ):
@@ -102,7 +107,7 @@ class TestKernelAgainstScalar:
             inner, outer = audit_regions(params)
             pairs.append((inner, shifted(outer, slack)))
         want = [scalar_verdict(inner, outer) for inner, outer in pairs]
-        assert kernel_verdicts(kernel, pairs) == want
+        assert kernel_verdicts(pairs) == want
         if slack > 1.0:
             assert any(verdict != (True, True) for verdict in want)
 
@@ -112,7 +117,7 @@ class TestKernelAgainstScalar:
         pairs = [(i, shifted(o, -3.0) if k % 5 == 3 else o) for k, (i, o) in enumerate(pairs)]
         want = [scalar_verdict(inner, outer) for inner, outer in pairs]
         assert [k for k, v in enumerate(want) if v is None] == list(range(3, 64, 5))
-        assert kernel_verdicts(kernel, pairs) == want
+        assert kernel_verdicts(pairs) == want
 
 
 @pytest.fixture(params=["numpy", "scalar"])
@@ -193,6 +198,28 @@ class TestSweepOnEachEngine:
         params = ChannelParams(*map(db_to_linear, (r.snr1_db, r.snr2_db, r.inr1_db, r.inr2_db)))
         assert repr(params) in str(info.value)
 
+    def test_delta_verdict_fails_over_lowered_thresholds(self, engine, tmp_path, monkeypatch):
+        # thresholds half a bit lower: channels with a delta in the top half
+        # bit of its family fail
+        monkeypatch.setattr(gicap.gap, "_SLACK", -0.5)
+        records = one_bit_sweep(NUMPY_MIN_N, 3, "any").records
+        want = []
+        for r in records:
+            deltas = {fam: getattr(r, f"delta_{fam}") for fam in THRESHOLDS}
+            want.append(
+                all(d < THRESHOLDS[fam] - 0.5 for fam, d in deltas.items() if d is not None)
+            )
+            params = ChannelParams(
+                *map(db_to_linear, (r.snr1_db, r.snr2_db, r.inr1_db, r.inr2_db))
+            )
+            assert audit(params).report.passed == want[-1], params
+        assert [r.delta_pass for r in records] == want
+        assert True in want and False in want
+        stdout = io.StringIO()
+        argv = ["sweep", "--seed", "3", "--n", str(NUMPY_MIN_N), "--out", str(tmp_path / "s.csv")]
+        assert main(argv, stdout=stdout) == 3
+        assert json.loads(stdout.getvalue())["failures"] == want.count(False)
+
     def test_streamed_memory_is_flat_in_n(self, engine, tmp_path, monkeypatch):
         # The sweep's live Python blocks, sampled at every draw: records kept
         # across chunks would grow them with n.
@@ -263,13 +290,40 @@ sys.exit("numpy was imported" if "numpy" in sys.modules else 0)
 """
 
 
+# sha256 of (stdout, CSV) of `gicap sweep --seed 1 --n 2000`: both engines
+# share one per-channel judgment, so comparing them with each other cannot
+# catch a change that moves both alike
+ANY_DIGESTS = (
+    "300f0c2e8e4f8515825784261695b14891d094a6ef093fb6a8d4eef8fc939d71",
+    "d92a5e285a5789b8bccdd20583f78c4135ff9993cf116355b3a49a489c914684",
+)
+
+
 class TestEngineChoice:
     @pytest.mark.parametrize(
-        "flags",
-        [["--class", "weak"], ["--class", "mixed"], ["--class", "any"], ["--check", "within-half"]],
+        "flags, digests",
+        [
+            (
+                ["--class", "weak"],
+                (
+                    "f3d688e63463a4910c0eadff1b65c6b1ed5dbe058d03e3a40ae5d4ccbb195474",
+                    "6f77240ebe5c1204d6b833b520b78c090cf13d624d70e2f4831b83e416b9b2bf",
+                ),
+            ),
+            (
+                ["--class", "mixed"],
+                (
+                    "f58abfd69991dd150bff637e6c482dd4bb8af26b377310c1eb5a0358385c2dba",
+                    "cb8f1250d1dbb52cbca958a1fb81d6aefc8dcd42909ea0bc5b74ac7025976c48",
+                ),
+            ),
+            (["--class", "any"], ANY_DIGESTS),
+            # no channel fails either check, so the output is the any sweep's
+            (["--check", "within-half"], ANY_DIGESTS),
+        ],
         ids=["weak", "mixed", "any", "within-half"],
     )
-    def test_blocked_numpy_gives_the_same_bytes(self, tmp_path, flags):
+    def test_blocked_numpy_gives_the_same_bytes(self, tmp_path, flags, digests):
         pytest.importorskip("numpy")
         # 2,000 channels end in a partial chunk
         assert 2000 % SWEEP_CHUNK
@@ -285,6 +339,7 @@ class TestEngineChoice:
             assert child.returncode == 0, child.stderr.decode(errors="replace")
             outputs[mode] = (child.stdout, out.read_bytes())
         assert outputs["numpy"] == outputs["blocked"]
+        assert tuple(hashlib.sha256(data).hexdigest() for data in outputs["numpy"]) == digests
 
     def test_other_subcommands_never_import_numpy(self):
         child = subprocess.run(
