@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag
+from .channel import _check_symmetric, _very_strong
 from .errors import ClassMismatchError, DomainError
 from .region import RateRegion, log2_rows, region_from_rows
 
@@ -191,21 +192,23 @@ def symmetric_capacity_strong(snr: float, inr: float) -> float:
     decodable up front at no cost), else 1/2 log(1+SNR+INR): strong rows
     1 and 3.
     """
+    if not (math.isfinite(snr) and math.isfinite(inr)):
+        raise DomainError(f"strong symmetric capacity needs finite ratios, got {snr!r}, {inr!r}")
     if inr < snr:
         raise ClassMismatchError(
             f"strong symmetric capacity needs inr >= snr, got inr={inr!r}, snr={snr!r}"
         )
     cap, mac = _rhs(InterferenceTag.STRONG, snr, snr, inr, inr, 0, 2)
-    if inr >= snr * snr + snr:
+    if _very_strong(snr, inr):
         return cap
     return 0.5 * mac
 
 
 def kramer_bound(snr: float, inr: float) -> float:
     """Kramer-style symmetric rate bound; needs 0 < INR < SNR."""
-    if not (0.0 < inr < snr):
+    if not (0.0 < inr < snr < math.inf):
         raise DomainError(
-            f"kramer bound needs 0 < inr < snr, got inr={inr!r}, snr={snr!r}"
+            f"kramer bound needs 0 < inr < snr < inf, got inr={inr!r}, snr={snr!r}"
         )
     # log2(2 - a + sqrt(a^2 + 4 SNR a)) - 1, a = 1 + SNR/INR, with the cancelling
     # -a + sqrt(...) divided out and SNR/a written as INR/(1 + INR/SNR): the same
@@ -232,8 +235,7 @@ def symmetric_bounds(snr: float, inr: float) -> SymmetricBoundSet:
     log(1+SNR) is folded into ``best`` as well.  They are weak rows 3, 5
     and 1 of the symmetric channel, the sum rows halved.
     """
-    if not (snr > 0.0) or inr < 0.0:
-        raise DomainError(f"symmetric_bounds needs snr > 0, inr >= 0, got {snr!r}, {inr!r}")
+    _check_symmetric("symmetric_bounds", snr, inr)
     cap, genie, new_ub = _rhs(InterferenceTag.WEAK, snr, snr, inr, inr, 0, 2, 4)
     genie /= 2.0
     new_ub /= 2.0

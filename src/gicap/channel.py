@@ -52,8 +52,8 @@ def db_to_linear(db: float) -> float:
 
 def linear_to_db(x: float) -> float:
     """Convert a linear power ratio to dB: 10*log10(x)."""
-    if x <= 0.0:
-        raise DomainError(f"cannot express nonpositive ratio {x} in dB")
+    if not (0.0 < x < math.inf):
+        raise DomainError(f"cannot express a ratio that is not positive and finite in dB: {x}")
     return 10.0 * math.log10(x)
 
 
@@ -161,18 +161,28 @@ def classify(params: ChannelParams) -> InterferenceClass:
     tag = TAG_BY_STRENGTH[params.strong_at_1, params.strong_at_2]
     very_strong: bool | None = None
     if params.is_symmetric:
-        snr, inr = params.snr1, params.inr1
-        very_strong = inr >= snr * snr + snr
+        very_strong = _very_strong(params.snr1, params.inr1)
     return InterferenceClass(tag=tag, very_strong=very_strong)
 
 
 def alpha(snr: float, inr: float) -> float:
     """Interference level: log INR / log SNR (base-independent)."""
-    if not (snr > 1.0):
-        raise DomainError(f"alpha needs snr > 1, got snr={snr!r}")
-    if not (inr > 0.0):
-        raise DomainError(f"alpha needs inr > 0, got inr={inr!r}")
+    if not (1.0 < snr < math.inf):
+        raise DomainError(f"alpha needs finite snr > 1, got snr={snr!r}")
+    if not (0.0 < inr < math.inf):
+        raise DomainError(f"alpha needs finite inr > 0, got inr={inr!r}")
     return math.log(inr) / math.log(snr)
+
+
+def _check_symmetric(name: str, snr: float, inr: float) -> None:
+    """Raise :class:`DomainError` unless 0 < SNR < inf and 0 <= INR < inf."""
+    if not (0.0 < snr < math.inf and 0.0 <= inr < math.inf):
+        raise DomainError(f"{name} needs finite snr > 0, inr >= 0, got {snr!r}, {inr!r}")
+
+
+def _very_strong(snr: float, inr: float) -> bool:
+    """INR >= SNR^2 + SNR; false for every finite INR once SNR^2 overflows."""
+    return inr >= snr * snr + snr
 
 
 def _power_inr(snr: float, alpha_value: float) -> float:
@@ -230,7 +240,7 @@ def symmetric_regime(snr: float, inr: float) -> SymmetricRegime:
     if inr < 0.0 or not math.isfinite(inr) or not math.isfinite(snr):
         raise DomainError(f"symmetric_regime needs finite inr >= 0, got inr={inr!r}")
 
-    if inr >= snr * snr + snr:
+    if _very_strong(snr, inr):
         regime = 5
     elif inr >= snr:
         regime = 4

@@ -338,13 +338,9 @@ def _gdof_region_for(args) -> tuple[dict, RateRegion]:
         # weak slopes its polygon coincides with the general weak one)
         region = _gdof.one_sided_gdof_region(g)
         kind = "one_sided_weak" if tag is InterferenceTag.WEAK else "one_sided_strong"
-    elif tag in _gdof._EXPANSION_ROWS:
-        # the class name without its orientation: mixed_strong_at_1 -> mixed
-        region, kind = _gdof._class_gdof_region(g, tag), tag.value.partition("_")[0]
     else:
-        raise GicapError(
-            "slopes fall in the swapped-mixed orientation; swap the users and retry"
-        )
+        # the class name without its orientation: mixed_strong_at_2 -> mixed
+        region, kind = _gdof._class_gdof_region(g, tag), tag.value.partition("_")[0]
     meta = {
         "alpha1": g.alpha1,
         "alpha2": g.alpha2,

@@ -337,9 +337,9 @@ def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[tuple
     ``class_filter``; a chunk draws only as many candidates as it still
     needs.  Sweeps of at least :data:`NUMPY_MIN_N` channels are audited a
     chunk at a time by :func:`gicap.kernel.audit_chunk` where numpy can be
-    imported, and otherwise by :func:`audit` of each channel; the columns
-    and the error are identical.  The arguments are checked before the first
-    chunk is drawn.
+    imported, and otherwise channel by channel by :func:`_judge`
+    (:func:`_scalar_audit_chunk`); the columns and the error are
+    identical.  The arguments are checked before the first chunk is drawn.
     """
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     try:
@@ -574,8 +574,8 @@ def asymptotic_tightness_check(
     snrs = list(snr_list)
     if not snrs:
         raise DomainError("snr_list must be nonempty")
-    if any(not (s > 1.0) for s in snrs):
-        raise DomainError("every snr must exceed 1")
+    if any(not (1.0 < s < math.inf) for s in snrs):
+        raise DomainError("every snr must be finite and exceed 1")
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise DomainError("snr_list must be strictly increasing")
 

@@ -16,7 +16,8 @@ the finite-SNR class split: alpha2 >= alpha1 means INR1 >= SNR2 and
 alpha3 >= 1 means INR2 >= SNR1.
 
 The region constraint sets are the first-order (log-domain) expansions
-of the finite-SNR bounds; :func:`first_order_expansion` emits the same
+of the finite-SNR bounds, one row table per class (both mixed
+orientations included); :func:`first_order_expansion` emits the same
 expressions in bits for a concrete channel, and
 :func:`finite_snr_convergence` checks the defining limit at finite scale
 by sandwiching d_sym between the scaled achievable rate and the scaled
@@ -159,9 +160,15 @@ def _rows_to_gdof(rows, alpha1: float) -> RateRegion:
     return RateRegion(constraints)
 
 
+# The expansion rows of each class, by tag.  A channel strong at receiver 2
+# takes the strong-at-1 rows on the user-swapped logs with each row's
+# (m1, m2) swapped: the mirror of ``bounds.outer_args``.
 _EXPANSION_ROWS = {
     InterferenceTag.WEAK: _weak_expansion_rows,
     InterferenceTag.MIXED_STRONG_AT_1: _mixed_expansion_rows,
+    InterferenceTag.MIXED_STRONG_AT_2: lambda ls1, ls2, li1, li2: [
+        (m2, m1, rhs) for m1, m2, rhs in _mixed_expansion_rows(ls2, ls1, li2, li1)
+    ],
     InterferenceTag.STRONG: _strong_expansion_rows,
 }
 
@@ -286,11 +293,11 @@ def finite_snr_convergence(snr: float, alpha_value: float) -> FiniteSnrSandwich:
 def first_order_expansion(params: ChannelParams) -> RateRegion:
     """Log-domain piecewise-linear expansion of the capacity region, in bits.
 
-    Weak channels keep all seven rows; mixed channels drop the two rows
-    whose finite-SNR parents are provably redundant.  A channel strong at
-    receiver 2 takes the strong-at-receiver-1 rows on the user-swapped
-    logs with mirrored coefficients.  Rows whose rhs is non-finite (a
-    vanishing cross ratio makes them vacuous) are omitted.
+    The rows are those of :data:`_EXPANSION_ROWS` for the channel's class:
+    weak channels keep all seven rows; mixed channels, of either
+    orientation, drop the two rows whose finite-SNR parents are provably
+    redundant.  Rows whose rhs is non-finite (a vanishing cross ratio makes
+    them vacuous) are omitted.
 
     The expansion is meant for ratios >= 1.  A cross ratio below 1 has a
     negative log, which inflates the rows it enters: at SNR = 100 and
@@ -304,19 +311,8 @@ def first_order_expansion(params: ChannelParams) -> RateRegion:
     tag = classify(params).tag
     if tag is InterferenceTag.STRONG:
         raise ClassMismatchError("first-order expansion covers weak and mixed only")
-    mirror = tag is InterferenceTag.MIXED_STRONG_AT_2
-    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
-    if mirror:
-        s1, s2, i1, i2 = s2, s1, i2, i1
-        tag = InterferenceTag.MIXED_STRONG_AT_1
-    logs = (
-        _LOG2(s1),
-        _LOG2(s2),
-        _LOG2(i1) if i1 > 0.0 else -math.inf,
-        _LOG2(i2) if i2 > 0.0 else -math.inf,
-    )
+    ratios = (params.snr1, params.snr2, params.inr1, params.inr2)
+    logs = [_LOG2(x) if x > 0.0 else -math.inf for x in ratios]
     return RateRegion(
-        RateConstraint(m2, m1, rhs) if mirror else RateConstraint(m1, m2, rhs)
-        for m1, m2, rhs in _EXPANSION_ROWS[tag](*logs)
-        if math.isfinite(rhs)
+        RateConstraint(*row) for row in _EXPANSION_ROWS[tag](*logs) if math.isfinite(row[2])
     )

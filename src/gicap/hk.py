@@ -48,7 +48,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import ChannelParams
+from .channel import ChannelParams, _check_symmetric, alpha
 from .errors import DomainError, InvalidSplitError
 from .region import RateRegion, Vertex, log2_rows, region_from_rows
 
@@ -223,8 +223,7 @@ def symmetric_hk_rate(snr: float, inr: float) -> float:
     :func:`regime1_rate`.  A term that overflows double precision raises
     :class:`DomainError` naming the ratios.
     """
-    if not (snr > 0.0) or inr < 0.0:
-        raise DomainError(f"symmetric_hk_rate needs snr > 0, inr >= 0, got {snr!r}, {inr!r}")
+    _check_symmetric("symmetric_hk_rate", snr, inr)
     if inr < 1.0:
         terms = (regime1_rate(snr, inr),)
     else:
@@ -263,8 +262,7 @@ def costa_point(params: ChannelParams) -> Vertex:
 
 def regime1_rate(snr: float, inr: float) -> float:
     """Symmetric rate of pure treat-as-noise (all private, full power): log(1 + SNR/(1+INR))."""
-    if not (snr > 0.0) or inr < 0.0:
-        raise DomainError(f"regime1_rate needs snr > 0, inr >= 0, got {snr!r}, {inr!r}")
+    _check_symmetric("regime1_rate", snr, inr)
     return log2_rows(hk_args(snr, snr, inr, inr, inr, inr)[:1])[0]
 
 
@@ -275,8 +273,7 @@ def regime1_gap(snr: float, inr: float) -> float:
     INR below sqrt(SNR), certifying that treating interference as noise
     is asymptotically optimal for very weak interference.
     """
-    if not (snr > 0.0) or inr < 0.0:
-        raise DomainError(f"regime1_gap needs snr > 0, inr >= 0, got {snr!r}, {inr!r}")
+    _check_symmetric("regime1_gap", snr, inr)
     return _LOG2(1.0 + inr * (1.0 + inr) / (1.0 + inr + snr))
 
 
@@ -296,9 +293,7 @@ def regime2_rate(snr: float, inr: float, gamma: float) -> float:
     interference to zero as SNR grows.  Requires 1/2 < alpha < 2/3 and
     gamma strictly inside the window (2a-1)/(1-a) < gamma < 1.
     """
-    if not (snr > 1.0) or not (inr > 0.0):
-        raise DomainError(f"regime2_rate needs snr > 1, inr > 0, got {snr!r}, {inr!r}")
-    a = math.log(inr) / math.log(snr)
+    a = alpha(snr, inr)
     lo, hi = regime2_window(a)
     if not (lo < gamma < hi):
         raise DomainError(

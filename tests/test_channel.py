@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,14 @@ from gicap import (
     classify,
     db_to_linear,
     from_physical,
+    asymptotic_tightness_check,
+    kramer_bound,
     linear_to_db,
+    regime1_gap,
+    regime1_rate,
+    symmetric_bounds,
+    symmetric_capacity_strong,
+    symmetric_hk_rate,
     symmetric_regime,
 )
 
@@ -215,3 +223,50 @@ class TestDbHelpers:
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             linear_to_db(0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        (regime1_rate, (10.0, math.nan)),
+        (regime1_gap, (math.inf, 1.0)),
+        (symmetric_bounds, (math.inf, 1.0)),
+        (kramer_bound, (math.inf, 1.0)),
+        (symmetric_capacity_strong, (math.nan, math.nan)),
+        (alpha, (10.0, math.inf)),
+        (linear_to_db, (math.nan,)),
+        (asymptotic_tightness_check, (0.3, [math.inf])),
+        (symmetric_hk_rate, (10.0, math.nan)),
+    ],
+    ids=lambda call: call[0].__name__,
+)
+def test_non_finite_ratios_raise(call):
+    function, args = call
+    with pytest.raises(DomainError) as excinfo:
+        function(*args)
+    # the input is at fault, not the arithmetic
+    assert "overflow" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("snr", [3.0, 10.0, 1e100, 1e160])
+def test_very_strong_rule_agrees_at_its_tie(snr):
+    """classify, symmetric_regime and symmetric_capacity_strong decide
+    INR >= SNR^2 + SNR alike at the float neighbours of the tie; at
+    SNR = 1e160, SNR^2 overflows and no finite INR is very strong."""
+    tie = snr * snr + snr
+    if tie == math.inf:
+        inrs, expect = [sys.float_info.max], [False]
+    else:
+        inrs, expect = [math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf)], [
+            False,
+            True,
+            True,
+        ]
+    flags = []
+    for inr in inrs:
+        flag = classify(ChannelParams(snr, snr, inr, inr)).very_strong
+        assert (symmetric_regime(snr, inr).regime == 5) is flag
+        branch = math.log2(1.0 + snr) if flag else 0.5 * math.log2(1.0 + snr + inr)
+        assert symmetric_capacity_strong(snr, inr) == branch
+        flags.append(flag)
+    assert flags == expect

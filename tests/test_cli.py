@@ -2,14 +2,16 @@ import io
 import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 
 import gicap.cli
 import gicap.gap
-from gicap import SweepRecord
+from gicap import GdofParams, SweepRecord, Vertex, mixed_gdof_region, vertices
 from gicap.cli import _build_parser, main
-from conftest import slope_tie_grid
+from conftest import gicap_child_env, slope_tie_grid, vertex_sets_equal
 
 
 def run_cli(args):
@@ -323,9 +325,22 @@ class TestGdofCommand:
         code, _ = run_cli(["gdof", "--alpha1", "1", "--alpha2", "0.4"])
         assert code == 2
 
-    def test_unsupported_orientation(self):
-        code, _ = run_cli(["gdof", "--alpha1", "1", "--alpha2", "0.4", "--alpha3", "1.5"])
-        assert code == 2
+    def test_swapped_mixed_orientation(self):
+        # at alpha1 = 1 the users are alike, so swapping them maps the slopes
+        # (1, a2, a3) to (1, a3, a2) and the region to its mirror image
+        rng = random.Random(14)
+        triples = [(1.0, 0.4, 1.5), (1.0, 0.0001, 1.0), (2.5, 0.4, 1.5)]
+        triples += [(1.0, rng.uniform(0.0001, 0.9999), rng.uniform(1.0, 3.0)) for _ in range(200)]
+        for a1, a2, a3 in triples:
+            argv = ["gdof", "--alpha1", repr(a1), "--alpha2", repr(a2), "--alpha3", repr(a3)]
+            obj = run_json(argv)
+            assert obj["class"] == "mixed", argv
+            if a1 != 1.0:
+                continue
+            got = [Vertex(*v) for v in obj["region"]["vertices"]]
+            strong_at_1 = vertices(mixed_gdof_region(GdofParams(1.0, a3, a2)))
+            mirrored = [Vertex(v.r2, v.r1) for v in reversed(strong_at_1)]
+            assert vertex_sets_equal(got, mirrored), argv
 
     def test_alpha_with_slope_triple(self, capsys):
         code, out = run_cli(
@@ -336,27 +351,21 @@ class TestGdofCommand:
 
     @staticmethod
     def written_out_class(a1, a2, a3):
-        """The class by the hand-written slope conditions; None is swapped mixed."""
+        """The class by the hand-written slope conditions."""
         if a2 == 0.0:
             return "one_sided_strong" if a3 >= 1.0 else "one_sided_weak"
         if a2 < a1 and a3 < 1.0:
             return "weak"
-        if a2 >= a1 and a3 < 1.0:
-            return "mixed"
         if a2 >= a1 and a3 >= 1.0:
             return "strong"
-        return None
+        return "mixed"
 
-    def test_class_at_the_ties(self, capsys):
+    def test_class_at_the_ties(self):
         for a1, a2, a3 in slope_tie_grid():
             argv = ["gdof", "--alpha1", repr(a1), "--alpha2", repr(a2), "--alpha3", repr(a3)]
             code, out = run_cli(argv)
             expect = self.written_out_class(a1, a2, a3)
-            if expect is None:
-                assert code == 2, argv
-                assert "swapped-mixed orientation" in capsys.readouterr().err
-            else:
-                assert code == 0 and json.loads(out)["class"] == expect, argv
+            assert code == 0 and json.loads(out)["class"] == expect, argv
 
 
 class TestFigures:
@@ -599,3 +608,37 @@ class TestBadInputNeverCrashes:
                 crashes.append((argv, repr(exc)))
             capsys.readouterr()
         assert crashes == [], f"{len(crashes)} argvs: {crashes[:5]}"
+
+
+# The interactive commands of a query mix, in one process.  Importing numpy
+# would add about 12 MiB to a query process's peak RSS and fractions about
+# 0.4 MiB, so numpy must never load, and fractions not before `region`,
+# whose certificates build their support tables in exact rationals.
+IMPORT_SET_CHILD = """
+import io
+import sys
+import gicap.cli
+channel = ["--snr1", "100", "--snr2", "10", "--inr1", "20", "--inr2", "5"]
+for k, argv in enumerate((
+    ["classify", "--snr1", "100", "--snr2", "100", "--inr1", "10", "--inr2", "10"],
+    ["symrate", "--snr", "100", "--inr", "10"],
+    ["gdof", "--alpha", "0.6"],
+    ["gdof", "--alpha1", "1", "--alpha2", "0.4", "--alpha3", "1.5"],
+    ["figures", "gdof-curve"],
+    ["region", *channel],
+    ["gap-audit", *channel],
+)):
+    if gicap.cli.main(argv, stdout=io.StringIO()) != 0:
+        sys.exit(f"{argv} failed")
+    if "numpy" in sys.modules:
+        sys.exit(f"{argv} imported numpy")
+    if k < 5 and "fractions" in sys.modules:
+        sys.exit(f"{argv} imported fractions")
+"""
+
+
+def test_interactive_commands_keep_their_import_set():
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORT_SET_CHILD], capture_output=True, env=gicap_child_env()
+    )
+    assert child.returncode == 0, child.stderr.decode(errors="replace")

@@ -26,7 +26,12 @@ from gicap import (
 )
 from conftest import random_channel, slope_tie_grid, vertex_sets_equal
 from gicap.bounds import outer_args
-from gicap.gdof import _mixed_expansion_rows, _strong_expansion_rows, _weak_expansion_rows
+from gicap.gdof import (
+    _EXPANSION_ROWS,
+    _mixed_expansion_rows,
+    _strong_expansion_rows,
+    _weak_expansion_rows,
+)
 
 log2 = math.log2
 
@@ -433,6 +438,11 @@ EXPANSIONS = [
         lambda a1, a2, a3: a2 >= a1 and a3 < 1,
     ),
     (InterferenceTag.STRONG, _strong_expansion_rows, lambda a1, a2, a3: a2 >= a1 and a3 >= 1),
+    (
+        InterferenceTag.MIXED_STRONG_AT_2,
+        _EXPANSION_ROWS[InterferenceTag.MIXED_STRONG_AT_2],
+        lambda a1, a2, a3: a2 < a1 and a3 >= 1,
+    ),
 ]
 
 
