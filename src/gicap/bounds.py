@@ -12,7 +12,9 @@ Three bound families cover the class taxonomy:
 
 Each row is written once, as log2 arguments in :func:`outer_args`;
 :func:`class_outer` checks the class and builds the region, and the other
-bounds here read their terms off the same rows.  The interference-limited
+bounds here read their terms off the same rows.  So does :mod:`gicap.gdof`:
+its gdof regions and first-order expansions are these rows evaluated on
+log slopes.  The interference-limited
 sum bound (``new_sum_bound``) is
 
     R1 + R2 <= log(1 + INR1 + SNR1/(1+INR2)) + log(1 + INR2 + SNR2/(1+INR1)),
@@ -192,8 +194,10 @@ def symmetric_capacity_strong(snr: float, inr: float) -> float:
     decodable up front at no cost), else 1/2 log(1+SNR+INR): strong rows
     1 and 3.
     """
-    if not (math.isfinite(snr) and math.isfinite(inr)):
-        raise DomainError(f"strong symmetric capacity needs finite ratios, got {snr!r}, {inr!r}")
+    if not (0.0 <= snr < math.inf and math.isfinite(inr)):
+        raise DomainError(
+            f"strong symmetric capacity needs finite snr >= 0 and finite inr, got {snr!r}, {inr!r}"
+        )
     if inr < snr:
         raise ClassMismatchError(
             f"strong symmetric capacity needs inr >= snr, got inr={inr!r}, snr={snr!r}"

@@ -16,9 +16,11 @@ the finite-SNR class split: alpha2 >= alpha1 means INR1 >= SNR2 and
 alpha3 >= 1 means INR2 >= SNR1.
 
 The region constraint sets are the first-order (log-domain) expansions
-of the finite-SNR bounds, one row table per class (both mixed
-orientations included); :func:`first_order_expansion` emits the same
-expressions in bits for a concrete channel, and
+of the finite-SNR bounds: each row is read off the class's
+``bounds.outer_args`` row, evaluated on log slopes by max-plus rules
+(both mixed orientations included, since ``outer_args`` swaps the
+users).  :func:`first_order_expansion` reads the same rows in bits for a
+concrete channel, and
 :func:`finite_snr_convergence` checks the defining limit at finite scale
 by sandwiching d_sym between the scaled achievable rate and the scaled
 best upper bound.  Limits are always computed from closed forms, never
@@ -96,58 +98,52 @@ def d_sym(alpha_value: float) -> float:
     return 1.0
 
 
-def _pos(x: float) -> float:
-    # a zero of x's own type, so Fraction slopes give exact rows
-    return x if x > 0.0 else type(x)(0)
+class _Slope:
+    """A ratio known only by its log slope ``value``: its ``terms`` summed left to right.
 
-
-def _weak_expansion_rows(
-    ls1: float, ls2: float, li1: float, li2: float
-) -> list[tuple[float, float, float]]:
-    """Log-domain expansion rows (m1, m2, rhs) for a weak channel.
-
-    Inputs are the four logs (any common scale); the rhs expressions are
-    homogeneous of degree one in them, so the same rows serve both the
-    gdof normalization (ls1 = 1) and the bit-domain expansion.
+    ``+`` keeps the larger slope as one term; a positive float constant,
+    always the left operand in ``bounds.outer_args``, has slope 0 of the
+    slopes' own type, so ``Fraction`` slopes stay exact.  ``x / y`` keeps
+    x's terms, then y's negated.
     """
-    return [
-        (1.0, 0.0, ls1),
-        (0.0, 1.0, ls2),
-        (1.0, 1.0, ls1 + _pos(ls2 - li2)),
-        (1.0, 1.0, ls2 + _pos(ls1 - li1)),
-        (1.0, 1.0, max(li1, ls1 - li2) + max(li2, ls2 - li1)),
-        (2.0, 1.0, max(ls1, li1) + max(li2, ls2 - li1) + ls1 - li2),
-        (1.0, 2.0, max(ls2, li2) + max(li1, ls1 - li2) + ls2 - li1),
-    ]
+
+    __slots__ = ("value", "terms")
+
+    def __init__(self, value, terms=None):
+        self.value = value
+        self.terms = (value,) if terms is None else terms
+
+    def __add__(self, other):
+        return _Slope(max(self.value, other.value))
+
+    def __radd__(self, constant):
+        return _Slope(max(type(self.value)(0), self.value))
+
+    def __truediv__(self, other):
+        value, terms = self.value, list(self.terms)
+        for term in other.terms:
+            value -= term
+            terms.append(-term)
+        return _Slope(value, terms)
 
 
-def _mixed_expansion_rows(
-    ls1: float, ls2: float, li1: float, li2: float
-) -> list[tuple[float, float, float]]:
-    """Rows for a mixed channel, strong-at-receiver-1 orientation.
+def _expansion_rows(tag: InterferenceTag, ls1, ls2, li1, li2) -> list[tuple[float, float, float]]:
+    """``(c1, c2, rhs)`` of the ``bounds.outer_args`` rows of class ``tag`` on log slopes.
 
-    The redundant sum and 2R1+R2 rows are dropped: the former equals
-    max(li1 + li2, ls1) >= max(ls1, li1) and the latter is the sum of the
-    single-rate row and the MAC sum row.
+    Each rhs is the left-to-right sum of the terms of all the row's
+    arguments, so it rounds as the paper's closed form does: weak row 6 is
+    ``((A + B) + ls1) - li2``.  It is homogeneous of degree one in the logs,
+    so the same rows serve the gdof normalization (ls1 = 1) and the
+    bit-domain expansion.
     """
-    return [
-        (1.0, 0.0, ls1),
-        (0.0, 1.0, ls2),
-        (1.0, 1.0, ls1 + _pos(ls2 - li2)),
-        (1.0, 1.0, max(ls1, li1)),
-        (1.0, 2.0, max(ls2, li2) + max(li1, ls1 - li2)),
-    ]
-
-
-def _strong_expansion_rows(
-    ls1: float, ls2: float, li1: float, li2: float
-) -> list[tuple[float, float, float]]:
-    return [
-        (1.0, 0.0, ls1),
-        (0.0, 1.0, ls2),
-        (1.0, 1.0, max(ls1, li1)),
-        (1.0, 1.0, max(ls2, li2)),
-    ]
+    coeffs, args = _bounds.outer_args(_Slope(ls1), _Slope(ls2), _Slope(li1), _Slope(li2), tag)
+    rows = []
+    for (c1, c2), row in zip(coeffs, args):
+        rhs, *terms = [term for arg in row for term in arg.terms]
+        for term in terms:
+            rhs += term
+        rows.append((c1, c2, rhs))
+    return rows
 
 
 def _rows_to_gdof(rows, alpha1: float) -> RateRegion:
@@ -160,19 +156,6 @@ def _rows_to_gdof(rows, alpha1: float) -> RateRegion:
     return RateRegion(constraints)
 
 
-# The expansion rows of each class, by tag.  A channel strong at receiver 2
-# takes the strong-at-1 rows on the user-swapped logs with each row's
-# (m1, m2) swapped: the mirror of ``bounds.outer_args``.
-_EXPANSION_ROWS = {
-    InterferenceTag.WEAK: _weak_expansion_rows,
-    InterferenceTag.MIXED_STRONG_AT_1: _mixed_expansion_rows,
-    InterferenceTag.MIXED_STRONG_AT_2: lambda ls1, ls2, li1, li2: [
-        (m2, m1, rhs) for m1, m2, rhs in _mixed_expansion_rows(ls2, ls1, li2, li1)
-    ],
-    InterferenceTag.STRONG: _strong_expansion_rows,
-}
-
-
 def _slope_tag(g: GdofParams) -> InterferenceTag:
     return TAG_BY_STRENGTH[g.alpha2 >= g.alpha1, g.alpha3 >= 1.0]
 
@@ -182,7 +165,7 @@ def _class_gdof_region(g: GdofParams, tag: InterferenceTag) -> RateRegion:
     actual = _slope_tag(g)
     if tag is not actual:
         raise ClassMismatchError(f"{g} has {actual.value} slopes, got tag {tag!r}")
-    return _rows_to_gdof(_EXPANSION_ROWS[tag](1.0, g.alpha1, g.alpha2, g.alpha3), g.alpha1)
+    return _rows_to_gdof(_expansion_rows(tag, 1.0, g.alpha1, g.alpha2, g.alpha3), g.alpha1)
 
 
 def weak_gdof_region(g: GdofParams) -> RateRegion:
@@ -258,7 +241,7 @@ def baseline_gdof(alpha_value: float, scheme: BaselineScheme | str) -> float:
     scheme = BaselineScheme(scheme)
     if scheme is BaselineScheme.ORTHOGONALIZE:
         return 0.5
-    return _pos(1.0 - alpha_value)
+    return max(0.0, 1.0 - alpha_value)
 
 
 class FiniteSnrSandwich(NamedTuple):
@@ -293,16 +276,16 @@ def finite_snr_convergence(snr: float, alpha_value: float) -> FiniteSnrSandwich:
 def first_order_expansion(params: ChannelParams) -> RateRegion:
     """Log-domain piecewise-linear expansion of the capacity region, in bits.
 
-    The rows are those of :data:`_EXPANSION_ROWS` for the channel's class:
-    weak channels keep all seven rows; mixed channels, of either
-    orientation, drop the two rows whose finite-SNR parents are provably
-    redundant.  Rows whose rhs is non-finite (a vanishing cross ratio makes
-    them vacuous) are omitted.
+    The rows are the max-plus images of the channel's
+    ``bounds.outer_args`` rows in the log2 ratios: weak channels keep all
+    seven rows; mixed channels, of either orientation, have five, since
+    their outer bound drops the two rows that are provably redundant.
 
-    The expansion is meant for ratios >= 1.  A cross ratio below 1 has a
-    negative log, which inflates the rows it enters: at SNR = 100 and
-    INR = 1e-300 a sum row allows about 1,009 bits.  Such rows are valid
-    but vacuous; INR = 0 drops them altogether.
+    Each log2 argument of an outer row is a sum of at most three terms with
+    at most one ``1 + x`` denominator, so its image is at most log2 3 below
+    and 1 above it: every row lies within 2 bits per argument of its
+    :func:`gicap.bounds.outer_rows` row, at any cross ratio.  A zero cross
+    ratio has slope -inf, which the ``1 + x`` it sits in turns into 0.
     """
     if not (params.snr1 > 1.0 and params.snr2 > 1.0):
         raise DomainError(
@@ -313,6 +296,4 @@ def first_order_expansion(params: ChannelParams) -> RateRegion:
         raise ClassMismatchError("first-order expansion covers weak and mixed only")
     ratios = (params.snr1, params.snr2, params.inr1, params.inr2)
     logs = [_LOG2(x) if x > 0.0 else -math.inf for x in ratios]
-    return RateRegion(
-        RateConstraint(*row) for row in _EXPANSION_ROWS[tag](*logs) if math.isfinite(row[2])
-    )
+    return RateRegion(RateConstraint(*row) for row in _expansion_rows(tag, *logs))

@@ -271,10 +271,12 @@ def regime1_gap(snr: float, inr: float) -> float:
 
     Equals log2(1 + INR(1+INR)/(1+INR+SNR)); vanishes as SNR grows with
     INR below sqrt(SNR), certifying that treating interference as noise
-    is asymptotically optimal for very weak interference.
+    is asymptotically optimal for very weak interference.  It is evaluated
+    as log2(1 + INR/(1 + SNR/(1 + INR))): the same value in reals, with no
+    cancellation and no overflow on finite ratios.
     """
     _check_symmetric("regime1_gap", snr, inr)
-    return _LOG2(1.0 + inr * (1.0 + inr) / (1.0 + inr + snr))
+    return _LOG2(1.0 + inr / (1.0 + snr / (1.0 + inr)))
 
 
 def regime2_window(alpha_value: float) -> tuple[float, float]:

@@ -1,16 +1,20 @@
-"""Hand-expanded closed forms of the fixed-split achievable regions.
+"""Hand-expanded closed forms of the fixed-split achievable regions, and
+the paper's GDoF rows of each interference class.
 
 These are independent oracles: each region below was expanded by hand for
 one specific power split, written directly in terms of the channel
 ratios, and is compared against the generic Gaussian evaluation by
 vertex-set equality.  Keep these expressions independent of gicap.hk.
+The GDoF rows, written in the four log slopes, are compared exactly with
+the rows gicap.gdof reads off the outer bound; keep them independent of
+gicap.bounds.
 """
 
 from __future__ import annotations
 
 import math
 
-from gicap import ChannelParams, RateConstraint, RateRegion
+from gicap import ChannelParams, InterferenceTag, RateConstraint, RateRegion
 
 log2 = math.log2
 
@@ -201,3 +205,57 @@ def closed_form_mixed_noise(p: ChannelParams) -> RateRegion:
             ),
         ]
     )
+
+
+def _pos(x):
+    # a zero of x's own type, so Fraction slopes give exact rows
+    return x if x > 0 else type(x)(0)
+
+
+def weak_expansion_rows(ls1, ls2, li1, li2):
+    """GDoF rows ``(c1, c2, rhs)`` of a weak channel in the log slopes of its ratios."""
+    return [
+        (1.0, 0.0, ls1),
+        (0.0, 1.0, ls2),
+        (1.0, 1.0, ls1 + _pos(ls2 - li2)),
+        (1.0, 1.0, ls2 + _pos(ls1 - li1)),
+        (1.0, 1.0, max(li1, ls1 - li2) + max(li2, ls2 - li1)),
+        (2.0, 1.0, max(ls1, li1) + max(li2, ls2 - li1) + ls1 - li2),
+        (1.0, 2.0, max(ls2, li2) + max(li1, ls1 - li2) + ls2 - li1),
+    ]
+
+
+def mixed_expansion_rows(ls1, ls2, li1, li2):
+    """GDoF rows of a mixed channel strong at receiver 1.
+
+    The MAC sum row is max(ls1, li1); the last row's third slope,
+    (ls2 - li1)+, is 0 because li1 >= ls2.
+    """
+    return [
+        (1.0, 0.0, ls1),
+        (0.0, 1.0, ls2),
+        (1.0, 1.0, ls1 + _pos(ls2 - li2)),
+        (1.0, 1.0, max(ls1, li1)),
+        (1.0, 2.0, max(ls2, li2) + max(li1, ls1 - li2)),
+    ]
+
+
+def strong_expansion_rows(ls1, ls2, li1, li2):
+    """GDoF rows of a strong channel: both MAC regions."""
+    return [
+        (1.0, 0.0, ls1),
+        (0.0, 1.0, ls2),
+        (1.0, 1.0, max(ls1, li1)),
+        (1.0, 1.0, max(ls2, li2)),
+    ]
+
+
+# A channel strong at receiver 2 is the user-swapped image of one strong at 1.
+EXPANSION_ROWS = {
+    InterferenceTag.WEAK: weak_expansion_rows,
+    InterferenceTag.MIXED_STRONG_AT_1: mixed_expansion_rows,
+    InterferenceTag.MIXED_STRONG_AT_2: lambda ls1, ls2, li1, li2: [
+        (c2, c1, rhs) for c1, c2, rhs in mixed_expansion_rows(ls2, ls1, li2, li1)
+    ],
+    InterferenceTag.STRONG: strong_expansion_rows,
+}

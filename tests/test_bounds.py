@@ -275,6 +275,15 @@ class TestSymmetricCapacityStrong:
         with pytest.raises(ClassMismatchError):
             symmetric_capacity_strong(100, 10)
 
+    @pytest.mark.parametrize("snr, inr", [(-0.5, -0.2), (-1.0, 0.0)])
+    def test_negative_snr_rejected(self, snr, inr):
+        with pytest.raises(DomainError):
+            symmetric_capacity_strong(snr, inr)
+
+    def test_zero_snr_accepted(self):
+        assert symmetric_capacity_strong(0.0, 0.0) == 0.0
+        assert symmetric_capacity_strong(0.0, 3.0) == 0.0
+
 
 class TestPt2ptOuter:
     def test_values(self):

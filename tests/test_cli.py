@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -439,6 +440,66 @@ class TestFigures:
         assert exc.value.code == 2
 
 
+def _slope(rng):
+    """A slope in [0, 3]: a class or W-curve breakpoint a quarter of the time."""
+    if rng.random() < 0.25:
+        return rng.choice((0.0, 0.5, 2 / 3, 1.0, 1.5, 2.0))
+    return float(f"{rng.uniform(0.0, 3.0):.4f}")
+
+
+def gdof_argvs():
+    """``gdof``/``figures`` argvs by group: the four slope classes, the ties and
+    the ``figures gdof-region`` levels, each in both formats."""
+    rng = random.Random(15)
+    classes = {"weak": [], "mixed_strong_at_1": [], "mixed_strong_at_2": [], "strong": []}
+    while min(map(len, classes.values())) < 150:
+        a1, a2, a3 = max(_slope(rng), 0.0001), _slope(rng), _slope(rng)
+        name = [["weak", "mixed_strong_at_2"], ["mixed_strong_at_1", "strong"]][a2 >= a1][a3 >= 1]
+        classes[name].append((a1, a2, a3))
+    classes["ties"] = list(slope_tie_grid())
+    groups = {}
+    for fmt in ("json", "csv"):
+        for name, triples in classes.items():
+            groups[f"{name}-{fmt}"] = [
+                ["gdof", "--format", fmt]
+                + [v for flag, a in zip(("--alpha1", "--alpha2", "--alpha3"), t) for v in (flag, repr(a))]
+                for t in triples[:150]
+            ]
+        groups[f"figures-{fmt}"] = [
+            ["figures", "gdof-region", "--format", fmt, "--alpha", repr(i / 100)]
+            for i in range(301)
+        ]
+    return groups
+
+
+# sha256 of the stdouts of each group of gdof_argvs(), in order: query-mix output
+# digests are compared across runs, so these bytes must not move
+GDOF_DIGESTS = {
+    "figures-csv": "da53061492404d8d938c427119539a276bda5ed6f2980dab198efff762b1457e",
+    "figures-json": "e8e6a80eea8e28a57820f5807fc858045f7248126c10081db5b90c5261f123ca",
+    "mixed_strong_at_1-csv": "4d2b6549aa16265ee7291298778616f0d8bcca1644a99b1386b1b9f6850e3577",
+    "mixed_strong_at_1-json": "9591aa2c414e3eff5c4101d00fddd2daa76279ee3f4476b9e710f84a43c769ca",
+    "mixed_strong_at_2-csv": "12f2af4ca67eea2ddc95b4b2f32844e0ca139b910c6a00280426412a9d8541ed",
+    "mixed_strong_at_2-json": "b11e7807c4829d5108cd9c3fd72a3750b02b017aaddcdbb44b9dd97f757ae0e4",
+    "strong-csv": "1dcc8973470f0d3b8f71f6c35bb7aa2386d08e7f9220f48cbfeeef79a0586cb6",
+    "strong-json": "3eec6c12f3698035a0c6a44821aa9e014b7784af65df4f7f8d7334e5e2134c7e",
+    "ties-csv": "6596b3d27665463787e3270d78315259642bf58c3de4d447e1b0b27348f829b7",
+    "ties-json": "11aae5a56cd2f6df9a47478654e9f9e055fa8f2503ebb578da4d878d20d29372",
+    "weak-csv": "d18615ef66246431199cc6ca45236ce5f49270e3cceda1b8b65b0d509510e8a3",
+    "weak-json": "0c556b429c7ad45d59f898ec4f3243718e18b936a089221619e8444236c1a1f7",
+}
+
+
+@pytest.mark.parametrize("group", sorted(GDOF_DIGESTS))
+def test_gdof_outputs_keep_their_bytes(group):
+    digest = hashlib.sha256()
+    for argv in gdof_argvs()[group]:
+        code, out = run_cli(argv)
+        assert code == 0, argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == GDOF_DIGESTS[group]
+
+
 class TestDiffrate:
     def test_values(self):
         obj = run_json(["diffrate", "--snr1", "100", "--inr2", "10", "--z", "0.1"])
@@ -615,6 +676,7 @@ class TestBadInputNeverCrashes:
 # 0.4 MiB, so numpy must never load, and fractions not before `region`,
 # whose certificates build their support tables in exact rationals.
 IMPORT_SET_CHILD = """
+import hashlib
 import io
 import sys
 import gicap.cli

@@ -12,6 +12,7 @@ from gicap import (
     GdofParams,
     InterferenceTag,
     baseline_gdof,
+    classify,
     d_sym,
     finite_snr_convergence,
     first_order_expansion,
@@ -25,13 +26,9 @@ from gicap import (
     weak_gdof_region,
 )
 from conftest import random_channel, slope_tie_grid, vertex_sets_equal
-from gicap.bounds import outer_args
-from gicap.gdof import (
-    _EXPANSION_ROWS,
-    _mixed_expansion_rows,
-    _strong_expansion_rows,
-    _weak_expansion_rows,
-)
+from gicap.bounds import outer_args, outer_rows
+from gicap.gdof import _expansion_rows
+from reference_regions import EXPANSION_ROWS
 
 log2 = math.log2
 
@@ -356,7 +353,41 @@ class TestFirstOrderExpansion:
 
     def test_zero_cross_ratio_degenerates_to_box(self):
         r = first_order_expansion(ChannelParams(100, 200, 0, 0))
-        assert len(r.constraints) == 2
+        assert len(r.constraints) == 7
+        got = [(v.r1, v.r2) for v in vertices(r)]
+        assert got == [(0.0, log2(200)), (log2(100), log2(200)), (log2(100), 0.0)]
+
+    @staticmethod
+    def cross_ratio(rng, snr, strong):
+        """An INR at or above ``snr`` if ``strong``, else 0 or down to 1e-300."""
+        if strong:
+            return 10.0 ** rng.uniform(math.log10(snr), 8.0)
+        return 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-300.0, math.log10(snr))
+
+    @pytest.mark.parametrize(
+        "tag",
+        [InterferenceTag.WEAK, InterferenceTag.MIXED_STRONG_AT_1, InterferenceTag.MIXED_STRONG_AT_2],
+        ids=lambda tag: tag.value,
+    )
+    def test_rows_within_two_bits_per_argument_of_the_outer_rows(self, tag, rng):
+        # each log2 argument is a sum of at most three terms, with at most one
+        # 1 + x denominator: its max-plus image is at most log2 3 below its
+        # log2 and at most 1 above
+        checked = 0
+        while checked < 2000:
+            snr1, snr2 = (10.0 ** rng.uniform(0.0, 8.0) for _ in range(2))
+            inr1 = self.cross_ratio(rng, snr2, tag is InterferenceTag.MIXED_STRONG_AT_1)
+            inr2 = self.cross_ratio(rng, snr1, tag is InterferenceTag.MIXED_STRONG_AT_2)
+            p = ChannelParams(snr1, snr2, inr1, inr2)
+            if min(snr1, snr2) <= 1.0 or classify(p).tag is not tag:
+                continue
+            coeffs, rhs = outer_rows(p, tag)
+            args = outer_args(snr1, snr2, inr1, inr2, tag)[1]
+            rows = first_order_expansion(p).constraints
+            assert [(c.c1, c.c2) for c in rows] == list(coeffs)
+            for c, bound, row_args in zip(rows, rhs, args):
+                assert abs(c.rhs - bound) <= 2.0 * len(row_args), (p, c)
+            checked += 1
 
     def test_scaled_gdof_region_matches(self, rng):
         for _ in range(40):
@@ -388,74 +419,27 @@ class TestFirstOrderExpansion:
             first_order_expansion(ChannelParams(0.5, 10, 0.1, 0.1))
 
 
-class MaxPlus:
-    """A ratio growing like SNR1 ** e, known only by its slope ``e`` (a Fraction).
-
-    In the limit ``+`` of two such ratios keeps the larger slope, ``*``
-    and ``/`` add and subtract slopes, and a positive constant has slope 0.
-    """
-
-    def __init__(self, e):
-        self.e = Fraction(e)
-
-    @staticmethod
-    def of(x):
-        if isinstance(x, MaxPlus):
-            return x
-        assert x > 0, x
-        return MaxPlus(0)
-
-    def __add__(self, other):
-        return MaxPlus(max(self.e, MaxPlus.of(other).e))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return MaxPlus(self.e + MaxPlus.of(other).e)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return MaxPlus(self.e - MaxPlus.of(other).e)
-
-    def __rtruediv__(self, other):
-        return MaxPlus(MaxPlus.of(other).e - self.e)
-
-
 # slopes with the W curve's breakpoints 1/2, 2/3, 1 and 2 among them
 SLOPES = [
     Fraction(v)
     for v in ("0", "1/4", "1/3", "1/2", "3/5", "2/3", "3/4", "1", "4/3", "3/2", "2", "5/2")
 ]
 
-# (tag, hand rows, slopes in the class's domain: SNR1 = SNR, SNR2 = SNR ** a1,
+# (tag, the paper's rows, slopes in the class's domain: SNR1 = SNR, SNR2 = SNR ** a1,
 # INR1 = SNR ** a2, INR2 = SNR ** a3)
 EXPANSIONS = [
-    (InterferenceTag.WEAK, _weak_expansion_rows, lambda a1, a2, a3: a2 < a1 and a3 < 1),
-    (
-        InterferenceTag.MIXED_STRONG_AT_1,
-        _mixed_expansion_rows,
-        lambda a1, a2, a3: a2 >= a1 and a3 < 1,
-    ),
-    (InterferenceTag.STRONG, _strong_expansion_rows, lambda a1, a2, a3: a2 >= a1 and a3 >= 1),
-    (
-        InterferenceTag.MIXED_STRONG_AT_2,
-        _EXPANSION_ROWS[InterferenceTag.MIXED_STRONG_AT_2],
-        lambda a1, a2, a3: a2 < a1 and a3 >= 1,
-    ),
+    (tag, EXPANSION_ROWS[tag], domain)
+    for tag, domain in (
+        (InterferenceTag.WEAK, lambda a1, a2, a3: a2 < a1 and a3 < 1),
+        (InterferenceTag.MIXED_STRONG_AT_1, lambda a1, a2, a3: a2 >= a1 and a3 < 1),
+        (InterferenceTag.STRONG, lambda a1, a2, a3: a2 >= a1 and a3 >= 1),
+        (InterferenceTag.MIXED_STRONG_AT_2, lambda a1, a2, a3: a2 < a1 and a3 >= 1),
+    )
 ]
 
 
-def derived_expansion_rows(tag, slopes):
-    """(c1, c2, rhs) of each ``outer_args`` row, each log2 argument replaced by its slope."""
-    coeffs, args = outer_args(*map(MaxPlus, slopes), tag)
-    return [
-        (c1, c2, sum((arg.e for arg in row), Fraction(0))) for (c1, c2), row in zip(coeffs, args)
-    ]
-
-
 class TestExpansionRowsOracle:
-    """The hand-written GDoF rows are the slopes of the finite-SNR outer rows, exactly."""
+    """The max-plus rows read off ``outer_args`` are the paper's hand rows, exactly."""
 
     @pytest.mark.parametrize(
         "tag, hand_rows, domain", EXPANSIONS, ids=lambda v: getattr(v, "value", "")
@@ -469,12 +453,29 @@ class TestExpansionRowsOracle:
         for breakpoint in ("1/2", "2/3", "1", "2"):
             assert any(Fraction(breakpoint) in slopes[1:] for slopes in grid)
         for slopes in grid:
-            hand = hand_rows(*slopes)
-            assert all(isinstance(rhs, Fraction) for _, _, rhs in hand), slopes
-            assert hand == derived_expansion_rows(tag, slopes), slopes
+            derived = _expansion_rows(tag, *slopes)
+            assert all(isinstance(rhs, Fraction) for _, _, rhs in derived), slopes
+            assert derived == hand_rows(*slopes), slopes
+
+    @pytest.mark.parametrize(
+        "tag, hand_rows, domain", EXPANSIONS, ids=lambda v: getattr(v, "value", "")
+    )
+    def test_float_rows_round_like_the_hand_rows(self, tag, hand_rows, domain, rng):
+        # the gdof and figures bytes rest on this: same doubles, signed zeros too
+        breakpoints = (0.0, 0.5, 2 / 3, 1.0, 2.0)
+        checked = 0
+        while checked < 2000:
+            a1, a2, a3 = (
+                rng.choice(breakpoints) if rng.random() < 0.3 else rng.uniform(0.0, 3.0)
+                for _ in range(3)
+            )
+            if a1 > 0 and domain(a1, a2, a3):
+                slopes = (1.0, a1, a2, a3)
+                assert repr(_expansion_rows(tag, *slopes)) == repr(hand_rows(*slopes))
+                checked += 1
 
     def test_max_plus_reads_a_known_row(self):
         # the sum row log(1 + INR1 + SNR1/(1+INR2)) + log(1 + INR2 + SNR2/(1+INR1))
         # has slope max(a2, 1 - a3) + max(a3, a1 - a2) = 2/3 + 1/3
         slopes = (1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 3))
-        assert derived_expansion_rows(InterferenceTag.WEAK, slopes)[4] == (1.0, 1.0, 1)
+        assert _expansion_rows(InterferenceTag.WEAK, *slopes)[4] == (1.0, 1.0, 1)

@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -290,6 +292,31 @@ class TestRegime1:
 
     def test_gap_zero_without_interference(self):
         assert regime1_gap(123.0, 0.0) == 0.0
+
+    def test_gap_near_the_top_of_the_float_range(self):
+        # INR(1 + INR) and 1 + INR + SNR both overflow here
+        gap = regime1_gap(1.7e308, 1.7e308)
+        assert math.isfinite(gap)
+        assert gap == pytest.approx(log2(1.7e308 / 2), abs=1e-9)
+
+    @staticmethod
+    def decimal_gap(snr, inr):
+        """log2(1 + INR(1+INR)/(1+INR+SNR)) with enough digits that 1 + y keeps y."""
+        s, i = Decimal(snr), Decimal(inr)
+        y = i * (1 + i) / (1 + i + s)
+        with localcontext() as ctx:
+            ctx.prec = 40 + max(0, -y.adjusted()) if y else 40
+            return (1 + y).ln() / Decimal(2).ln()
+
+    def test_gap_matches_decimal_reference(self):
+        # 1e-12 relative, plus the half unit of 1 that rounding 1 + y can lose
+        rng = random.Random(15)
+        for _ in range(2000):
+            snr = 10.0 ** rng.uniform(-300.0, 308.0)
+            inr = 0.0 if rng.random() < 0.05 else 10.0 ** rng.uniform(-300.0, 308.0)
+            got = regime1_gap(snr, inr)
+            ref = self.decimal_gap(snr, inr)
+            assert abs(Decimal(got) - ref) <= ref * Decimal("1e-12") + Decimal(2.0**-52), (snr, inr)
 
 
 class TestRegime2:
