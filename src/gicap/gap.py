@@ -23,11 +23,14 @@ orientations pair alike.
 
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
-class.  They are drawn and judged :data:`SWEEP_CHUNK` channels at a time,
-each chunk a tuple of record columns (:func:`sweep_chunks`): in numpy
-(:func:`gicap.kernel.audit_chunk`) for sweeps of at least
-:data:`NUMPY_MIN_N` channels, else channel by channel without importing
-numpy.  Both engines give the same columns bit for bit and raise by one
+class.  Candidates are drawn a pass at a time, each pass as many as the
+sweep still needs (at most a chunk's worth), and the accepted ones carry
+over until :data:`SWEEP_CHUNK` of them fill a chunk, which is judged as a
+tuple of record columns (:func:`sweep_chunks`).  Both steps run on an
+engine: the numpy one (:mod:`gicap.kernel`) for sweeps of at least
+:data:`NUMPY_MIN_N` channels, else the scalar one, candidate by candidate
+and channel by channel, without importing numpy.  Both engines draw the
+same candidates, give the same columns bit for bit and raise by one
 rule (:func:`_raise_first_bad`): the first channel in draw order whose
 rates overflow (:class:`DomainError`) or whose inner region exceeds its
 outer bound (:class:`ContainmentError`) raises that error, naming the
@@ -44,7 +47,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
@@ -100,6 +103,8 @@ _STRENGTHS = {tag: strengths for strengths, tag in TAG_BY_STRENGTH.items()}
 
 SNR_DB_RANGE = (0.0, 60.0)
 INR_DB_RANGE = (-20.0, 60.0)
+_SNR_SPAN = SNR_DB_RANGE[1] - SNR_DB_RANGE[0]
+_INR_SPAN = INR_DB_RANGE[1] - INR_DB_RANGE[0]
 
 
 @dataclass(frozen=True)
@@ -301,11 +306,12 @@ _CLASS_FILTERS = {
 }
 
 
-# Channels drawn, audited and certified together.  A larger chunk spreads
-# the numpy kernel's per-call cost thinner but raises peak RSS: a
-# 40,000-channel weak sweep peaked 1.2 MiB higher with chunks of 1,024
-# than of 256 (29.7 MiB), on Python 3.11 and numpy 2.4.
-SWEEP_CHUNK = 256
+# Channels audited and certified together, and the most candidates one
+# draw pass takes.  A larger chunk spreads the numpy kernel's per-call cost
+# thinner but raises peak RSS: a 40,000-channel weak sweep peaked at
+# 30.6 MiB with chunks of 1,024 against 29.8 MiB with chunks of 256
+# (Python 3.11, numpy 2.4).
+SWEEP_CHUNK = 1024
 
 # The smallest sweep audited by the numpy kernel; smaller ones take the
 # scalar path and never import numpy.  Importing numpy costs a fresh
@@ -334,12 +340,16 @@ def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[tuple
 
     Each candidate takes four ``rng.random()`` draws (SNR1, SNR2, INR1,
     INR2 in dB) and is rejected after drawing unless its class passes
-    ``class_filter``; a chunk draws only as many candidates as it still
-    needs.  Sweeps of at least :data:`NUMPY_MIN_N` channels are audited a
-    chunk at a time by :func:`gicap.kernel.audit_chunk` where numpy can be
-    imported, and otherwise channel by channel by :func:`_judge`
-    (:func:`_scalar_audit_chunk`); the columns and the error are
-    identical.  The arguments are checked before the first chunk is drawn.
+    ``class_filter``.  Candidates are drawn in passes of as many as the
+    sweep still needs, at most :data:`SWEEP_CHUNK`, so no pass draws past
+    the n-th accepted candidate; accepted candidates a chunk cannot take
+    carry over into the next.  Sweeps of at least :data:`NUMPY_MIN_N`
+    channels classify a pass and audit a chunk on arrays
+    (:func:`gicap.kernel.select`, :func:`gicap.kernel.audit_chunk`) where
+    numpy can be imported, and otherwise candidate by candidate and
+    channel by channel (:func:`_scalar_select`, :func:`_scalar_audit_chunk`);
+    the draws, the columns and the error are identical.  The arguments are
+    checked before the first candidate is drawn.
     """
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     try:
@@ -351,46 +361,87 @@ def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[tuple
     return _chunks(n, random.Random(seed), accepted, _chunk_engine(n))
 
 
-def _chunks(n, rng, accepted, audit_chunk):
+def _chunks(n, rng, accepted, engine):
     draw = rng.random
-    snr_lo, snr_hi = SNR_DB_RANGE
-    inr_lo, inr_hi = INR_DB_RANGE
-    snr_span, inr_span = snr_hi - snr_lo, inr_hi - inr_lo
     accept = {strength: tag for strength, tag in TAG_BY_STRENGTH.items() if tag in accepted}
+    # the accepted candidates not yet audited: tags, four dB values, four ratios
+    pending = [[] for _ in range(9)]
     for start in range(0, n, SWEEP_CHUNK):
         size = min(SWEEP_CHUNK, n - start)
-        drawn, tags = [], []
-        while len(tags) < size:
-            for _ in range(size - len(tags)):
-                # scale rng.random() directly: it is the one generator method
-                # with a documented cross-version reproducibility guarantee
-                snr1_db = snr_lo + snr_span * draw()
-                snr2_db = snr_lo + snr_span * draw()
-                inr1_db = inr_lo + inr_span * draw()
-                inr2_db = inr_lo + inr_span * draw()
-                snr1, snr2 = db_to_linear(snr1_db), db_to_linear(snr2_db)
-                inr1, inr2 = db_to_linear(inr1_db), db_to_linear(inr2_db)
-                # ChannelParams.strong_at_1, strong_at_2
-                tag = accept.get((inr1 >= snr2, inr2 >= snr1))
-                if tag is not None:
-                    tags.append(tag)
-                    drawn.append((snr1_db, snr2_db, inr1_db, inr2_db, snr1, snr2, inr1, inr2))
-        columns = list(zip(*drawn))
-        yield (*columns[:4], [tag.value for tag in tags], *audit_chunk(tags, *columns[4:]))
+        while len(pending[0]) < size:
+            # A pass draws as many candidates as the sweep still needs, at most
+            # a chunk's worth, so no pass draws past the n-th accepted one.
+            # rng.random() is the one generator method with a documented
+            # cross-version reproducibility guarantee.
+            wanted = min(n - start - len(pending[0]), SWEEP_CHUNK)
+            draws = itertools.starmap(draw, itertools.repeat((), 4 * wanted))
+            for column, values in zip(pending, engine.select(draws, accept)):
+                column.extend(values)
+        yield _audit_first(pending, size, engine.audit)
 
 
-def _chunk_engine(n: int):
-    """The numpy chunk audit for sweeps of at least :data:`NUMPY_MIN_N`
-    channels where numpy can be imported, else the scalar path."""
+_TAG_VALUES = {tag: tag.value for tag in InterferenceTag}
+
+
+def _audit_first(pending, size, audit_chunk) -> tuple:
+    """The 13 record columns of the first ``size`` candidates of ``pending``,
+    which it removes from there.  A function of its own, so that
+    :func:`_chunks` holds no chunk while it draws the next one."""
+    tags, *dbs, snr1, snr2, inr1, inr2 = (column[:size] for column in pending)
+    for column in pending:
+        del column[:size]
+    tag_values = list(map(_TAG_VALUES.__getitem__, tags))
+    return (*dbs, tag_values, *audit_chunk(tags, snr1, snr2, inr1, inr2))
+
+
+def _scalar_select(draws, accept):
+    """The candidates of a pass whose class ``accept`` maps to a tag, in draw
+    order, as nine columns: the tags, the four dB values and the four ratios.
+
+    ``draws`` holds four ``rng.random()`` values per candidate (SNR1, SNR2,
+    INR1, INR2), scaled to dB; ``accept`` maps (strong at receiver 1, strong
+    at receiver 2) to the accepted tags.  Returns no columns when the pass
+    accepts none.
+    """
+    snr_lo, inr_lo = SNR_DB_RANGE[0], INR_DB_RANGE[0]
+    kept = []
+    values = iter(draws)
+    for snr1_u, snr2_u, inr1_u, inr2_u in zip(values, values, values, values):
+        dbs = (
+            snr_lo + _SNR_SPAN * snr1_u,
+            snr_lo + _SNR_SPAN * snr2_u,
+            inr_lo + _INR_SPAN * inr1_u,
+            inr_lo + _INR_SPAN * inr2_u,
+        )
+        snr1, snr2, inr1, inr2 = map(db_to_linear, dbs)
+        # ChannelParams.strong_at_1, strong_at_2
+        tag = accept.get((inr1 >= snr2, inr2 >= snr1))
+        if tag is not None:
+            kept.append((tag, *dbs, snr1, snr2, inr1, inr2))
+    return zip(*kept)
+
+
+class _Engine(NamedTuple):
+    """A sweep engine's two hooks: ``select`` takes a pass's draws to its
+    accepted candidates (:func:`_scalar_select`), ``audit`` a chunk's tags
+    and ratios to its record columns after the class (:func:`_scalar_audit_chunk`)."""
+
+    select: Callable
+    audit: Callable
+
+
+def _chunk_engine(n: int) -> _Engine:
+    """The numpy engine (:mod:`gicap.kernel`) for sweeps of at least
+    :data:`NUMPY_MIN_N` channels where numpy can be imported, else the scalar one."""
     if n >= NUMPY_MIN_N:
         try:
-            from .kernel import audit_chunk
+            from .kernel import audit_chunk, select
         except ModuleNotFoundError as exc:
             if exc.name != "numpy":
                 raise
         else:
-            return audit_chunk
-    return _scalar_audit_chunk
+            return _Engine(select, audit_chunk)
+    return _Engine(_scalar_select, _scalar_audit_chunk)
 
 
 def _scalar_audit_chunk(tags, snr1, snr2, inr1, inr2):
@@ -509,8 +560,9 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_CSV_HEADER)
         for columns in chunks:
-            fh.write("".join(map(_csv_line, zip(*columns))))
+            fh.writelines(map(_csv_line, zip(*columns)))
             failures += sum(_fold_worst(worst, columns, check))
+            del columns  # drop this chunk before the next one is drawn
     return _summary(n, failures, worst, seed)
 
 

@@ -234,11 +234,19 @@ def baseline_gdof(alpha_value: float, scheme: BaselineScheme | str) -> float:
 
     Orthogonalizing the users always yields 1/2; treating interference as
     noise yields (1 - alpha)+.  Both touch the W curve only where it says
-    they should (alpha in {1/2, 1}, resp. alpha <= 1/2).
+    they should (alpha in {1/2, 1}, resp. alpha <= 1/2).  A ``scheme`` that
+    is neither a member nor a member's value raises :class:`DomainError`.
     """
     if not math.isfinite(alpha_value) or alpha_value < 0.0:
         raise DomainError(f"baseline_gdof needs finite alpha >= 0, got {alpha_value!r}")
-    scheme = BaselineScheme(scheme)
+    if not isinstance(scheme, BaselineScheme):
+        try:
+            scheme = BaselineScheme(scheme)
+        except ValueError:
+            raise DomainError(
+                f"unknown baseline scheme {scheme!r}; expected one of "
+                f"{[member.value for member in BaselineScheme]}"
+            ) from None
     if scheme is BaselineScheme.ORTHOGONALIZE:
         return 0.5
     return max(0.0, 1.0 - alpha_value)

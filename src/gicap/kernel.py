@@ -1,4 +1,12 @@
-"""numpy audit of a whole chunk of sweep channels, bit-identical to the scalar path.
+"""numpy engine of a sweep: a pass of candidates classified, and a chunk
+of channels audited, on arrays, bit-identical to the scalar engine.
+
+:func:`select` takes a draw pass's ``rng.random()`` values and keeps the
+candidates of the accepted classes, with their tags, dB values and
+ratios; :func:`gicap.gap._chunks` carries them over until a chunk is full.
+It maps the draws to dB and compares the two cross links in arrays, on the
+exponents of the dB-to-ratio map; only a comparison near a tie, and the
+accepted candidates' ratios, take Python's pow, as the scalar engine does.
 
 :func:`audit_chunk` takes a chunk's class tags and four ratio columns and
 returns the columns of its sweep records.  It runs the one per-channel
@@ -18,27 +26,74 @@ elsewhere the sweep takes the scalar path.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .gap import _FAMILIES, _judge, _raise_first_bad
+from .channel import db_to_linear
+from .gap import (
+    _FAMILIES,
+    _INR_SPAN,
+    _SNR_SPAN,
+    INR_DB_RANGE,
+    SNR_DB_RANGE,
+    _judge,
+    _raise_first_bad,
+)
 
-__all__ = ["audit_chunk"]
+__all__ = ["audit_chunk", "select"]
+
+# dB = low end + span * rng.random(), per column: SNR1, SNR2, INR1, INR2
+_DB_LOW = np.array([SNR_DB_RANGE[0]] * 2 + [INR_DB_RANGE[0]] * 2)
+_DB_SPAN = np.array([_SNR_SPAN] * 2 + [_INR_SPAN] * 2)
+# Cross links whose exponents (dB / 10) lie closer than this are compared
+# exactly, as db_to_linear's ratios; farther apart, Python's pow cannot
+# reverse their order (its error is below 1e-15 relative).
+_TIE = 1e-9
+
+
+def select(draws, accept):
+    """The columns of :func:`gicap.gap._scalar_select` for the same
+    arguments: the accepted candidates' tags, dB values and ratios.
+
+    The dB values and the two cross-link comparisons run on arrays, on the
+    exponents ``dB / 10`` of :func:`db_to_linear`'s ratios ``10 ** (dB / 10)``;
+    a comparison near a tie is made on the ratios themselves.  Only the
+    accepted candidates' ratios are raised to ``10 ** exponent``, by Python's
+    pow (``np.power`` rounds differently on some inputs).
+    """
+    db = _DB_LOW + _DB_SPAN * np.fromiter(draws, float).reshape(-1, 4)
+    exponents = db / 10.0
+    # INR1 over SNR2 and INR2 over SNR1: ChannelParams.strong_at_1, strong_at_2
+    gaps = exponents[:, 2:] - exponents[:, 1::-1]
+    strong = gaps >= 0.0
+    for k, j in zip(*np.nonzero(abs(gaps) < _TIE)):
+        strong[k, j] = db_to_linear(float(db[k, 2 + j])) >= db_to_linear(float(db[k, 1 - j]))
+    # class code strong_at_1 + 2 * strong_at_2
+    code = strong[:, 0] + 2 * strong[:, 1]
+    tag_of_code = [accept.get((bool(c & 1), bool(c & 2))) for c in range(4)]
+    kept = np.flatnonzero(np.array([tag is not None for tag in tag_of_code])[code])
+    tags = list(map(tag_of_code.__getitem__, code[kept].tolist()))
+    ten = itertools.repeat(10.0)
+    ratios = [list(map(pow, ten, column)) for column in exponents[kept].T.tolist()]
+    return (tags, *db[kept].T.tolist(), *ratios)
 
 
 def _rhs(args):
     """``(rows, channels)`` array: row ``k`` is the left-to-right sum of
-    ``math.log2`` over ``args[k]``, each distinct argument array logged once."""
-    distinct = {id(arg): arg for row in args for arg in row}
-    index = dict(zip(distinct, range(len(distinct))))
-    flat = np.concatenate(list(distinct.values())).tolist()
-    logs = np.fromiter(map(math.log2, flat), float, len(flat)).reshape(len(distinct), -1)
-    out = np.empty((len(args), logs.shape[1]))
+    ``math.log2`` over ``args[k]``, each distinct argument array logged once
+    (listed one at a time, so a chunk holds one argument's Python floats at most)."""
+    logs = {}
+    for row in args:
+        for arg in row:
+            if id(arg) not in logs:
+                logs[id(arg)] = np.fromiter(map(math.log2, arg.tolist()), float, len(arg))
+    out = np.empty((len(args), len(args[0][0])))
     for k, row in enumerate(args):
-        total = logs[index[id(row[0])]]
+        total = logs[id(row[0])]
         for arg in row[1:]:
-            total = total + logs[index[id(arg)]]
+            total = total + logs[id(arg)]
         out[k] = total
     return out
 

@@ -458,7 +458,8 @@ def test_c10_cli_determinism_and_figures(tmp_path, monkeypatch, capsys):
     def engine(tags, *ratios):  # the one drawn channel audits as ``record``
         return [[value] for value in record[5:]]
 
-    monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: engine)
+    scalar_draws = gicap.gap._Engine(gicap.gap._scalar_select, engine)
+    monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: scalar_draws)
     code = cli_main(
         ["sweep", "--n", "1", "--seed", "1", "--out", str(tmp_path / "viol.csv")]
     )

@@ -289,7 +289,8 @@ class TestSweep:
         def engine(tags, *ratios):  # the one drawn channel audits as ``record``
             return [[value] for value in record[5:]]
 
-        monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: engine)
+        scalar_draws = gicap.gap._Engine(gicap.gap._scalar_select, engine)
+        monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: scalar_draws)
         code, text = run_cli(
             ["sweep", "--n", "1", "--seed", "1", "--class", "weak",
              "--out", str(tmp_path / "v.csv")]

@@ -258,6 +258,26 @@ class TestBaselines:
     def test_values(self, a, scheme, expect):
         assert baseline_gdof(a, scheme) == pytest.approx(expect, abs=1e-15)
 
+    @pytest.mark.parametrize("scheme", ["bogus", None, 3, "ORTHOGONALIZE"])
+    def test_unknown_scheme_is_a_domain_error(self, scheme):
+        with pytest.raises(DomainError, match="orthogonalize.*treat_as_noise"):
+            baseline_gdof(0.5, scheme)
+
+    def test_only_values_are_converted_to_members(self, monkeypatch):
+        converted = []
+        enum_type = type(BaselineScheme)
+        real_call = enum_type.__call__
+
+        def counting_call(cls, *args, **kwargs):
+            if cls is BaselineScheme:
+                converted.append(args)
+            return real_call(cls, *args, **kwargs)
+
+        monkeypatch.setattr(enum_type, "__call__", counting_call)
+        for scheme in BaselineScheme:
+            assert baseline_gdof(0.25, scheme) == baseline_gdof(0.25, scheme.value)
+        assert converted == [(scheme.value,) for scheme in BaselineScheme]
+
     def test_never_beats_capacity_curve(self):
         for i in range(0, 251):
             a = i / 100

@@ -9,6 +9,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -29,14 +30,17 @@ from gicap import (
     audit,
     audit_regions,
     certificates,
+    classify,
     db_to_linear,
     one_bit_sweep,
 )
+from gicap.channel import TAG_BY_STRENGTH
 from gicap.cli import main
 from gicap.gap import NUMPY_MIN_N, SWEEP_CHUNK, sweep_chunks
 from conftest import gicap_child_env, random_channel
 from reference_audit import THRESHOLDS
 
+SCALAR_ENGINE = (gicap.gap._scalar_select, gicap.gap._scalar_audit_chunk)
 AUDITED_TAGS = (
     InterferenceTag.WEAK,
     InterferenceTag.MIXED_STRONG_AT_1,
@@ -129,12 +133,12 @@ def engine(request, monkeypatch):
     """
     if request.param == "numpy":
         kernel = pytest.importorskip("gicap.kernel")
-        assert gicap.gap._chunk_engine(NUMPY_MIN_N) is kernel.audit_chunk
-        assert gicap.gap._chunk_engine(NUMPY_MIN_N - 1) is gicap.gap._scalar_audit_chunk
+        assert gicap.gap._chunk_engine(NUMPY_MIN_N) == (kernel.select, kernel.audit_chunk)
+        assert gicap.gap._chunk_engine(NUMPY_MIN_N - 1) == SCALAR_ENGINE
     else:
         monkeypatch.setitem(sys.modules, "numpy", None)
         monkeypatch.delitem(sys.modules, "gicap.kernel", raising=False)
-        assert gicap.gap._chunk_engine(NUMPY_MIN_N) is gicap.gap._scalar_audit_chunk
+        assert gicap.gap._chunk_engine(NUMPY_MIN_N) == SCALAR_ENGINE
     return request.param
 
 
@@ -240,8 +244,141 @@ class TestSweepOnEachEngine:
             return SamplingRandom.peak - before
 
         peak(NUMPY_MIN_N)  # imports the engine outside the measurement
-        small, large = peak(1_000), peak(8_000)
+        # both sweeps span whole chunks, so both hold a chunk's records
+        small, large = peak(2 * SWEEP_CHUNK), peak(16 * SWEEP_CHUNK)
         assert large <= 1.5 * small, (small, large)
+
+
+# (low end, span) in dB of SNR1, SNR2, INR1, INR2: dB = low + span * rng.random()
+DB_SCALES = ((0.0, 60.0), (0.0, 60.0), (-20.0, 80.0), (-20.0, 80.0))
+
+
+class CountingRandom(random.Random):
+    """``random.Random`` that counts its ``random()`` draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def reference_rows(n, seed, accepted):
+    """The first ``n`` accepted candidates of a seeded sweep, drawn one at a
+    time (four ``rng.random()`` draws each) and classified by
+    :func:`gicap.classify`, as ``(tag, four dB values, four ratios)`` rows;
+    and the number of draws made."""
+    rng = CountingRandom(seed)
+    rows = []
+    while len(rows) < n:
+        dbs = tuple(low + span * rng.random() for low, span in DB_SCALES)
+        ratios = tuple(map(db_to_linear, dbs))
+        tag = classify(ChannelParams(*ratios)).tag
+        if tag in accepted:
+            rows.append((tag, *dbs, *ratios))
+    return rows, rng.draws
+
+
+def drawn_rows(engine_name, n, rng, accepted):
+    """The first ``n`` candidates of classes ``accepted`` that a sweep on the
+    engine ``engine_name`` (whatever ``n``) draws from ``rng``, as
+    ``(tag, four dB values, four ratios)`` rows; a placeholder stands in for
+    the chunk audit, which must see chunks of :data:`SWEEP_CHUNK` channels."""
+    if engine_name == "numpy":
+        select = pytest.importorskip("gicap.kernel").select
+    else:
+        select = gicap.gap._scalar_select
+    audited = []
+
+    def placeholder_audit(tags, *ratios):
+        audited.append((tags, ratios))
+        return [[None] * len(tags)] * 5 + [[True] * len(tags)] * 3
+
+    rows = []
+    engine = gicap.gap._Engine(select, placeholder_audit)
+    for columns, (tags, ratios) in zip(gicap.gap._chunks(n, rng, accepted, engine), audited):
+        assert columns[4] == [tag.value for tag in tags]
+        rows += zip(tags, *columns[:4], *ratios)
+    assert [len(tags) for tags, _ in audited] == [
+        min(SWEEP_CHUNK, n - start) for start in range(0, n, SWEEP_CHUNK)
+    ]
+    return rows
+
+
+class StubRandom:
+    """Stands in for ``random.Random``: ``random()`` returns ``values`` in turn."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
+
+class TestDrawPasses:
+    """Sweeps draw a pass of candidates at a time and carry the accepted ones
+    over into the next chunk; the draws and the candidates must be those of
+    the one-candidate-at-a-time loop."""
+
+    @pytest.mark.parametrize("engine_name", ["numpy", "scalar"])
+    @pytest.mark.parametrize("class_filter", sorted(gicap.gap._CLASS_FILTERS))
+    @pytest.mark.parametrize("n", [1, 767, 768, 1023, 1024, 1025, 5000])
+    def test_same_draws_and_candidates_as_one_at_a_time(self, engine_name, class_filter, n):
+        accepted = gicap.gap._CLASS_FILTERS[class_filter]
+        rng = CountingRandom(7)
+        rows = drawn_rows(engine_name, n, rng, accepted)
+        want, draws = reference_rows(n, 7, accepted)
+        assert rows == want
+        assert rng.draws == draws
+
+    @pytest.mark.parametrize("engine_name", ["numpy", "scalar"])
+    def test_cross_link_ties_classify_as_channel_params(self, engine_name):
+        rng = random.Random("ties")
+        cases = {(apart, link): [] for apart in (-1, 0, 1) for link in (0, 1)}
+        while any(len(found) < 20 for found in cases.values()):
+            # INR from 0 to 60 dB, mostly just above 0 dB, where ratios
+            # 10 ** (dB / 10) of dB values an ulp apart round alike
+            inr_u = 0.25 + 0.75 * rng.random() * 10.0 ** -rng.randrange(8)
+            for (apart, link), found in cases.items():
+                uniforms = tied_uniforms(inr_u, apart, link)
+                if uniforms is not None:
+                    found.append(uniforms)
+        candidates = [uniforms for found in cases.values() for uniforms in found]
+        stub = StubRandom(u for candidate in candidates for u in candidate)
+        # every class accepted, so every candidate comes back, in order
+        rows = drawn_rows(engine_name, len(candidates), stub, tuple(InterferenceTag))
+        flattened = 0  # an INR below its SNR in dB, equal to it as a ratio
+        for (tag, *dbs, snr1, snr2, inr1, inr2), uniforms in zip(rows, candidates):
+            assert dbs == [low + span * u for (low, span), u in zip(DB_SCALES, uniforms)]
+            params = ChannelParams(snr1, snr2, inr1, inr2)
+            assert tuple(map(db_to_linear, dbs)) == (snr1, snr2, inr1, inr2)
+            assert tag is TAG_BY_STRENGTH[params.strong_at_1, params.strong_at_2], params
+            flattened += (dbs[2] < dbs[1] and inr1 == snr2) or (dbs[3] < dbs[0] and inr2 == snr1)
+        assert len(rows) == len(candidates)
+        assert flattened >= 10
+
+
+def exact_uniform(db, low, span):
+    """A ``u`` with ``low + span * u == db`` exactly, or None."""
+    u = (db - low) / span
+    for _ in range(8):
+        got = low + span * u
+        if got == db:
+            return u
+        u = math.nextafter(u, math.inf if got < db else -math.inf)
+    return None
+
+
+def tied_uniforms(inr_u, apart, link):
+    """Uniforms of a candidate whose cross INR on ``link`` (0: INR1 over SNR2;
+    1: INR2 over SNR1) is ``-20 + 80 * inr_u`` dB and lies ``apart`` ulps
+    above that SNR in dB; the other link is far from a tie (30 dB SNR, 5 dB
+    INR).  None when no uniform gives that SNR exactly."""
+    inr_db = -20.0 + 80.0 * inr_u
+    snr_db = inr_db
+    for _ in range(abs(apart)):
+        snr_db = math.nextafter(snr_db, -math.copysign(math.inf, apart))
+    snr_u = exact_uniform(snr_db, 0.0, 60.0)
+    if snr_u is None:
+        return None
+    return (0.5, snr_u, inr_u, 0.3125) if link == 0 else (snr_u, 0.5, 0.3125, inr_u)
 
 
 # argv[1] is "numpy" (the kernel must run), "blocked" (numpy cannot be
@@ -340,6 +477,39 @@ class TestEngineChoice:
             outputs[mode] = (child.stdout, out.read_bytes())
         assert outputs["numpy"] == outputs["blocked"]
         assert tuple(hashlib.sha256(data).hexdigest() for data in outputs["numpy"]) == digests
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ["--class", "weak"],
+                "f1c2be1453ad98751166d699e9276d74f66a7525a395bfe70bd6fada7819acb3",
+            ),
+            (
+                ["--class", "mixed"],
+                "0cb394d9773c745ea8e5ccfe6bbe7a3be06634ff52aa3c22202b4410a10e3483",
+            ),
+            (
+                ["--check", "within-half"],
+                "5035e933a3388c2255cc9e323076e4c594734701e876f2abf2fe6a5fcf219b34",
+            ),
+        ],
+        ids=["weak", "mixed", "within-half"],
+    )
+    def test_ten_thousand_channel_csv_keeps_its_bytes(self, tmp_path, flags, digest):
+        # sha256 of the CSV of `gicap sweep --seed 1 --n 10000`: ten chunks,
+        # many draw passes each, on both engines
+        pytest.importorskip("numpy")
+        for mode in ("numpy", "blocked"):
+            out = tmp_path / f"{mode}.csv"
+            argv = ["sweep", "--seed", "1", "--n", "10000", *flags, "--out", str(out)]
+            child = subprocess.run(
+                [sys.executable, "-c", ENGINE_CHILD, mode, *argv],
+                capture_output=True,
+                env=gicap_child_env(),
+            )
+            assert child.returncode == 0, child.stderr.decode(errors="replace")
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, mode
 
     def test_other_subcommands_never_import_numpy(self):
         child = subprocess.run(
