@@ -13,10 +13,10 @@ returns the columns of its sweep records.  It runs the one per-channel
 judgment of the scalar engine, :func:`gicap.gap._judge`, once per class
 group of the chunk, on arrays: ``np.where`` chooses the rows' branches,
 ``np.minimum`` takes the family minima and the certificates' support
-functions, and :func:`_rhs` evaluates the rows with ``math.log2`` mapped
-over their arguments (``np.log2`` rounds differently on some inputs), so
-every rate, family delta (passing below ``c1 + c2`` bits) and verdict is
-the scalar engine's.  It then scatters the groups back into draw order
+functions, and :func:`_row_evaluator` evaluates the rows with ``math.log2``
+mapped over each distinct argument once (``np.log2`` rounds differently on
+some inputs), so every rate, family delta (passing below ``c1 + c2`` bits)
+and verdict is the scalar engine's.  It then scatters the groups back into draw order
 and raises by the scalar engine's rule (:func:`gicap.gap._raise_first_bad`).
 
 Only sweeps of at least :data:`gicap.gap.NUMPY_MIN_N` channels import
@@ -80,22 +80,39 @@ def select(draws, accept):
     return (tags, *db[kept].T.tolist(), *ratios)
 
 
-def _rhs(args):
-    """``(rows, channels)`` array: row ``k`` is the left-to-right sum of
-    ``math.log2`` over ``args[k]``, each distinct argument array logged once
-    (listed one at a time, so a chunk holds one argument's Python floats at most)."""
-    logs = {}
-    for row in args:
-        for arg in row:
-            if id(arg) not in logs:
-                logs[id(arg)] = np.fromiter(map(math.log2, arg.tolist()), float, len(arg))
-    out = np.empty((len(args), len(args[0][0])))
-    for k, row in enumerate(args):
-        total = logs[id(row[0])]
-        for arg in row[1:]:
-            total = total + logs[id(arg)]
-        out[k] = total
-    return out
+def _row_evaluator():
+    """The rows hook of :func:`gicap.gap._judge` for one class group of a
+    chunk: it maps each row's arguments to a ``(rows, channels)`` array whose
+    row ``k`` is the left-to-right sum of ``math.log2`` over ``args[k]``.
+
+    Each distinct argument array is logged once over every call, the inner
+    and the outer rows alike: two arrays are the same argument when they are
+    equal, which is tested only on arrays with the same first value (a
+    mixed group's inner rows share two arguments with its outer rows by
+    value).  Arguments are listed one at a time, so a chunk holds one
+    argument's Python floats at most.
+    """
+    logged = {}  # first value -> [(argument, its logs)]
+
+    def log2(arg):
+        same_start = logged.setdefault(arg[0], [])
+        for other, logs in same_start:
+            if other is arg or np.array_equal(other, arg):
+                return logs
+        logs = np.fromiter(map(math.log2, arg.tolist()), float, len(arg))
+        same_start.append((arg, logs))
+        return logs
+
+    def rows(args):
+        out = np.empty((len(args), len(args[0][0])))
+        for k, row in enumerate(args):
+            total = log2(row[0])
+            for arg in row[1:]:
+                total = total + log2(arg)
+            out[k] = total
+        return out
+
+    return rows
 
 
 def audit_chunk(tags, snr1, snr2, inr1, inr2):
@@ -116,7 +133,9 @@ def audit_chunk(tags, snr1, snr2, inr1, inr2):
     with np.errstate(all="ignore"):
         for tag, index in members.items():
             index = np.array(index)
-            judged = _judge(tag, *ratios[:, index], rows=_rhs, where=np.where, minimum=np.minimum)
+            judged = _judge(
+                tag, *ratios[:, index], rows=_row_evaluator(), where=np.where, minimum=np.minimum
+            )
             for column, delta in zip(deltas, judged.deltas):
                 if delta is not None:
                     column[index] = delta

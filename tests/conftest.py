@@ -63,3 +63,17 @@ def random_channel(rng: random.Random, want: InterferenceTag | None = None) -> C
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process unreaped, running or not: a
+    sweep's writer child must be reaped on every path."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no children at all
+            return
+        what = "a running child process" if pid == 0 else f"child process {pid} unreaped"
+        pytest.fail(f"the test left {what}")

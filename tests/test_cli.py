@@ -1,7 +1,10 @@
+import errno
 import hashlib
 import io
+import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -10,7 +13,14 @@ import pytest
 
 import gicap.cli
 import gicap.gap
-from gicap import GdofParams, SweepRecord, Vertex, mixed_gdof_region, vertices
+from gicap import (
+    ContainmentError,
+    GdofParams,
+    SweepRecord,
+    Vertex,
+    mixed_gdof_region,
+    vertices,
+)
 from gicap.cli import _build_parser, main
 from conftest import gicap_child_env, slope_tie_grid, vertex_sets_equal
 
@@ -297,6 +307,129 @@ class TestSweep:
         )
         assert code == 3
         assert json.loads(text)["failures"] == 1
+
+
+ENOSPC_MESSAGE = f"i/o error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes ``os.fork`` starts during the test."""
+    started = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return started
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSweepWriterChild:
+    """A sweep of more than one chunk writes its rows from a forked child;
+    it must write what the in-process writer writes, on every path."""
+
+    def sweep(self, tmp_path, name, *flags):
+        out = tmp_path / f"{name}.csv"
+        code, text = run_cli(["sweep", "--seed", "1", *flags, "--out", str(out)])
+        return code, text, out.read_bytes()
+
+    def test_forks_only_a_sweep_of_more_than_one_chunk(self, tmp_path, forks):
+        chunk = gicap.gap.SWEEP_CHUNK
+        one = self.sweep(tmp_path, "one", "--n", str(chunk))
+        assert forks == []
+        more = self.sweep(tmp_path, "more", "--n", str(chunk + 1))
+        assert len(forks) == 1
+        assert one[0] == more[0] == 0
+        assert more[2].startswith(one[2])
+        assert more[2].count(b"\n") == chunk + 2
+        assert_no_child()
+
+    @pytest.mark.parametrize("slack", [None, -0.5], ids=["clean", "failing"])
+    def test_both_write_paths_give_the_same_bytes(self, tmp_path, monkeypatch, forks, slack):
+        if slack is not None:  # thresholds half a bit lower: some channels fail, exit 3
+            monkeypatch.setattr(gicap.gap, "_SLACK", slack)
+        flags = ("--class", "any", "--n", "3000")
+        forked = self.sweep(tmp_path, "forked", *flags)
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        in_process = self.sweep(tmp_path, "in-process", *flags)
+        assert forked == in_process
+        assert forked[0] == (0 if slack is None else 3)
+        assert_no_child()
+
+    def test_mid_sweep_error_leaves_the_in_process_partial_csv(
+        self, tmp_path, monkeypatch, forks
+    ):
+        real_engine = gicap.gap._chunk_engine
+
+        def engine(n):
+            select, audit_chunk = real_engine(n)
+            calls = itertools.count(1)
+
+            def audit(*chunk):
+                if next(calls) == 3:
+                    raise ContainmentError("forced in the third chunk")
+                return audit_chunk(*chunk)
+
+            return gicap.gap._Engine(select, audit)
+
+        monkeypatch.setattr(gicap.gap, "_chunk_engine", engine)
+        forked = self.sweep(tmp_path, "forked", "--n", "5000")
+        assert len(forks) == 1
+        assert_no_child()
+        monkeypatch.delattr(os, "fork")
+        in_process = self.sweep(tmp_path, "in-process", "--n", "5000")
+        assert forked == in_process
+        assert forked[:2] == (2, "")
+        assert forked[2].count(b"\n") == 1 + 2 * gicap.gap.SWEEP_CHUNK
+
+    @pytest.mark.parametrize(
+        "n, written",
+        # the error in the first row of the last chunk: every frame is sent
+        # before it, and the sweep learns of it when it ends the frames; in
+        # the first row of 20,000 channels, whose frames overfill the pipe:
+        # the sweep finds the pipe broken
+        [(3000, 2048), (20_000, 0)],
+        ids=["when-the-frames-end", "pipe-broken"],
+    )
+    def test_write_error_exits_one_with_its_message(
+        self, tmp_path, monkeypatch, capsys, forks, n, written
+    ):
+        rows = itertools.count()  # the writer child counts in its own copy
+        real_line = gicap.gap._csv_line
+
+        def full(row):
+            if next(rows) == written:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_line(row)
+
+        monkeypatch.setattr(gicap.gap, "_csv_line", full)
+        forked = (*self.sweep(tmp_path, "forked", "--n", str(n)), capsys.readouterr().err)
+        assert len(forks) == 1
+        assert_no_child()
+        monkeypatch.delattr(os, "fork")
+        in_process = (*self.sweep(tmp_path, "in-process", "--n", str(n)), capsys.readouterr().err)
+        assert forked == in_process
+        code, text, data, err = forked
+        assert (code, text, err) == (1, "", ENOSPC_MESSAGE)
+        assert data.count(b"\n") == 1 + written
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_one_with_its_message(self, capsys, forks):
+        code, text = run_cli(["sweep", "--seed", "1", "--n", "3000", "--out", "/dev/full"])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == ENOSPC_MESSAGE
+        assert forks == []  # the header's flush fails before the fork
+        assert_no_child()
 
 
 class TestGdofCommand:

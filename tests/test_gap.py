@@ -161,6 +161,12 @@ class TestSweeps:
             stream_sweep(10, 1, "weak", "two-bit", path)
         assert not path.exists()
 
+    def test_unknown_class_filter_rejected_before_opening_the_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        with pytest.raises(DomainError, match="bogus"):
+            stream_sweep(5000, 1, "bogus", "one-bit", path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("n", [True, 10.0], ids=["bool", "float"])
     def test_non_integer_n_rejected_before_opening_the_file(self, tmp_path, n):
         with pytest.raises(DomainError, match="integer"):

@@ -249,6 +249,26 @@ class TestSweepOnEachEngine:
         assert large <= 1.5 * small, (small, large)
 
 
+@pytest.mark.parametrize("class_filter, logged_per_channel", [("weak", 18), ("mixed", 13)])
+def test_each_distinct_argument_is_logged_once(monkeypatch, class_filter, logged_per_channel):
+    # A weak group's 18 row arguments all differ.  A mixed group's outer
+    # rows share two arguments with its inner rows by value (the private
+    # level of the strong side is 0): 1 + s1 + i1 and 1 + s1, or their
+    # mirror images; each is logged once, so 13 of the 15 are.
+    kernel = pytest.importorskip("gicap.kernel")
+    logged = []
+
+    def log2(value):
+        logged.append(value)
+        return math.log2(value)
+
+    monkeypatch.setattr(kernel, "math", types.SimpleNamespace(log2=log2))
+    (chunk,) = sweep_chunks(SWEEP_CHUNK, 1, class_filter)
+    if class_filter == "mixed":  # one group of each orientation
+        assert set(chunk[4]) == {"mixed_strong_at_1", "mixed_strong_at_2"}
+    assert len(logged) == logged_per_channel * SWEEP_CHUNK
+
+
 # (low end, span) in dB of SNR1, SNR2, INR1, INR2: dB = low + span * rng.random()
 DB_SCALES = ((0.0, 60.0), (0.0, 60.0), (-20.0, 80.0), (-20.0, 80.0))
 

@@ -373,10 +373,12 @@ def array_rows(kernel, channels):
             if index:
                 s1, s2, i1, i2 = ratios[:, index]
                 p2, p1 = recommended_levels(*strengths, i1, i2, np.where)
-                rows = kernel._rhs(hk_args(s1, s2, i1, i2, p2, p1, np.where)).T
+                rows = kernel._row_evaluator()(hk_args(s1, s2, i1, i2, p2, p1, np.where)).T
                 for k, row in zip(index, rows.tolist()):
                     inner[k] = row
-        outer = {tag: kernel._rhs(outer_args(*ratios, tag)[1]).T for tag in AUDITED_TAGS}
+        outer = {
+            tag: kernel._row_evaluator()(outer_args(*ratios, tag)[1]).T for tag in AUDITED_TAGS
+        }
     return inner, {tag: rows.tolist() for tag, rows in outer.items()}
 
 
