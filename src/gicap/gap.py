@@ -24,23 +24,23 @@ orientations pair alike.
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
 class.  Candidates are drawn a pass at a time, each pass as many as the
-sweep still needs (at most a chunk's worth), and the accepted ones carry
-over until :data:`SWEEP_CHUNK` of them fill a chunk, which is judged as a
-tuple of record columns (:func:`sweep_chunks`).  Both steps run on an
-engine: the numpy one (:mod:`gicap.kernel`) for sweeps of at least
-:data:`NUMPY_MIN_N` channels, else the scalar one, candidate by candidate
-and channel by channel, without importing numpy.  Both engines draw the
-same candidates, give the same columns bit for bit and raise by one
-rule (:func:`_raise_first_bad`): the first channel in draw order whose
-rates overflow (:class:`DomainError`) or whose inner region exceeds its
-outer bound (:class:`ContainmentError`) raises that error, naming the
-channel.  :func:`stream_sweep` writes each chunk's CSV rows as it goes
-and keeps only the failure count and the worst deltas, so its memory does
-not grow with the sweep size.  On a sweep of more than one chunk the rows
-are written by a writer child forked before the engine is loaded, which
-formats one chunk while this process draws and audits the next; the file
-gets the same bytes as when they are written in process.  Channels are
-judged independently, so the results do not depend on evaluation order.
+sweep still needs (at most :data:`SWEEP_CHUNK`), and the ones a pass
+accepts are judged as one chunk, a tuple of record columns
+(:func:`sweep_chunks`).  Both steps run on an engine: the numpy one
+(:mod:`gicap.kernel`) for sweeps of at least :data:`NUMPY_MIN_N` channels,
+else the scalar one, candidate by candidate and channel by channel, without
+importing numpy.  Both engines draw the same candidates, give the same
+columns bit for bit and raise by one rule (:func:`_raise_first_bad`): the
+first channel in draw order whose rates overflow (:class:`DomainError`) or
+whose inner region exceeds its outer bound (:class:`ContainmentError`)
+raises that error, naming the channel.  :func:`stream_sweep` writes each
+chunk's CSV rows as it goes and keeps only the failure count and the worst
+deltas, so its memory does not grow with the sweep size.  On a sweep of
+more than :data:`SWEEP_CHUNK` channels the rows are written by a writer
+child forked before the engine is loaded, which formats one chunk while
+this process draws and audits the next; the file gets the same bytes as
+when they are written in process.  Channels are judged independently, so
+the results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -311,19 +311,21 @@ _CLASS_FILTERS = {
 }
 
 
-# Channels audited and certified together, and the most candidates one
-# draw pass takes.  A larger chunk spreads the numpy kernel's per-call cost
-# thinner but raises peak RSS: a 40,000-channel weak sweep peaked at
-# 30.6 MiB with chunks of 1,024 against 29.8 MiB with chunks of 256
-# (Python 3.11, numpy 2.4).
-SWEEP_CHUNK = 1024
+# The most candidates a draw pass takes; the channels a pass accepts, up to
+# about 1.6k weak, 2.0k mixed or 3.6k any-class ones, are audited as one
+# chunk.  Larger passes spread the numpy kernel's per-call cost thinner but
+# raise peak RSS: perfbench read 31.8 -> 32.3 MiB (sweep-weak) and 31.7 ->
+# 32.5 MiB (sweep-mixed) for passes of 1,024 -> 4,096.  Only sweeps of more
+# channels fork the CSV writer: with passes of 1,024, forking made fresh weak
+# sweeps of 1,025 to 4,096 channels 13-17 ms slower (medians of 9; 2 vCPU VM).
+SWEEP_CHUNK = 4096
 
 # The smallest sweep audited by the numpy kernel; smaller ones take the
-# scalar path and never import numpy.  Importing numpy costs a fresh
-# process about as much as the kernel saves on 700 channels: whole
-# `gicap sweep` runs were faster on the scalar path at n = 640 and on the
-# kernel at n = 768, on weak and on any-class sweeps alike.
-NUMPY_MIN_N = 768
+# scalar path and never import numpy, which costs a fresh process about
+# 150 ms.  Whole `gicap sweep` runs (medians of 11; 2 vCPU VM, Python 3.11,
+# numpy 2.4) were 96-143 ms slower on the kernel at n = 640, 768 and 1,024,
+# and broke even near 2,600 (weak), 2,500 (mixed) and 3,300 (any) channels.
+NUMPY_MIN_N = 3000
 
 
 def _checked_int(value, what: str, least: float = -math.inf) -> int:
@@ -340,16 +342,16 @@ def _checked_int(value, what: str, least: float = -math.inf) -> int:
 
 
 def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[tuple]:
-    """A sweep in draw order, :data:`SWEEP_CHUNK` channels at a time, each
-    chunk a tuple of 13 columns in :class:`SweepRecord` field order.
+    """A sweep in draw order, one chunk per draw pass, each chunk a tuple of
+    13 columns in :class:`SweepRecord` field order.
 
     Each candidate takes four ``rng.random()`` draws (SNR1, SNR2, INR1,
     INR2 in dB) and is rejected after drawing unless its class passes
     ``class_filter``.  Candidates are drawn in passes of as many as the
     sweep still needs, at most :data:`SWEEP_CHUNK`, so no pass draws past
-    the n-th accepted candidate; accepted candidates a chunk cannot take
-    carry over into the next.  Sweeps of at least :data:`NUMPY_MIN_N`
-    channels classify a pass and audit a chunk on arrays
+    the n-th accepted candidate; each pass's accepted candidates are one
+    chunk, and a pass that accepts none gives no chunk.  Sweeps of at least
+    :data:`NUMPY_MIN_N` channels classify a pass and audit a chunk on arrays
     (:func:`gicap.kernel.select`, :func:`gicap.kernel.audit_chunk`) where
     numpy can be imported, and otherwise candidate by candidate and
     channel by channel (:func:`_scalar_select`, :func:`_scalar_audit_chunk`);
@@ -370,37 +372,24 @@ def _accepted(class_filter) -> tuple:
         ) from None
 
 
-def _chunks(n, rng, accepted, engine):
-    draw = rng.random
-    accept = {strength: tag for strength, tag in TAG_BY_STRENGTH.items() if tag in accepted}
-    # the accepted candidates not yet audited: tags, four dB values, four ratios
-    pending = [[] for _ in range(9)]
-    for start in range(0, n, SWEEP_CHUNK):
-        size = min(SWEEP_CHUNK, n - start)
-        while len(pending[0]) < size:
-            # A pass draws as many candidates as the sweep still needs, at most
-            # a chunk's worth, so no pass draws past the n-th accepted one.
-            # rng.random() is the one generator method with a documented
-            # cross-version reproducibility guarantee.
-            wanted = min(n - start - len(pending[0]), SWEEP_CHUNK)
-            draws = itertools.starmap(draw, itertools.repeat((), 4 * wanted))
-            for column, values in zip(pending, engine.select(draws, accept)):
-                column.extend(values)
-        yield _audit_first(pending, size, engine.audit)
-
-
 _TAG_VALUES = {tag: tag.value for tag in InterferenceTag}
 
 
-def _audit_first(pending, size, audit_chunk) -> tuple:
-    """The 13 record columns of the first ``size`` candidates of ``pending``,
-    which it removes from there.  A function of its own, so that
-    :func:`_chunks` holds no chunk while it draws the next one."""
-    tags, *dbs, snr1, snr2, inr1, inr2 = (column[:size] for column in pending)
-    for column in pending:
-        del column[:size]
-    tag_values = list(map(_TAG_VALUES.__getitem__, tags))
-    return (*dbs, tag_values, *audit_chunk(tags, snr1, snr2, inr1, inr2))
+def _chunks(n, rng, accepted, engine):
+    draw = rng.random
+    accept = {strength: tag for strength, tag in TAG_BY_STRENGTH.items() if tag in accepted}
+    done = 0
+    while done < n:
+        # A pass draws as many candidates as the sweep still needs, at most
+        # SWEEP_CHUNK, so no pass draws past the n-th accepted one.
+        # rng.random() is the one generator method with a documented
+        # cross-version reproducibility guarantee.
+        draws = itertools.starmap(draw, itertools.repeat((), 4 * min(n - done, SWEEP_CHUNK)))
+        tags, *dbs, s1, s2, i1, i2 = engine.select(draws, accept)
+        if tags:
+            done += len(tags)
+            yield (*dbs, list(map(_TAG_VALUES.get, tags)), *engine.audit(tags, s1, s2, i1, i2))
+        del tags, dbs, s1, s2, i1, i2  # hold no chunk while the next pass is drawn
 
 
 def _scalar_select(draws, accept):
@@ -409,8 +398,8 @@ def _scalar_select(draws, accept):
 
     ``draws`` holds four ``rng.random()`` values per candidate (SNR1, SNR2,
     INR1, INR2), scaled to dB; ``accept`` maps (strong at receiver 1, strong
-    at receiver 2) to the accepted tags.  Returns no columns when the pass
-    accepts none.
+    at receiver 2) to the accepted tags.  The columns are empty when the
+    pass accepts none.
     """
     snr_lo, inr_lo = SNR_DB_RANGE[0], INR_DB_RANGE[0]
     kept = []
@@ -427,7 +416,7 @@ def _scalar_select(draws, accept):
         tag = accept.get((inr1 >= snr2, inr2 >= snr1))
         if tag is not None:
             kept.append((tag, *dbs, snr1, snr2, inr1, inr2))
-    return zip(*kept)
+    return zip(*kept) if kept else [()] * 9
 
 
 class _Engine(NamedTuple):
@@ -568,8 +557,9 @@ class _RowWriter:
         self._fh, self._pid = fh, None
         if not fork:
             return
-        fds = (*os.pipe(), *os.pipe())
+        fds = os.pipe()
         try:
+            fds += os.pipe()
             pid = os.fork()
         except BaseException:  # a child forked anyway sees its frames end at once
             for fd in fds:
@@ -611,12 +601,13 @@ class _RowWriter:
             raise OSError(f"the sweep's CSV writer process ended with status {code}")
 
 
-# A pipe that holds several frames (a chunk's is about 90 kB) lets the sweep
-# run ahead of its writer child instead of blocking on each frame and being
-# woken by the child, which often left the two processes sharing one CPU: a
-# 40,000-channel mixed sweep took 0.26-0.33 s with the default 64 KiB pipe and
-# 0.23 s with 1 MiB (medians of 8 sweeps, 2 vCPU VM).  1 MiB is Linux's
-# default limit for an unprivileged process.
+# A pipe that holds several frames (a weak chunk's is up to about 140 kB)
+# lets the sweep run ahead of its writer child instead of blocking on each
+# frame and being woken by the child, which often left the two processes
+# sharing one CPU: a 40,000-channel mixed sweep took 0.26-0.33 s with the
+# default 64 KiB pipe and 0.23 s with 1 MiB (medians of 8 sweeps, 2 vCPU VM;
+# chunks of 1,024 channels).  1 MiB is Linux's default limit for an
+# unprivileged process.
 _PIPE_BYTES = 1 << 20
 
 
@@ -673,11 +664,11 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     ``path`` is opened; a bad one raises :class:`DomainError`.  Returns the
     JSON-ready summary ``{n, failures, worst_deltas, seed}``.
 
-    A sweep of more than one chunk, where ``os.fork`` exists, writes its
-    rows from a writer child (:class:`_RowWriter`) forked after the header
-    is written and before the engine imports numpy, so the child is small
-    and formats one chunk while this process draws and audits the next.
-    A sweep of one chunk writes its rows in process, by the same function.
+    A sweep of more than :data:`SWEEP_CHUNK` channels, where ``os.fork``
+    exists, writes its rows from a writer child (:class:`_RowWriter`) forked
+    after the header is written and before the engine imports numpy, so the
+    child is small and formats one chunk while this process draws and audits
+    the next; a smaller sweep writes them in process, by the same function.
     Either way the file gets the same bytes: on an error mid-sweep, the
     rows of every chunk audited before it; an :class:`OSError` in the
     child is raised here.

@@ -3,7 +3,7 @@ of channels audited, on arrays, bit-identical to the scalar engine.
 
 :func:`select` takes a draw pass's ``rng.random()`` values and keeps the
 candidates of the accepted classes, with their tags, dB values and
-ratios; :func:`gicap.gap._chunks` carries them over until a chunk is full.
+ratios; :func:`gicap.gap._chunks` audits them as one chunk.
 It maps the draws to dB and compares the two cross links in arrays, on the
 exponents of the dB-to-ratio map; only a comparison near a tie, and the
 accepted candidates' ratios, take Python's pow, as the scalar engine does.

@@ -43,8 +43,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
-# Determinant threshold below which two constraint lines are treated as
-# parallel (coefficients here are O(1)).
+# Two constraint lines are parallel when their determinant a1*b2 - a2*b1 is
+# at most this share of a1*b2 + a2*b1, whatever the coefficients' scale.
 _PARALLEL_EPS = 1e-12
 
 
@@ -118,7 +118,7 @@ def vertices(region: RateRegion) -> list[Vertex]:
     for i, (a1, b1, r1) in enumerate(lines, 1):
         for a2, b2, r2 in lines[i:]:
             det = a1 * b2 - a2 * b1
-            if -_PARALLEL_EPS < det < _PARALLEL_EPS:
+            if abs(det) <= _PARALLEL_EPS * (a1 * b2 + a2 * b1):  # coefficients are >= 0
                 continue
             x = (r1 * b2 - r2 * b1) / det
             y = (a1 * r2 - a2 * r1) / det
@@ -141,13 +141,15 @@ def vertices(region: RateRegion) -> list[Vertex]:
     if len(unique) > 1:
         unique = [p for p in unique if not (abs(p[0]) <= tol and abs(p[1]) <= tol)]
     # Sort by increasing r1 then decreasing r2.  r1 values are snapped into
-    # tol-groups first: vertices on a vertical edge agree in r1 only up to
-    # solver rounding, and a raw sort could flip them and twist the chain.
+    # groups relative to r1 first: vertices on a vertical edge agree in r1
+    # only up to solver rounding, and a raw sort could flip them and twist the
+    # chain.  Snapping cannot reorder vertices really apart in r1: the one
+    # with the smaller r1 never has the smaller r2.
     unique.sort(key=lambda p: p[0])
     keyed = []
     anchor = -math.inf
     for x, y in unique:
-        if x - anchor > tol:
+        if x - anchor > tol * max(1.0, x):
             anchor = x
         keyed.append((anchor, -y, x, y))
     keyed.sort()

@@ -334,8 +334,9 @@ def assert_no_child():
 
 
 class TestSweepWriterChild:
-    """A sweep of more than one chunk writes its rows from a forked child;
-    it must write what the in-process writer writes, on every path."""
+    """A sweep of more than :data:`gicap.gap.SWEEP_CHUNK` channels writes its
+    rows from a forked child; it must write what the in-process writer
+    writes, on every path."""
 
     def sweep(self, tmp_path, name, *flags):
         out = tmp_path / f"{name}.csv"
@@ -357,7 +358,7 @@ class TestSweepWriterChild:
     def test_both_write_paths_give_the_same_bytes(self, tmp_path, monkeypatch, forks, slack):
         if slack is not None:  # thresholds half a bit lower: some channels fail, exit 3
             monkeypatch.setattr(gicap.gap, "_SLACK", slack)
-        flags = ("--class", "any", "--n", "3000")
+        flags = ("--class", "any", "--n", str(2 * gicap.gap.SWEEP_CHUNK))
         forked = self.sweep(tmp_path, "forked", *flags)
         assert len(forks) == 1
         monkeypatch.delattr(os, "fork")
@@ -369,6 +370,9 @@ class TestSweepWriterChild:
     def test_mid_sweep_error_leaves_the_in_process_partial_csv(
         self, tmp_path, monkeypatch, forks
     ):
+        n = 2 * gicap.gap.SWEEP_CHUNK
+        first_two = itertools.islice(gicap.gap.sweep_chunks(n, 1, "any"), 2)
+        rows = sum(len(chunk[0]) for chunk in first_two)
         real_engine = gicap.gap._chunk_engine
 
         def engine(n):
@@ -383,27 +387,30 @@ class TestSweepWriterChild:
             return gicap.gap._Engine(select, audit)
 
         monkeypatch.setattr(gicap.gap, "_chunk_engine", engine)
-        forked = self.sweep(tmp_path, "forked", "--n", "5000")
+        forked = self.sweep(tmp_path, "forked", "--n", str(n))
         assert len(forks) == 1
         assert_no_child()
         monkeypatch.delattr(os, "fork")
-        in_process = self.sweep(tmp_path, "in-process", "--n", "5000")
+        in_process = self.sweep(tmp_path, "in-process", "--n", str(n))
         assert forked == in_process
         assert forked[:2] == (2, "")
-        assert forked[2].count(b"\n") == 1 + 2 * gicap.gap.SWEEP_CHUNK
+        assert forked[2].count(b"\n") == 1 + rows
 
     @pytest.mark.parametrize(
         "n, written",
-        # the error in the first row of the last chunk: every frame is sent
-        # before it, and the sweep learns of it when it ends the frames; in
-        # the first row of 20,000 channels, whose frames overfill the pipe:
-        # the sweep finds the pipe broken
-        [(3000, 2048), (20_000, 0)],
+        # the error in the first row of the last chunk (None): every frame is
+        # sent before it, and the sweep learns of it when it ends the frames;
+        # in the first row of 20,480 channels, whose frames (about 90 bytes a
+        # row) overfill the 1 MiB pipe: the sweep finds the pipe broken
+        [(2 * gicap.gap.SWEEP_CHUNK, None), (5 * gicap.gap.SWEEP_CHUNK, 0)],
         ids=["when-the-frames-end", "pipe-broken"],
     )
     def test_write_error_exits_one_with_its_message(
         self, tmp_path, monkeypatch, capsys, forks, n, written
     ):
+        if written is None:
+            *_, last = gicap.gap.sweep_chunks(n, 1, "any")
+            written = n - len(last[0])
         rows = itertools.count()  # the writer child counts in its own copy
         real_line = gicap.gap._csv_line
 
@@ -423,9 +430,33 @@ class TestSweepWriterChild:
         assert (code, text, err) == (1, "", ENOSPC_MESSAGE)
         assert data.count(b"\n") == 1 + written
 
+    def test_failed_second_pipe_closes_the_first(self, tmp_path, monkeypatch, capsys, forks):
+        real_pipe = os.pipe
+        first = []
+
+        def pipe():
+            if first:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            first.extend(real_pipe())
+            return tuple(first)
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        code, text, _ = self.sweep(tmp_path, "emfile", "--n", str(gicap.gap.SWEEP_CHUNK + 1))
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            f"i/o error: [Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}\n"
+        )
+        assert forks == []
+        assert len(first) == 2
+        for fd in first:
+            with pytest.raises(OSError) as info:
+                os.fstat(fd)
+            assert info.value.errno == errno.EBADF
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_exits_one_with_its_message(self, capsys, forks):
-        code, text = run_cli(["sweep", "--seed", "1", "--n", "3000", "--out", "/dev/full"])
+        n = gicap.gap.SWEEP_CHUNK + 1
+        code, text = run_cli(["sweep", "--seed", "1", "--n", str(n), "--out", "/dev/full"])
         assert (code, text) == (1, "")
         assert capsys.readouterr().err == ENOSPC_MESSAGE
         assert forks == []  # the header's flush fails before the fork

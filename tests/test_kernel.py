@@ -36,7 +36,7 @@ from gicap import (
 )
 from gicap.channel import TAG_BY_STRENGTH
 from gicap.cli import main
-from gicap.gap import NUMPY_MIN_N, SWEEP_CHUNK, sweep_chunks
+from gicap.gap import NUMPY_MIN_N, SWEEP_CHUNK, SweepRecord, sweep_chunks
 from conftest import gicap_child_env, random_channel
 from reference_audit import THRESHOLDS
 
@@ -142,12 +142,17 @@ def engine(request, monkeypatch):
     return request.param
 
 
+def first_chunk_records(n, seed, class_filter):
+    """The records of a sweep's first chunk: the channels its first draw pass accepts."""
+    return list(map(SweepRecord._make, zip(*next(sweep_chunks(n, seed, class_filter)))))
+
+
 class TestSweepOnEachEngine:
     def test_containment_error_names_the_first_bad_channel(self, engine, monkeypatch):
         def bad(snr1, snr2):
             return (snr1 > 10**5.5) | (snr2 > 10**5.5)
 
-        records = one_bit_sweep(NUMPY_MIN_N, 3, "any").records
+        records = first_chunk_records(NUMPY_MIN_N, 3, "any")
         bad_records = [
             r for r in records if bad(db_to_linear(r.snr1_db), db_to_linear(r.snr2_db))
         ]
@@ -155,7 +160,7 @@ class TestSweepOnEachEngine:
         first = bad_records[0]
         # the first bad channel is not the chunk's first, and the class group
         # the kernel decides first (that of channel 0) has a later bad channel
-        assert 0 < records.index(first) < SWEEP_CHUNK
+        assert records.index(first) > 0
         assert first.tag != records[0].tag and records[0].tag in bad_tags
         params = ChannelParams(
             *map(db_to_linear, (first.snr1_db, first.snr2_db, first.inr1_db, first.inr2_db))
@@ -176,11 +181,11 @@ class TestSweepOnEachEngine:
 
     @pytest.mark.parametrize("containment_first", [True, False], ids=["containment", "overflow"])
     def test_first_bad_channel_in_draw_order_raises(self, engine, monkeypatch, containment_first):
-        records = one_bit_sweep(NUMPY_MIN_N, 3, "any").records
-        # an earlier bad channel outside the class group the kernel decides
-        # first (that of channel 0), and a later one inside it
+        records = first_chunk_records(NUMPY_MIN_N, 3, "any")
+        # in the first chunk, an earlier bad channel outside the class group
+        # the kernel decides first (that of channel 0), and a later one inside it
         early = next(k for k, r in enumerate(records) if r.tag != records[0].tag)
-        late = next(k for k in range(early + 1, SWEEP_CHUNK) if records[k].tag == records[0].tag)
+        late = next(k for k in range(early + 1, len(records)) if records[k].tag == records[0].tag)
         j, k = (early, late) if containment_first else (late, early)
         shrunk, overflowed = (db_to_linear(records[i].snr1_db) for i in (j, k))
         real = gicap.bounds.outer_args
@@ -244,9 +249,17 @@ class TestSweepOnEachEngine:
             return SamplingRandom.peak - before
 
         peak(NUMPY_MIN_N)  # imports the engine outside the measurement
-        # both sweeps span whole chunks, so both hold a chunk's records
-        small, large = peak(2 * SWEEP_CHUNK), peak(16 * SWEEP_CHUNK)
-        assert large <= 1.5 * small, (small, large)
+        # A streamed sweep holds no chunk while it draws, so its peak is a few
+        # hundred blocks whatever n is.  Records kept across chunks would add
+        # several blocks per channel: tens of thousands over the
+        # 2 * SWEEP_CHUNK channels that the larger sweep adds.
+        small, large = peak(2 * SWEEP_CHUNK), peak(4 * SWEEP_CHUNK)
+        assert large - small < SWEEP_CHUNK, (small, large)
+        if engine == "numpy":
+            # Nor is the last chunk held while the next pass is drawn (about
+            # ten blocks a channel).  The scalar engine builds each accepted
+            # candidate's values as it draws, so only numpy's draws are bare.
+            assert large < SWEEP_CHUNK, large
 
 
 @pytest.mark.parametrize("class_filter, logged_per_channel", [("weak", 18), ("mixed", 13)])
@@ -263,10 +276,12 @@ def test_each_distinct_argument_is_logged_once(monkeypatch, class_filter, logged
         return math.log2(value)
 
     monkeypatch.setattr(kernel, "math", types.SimpleNamespace(log2=log2))
-    (chunk,) = sweep_chunks(SWEEP_CHUNK, 1, class_filter)
+    n = SWEEP_CHUNK
+    chunks = list(sweep_chunks(n, 1, class_filter))
+    assert len(chunks) > 1
     if class_filter == "mixed":  # one group of each orientation
-        assert set(chunk[4]) == {"mixed_strong_at_1", "mixed_strong_at_2"}
-    assert len(logged) == logged_per_channel * SWEEP_CHUNK
+        assert set(chunks[0][4]) == {"mixed_strong_at_1", "mixed_strong_at_2"}
+    assert len(logged) == logged_per_channel * n
 
 
 # (low end, span) in dB of SNR1, SNR2, INR1, INR2: dB = low + span * rng.random()
@@ -283,27 +298,38 @@ class CountingRandom(random.Random):
         return super().random()
 
 
-def reference_rows(n, seed, accepted):
-    """The first ``n`` accepted candidates of a seeded sweep, drawn one at a
-    time (four ``rng.random()`` draws each) and classified by
-    :func:`gicap.classify`, as ``(tag, four dB values, four ratios)`` rows;
-    and the number of draws made."""
+def reference_chunks(n, seed, accepted):
+    """The chunks of a seeded ``n``-channel sweep of classes ``accepted``, from
+    candidates drawn one at a time (four ``rng.random()`` draws each) and
+    classified by :func:`gicap.classify`; and the number of draws made.
+
+    Pass k draws ``min(n - done, SWEEP_CHUNK)`` candidates, ``done`` being
+    the number accepted before it, and chunk k is its accepted candidates as
+    ``(tag, four dB values, four ratios)`` rows; a pass that accepts none
+    gives no chunk.
+    """
     rng = CountingRandom(seed)
-    rows = []
-    while len(rows) < n:
-        dbs = tuple(low + span * rng.random() for low, span in DB_SCALES)
-        ratios = tuple(map(db_to_linear, dbs))
-        tag = classify(ChannelParams(*ratios)).tag
-        if tag in accepted:
-            rows.append((tag, *dbs, *ratios))
-    return rows, rng.draws
+    chunks = []
+    done = 0
+    while done < n:
+        chunk = []
+        for _ in range(min(n - done, SWEEP_CHUNK)):
+            dbs = tuple(low + span * rng.random() for low, span in DB_SCALES)
+            ratios = tuple(map(db_to_linear, dbs))
+            tag = classify(ChannelParams(*ratios)).tag
+            if tag in accepted:
+                chunk.append((tag, *dbs, *ratios))
+        if chunk:
+            chunks.append(chunk)
+        done += len(chunk)
+    return chunks, rng.draws
 
 
-def drawn_rows(engine_name, n, rng, accepted):
-    """The first ``n`` candidates of classes ``accepted`` that a sweep on the
-    engine ``engine_name`` (whatever ``n``) draws from ``rng``, as
+def drawn_chunks(engine_name, n, rng, accepted):
+    """The chunks of an ``n``-channel sweep of classes ``accepted`` that draws
+    from ``rng`` on the engine ``engine_name`` (whatever ``n``), each as
     ``(tag, four dB values, four ratios)`` rows; a placeholder stands in for
-    the chunk audit, which must see chunks of :data:`SWEEP_CHUNK` channels."""
+    the chunk audit, which sees each chunk's tags and ratios."""
     if engine_name == "numpy":
         select = pytest.importorskip("gicap.kernel").select
     else:
@@ -314,15 +340,13 @@ def drawn_rows(engine_name, n, rng, accepted):
         audited.append((tags, ratios))
         return [[None] * len(tags)] * 5 + [[True] * len(tags)] * 3
 
-    rows = []
+    chunks = []
     engine = gicap.gap._Engine(select, placeholder_audit)
     for columns, (tags, ratios) in zip(gicap.gap._chunks(n, rng, accepted, engine), audited):
         assert columns[4] == [tag.value for tag in tags]
-        rows += zip(tags, *columns[:4], *ratios)
-    assert [len(tags) for tags, _ in audited] == [
-        min(SWEEP_CHUNK, n - start) for start in range(0, n, SWEEP_CHUNK)
-    ]
-    return rows
+        chunks.append(list(zip(tags, *columns[:4], *ratios)))
+    assert len(chunks) == len(audited)
+    return chunks
 
 
 class StubRandom:
@@ -333,19 +357,21 @@ class StubRandom:
 
 
 class TestDrawPasses:
-    """Sweeps draw a pass of candidates at a time and carry the accepted ones
-    over into the next chunk; the draws and the candidates must be those of
-    the one-candidate-at-a-time loop."""
+    """Sweeps draw a pass of candidates at a time and audit each pass's
+    accepted ones as one chunk; the draws and the chunks must be those of the
+    one-candidate-at-a-time loop."""
 
     @pytest.mark.parametrize("engine_name", ["numpy", "scalar"])
     @pytest.mark.parametrize("class_filter", sorted(gicap.gap._CLASS_FILTERS))
-    @pytest.mark.parametrize("n", [1, 767, 768, 1023, 1024, 1025, 5000])
+    @pytest.mark.parametrize(
+        "n", [1, 767, 768, 1023, 1024, 1025, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 5000]
+    )
     def test_same_draws_and_candidates_as_one_at_a_time(self, engine_name, class_filter, n):
         accepted = gicap.gap._CLASS_FILTERS[class_filter]
         rng = CountingRandom(7)
-        rows = drawn_rows(engine_name, n, rng, accepted)
-        want, draws = reference_rows(n, 7, accepted)
-        assert rows == want
+        chunks = drawn_chunks(engine_name, n, rng, accepted)
+        want, draws = reference_chunks(n, 7, accepted)
+        assert chunks == want
         assert rng.draws == draws
 
     @pytest.mark.parametrize("engine_name", ["numpy", "scalar"])
@@ -363,7 +389,8 @@ class TestDrawPasses:
         candidates = [uniforms for found in cases.values() for uniforms in found]
         stub = StubRandom(u for candidate in candidates for u in candidate)
         # every class accepted, so every candidate comes back, in order
-        rows = drawn_rows(engine_name, len(candidates), stub, tuple(InterferenceTag))
+        chunks = drawn_chunks(engine_name, len(candidates), stub, tuple(InterferenceTag))
+        rows = [row for chunk in chunks for row in chunk]
         flattened = 0  # an INR below its SNR in dB, equal to it as a ratio
         for (tag, *dbs, snr1, snr2, inr1, inr2), uniforms in zip(rows, candidates):
             assert dbs == [low + span * u for (low, span), u in zip(DB_SCALES, uniforms)]
@@ -447,12 +474,12 @@ sys.exit("numpy was imported" if "numpy" in sys.modules else 0)
 """
 
 
-# sha256 of (stdout, CSV) of `gicap sweep --seed 1 --n 2000`: both engines
+# sha256 of (stdout, CSV) of `gicap sweep --seed 1 --n 3000`: both engines
 # share one per-channel judgment, so comparing them with each other cannot
 # catch a change that moves both alike
 ANY_DIGESTS = (
-    "300f0c2e8e4f8515825784261695b14891d094a6ef093fb6a8d4eef8fc939d71",
-    "d92a5e285a5789b8bccdd20583f78c4135ff9993cf116355b3a49a489c914684",
+    "c23ac11a6e2e226cd1024401f68255c97a296d6d75d53ae290826e976384e3dc",
+    "e49520f6c95f24a7b3ddd6c91d5b5fde53bd1ed0a077ea6c0e9bf9d1287a9d01",
 )
 
 
@@ -463,15 +490,15 @@ class TestEngineChoice:
             (
                 ["--class", "weak"],
                 (
-                    "f3d688e63463a4910c0eadff1b65c6b1ed5dbe058d03e3a40ae5d4ccbb195474",
-                    "6f77240ebe5c1204d6b833b520b78c090cf13d624d70e2f4831b83e416b9b2bf",
+                    "5bb4c0ebf3fcda5bc754a075eba548165d98fb96425a8afb91de168838cbbc1d",
+                    "be71831e8724b437170cbb8dfc124ac97c74ff4401a2d06d3d0bceb3f9e48110",
                 ),
             ),
             (
                 ["--class", "mixed"],
                 (
-                    "f58abfd69991dd150bff637e6c482dd4bb8af26b377310c1eb5a0358385c2dba",
-                    "cb8f1250d1dbb52cbca958a1fb81d6aefc8dcd42909ea0bc5b74ac7025976c48",
+                    "2fc68f2c061fb3d2a7ff75a39308298bac47bc93399bd8c251dbc56302dad068",
+                    "35225d3f6f9150ba924aed028a22c200eda8cc1ddb41b7da9cabaaa69e5d4aac",
                 ),
             ),
             (["--class", "any"], ANY_DIGESTS),
@@ -482,12 +509,14 @@ class TestEngineChoice:
     )
     def test_blocked_numpy_gives_the_same_bytes(self, tmp_path, flags, digests):
         pytest.importorskip("numpy")
-        # 2,000 channels end in a partial chunk
-        assert 2000 % SWEEP_CHUNK
+        # 3,000 channels take the kernel, in several draw passes, each
+        # audited as a chunk
+        class_filter = flags[1] if flags[0] == "--class" else "any"
+        assert len(list(sweep_chunks(3000, 1, class_filter))) > 1
         outputs = {}
         for mode in ("numpy", "blocked"):
             out = tmp_path / f"{mode}.csv"
-            argv = ["sweep", "--seed", "1", "--n", "2000", *flags, "--out", str(out)]
+            argv = ["sweep", "--seed", "1", "--n", "3000", *flags, "--out", str(out)]
             child = subprocess.run(
                 [sys.executable, "-c", ENGINE_CHILD, mode, *argv],
                 capture_output=True,

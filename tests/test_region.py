@@ -85,6 +85,14 @@ class TestVertices:
         vs = vertices(r)
         assert vs == [Vertex(0, 1), Vertex(0.5, 0.5), Vertex(0.75, 0)]
 
+    def test_small_coefficients_keep_their_corner(self):
+        # the two caps' determinant is 1e-14, yet they cross at (1e7, 1e7);
+        # the corner's r1 rounds above 1e7, yet it comes before (1e7, 0)
+        vs = vertices(RateRegion([RateConstraint(1e-7, 0, 1), RateConstraint(0, 1e-7, 1)]))
+        assert len(vs) == 3
+        for v, want in zip(vs, [(0, 1e7), (1e7, 1e7), (1e7, 0)]):
+            assert v == pytest.approx(want, rel=1e-12)
+
     def test_unbounded_raises(self):
         with pytest.raises(UnboundedRegionError):
             vertices(RateRegion([RateConstraint(1, 0, 2)]))
