@@ -235,9 +235,9 @@ def symmetric_regime(snr: float, inr: float) -> SymmetricRegime:
     condition INR >= SNR^2 + SNR.  The inr^3 and B-set comparisons can
     overflow on both sides; those are decided in exact rationals.
     """
-    if not (snr > 1.0):
-        raise DomainError(f"symmetric_regime needs snr > 1, got snr={snr!r}")
-    if inr < 0.0 or not math.isfinite(inr) or not math.isfinite(snr):
+    if not (1.0 < snr < math.inf):
+        raise DomainError(f"symmetric_regime needs finite snr > 1, got snr={snr!r}")
+    if not (0.0 <= inr < math.inf):
         raise DomainError(f"symmetric_regime needs finite inr >= 0, got inr={inr!r}")
 
     if _very_strong(snr, inr):

@@ -178,14 +178,15 @@ def _judge(tag, s1, s2, i1, i2, rows=log2_rows, where=_hk._where, minimum=min) -
     verdicts.  A family passes when its delta is below ``c1 + c2`` bits
     (within :data:`_SLACK`).
 
-    On floats the hooks are the defaults; on numpy arrays of a chunk's
-    channels they are the kernel's row evaluator, ``np.where`` and
-    ``np.minimum``, and every rate, delta and verdict is an array.
+    All rows are evaluated in one ``rows`` call, the inner ones first.  On
+    floats the hooks are the defaults; on numpy arrays of a chunk's channels
+    they are :func:`gicap.kernel._rows`, ``np.where`` and ``np.minimum``, and
+    every rate, delta and verdict is an array.
     """
     p2, p1 = _hk.recommended_levels(*_STRENGTHS[tag], i1, i2, where)
-    inner = rows(_hk.hk_args(s1, s2, i1, i2, p2, p1, where))
     outer_coeffs, args = _bounds.outer_args(s1, s2, i1, i2, tag)
-    outer = rows(args)
+    rhs = rows((*_hk.hk_args(s1, s2, i1, i2, p2, p1, where), *args))
+    inner, outer = rhs[:len(_hk.HK_COEFFS)], rhs[len(_hk.HK_COEFFS):]
     inner_mins = _family_minima(zip(_hk.HK_COEFFS, inner), minimum)
     outer_mins = _family_minima(zip(outer_coeffs, outer), minimum)
     deltas = [outer_mins[c] - inner_mins[c] if c in outer_mins else None for c in _FAMILIES]
@@ -195,7 +196,7 @@ def _judge(tag, s1, s2, i1, i2, rows=log2_rows, where=_hk._where, minimum=min) -
             passed = passed & (delta < c1 + c2 + _SLACK)
     # Finite rates are at most a few thousand bits, so the sum is finite
     # exactly when every rate is.
-    finite = abs(sum(inner) + sum(outer)) < math.inf
+    finite = abs(sum(rhs)) < math.inf
     verdicts = _verdicts(inner_mins, outer_mins, minimum)
     return _Judgment(inner, outer_coeffs, outer, deltas, passed, finite, *verdicts)
 

@@ -6,8 +6,8 @@ nonnegative coefficients (plus the implicit axes R1 >= 0, R2 >= 0).
 Constraint counts here are tiny (<= ~10), so vertex enumeration is done
 by brute-force pairwise line intersection with feasibility filtering.
 
-Geometric predicates use an absolute tolerance of 1e-9 bits throughout;
-all quantities handled here are at most O(10^2) bits, so double
+Geometric predicates use a tolerance of 1e-9 bits (relative to vertex
+coordinates above 1); rates here are at most O(10^2) bits, so double
 precision sits around 1e-12 relative error, well under that tolerance.
 
 The constraint list is ordered and never silently pruned: downstream
@@ -88,13 +88,14 @@ def region_from_rows(coeffs, rhs) -> RateRegion:
     return RateRegion(RateConstraint(c1, c2, r) for (c1, c2), r in zip(coeffs, rhs))
 
 
-def log2_rows(args) -> tuple[float, ...]:
-    """Each row's rhs: the sum of ``math.log2`` over its arguments, left to right.
+def log2_rows(args, log2=math.log2) -> tuple:
+    """Each row's rhs: the sum of ``log2`` over its arguments, left to right.
 
     An explicit fold rather than ``sum``, which adds floats with compensation
-    from Python 3.12 on and so can round ``a + b + c`` differently.
+    from Python 3.12 on and so can round ``a + b + c`` differently.  Numpy
+    arguments take the kernel's ``log2`` hook (:func:`gicap.kernel._rows`).
     """
-    return tuple(functools.reduce(operator.add, map(math.log2, row)) for row in args)
+    return tuple(functools.reduce(operator.add, map(log2, row)) for row in args)
 
 
 def vertices(region: RateRegion) -> list[Vertex]:
@@ -102,9 +103,10 @@ def vertices(region: RateRegion) -> list[Vertex]:
 
     Returns the boundary chain sorted by increasing R1 then decreasing R2
     (the origin itself is dropped when other vertices exist), deduplicated
-    at :data:`DEFAULT_TOL`.  Raises :class:`UnboundedRegionError` when no
-    constraint caps one of the rates, and :class:`DomainError` when a vertex
-    is not finite (its determinant or coordinates overflow).
+    at :data:`DEFAULT_TOL` relative to coordinates above 1.  Raises
+    :class:`UnboundedRegionError` when no constraint caps one of the rates,
+    and :class:`DomainError` when a vertex is not finite (its determinant or
+    coordinates overflow).
     """
     rows = [(c.c1, c.c2, c.rhs) for c in region.constraints]
     if not (any(a > 0.0 for a, _, _ in rows) and any(b > 0.0 for _, b, _ in rows)):
@@ -130,14 +132,14 @@ def vertices(region: RateRegion) -> list[Vertex]:
             else:
                 pts.append((x, y))
 
-    # Dedup within tol (Chebyshev); point counts are tiny.
+    # Dedup within tol, relative to each coordinate above 1 as the sort snaps r1.
     unique: list[tuple[float, float]] = []
-    for p in pts:
-        for q in unique:
-            if abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol:
+    for x, y in pts:
+        for u, v in unique:
+            if abs(x - u) <= tol * max(1.0, abs(u)) and abs(y - v) <= tol * max(1.0, abs(v)):
                 break
         else:
-            unique.append(p)
+            unique.append((x, y))
     if len(unique) > 1:
         unique = [p for p in unique if not (abs(p[0]) <= tol and abs(p[1]) <= tol)]
     # Sort by increasing r1 then decreasing r2.  r1 values are snapped into

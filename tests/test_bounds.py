@@ -25,6 +25,7 @@ from gicap import (
     vertices,
     weak_outer,
 )
+from gicap.bounds import outer_args
 from conftest import random_channel
 
 log2 = math.log2
@@ -189,6 +190,11 @@ class TestClassOuter:
             if tag is not actual:
                 with pytest.raises(ClassMismatchError):
                     class_outer(p, tag)
+
+    def test_outer_args_rejects_a_tag_that_is_not_a_class(self):
+        # a tag's string value is not an InterferenceTag
+        with pytest.raises(ClassMismatchError, match="got 'weak'"):
+            outer_args(1.0, 1.0, 0.5, 0.5, "weak")
 
 
 class TestSymmetricBounds:

@@ -11,6 +11,7 @@ from gicap import (
     InvalidParameterError,
     SymmetricRegime,
     alpha,
+    baseline_gdof,
     classify,
     db_to_linear,
     from_physical,
@@ -189,6 +190,15 @@ class TestSymmetricRegime:
         with pytest.raises(DomainError):
             symmetric_regime(1.0, 10.0)
 
+    @pytest.mark.parametrize(
+        "snr, inr, named",
+        [(math.inf, 5.0, "snr=inf"), (math.nan, 5.0, "snr=nan"), (0.5, 5.0, "snr=0.5"),
+         (10.0, math.inf, "inr=inf"), (10.0, math.nan, "inr=nan"), (10.0, -1.0, "inr=-1.0")],
+    )
+    def test_error_names_the_bad_argument(self, snr, inr, named):
+        with pytest.raises(DomainError, match=f"got {named}$"):
+            symmetric_regime(snr, inr)
+
     @given(st.floats(1.5, 1e5), st.lists(st.floats(0.0, 1e12), min_size=2, max_size=6))
     def test_regime_nondecreasing_in_inr(self, snr, inrs):
         inrs = sorted(inrs)
@@ -237,6 +247,8 @@ class TestDbHelpers:
         (linear_to_db, (math.nan,)),
         (asymptotic_tightness_check, (0.3, [math.inf])),
         (symmetric_hk_rate, (10.0, math.nan)),
+        (symmetric_regime, (10.0, math.inf)),
+        (baseline_gdof, (math.nan, "orthogonalize")),
     ],
     ids=lambda call: call[0].__name__,
 )

@@ -284,6 +284,17 @@ class TestSweep:
         code, _ = run_cli(["sweep", "--n", "5", "--seed", "1"])
         assert code == 2
 
+    def test_within_half_needs_both_classes(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, text = run_cli(
+            ["sweep", "--n", "5", "--check", "within-half", "--class", "weak", "--out", str(out)]
+        )
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: --check within-half sweeps weak and mixed jointly\n"
+        )
+        assert not out.exists()
+
     def test_unwritable_path_io_error(self):
         code, _ = run_cli(
             ["sweep", "--n", "2", "--seed", "1", "--out", "/nonexistent-dir/x.csv"]
@@ -452,6 +463,17 @@ class TestSweepWriterChild:
             with pytest.raises(OSError) as info:
                 os.fstat(fd)
             assert info.value.errno == errno.EBADF
+
+    def test_writer_exit_status_alone_exits_one(self, tmp_path, monkeypatch, capsys, forks):
+        # the child ends without sending an error: only its exit status tells
+        monkeypatch.setattr(gicap.gap, "_write_frames", lambda *fds: os._exit(3))
+        code, text, _ = self.sweep(tmp_path, "status", "--n", str(5 * gicap.gap.SWEEP_CHUNK))
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "i/o error: the sweep's CSV writer process ended with status 3\n"
+        )
+        assert len(forks) == 1
+        assert_no_child()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_device_exits_one_with_its_message(self, capsys, forks):

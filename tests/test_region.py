@@ -93,6 +93,19 @@ class TestVertices:
         for v, want in zip(vs, [(0, 1e7), (1e7, 1e7), (1e7, 0)]):
             assert v == pytest.approx(want, rel=1e-12)
 
+    def test_small_coefficients_list_each_corner_once(self):
+        # four lines cross near (1e9, 1e9), up to 2e-7 apart: one corner
+        region = RateRegion([
+            RateConstraint(1e-9, 0, 1),
+            RateConstraint(0, 1e-9, 1),
+            RateConstraint(1e-9, 1e-9, 2),
+            RateConstraint(2e-9, 1e-9, 3),
+        ])
+        vs = vertices(region)
+        assert len(vs) == 3
+        for v, want in zip(vs, [(0, 1e9), (1e9, 1e9), (1e9, 0)]):
+            assert v == pytest.approx(want, rel=1e-12)
+
     def test_unbounded_raises(self):
         with pytest.raises(UnboundedRegionError):
             vertices(RateRegion([RateConstraint(1, 0, 2)]))
