@@ -25,22 +25,27 @@ Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
 class.  Candidates are drawn a pass at a time, each pass as many as the
 sweep still needs (at most :data:`SWEEP_CHUNK`), and the ones a pass
-accepts are judged as one chunk, a tuple of record columns
-(:func:`sweep_chunks`).  Both steps run on an engine: the numpy one
+accepts are judged as one chunk, whose record columns :func:`sweep_chunks`
+gives.  Both steps run on an engine: the numpy one
 (:mod:`gicap.kernel`) for sweeps of at least :data:`NUMPY_MIN_N` channels,
 else the scalar one, candidate by candidate and channel by channel, without
 importing numpy.  Both engines draw the same candidates, give the same
 columns bit for bit and raise by one rule (:func:`_raise_first_bad`): the
 first channel in draw order whose rates overflow (:class:`DomainError`) or
 whose inner region exceeds its outer bound (:class:`ContainmentError`)
-raises that error, naming the channel.  :func:`stream_sweep` writes each
-chunk's CSV rows as it goes and keeps only the failure count and the worst
-deltas, so its memory does not grow with the sweep size.  On a sweep of
-more than :data:`SWEEP_CHUNK` channels the rows are written by a writer
-child forked before the engine is loaded, which formats one chunk while
-this process draws and audits the next; the file gets the same bytes as
-when they are written in process.  Channels are judged independently, so
-the results do not depend on evaluation order.
+raises that error, naming the channel.  Channels are judged independently,
+so the results do not depend on evaluation order.
+
+A chunk stays in binary form from the audit to the CSV (:class:`_Chunk`).
+Its frame (:func:`_frame`) is formatted into CSV rows by one ``%`` per
+chunk (:func:`_chunk_text`), and the public columns are read off the same
+frame (:func:`_columns`).  :func:`stream_sweep` writes each chunk's rows as
+it goes and keeps only the failure count and the worst deltas, so its
+memory does not grow with the sweep size.  On a sweep of more than
+:data:`SWEEP_CHUNK` channels the frames go to a writer child forked before
+the engine is loaded, which formats one chunk while this process draws and
+audits the next; the file gets the same bytes as when they are written in
+process.
 """
 
 from __future__ import annotations
@@ -357,8 +362,14 @@ def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[tuple
     numpy can be imported, and otherwise candidate by candidate and
     channel by channel (:func:`_scalar_select`, :func:`_scalar_audit_chunk`);
     the draws, the columns and the error are identical.  The arguments are
-    checked before the first candidate is drawn.
+    checked before the first candidate is drawn.  Each chunk's columns are
+    read off the frame its CSV rows are written from (:func:`_columns`).
     """
+    return map(_columns, map(_frame, _sweep(n, seed, class_filter)))
+
+
+def _sweep(n, seed, class_filter) -> Iterator[_Chunk]:
+    """The packed chunks of a sweep; the arguments are checked at once."""
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
     return _chunks(n, random.Random(seed), _accepted(class_filter), _chunk_engine(n))
 
@@ -373,12 +384,35 @@ def _accepted(class_filter) -> tuple:
         ) from None
 
 
-_TAG_VALUES = {tag: tag.value for tag in InterferenceTag}
+# The classes of sweep records, by their index in a row code (see _Chunk).
+_CLASSES = tuple(InterferenceTag)
 
 
-def _chunks(n, rng, accepted, engine):
+class _Chunk(NamedTuple):
+    """An audited chunk, as both engines pack it.
+
+    ``codes`` holds one byte per channel, its row code: the index of its
+    class in :data:`_CLASSES` times 8, plus 4 for a passing delta verdict, 2
+    for a one-bit certificate and 1 for a within-half certificate.
+    ``floats`` is a row-major float64 block (an ndarray, or an
+    ``array('d')`` on the scalar engine) of nine values per channel: SNR1,
+    SNR2, INR1, INR2 in dB and the five family deltas, NaN where the class
+    lacks the family.  ``worst`` is each family's largest delta in the
+    chunk, None where no channel has the family.
+    """
+
+    codes: bytes
+    floats: object
+    worst: list
+
+
+def _chunks(n, rng, accepted, engine) -> Iterator[_Chunk]:
     draw = rng.random
-    accept = {strength: tag for strength, tag in TAG_BY_STRENGTH.items() if tag in accepted}
+    accept = {
+        strength: _CLASSES.index(tag)
+        for strength, tag in TAG_BY_STRENGTH.items()
+        if tag in accepted
+    }
     done = 0
     while done < n:
         # A pass draws as many candidates as the sweep still needs, at most
@@ -386,44 +420,47 @@ def _chunks(n, rng, accepted, engine):
         # rng.random() is the one generator method with a documented
         # cross-version reproducibility guarantee.
         draws = itertools.starmap(draw, itertools.repeat((), 4 * min(n - done, SWEEP_CHUNK)))
-        tags, *dbs, s1, s2, i1, i2 = engine.select(draws, accept)
-        if tags:
+        tags, dbs, ratios = engine.select(draws, accept)
+        if len(tags):
             done += len(tags)
-            yield (*dbs, list(map(_TAG_VALUES.get, tags)), *engine.audit(tags, s1, s2, i1, i2))
-        del tags, dbs, s1, s2, i1, i2  # hold no chunk while the next pass is drawn
+            yield engine.audit(tags, dbs, ratios)
+        del tags, dbs, ratios  # hold no chunk while the next pass is drawn
 
 
 def _scalar_select(draws, accept):
-    """The candidates of a pass whose class ``accept`` maps to a tag, in draw
-    order, as nine columns: the tags, the four dB values and the four ratios.
+    """The candidates of a pass whose class ``accept`` maps to a class index,
+    in draw order: their class indices in :data:`_CLASSES`, their four dB
+    values and their four ratios, each channel's as a tuple.
 
     ``draws`` holds four ``rng.random()`` values per candidate (SNR1, SNR2,
     INR1, INR2), scaled to dB; ``accept`` maps (strong at receiver 1, strong
-    at receiver 2) to the accepted tags.  The columns are empty when the
+    at receiver 2) to the accepted classes.  The lists are empty when the
     pass accepts none.
     """
     snr_lo, inr_lo = SNR_DB_RANGE[0], INR_DB_RANGE[0]
-    kept = []
+    tags, dbs, ratios = [], [], []
     values = iter(draws)
     for snr1_u, snr2_u, inr1_u, inr2_u in zip(values, values, values, values):
-        dbs = (
+        db = (
             snr_lo + _SNR_SPAN * snr1_u,
             snr_lo + _SNR_SPAN * snr2_u,
             inr_lo + _INR_SPAN * inr1_u,
             inr_lo + _INR_SPAN * inr2_u,
         )
-        snr1, snr2, inr1, inr2 = map(db_to_linear, dbs)
+        ratio = snr1, snr2, inr1, inr2 = tuple(map(db_to_linear, db))
         # ChannelParams.strong_at_1, strong_at_2
         tag = accept.get((inr1 >= snr2, inr2 >= snr1))
         if tag is not None:
-            kept.append((tag, *dbs, snr1, snr2, inr1, inr2))
-    return zip(*kept) if kept else [()] * 9
+            tags.append(tag)
+            dbs.append(db)
+            ratios.append(ratio)
+    return tags, dbs, ratios
 
 
 class _Engine(NamedTuple):
     """A sweep engine's two hooks: ``select`` takes a pass's draws to its
-    accepted candidates (:func:`_scalar_select`), ``audit`` a chunk's tags
-    and ratios to its record columns after the class (:func:`_scalar_audit_chunk`)."""
+    accepted candidates (:func:`_scalar_select`), ``audit`` a chunk's class
+    indices, dB values and ratios to its :class:`_Chunk` (:func:`_scalar_audit_chunk`)."""
 
     select: Callable
     audit: Callable
@@ -443,38 +480,50 @@ def _chunk_engine(n: int) -> _Engine:
     return _Engine(_scalar_select, _scalar_audit_chunk)
 
 
-def _scalar_audit_chunk(tags, snr1, snr2, inr1, inr2):
-    """Columns of a chunk's records after the class: the five family deltas
-    (None where the outer bound lacks the family), the delta verdict and the
-    two certificates, by :func:`_judge` of each weak or mixed channel of
-    class ``tags[k]`` with ratios ``snr1[k], snr2[k], inr1[k], inr2[k]``;
+def _scalar_audit_chunk(tags, dbs, ratios) -> _Chunk:
+    """The :class:`_Chunk` of the channels of class ``_CLASSES[tags[k]]`` with
+    dB values ``dbs[k]`` and ratios ``ratios[k]``, by :func:`_judge` of each;
     the first channel that cannot be audited raises (:func:`_raise_first_bad`).
     """
-    judged = [_judge(*channel) for channel in zip(tags, snr1, snr2, inr1, inr2)]
-    _raise_first_bad(
-        [j.finite for j in judged], [j.contained for j in judged], zip(snr1, snr2, inr1, inr2)
+    judged = [_judge(_CLASSES[tag], *channel) for tag, channel in zip(tags, ratios)]
+    _raise_first_bad([j.finite for j in judged], [j.contained for j in judged], ratios)
+    return _pack(tags, dbs, [(*j.deltas, j.passed, j.one_bit, j.within_half) for j in judged])
+
+
+def _pack(tags, dbs, tails) -> _Chunk:
+    """The :class:`_Chunk` of channels with class indices ``tags``, dB values
+    ``dbs`` and record tails ``tails``: each channel's five family deltas
+    (None where its class lacks the family), delta verdict and two certificates."""
+    from array import array  # here, so that commands which never sweep do not load it
+
+    codes = bytes(8 * tag + 4 * tail[5] + 2 * tail[6] + tail[7] for tag, tail in zip(tags, tails))
+    floats = array(
+        "d",
+        itertools.chain.from_iterable(
+            (*db, *(math.nan if delta is None else delta for delta in tail[:5]))
+            for db, tail in zip(dbs, tails)
+        ),
     )
-    return zip(*((*j.deltas, j.passed, j.one_bit, j.within_half) for j in judged))
+    families = itertools.islice(zip(*tails), 5)
+    worst = [max((d for d in family if d is not None), default=None) for family in families]
+    return _Chunk(codes, floats, worst)
 
 
-# A chunk's failure flags by the guarantee a sweep checks, from its last three
-# columns: the delta verdict and the two certificates.
+# A row code's failure flag (1) by the guarantee a sweep checks: one-bit
+# needs the delta verdict and the one-bit certificate, within-half its own.
 _FAILED = {
-    "one-bit": lambda passed, one_bit, _: [not (p and o) for p, o in zip(passed, one_bit)],
-    "within-half": lambda passed, one_bit, within_half: [not w for w in within_half],
+    "one-bit": bytes((code & 6) != 6 for code in range(256)),
+    "within-half": bytes(not code & 1 for code in range(256)),
 }
 
 
-def _fold_worst(worst: dict[str, float | None], columns, check: str) -> list[bool]:
-    """Raise each family's entry of ``worst`` to its largest delta in the chunk
-    ``columns``; returns the chunk's failure flags under ``check``."""
-    for fam, values in zip(_FAMILIES.values(), columns[5:10]):
-        present = [value for value in values if value is not None]
-        if present:
-            top = max(present)
-            if worst[fam] is None or top > worst[fam]:
-                worst[fam] = top
-    return _FAILED[check](*columns[10:])
+def _fold_worst(worst: dict[str, float | None], chunk: _Chunk, check: str) -> int:
+    """Raise each family's entry of ``worst`` to its largest delta in ``chunk``;
+    returns the number of the chunk's channels that fail ``check``."""
+    for fam, top in zip(_FAMILIES.values(), chunk.worst):
+        if top is not None and (worst[fam] is None or top > worst[fam]):
+            worst[fam] = top
+    return chunk.codes.translate(_FAILED[check]).count(1)
 
 
 def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
@@ -485,11 +534,13 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     as data, never raised.
     """
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
-    parts = zip(*sweep_chunks(n, seed, class_filter))  # each column, chunk by chunk
-    columns = [list(itertools.chain.from_iterable(column)) for column in parts]
+    chunks = list(_sweep(n, seed, class_filter))
     worst = dict.fromkeys(_FAMILIES.values())
-    failed = _fold_worst(worst, columns, "one-bit")
-    records = tuple(map(SweepRecord._make, zip(*columns)))
+    for chunk in chunks:
+        _fold_worst(worst, chunk, "one-bit")
+    rows = (zip(*_columns(_frame(chunk))) for chunk in chunks)
+    records = tuple(map(SweepRecord._make, itertools.chain.from_iterable(rows)))
+    failed = b"".join(chunk.codes for chunk in chunks).translate(_FAILED["one-bit"])
     return SweepResult(
         n=n,
         seed=seed,
@@ -500,33 +551,59 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     )
 
 
+# A frame is a chunk as bytes: its row codes, then its float block.
+_ROW_VALUES = 9
+_ROW_BYTES = 1 + 8 * _ROW_VALUES
+
+
+def _frame(chunk: _Chunk) -> bytes:
+    return chunk.codes + chunk.floats.tobytes()
+
+
+def _unframe(frame: bytes) -> tuple[bytes, list[float]]:
+    """The row codes of a frame and the values of its float block."""
+    size = len(frame) // _ROW_BYTES
+    return frame[:size], memoryview(frame)[size:].cast("d").tolist()
+
+
+def _columns(frame: bytes) -> tuple:
+    """The 13 columns of a frame's records in :class:`SweepRecord` field
+    order; an absent delta (NaN) is None."""
+    codes, values = _unframe(frame)
+    dbs = (values[k::_ROW_VALUES] for k in range(4))
+    deltas = ([None if math.isnan(v) else v for v in values[k::_ROW_VALUES]] for k in range(4, 9))
+    tags = [_CLASSES[code >> 3].value for code in codes]
+    verdicts = ([bool(code & bit) for code in codes] for bit in (4, 2, 1))
+    return (*dbs, tags, *deltas, *verdicts)
+
+
 _CSV_HEADER = (
     "snr1_db,snr2_db,inr1_db,inr2_db,class,delta_r1,delta_r2,"
     "delta_sum,delta_2r1_r2,delta_r1_2r2,one_bit_pass,within_half_pass\n"
 )
-_BOOL = {False: "false", True: "true"}
-# One %-template per (2r1_r2 absent, r1_2r2 absent, one-bit pass, within-half
-# pass), taking a whole row in SweepRecord field order: numbers at 12
-# significant digits, an absent delta as an empty cell (``%.0s``), the
-# verdicts baked in.
-_CSV_TEMPLATES = {
-    (no_21, no_12, one_bit, half): ",".join(
+_BOOL = ("false", "true")
+# The families in each class's outer bound; _judge reports the others as None.
+_PRESENT = {tag: set(_bounds.outer_args(1.0, 1.0, 1.0, 1.0, tag)[0]) for tag in _CLASSES}
+# The %-template of a CSV row by its row code, taking the row's nine numbers:
+# each at 12 significant digits, or an absent delta as an empty cell
+# (``%.0s``), with the class and the two pass cells baked in.
+_CSV_TEMPLATES = [
+    ",".join(
         ["%.12g"] * 4
-        + ["%s"]
-        + ["%.12g"] * 3
-        + ["%.0s" if no_21 else "%.12g", "%.0s" if no_12 else "%.12g"]
-        + ["%.0s%.0s" + _BOOL[one_bit], "%.0s" + _BOOL[half]]
+        + [tag.value]
+        + ["%.12g" if family in _PRESENT[tag] else "%.0s" for family in _FAMILIES]
+        + [_BOOL[(verdicts & 6) == 6], _BOOL[verdicts & 1]]
     )
     + "\n"
-    for no_21 in (False, True)
-    for no_12 in (False, True)
-    for one_bit in (False, True)
-    for half in (False, True)
-}
+    for tag in _CLASSES
+    for verdicts in range(8)  # the row code's low three bits
+]
 
 
-def _csv_line(r: tuple) -> str:
-    return _CSV_TEMPLATES[r[8] is None, r[9] is None, r[10] and r[11], r[12]] % r
+def _chunk_text(frame: bytes) -> str:
+    """The CSV rows of a frame, formatted by one ``%`` over the whole chunk."""
+    codes, values = _unframe(frame)
+    return "".join(map(_CSV_TEMPLATES.__getitem__, codes)) % tuple(values)
 
 
 def _summary(n: int, failures: int, worst: dict[str, float | None], seed: int) -> dict:
@@ -541,17 +618,17 @@ def _summary(n: int, failures: int, worst: dict[str, float | None], seed: int) -
 
 
 class _RowWriter:
-    """Writes a sweep's CSV rows to ``fh``, one chunk of record columns per
-    :meth:`write`: in this process, or, with ``fork``, in a writer child
+    """Writes a sweep's CSV rows to ``fh``, one chunk's frame (:func:`_frame`)
+    per :meth:`write`: in this process, or, with ``fork``, in a writer child
     forked here, which formats a chunk while this process draws and audits
-    the next one.
+    the next one.  Either way a frame's rows are formatted by :func:`_chunk_text`.
 
-    Each chunk goes to the child as one length-prefixed :mod:`marshal`
-    frame over a pipe; both ends run the same interpreter.  :meth:`close`
-    ends the frames and reaps the child, which writes every chunk it was
-    sent, flushes and exits, and raises the :class:`OSError` that stopped
-    the child, if any; it must run on every path.  ``fh``'s buffer must be
-    empty when the child is forked, and only the child writes to it after.
+    Each frame goes to the child over a pipe with an 8-byte length prefix;
+    both ends run on one machine.  :meth:`close` ends the frames and reaps the child, which
+    writes every chunk it was sent, flushes and exits, and raises the
+    :class:`OSError` that stopped the child, if any; it must run on every
+    path.  ``fh``'s buffer must be empty when the child is forked, and only
+    the child writes to it after.
     """
 
     def __init__(self, fh, fork: bool) -> None:
@@ -574,11 +651,10 @@ class _RowWriter:
         _widen(frames_out)
         self._pid, self._frames, self._errors = pid, frames_out, errors_in
 
-    def write(self, columns) -> None:
+    def write(self, frame: bytes) -> None:
         if self._pid is None:
-            _write_rows(self._fh, columns)
+            self._fh.write(_chunk_text(frame))
             return
-        frame = marshal.dumps(columns)
         # A pipe takes up to 512 bytes whole; a signal can cut a longer write
         # short.  If the child has stopped, the write raises BrokenPipeError,
         # and close() raises what stopped the child in its place.
@@ -602,13 +678,12 @@ class _RowWriter:
             raise OSError(f"the sweep's CSV writer process ended with status {code}")
 
 
-# A pipe that holds several frames (a weak chunk's is up to about 140 kB)
-# lets the sweep run ahead of its writer child instead of blocking on each
-# frame and being woken by the child, which often left the two processes
-# sharing one CPU: a 40,000-channel mixed sweep took 0.26-0.33 s with the
-# default 64 KiB pipe and 0.23 s with 1 MiB (medians of 8 sweeps, 2 vCPU VM;
-# chunks of 1,024 channels).  1 MiB is Linux's default limit for an
-# unprivileged process.
+# A pipe that holds several frames (a weak chunk's is about 120 kB) lets the
+# sweep run ahead of its writer child instead of blocking on each frame and
+# being woken by the child, which often left the two processes sharing one
+# CPU: a 40,000-channel mixed sweep took 0.26-0.33 s with the default 64 KiB
+# pipe and 0.23 s with 1 MiB (medians of 8 sweeps, 2 vCPU VM; chunks of 1,024
+# channels).  1 MiB is Linux's default limit for an unprivileged process.
 _PIPE_BYTES = 1 << 20
 
 
@@ -623,15 +698,12 @@ def _widen(fd: int) -> None:
             pass
 
 
-def _write_rows(fh, columns) -> None:
-    fh.writelines(map(_csv_line, zip(*columns)))
-
-
 def _write_frames(fh, frames_in: int, frames_out: int, errors_in: int, errors_out: int) -> None:
     """The writer child of :class:`_RowWriter`, given the two pipes: write the
-    rows of each frame read from ``frames_in`` to ``fh`` until the frames
-    end, flush, and exit; the arguments of an error go to ``errors_out``,
-    for the parent to raise as an :class:`OSError`.  Never returns."""
+    rows of each frame read from ``frames_in`` to ``fh`` (:func:`_chunk_text`)
+    until the frames end, flush, and exit; the arguments of an error go to
+    ``errors_out``, for the parent to raise as an :class:`OSError`.  Never
+    returns."""
     status = 1
     try:
         import signal
@@ -643,7 +715,7 @@ def _write_frames(fh, frames_in: int, frames_out: int, errors_in: int, errors_ou
         try:
             with open(frames_in, "rb") as frames:
                 while size := frames.read(8):
-                    _write_rows(fh, marshal.loads(frames.read(int.from_bytes(size, "little"))))
+                    fh.write(_chunk_text(frames.read(int.from_bytes(size, "little"))))
         finally:
             fh.flush()  # what closing the file does in process, after an error too
         status = 0
@@ -685,10 +757,10 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
         fh.flush()
         rows = _RowWriter(fh, fork=n > SWEEP_CHUNK and hasattr(os, "fork"))
         try:
-            for columns in _chunks(n, random.Random(seed), accepted, _chunk_engine(n)):
-                rows.write(columns)
-                failures += sum(_fold_worst(worst, columns, check))
-                del columns  # drop this chunk before the next one is drawn
+            for chunk in _chunks(n, random.Random(seed), accepted, _chunk_engine(n)):
+                rows.write(_frame(chunk))
+                failures += _fold_worst(worst, chunk, check)
+                del chunk  # drop this chunk before the next one is drawn
         finally:
             rows.close()
     return _summary(n, failures, worst, seed)

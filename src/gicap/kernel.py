@@ -2,22 +2,25 @@
 of channels audited, on arrays, bit-identical to the scalar engine.
 
 :func:`select` takes a draw pass's ``rng.random()`` values and keeps the
-candidates of the accepted classes, with their tags, dB values and
-ratios; :func:`gicap.gap._chunks` audits them as one chunk.
+candidates of the accepted classes, with their class indices, dB values
+and ratios as arrays; :func:`gicap.gap._chunks` audits them as one chunk.
 It maps the draws to dB and compares the two cross links in arrays, on the
 exponents of the dB-to-ratio map; only a comparison near a tie, and the
 accepted candidates' ratios, take Python's pow, as the scalar engine does.
 
-:func:`audit_chunk` takes a chunk's class tags and four ratio columns and
-returns the columns of its sweep records.  It runs the one per-channel
-judgment of the scalar engine, :func:`gicap.gap._judge`, once per class
-group of the chunk, on arrays: ``np.where`` chooses the rows' branches,
-``np.minimum`` takes the family minima and the certificates' support
-functions, and :func:`_rows` folds the rows with ``math.log2`` mapped
-once over each distinct argument (``np.log2`` rounds differently on some
-inputs), so every rate, family delta (passing below ``c1 + c2`` bits) and
-verdict is the scalar engine's.  It then scatters the groups back into draw
-order and raises by the scalar engine's rule (:func:`gicap.gap._raise_first_bad`).
+:func:`audit_chunk` takes a chunk's class indices, dB values and ratios and
+returns it packed (:class:`gicap.gap._Chunk`): a row code per channel and
+a float64 block of its dB values and five family deltas, NaN where its
+class lacks the family.  It groups the channels by class index with array
+operations and runs the one per-channel judgment of the scalar engine,
+:func:`gicap.gap._judge`, once per group, on arrays: ``np.where`` chooses
+the rows' branches, ``np.minimum`` takes the family minima and the
+certificates' support functions, and :func:`_rows` folds the rows with
+``math.log2`` mapped once over each distinct argument (``np.log2`` rounds
+differently on some inputs), so every rate, family delta (passing below
+``c1 + c2`` bits) and verdict is the scalar engine's.  It writes each
+group's deltas and verdicts into the chunk's blocks in draw order and
+raises by the scalar engine's rule (:func:`gicap.gap._raise_first_bad`).
 
 Only sweeps of at least :data:`gicap.gap.NUMPY_MIN_N` channels import
 this module, and only where numpy is installed (the ``fast`` extra);
@@ -33,11 +36,12 @@ import numpy as np
 
 from .channel import db_to_linear
 from .gap import (
-    _FAMILIES,
+    _CLASSES,
     _INR_SPAN,
     _SNR_SPAN,
     INR_DB_RANGE,
     SNR_DB_RANGE,
+    _Chunk,
     _judge,
     _raise_first_bad,
 )
@@ -55,8 +59,9 @@ _TIE = 1e-9
 
 
 def select(draws, accept):
-    """The columns of :func:`gicap.gap._scalar_select` for the same
-    arguments: the accepted candidates' tags, dB values and ratios.
+    """The lists of :func:`gicap.gap._scalar_select` for the same arguments,
+    as arrays: the accepted candidates' class indices, and their dB values
+    and ratios, each an ``(m, 4)`` array.
 
     The dB values and the two cross-link comparisons run on arrays, on the
     exponents ``dB / 10`` of :func:`db_to_linear`'s ratios ``10 ** (dB / 10)``;
@@ -71,55 +76,62 @@ def select(draws, accept):
     strong = gaps >= 0.0
     for k, j in zip(*np.nonzero(abs(gaps) < _TIE)):
         strong[k, j] = db_to_linear(float(db[k, 2 + j])) >= db_to_linear(float(db[k, 1 - j]))
-    # class code strong_at_1 + 2 * strong_at_2
-    code = strong[:, 0] + 2 * strong[:, 1]
-    tag_of_code = [accept.get((bool(c & 1), bool(c & 2))) for c in range(4)]
-    kept = np.flatnonzero(np.array([tag is not None for tag in tag_of_code])[code])
-    tags = list(map(tag_of_code.__getitem__, code[kept].tolist()))
+    # class index by strength code strong_at_1 + 2 * strong_at_2; -1 rejects
+    class_of_code = np.array([accept.get((bool(c & 1), bool(c & 2)), -1) for c in range(4)])
+    tags = class_of_code[strong[:, 0] + 2 * strong[:, 1]]
+    kept = np.flatnonzero(tags >= 0)
     ten = itertools.repeat(10.0)
-    ratios = [list(map(pow, ten, column)) for column in exponents[kept].T.tolist()]
-    return (tags, *db[kept].T.tolist(), *ratios)
+    ratios = np.array([list(map(pow, ten, column)) for column in exponents[kept].T.tolist()])
+    return tags[kept], db[kept], ratios.T
 
 
 def _rows(args):
     """The rows hook of :func:`gicap.gap._judge` on a class group's arrays:
     :func:`gicap.region.log2_rows` as one ``(rows, channels)`` array, with
-    ``math.log2`` mapped once over each distinct argument (equal arrays are
-    one: a mixed group's inner and outer rows share two by value)."""
-    logged = {}  # argument bytes -> its logs
+    ``math.log2`` mapped once over each distinct argument.  Equal arrays are
+    one (a mixed group's inner and outer rows share two by value): an
+    argument is looked up by its first value and matched by identity or by
+    ``np.array_equal``, so no argument is copied or hashed whole."""
+    logged = {}  # an argument's first value -> [(argument, its logs)]
 
     def log2(arg):
-        key = arg.tobytes()
-        if key not in logged:
-            logged[key] = np.fromiter(map(math.log2, arg.tolist()), float, len(arg))
-        return logged[key]
+        bucket = logged.setdefault(arg[0], [])
+        for seen, logs in bucket:
+            if seen is arg or np.array_equal(seen, arg):
+                return logs
+        logs = np.fromiter(map(math.log2, arg.tolist()), float, len(arg))
+        bucket.append((arg, logs))
+        return logs
 
     return np.array(log2_rows(args, log2))
 
 
-def audit_chunk(tags, snr1, snr2, inr1, inr2):
-    """The columns of :func:`gicap.gap._scalar_audit_chunk` for the same
-    arguments, or its error: the five family deltas, the delta verdict and
-    the two certificates of the weak and mixed channels of class ``tags[k]``
-    with ratios ``snr1[k], snr2[k], inr1[k], inr2[k]``.
+def audit_chunk(tags, dbs, ratios):
+    """The :class:`gicap.gap._Chunk` of :func:`gicap.gap._scalar_audit_chunk`
+    for the same channels, or its error: channel ``k`` has class
+    ``_CLASSES[tags[k]]``, dB values ``dbs[k]`` and ratios ``ratios[k]``.
+    The row codes are the ``tobytes()`` of a ``uint8`` array and the float
+    block an ``(m, 9)`` array.
     """
-    members: dict = {}
-    for k, tag in enumerate(tags):
-        members.setdefault(tag, []).append(k)
-    ratios = np.array((snr1, snr2, inr1, inr2))
     size = len(tags)
-    # object columns: a family the outer bound lacks stays None
-    deltas = [np.full(size, None, dtype=object) for _ in _FAMILIES]
+    floats = np.full((size, 9), np.nan)
+    floats[:, :4] = dbs
     # the last five fields of gap._Judgment: passed, finite, contained, one_bit, within_half
-    verdicts = np.ones((5, size), dtype=bool)
+    verdicts = np.empty((5, size), dtype=bool)
     with np.errstate(all="ignore"):
-        for tag, index in members.items():
-            index = np.array(index)
-            judged = _judge(tag, *ratios[:, index], rows=_rows, where=np.where, minimum=np.minimum)
-            for column, delta in zip(deltas, judged.deltas):
+        for tag in np.flatnonzero(np.bincount(tags)).tolist():
+            index = np.flatnonzero(tags == tag)
+            judged = _judge(
+                _CLASSES[tag], *ratios[index].T, rows=_rows, where=np.where, minimum=np.minimum
+            )
+            for column, delta in enumerate(judged.deltas, 4):
                 if delta is not None:
-                    column[index] = delta
+                    floats[index, column] = delta
             verdicts[:, index] = judged[4:]
-    passed, finite, contained, one_bit, within_half = verdicts.tolist()
-    _raise_first_bad(finite, contained, zip(snr1, snr2, inr1, inr2))
-    return (*(column.tolist() for column in deltas), passed, one_bit, within_half)
+    passed, finite, contained, one_bit, within_half = verdicts
+    if not (finite.all() and contained.all()):
+        _raise_first_bad(finite.tolist(), contained.tolist(), ratios.tolist())
+    codes = 8 * tags + 4 * passed + 2 * one_bit + within_half
+    # fmax skips NaN, so a family no channel has stays NaN
+    worst = [top if top == top else None for top in np.fmax.reduce(floats[:, 4:]).tolist()]
+    return _Chunk(codes.astype(np.uint8).tobytes(), floats, worst)

@@ -455,8 +455,8 @@ def test_c10_cli_determinism_and_figures(tmp_path, monkeypatch, capsys):
         delta_r1=1.2, delta_r2=0.2, delta_sum=0.2, delta_2r1_r2=0.2,
         delta_r1_2r2=0.2, delta_pass=False, one_bit=False, within_half=True,
     )
-    def engine(tags, *ratios):  # the one drawn channel audits as ``record``
-        return [[value] for value in record[5:]]
+    def engine(tags, dbs, ratios):  # the one drawn channel audits as ``record``
+        return gicap.gap._pack(tags, dbs, [record[5:]])
 
     scalar_draws = gicap.gap._Engine(gicap.gap._scalar_select, engine)
     monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: scalar_draws)

@@ -307,8 +307,8 @@ class TestSweep:
             delta_r1=1.5, delta_r2=0.5, delta_sum=1.0, delta_2r1_r2=2.0,
             delta_r1_2r2=2.0, delta_pass=False, one_bit=False, within_half=True,
         )
-        def engine(tags, *ratios):  # the one drawn channel audits as ``record``
-            return [[value] for value in record[5:]]
+        def engine(tags, dbs, ratios):  # the one drawn channel audits as ``record``
+            return gicap.gap._pack(tags, dbs, [record[5:]])
 
         scalar_draws = gicap.gap._Engine(gicap.gap._scalar_select, engine)
         monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: scalar_draws)
@@ -409,10 +409,10 @@ class TestSweepWriterChild:
 
     @pytest.mark.parametrize(
         "n, written",
-        # the error in the first row of the last chunk (None): every frame is
-        # sent before it, and the sweep learns of it when it ends the frames;
-        # in the first row of 20,480 channels, whose frames (about 90 bytes a
-        # row) overfill the 1 MiB pipe: the sweep finds the pipe broken
+        # the error in the last chunk, whose first row is row None: every frame
+        # is sent before it, and the sweep learns of it when it ends the
+        # frames; in the first chunk of 20,480 channels, whose frames (73 bytes
+        # a row) overfill the 1 MiB pipe: the sweep finds the pipe broken
         [(2 * gicap.gap.SWEEP_CHUNK, None), (5 * gicap.gap.SWEEP_CHUNK, 0)],
         ids=["when-the-frames-end", "pipe-broken"],
     )
@@ -422,15 +422,17 @@ class TestSweepWriterChild:
         if written is None:
             *_, last = gicap.gap.sweep_chunks(n, 1, "any")
             written = n - len(last[0])
-        rows = itertools.count()  # the writer child counts in its own copy
-        real_line = gicap.gap._csv_line
+        rows = [0]  # rows formatted so far; the writer child counts in its own copy
+        real_text = gicap.gap._chunk_text
 
-        def full(row):
-            if next(rows) == written:
+        def full(frame):
+            if rows[0] == written:  # the chunk that starts at row ``written``
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return real_line(row)
+            text = real_text(frame)
+            rows[0] += text.count("\n")
+            return text
 
-        monkeypatch.setattr(gicap.gap, "_csv_line", full)
+        monkeypatch.setattr(gicap.gap, "_chunk_text", full)
         forked = (*self.sweep(tmp_path, "forked", "--n", str(n)), capsys.readouterr().err)
         assert len(forks) == 1
         assert_no_child()

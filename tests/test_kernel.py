@@ -5,11 +5,13 @@ sweep must write the same bytes on either engine; only a sweep may import
 numpy; and a streamed sweep must hold flat memory in n.
 """
 
+import array
 import gc
 import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -262,6 +264,86 @@ class TestSweepOnEachEngine:
             assert large < SWEEP_CHUNK, large
 
 
+def decoded_rows(frame):
+    """The records of a frame, decoded row by row: a row code byte per channel,
+    then nine float64 values per channel; an absent delta (NaN) is None."""
+    size = len(frame) // (1 + 8 * 9)
+    values = array.array("d", frame[size:]).tolist()
+    rows = []
+    for k, code in enumerate(frame[:size]):
+        numbers = values[9 * k : 9 * k + 9]
+        deltas = [None if math.isnan(value) else value for value in numbers[4:]]
+        tag = gicap.gap._CLASSES[code >> 3].value
+        rows.append((*numbers[:4], tag, *deltas, bool(code & 4), bool(code & 2), bool(code & 1)))
+    return rows
+
+
+def reference_fold(chunks, check):
+    """Worst deltas and failure count of a sweep's column chunks, folded over
+    the lists with None for an absent delta."""
+    worst = dict.fromkeys(("r1", "r2", "sum", "2r1_r2", "r1_2r2"))
+    failures = 0
+    for columns in chunks:
+        for fam, values in zip(worst, columns[5:10]):
+            present = [value for value in values if value is not None]
+            if present and (worst[fam] is None or max(present) > worst[fam]):
+                worst[fam] = max(present)
+        passed, one_bit, within_half = columns[10:]
+        if check == "one-bit":
+            failures += sum(not (p and o) for p, o in zip(passed, one_bit))
+        else:
+            failures += within_half.count(False)
+    return worst, failures
+
+
+def hexed(worst):
+    return {fam: None if value is None else value.hex() for fam, value in worst.items()}
+
+
+class TestChunkHandoff:
+    """A chunk travels from the engine to the CSV writer as a frame of packed
+    blocks; decoded, it must give the public columns, and the fold on the
+    blocks the worst deltas and failure counts of the columns."""
+
+    @pytest.mark.parametrize("class_filter", sorted(gicap.gap._CLASS_FILTERS))
+    def test_frames_decode_to_the_columns_and_fold_alike(self, engine, monkeypatch, class_filter):
+        # thresholds half a bit lower, the one-bit certificate refused wherever
+        # R2's inner minimum is below 3 bits and the within-half one wherever
+        # R1's is: rows fail each verdict alone
+        monkeypatch.setattr(gicap.gap, "_SLACK", -0.5)
+        real_verdicts = gicap.gap._verdicts
+
+        def verdicts(inner, outer, minimum):
+            contained, one_bit, within_half = real_verdicts(inner, outer, minimum)
+            return (
+                contained,
+                one_bit & (inner[(0.0, 1.0)] > 3.0),
+                within_half & (inner[(1.0, 0.0)] > 3.0),
+            )
+
+        monkeypatch.setattr(gicap.gap, "_verdicts", verdicts)
+        n = NUMPY_MIN_N
+        chunks = list(gicap.gap._sweep(n, 5, class_filter))
+        columns = list(sweep_chunks(n, 5, class_filter))
+        assert len(chunks) == len(columns) > 1
+        for chunk, want in zip(chunks, columns):
+            assert decoded_rows(gicap.gap._frame(chunk)) == list(zip(*want))
+        if class_filter != "weak":
+            # each of the two families a mixed bound lacks is absent on some
+            # rows of a chunk and present on others
+            for family in (8, 9):
+                assert any(
+                    {type(value) for value in chunk[family]} == {float, type(None)}
+                    for chunk in columns
+                )
+        for check in ("one-bit", "within-half"):
+            worst = dict.fromkeys(gicap.gap._FAMILIES.values())
+            failures = sum(gicap.gap._fold_worst(worst, chunk, check) for chunk in chunks)
+            want_worst, want_failures = reference_fold(columns, check)
+            assert failures == want_failures > 0, check
+            assert hexed(worst) == hexed(want_worst)
+
+
 @pytest.mark.parametrize("class_filter, logged_per_channel", [("weak", 18), ("mixed", 13)])
 def test_each_distinct_argument_is_logged_once(monkeypatch, class_filter, logged_per_channel):
     # A weak group's 18 row arguments all differ.  A mixed group's outer
@@ -329,22 +411,27 @@ def drawn_chunks(engine_name, n, rng, accepted):
     """The chunks of an ``n``-channel sweep of classes ``accepted`` that draws
     from ``rng`` on the engine ``engine_name`` (whatever ``n``), each as
     ``(tag, four dB values, four ratios)`` rows; a placeholder stands in for
-    the chunk audit, which sees each chunk's tags and ratios."""
+    the chunk audit, which sees each chunk's class indices, dB values and
+    ratios.  The tags and dB values are read back off the chunk's frame."""
     if engine_name == "numpy":
         select = pytest.importorskip("gicap.kernel").select
     else:
         select = gicap.gap._scalar_select
     audited = []
 
-    def placeholder_audit(tags, *ratios):
-        audited.append((tags, ratios))
-        return [[None] * len(tags)] * 5 + [[True] * len(tags)] * 3
+    def placeholder_audit(tags, dbs, ratios):
+        audited.append((tags, dbs, ratios))
+        return gicap.gap._pack(tags, dbs, [(None,) * 5 + (True,) * 3] * len(tags))
 
     chunks = []
     engine = gicap.gap._Engine(select, placeholder_audit)
-    for columns, (tags, ratios) in zip(gicap.gap._chunks(n, rng, accepted, engine), audited):
+    for chunk, (tags, dbs, ratios) in zip(gicap.gap._chunks(n, rng, accepted, engine), audited):
+        columns = gicap.gap._columns(gicap.gap._frame(chunk))
+        tags = [gicap.gap._CLASSES[tag] for tag in tags]
         assert columns[4] == [tag.value for tag in tags]
-        chunks.append(list(zip(tags, *columns[:4], *ratios)))
+        assert list(zip(*columns[:4])) == [tuple(db) for db in dbs]
+        rows = zip(tags, zip(*columns[:4]), ratios)
+        chunks.append([(tag, *db, *ratio) for tag, db, ratio in rows])
     assert len(chunks) == len(audited)
     return chunks
 
@@ -474,6 +561,31 @@ sys.exit("numpy was imported" if "numpy" in sys.modules else 0)
 """
 
 
+# argv[1] is "preloaded" (numpy imported before the sweep) or "fresh"; prints
+# the OPENBLAS_NUM_THREADS the sweep ran with, the process's thread count
+# after it and whether os.environ came back unchanged
+THREADS_CHILD = """
+import io
+import os
+import sys
+if sys.argv[1] == "preloaded":
+    import numpy
+import gicap.gap
+from gicap.cli import main
+real_sweep = gicap.gap.stream_sweep
+seen = []
+def stream_sweep(*args):
+    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+    return real_sweep(*args)
+gicap.gap.stream_sweep = stream_sweep
+before = dict(os.environ)
+code = main(sys.argv[2:], stdout=io.StringIO())
+assert code == 0 and "gicap.kernel" in sys.modules, code
+print(seen[0], len(os.listdir("/proc/self/task")), dict(os.environ) == before)
+"""
+NUMPY_THREADS = "import os, numpy; print(len(os.listdir('/proc/self/task')))"
+
+
 # sha256 of (stdout, CSV) of `gicap sweep --seed 1 --n 3000`: both engines
 # share one per-channel judgment, so comparing them with each other cannot
 # catch a change that moves both alike
@@ -559,6 +671,34 @@ class TestEngineChoice:
             )
             assert child.returncode == 0, child.stderr.decode(errors="replace")
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, mode
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    @pytest.mark.parametrize(
+        "mode, user_value", [("fresh", None), ("fresh", "2"), ("preloaded", None)]
+    )
+    def test_sweep_loads_numpy_with_one_blas_thread(self, tmp_path, mode, user_value):
+        # one OpenBLAS thread only where the sweep itself imports numpy and
+        # the user set no thread count; os.environ is restored either way
+        pytest.importorskip("numpy")
+        env = gicap_child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        argv = ["sweep", "--seed", "1", "--n", str(NUMPY_MIN_N), "--out", str(tmp_path / "s.csv")]
+        child = subprocess.run(
+            [sys.executable, "-c", THREADS_CHILD, mode, *argv], capture_output=True, env=env
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        seen, threads, restored = child.stdout.decode().split()
+        assert restored == "True"
+        if mode == "fresh" and user_value is None:
+            assert (seen, threads) == ("1", "1")
+        else:
+            # numpy's own pool, as a plain import under the same environment starts it
+            plain = subprocess.run(
+                [sys.executable, "-c", NUMPY_THREADS], capture_output=True, env=env, check=True
+            )
+            assert (seen, threads) == (str(user_value), plain.stdout.decode().strip())
 
     def test_other_subcommands_never_import_numpy(self):
         child = subprocess.run(

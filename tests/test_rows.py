@@ -410,34 +410,40 @@ class TestArrayRows:
 audited_channel = channel.filter(lambda p: not (p.strong_at_1 and p.strong_at_2))
 
 
-def outcome(audit, channels):
-    """The columns ``audit`` returns for ``channels`` as text, or the error it raises."""
-    tags = [classify(p).tag for p in channels]
+def outcome(audit, channels, sequence=list):
+    """The columns and worst deltas of the chunk ``audit`` returns for
+    ``channels`` as text, or the error it raises.  ``audit`` takes its class
+    indices, dB values (here the ratios again) and ratios as ``sequence``s."""
+    tags = [gicap.gap._CLASSES.index(classify(p).tag) for p in channels]
+    ratios = [(p.snr1, p.snr2, p.inr1, p.inr2) for p in channels]
     try:
-        return repr([list(column) for column in audit(tags, *zip(*(
-            (p.snr1, p.snr2, p.inr1, p.inr2) for p in channels
-        )))])
+        chunk = audit(sequence(tags), sequence(ratios), sequence(ratios))
     except gicap.GicapError as exc:
         return f"{type(exc).__name__}: {exc}"
+    return repr((gicap.gap._columns(gicap.gap._frame(chunk)), chunk.worst))
 
 
 class TestChunkAudit:
-    """``kernel.audit_chunk`` returns the scalar path's columns, or raises its error."""
+    """``kernel.audit_chunk`` returns the scalar path's chunk, or raises its error."""
 
     def test_sweep_box(self, kernel):
+        import numpy as np
+
         channels = [
             p
             for p in sweep_box_channels("chunk-audit", 2000)
             if not (p.strong_at_1 and p.strong_at_2)
         ]
         want = outcome(gicap.gap._scalar_audit_chunk, channels)
-        assert want.startswith("[")
-        assert outcome(kernel.audit_chunk, channels) == want
+        assert want.startswith("(")
+        assert outcome(kernel.audit_chunk, channels, np.array) == want
 
     @settings(max_examples=200, deadline=None)
     @given(channels=st.lists(audited_channel, min_size=1, max_size=24))
     @example(channels=[p for p in EDGE_CHANNELS if not (p.strong_at_1 and p.strong_at_2)])
     def test_property(self, kernel, channels):
-        assert outcome(kernel.audit_chunk, channels) == outcome(
+        import numpy as np
+
+        assert outcome(kernel.audit_chunk, channels, np.array) == outcome(
             gicap.gap._scalar_audit_chunk, channels
         )
