@@ -54,7 +54,6 @@ from .gap import (
     kramer_gap,
     one_bit_sweep,
     stream_sweep,
-    sweep_chunks,
 )
 from .gdof import (
     BaselineScheme,

@@ -178,8 +178,12 @@ def one_sided_sum_capacity(snr1: float, snr2: float, inr2: float) -> float:
     """Sum capacity of the one-sided (Z) channel with weak interference: weak row 3.
 
     Valid only for INR2 < SNR1; the strong one-sided case is the MAC sum
-    bound and is handled by the mixed outer bound instead.
+    bound and is handled by the mixed outer bound instead.  Each ratio must
+    be finite and nonnegative; else :class:`DomainError` names it.
     """
+    for name, value in (("snr1", snr1), ("snr2", snr2), ("inr2", inr2)):
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"one-sided sum capacity needs finite {name} >= 0, got {value!r}")
     if not (inr2 < snr1):
         raise DomainError(
             f"one-sided sum capacity needs inr2 < snr1, got inr2={inr2!r}, snr1={snr1!r}"

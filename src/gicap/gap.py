@@ -23,29 +23,32 @@ orientations pair alike.
 
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
-class.  Candidates are drawn a pass at a time, each pass as many as the
-sweep still needs (at most :data:`SWEEP_CHUNK`), and the ones a pass
-accepts are judged as one chunk, whose record columns :func:`sweep_chunks`
-gives.  Both steps run on an engine: the numpy one
-(:mod:`gicap.kernel`) for sweeps of at least :data:`NUMPY_MIN_N` channels,
-else the scalar one, candidate by candidate and channel by channel, without
-importing numpy.  Both engines draw the same candidates, give the same
-columns bit for bit and raise by one rule (:func:`_raise_first_bad`): the
-first channel in draw order whose rates overflow (:class:`DomainError`) or
-whose inner region exceeds its outer bound (:class:`ContainmentError`)
-raises that error, naming the channel.  Channels are judged independently,
-so the results do not depend on evaluation order.
+class.  Every sweep starts in :func:`_sweep`, which checks the arguments,
+seeds the generator and maps the class filter.  Candidates are drawn a pass
+at a time, each pass as many as the sweep still needs (at most
+:data:`SWEEP_CHUNK`), and the ones a pass accepts are judged as one chunk
+(:func:`_chunks`).  Both steps run on an engine, chosen when the first pass
+is drawn: the numpy one (:mod:`gicap.kernel`) for sweeps of at least
+:data:`NUMPY_MIN_N` channels, else the scalar one, candidate by candidate
+and channel by channel, without importing numpy.  Both engines draw the
+same candidates, give the same chunks bit for bit and raise by one rule
+(:func:`_raise_first_bad`): the first channel in draw order whose rates
+overflow (:class:`DomainError`) or whose inner region exceeds its outer
+bound (:class:`ContainmentError`) raises that error, naming the channel.
+Channels are judged independently, so the results do not depend on
+evaluation order.
 
-A chunk stays in binary form from the audit to the CSV (:class:`_Chunk`).
-Its frame (:func:`_frame`) is formatted into CSV rows by one ``%`` per
-chunk (:func:`_chunk_text`), and the public columns are read off the same
-frame (:func:`_columns`).  :func:`stream_sweep` writes each chunk's rows as
-it goes and keeps only the failure count and the worst deltas, so its
-memory does not grow with the sweep size.  On a sweep of more than
-:data:`SWEEP_CHUNK` channels the frames go to a writer child forked before
-the engine is loaded, which formats one chunk while this process draws and
-audits the next; the file gets the same bytes as when they are written in
-process.
+A chunk stays in binary form from the audit to the CSV: both engines build
+its frame (:class:`_Chunk`), the row codes then the float block.  The frame
+is formatted into CSV rows by one ``%`` per chunk (:func:`_chunk_text`),
+the records of :func:`one_bit_sweep` are read off it (:func:`_columns`),
+and so are the failure count and the worst deltas (:func:`_fold_worst`).
+:func:`stream_sweep` writes each chunk's rows as it goes and keeps only the
+failure count and the worst deltas, so its memory does not grow with the
+sweep size.  On a sweep of more than :data:`SWEEP_CHUNK` channels the
+frames go to a writer child forked before the engine is loaded, which
+formats one chunk while this process draws and audits the next; the file
+gets the same bytes as when they are written in process.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import operator
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
@@ -90,7 +93,6 @@ __all__ = [
     "kramer_gap",
     "one_bit_sweep",
     "stream_sweep",
-    "sweep_chunks",
 ]
 
 _LOG2 = math.log2
@@ -347,41 +349,19 @@ def _checked_int(value, what: str, least: float = -math.inf) -> int:
     return number
 
 
-def sweep_chunks(n: int, seed: int, class_filter: str = "any") -> Iterator[tuple]:
-    """A sweep in draw order, one chunk per draw pass, each chunk a tuple of
-    13 columns in :class:`SweepRecord` field order.
-
-    Each candidate takes four ``rng.random()`` draws (SNR1, SNR2, INR1,
-    INR2 in dB) and is rejected after drawing unless its class passes
-    ``class_filter``.  Candidates are drawn in passes of as many as the
-    sweep still needs, at most :data:`SWEEP_CHUNK`, so no pass draws past
-    the n-th accepted candidate; each pass's accepted candidates are one
-    chunk, and a pass that accepts none gives no chunk.  Sweeps of at least
-    :data:`NUMPY_MIN_N` channels classify a pass and audit a chunk on arrays
-    (:func:`gicap.kernel.select`, :func:`gicap.kernel.audit_chunk`) where
-    numpy can be imported, and otherwise candidate by candidate and
-    channel by channel (:func:`_scalar_select`, :func:`_scalar_audit_chunk`);
-    the draws, the columns and the error are identical.  The arguments are
-    checked before the first candidate is drawn.  Each chunk's columns are
-    read off the frame its CSV rows are written from (:func:`_columns`).
-    """
-    return map(_columns, map(_frame, _sweep(n, seed, class_filter)))
-
-
-def _sweep(n, seed, class_filter) -> Iterator[_Chunk]:
-    """The packed chunks of a sweep; the arguments are checked at once."""
+def _sweep(n, seed, class_filter) -> tuple[int, int, Iterator[_Chunk]]:
+    """Start a sweep: ``(n, seed, chunks)``, with ``n`` and ``seed`` checked
+    as ints and ``chunks`` the :func:`_chunks` of ``n`` channels of the
+    classes ``class_filter`` names, drawn from ``random.Random(seed)``.  A bad
+    argument raises :class:`DomainError` here, before the first draw."""
     n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
-    return _chunks(n, random.Random(seed), _accepted(class_filter), _chunk_engine(n))
-
-
-def _accepted(class_filter) -> tuple:
-    """The tags ``class_filter`` accepts; an unknown filter raises :class:`DomainError`."""
     try:
-        return _CLASS_FILTERS[class_filter]
+        accepted = _CLASS_FILTERS[class_filter]
     except (KeyError, TypeError):
         raise DomainError(
             f"unknown class filter {class_filter!r}; expected one of {sorted(_CLASS_FILTERS)}"
         ) from None
+    return n, seed, _chunks(n, random.Random(seed), accepted)
 
 
 # The classes of sweep records, by their index in a row code (see _Chunk).
@@ -391,22 +371,31 @@ _CLASSES = tuple(InterferenceTag)
 class _Chunk(NamedTuple):
     """An audited chunk, as both engines pack it.
 
-    ``codes`` holds one byte per channel, its row code: the index of its
-    class in :data:`_CLASSES` times 8, plus 4 for a passing delta verdict, 2
-    for a one-bit certificate and 1 for a within-half certificate.
-    ``floats`` is a row-major float64 block (an ndarray, or an
-    ``array('d')`` on the scalar engine) of nine values per channel: SNR1,
-    SNR2, INR1, INR2 in dB and the five family deltas, NaN where the class
-    lacks the family.  ``worst`` is each family's largest delta in the
-    chunk, None where no channel has the family.
+    ``frame`` is the chunk as bytes, as the CSV writer gets it: first one
+    byte per channel, its row code (the index of its class in
+    :data:`_CLASSES` times 8, plus 4 for a passing delta verdict, 2 for a
+    one-bit certificate and 1 for a within-half certificate), then a
+    row-major float64 block of nine values per channel: SNR1, SNR2, INR1,
+    INR2 in dB and the five family deltas, NaN where the class lacks the
+    family.  ``worst`` is each family's largest delta in the chunk, None
+    where no channel has the family.
     """
 
-    codes: bytes
-    floats: object
+    frame: bytes
     worst: list
 
 
-def _chunks(n, rng, accepted, engine) -> Iterator[_Chunk]:
+def _chunks(n, rng, accepted) -> Iterator[_Chunk]:
+    """The chunks of a sweep of ``n`` channels of the classes ``accepted``
+    that draws from ``rng``, in draw order, one per draw pass that accepts a
+    candidate.
+
+    Each candidate takes four ``rng.random()`` draws (SNR1, SNR2, INR1,
+    INR2 in dB) and is rejected after drawing unless its class is accepted.
+    The engine (:func:`_chunk_engine`) is chosen when the first pass is
+    drawn, so a caller may fork before numpy is imported.
+    """
+    select, audit = _chunk_engine(n)
     draw = rng.random
     accept = {
         strength: _CLASSES.index(tag)
@@ -420,10 +409,10 @@ def _chunks(n, rng, accepted, engine) -> Iterator[_Chunk]:
         # rng.random() is the one generator method with a documented
         # cross-version reproducibility guarantee.
         draws = itertools.starmap(draw, itertools.repeat((), 4 * min(n - done, SWEEP_CHUNK)))
-        tags, dbs, ratios = engine.select(draws, accept)
+        tags, dbs, ratios = select(draws, accept)
         if len(tags):
             done += len(tags)
-            yield engine.audit(tags, dbs, ratios)
+            yield audit(tags, dbs, ratios)
         del tags, dbs, ratios  # hold no chunk while the next pass is drawn
 
 
@@ -457,18 +446,13 @@ def _scalar_select(draws, accept):
     return tags, dbs, ratios
 
 
-class _Engine(NamedTuple):
-    """A sweep engine's two hooks: ``select`` takes a pass's draws to its
-    accepted candidates (:func:`_scalar_select`), ``audit`` a chunk's class
-    indices, dB values and ratios to its :class:`_Chunk` (:func:`_scalar_audit_chunk`)."""
-
-    select: Callable
-    audit: Callable
-
-
-def _chunk_engine(n: int) -> _Engine:
-    """The numpy engine (:mod:`gicap.kernel`) for sweeps of at least
-    :data:`NUMPY_MIN_N` channels where numpy can be imported, else the scalar one."""
+def _chunk_engine(n: int) -> tuple:
+    """``(select, audit)`` of a sweep of ``n`` channels: ``select`` takes a
+    pass's draws to its accepted candidates (:func:`_scalar_select`), and
+    ``audit`` a chunk's class indices, dB values and ratios to its
+    :class:`_Chunk` (:func:`_scalar_audit_chunk`).  The numpy engine's
+    (:mod:`gicap.kernel`) for sweeps of at least :data:`NUMPY_MIN_N`
+    channels where numpy can be imported, else the scalar one's."""
     if n >= NUMPY_MIN_N:
         try:
             from .kernel import audit_chunk, select
@@ -476,8 +460,8 @@ def _chunk_engine(n: int) -> _Engine:
             if exc.name != "numpy":
                 raise
         else:
-            return _Engine(select, audit_chunk)
-    return _Engine(_scalar_select, _scalar_audit_chunk)
+            return select, audit_chunk
+    return _scalar_select, _scalar_audit_chunk
 
 
 def _scalar_audit_chunk(tags, dbs, ratios) -> _Chunk:
@@ -506,7 +490,7 @@ def _pack(tags, dbs, tails) -> _Chunk:
     )
     families = itertools.islice(zip(*tails), 5)
     worst = [max((d for d in family if d is not None), default=None) for family in families]
-    return _Chunk(codes, floats, worst)
+    return _Chunk(codes + floats.tobytes(), worst)
 
 
 # A row code's failure flag (1) by the guarantee a sweep checks: one-bit
@@ -517,30 +501,47 @@ _FAILED = {
 }
 
 
+# A frame row's size: its row code byte and nine float64 values (see _Chunk).
+_ROW_VALUES = 9
+_ROW_BYTES = 1 + 8 * _ROW_VALUES
+
+
+def _codes(frame: bytes) -> bytes:
+    """The row codes at the head of a frame."""
+    return frame[: len(frame) // _ROW_BYTES]
+
+
+def _unframe(frame: bytes) -> tuple[bytes, list[float]]:
+    """The row codes of a frame and the values of its float block."""
+    codes = _codes(frame)
+    return codes, memoryview(frame)[len(codes):].cast("d").tolist()
+
+
 def _fold_worst(worst: dict[str, float | None], chunk: _Chunk, check: str) -> int:
     """Raise each family's entry of ``worst`` to its largest delta in ``chunk``;
     returns the number of the chunk's channels that fail ``check``."""
     for fam, top in zip(_FAMILIES.values(), chunk.worst):
         if top is not None and (worst[fam] is None or top > worst[fam]):
             worst[fam] = top
-    return chunk.codes.translate(_FAILED[check]).count(1)
+    return _codes(chunk.frame).translate(_FAILED[check]).count(1)
 
 
 def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
-    """Random-channel audit of the one-bit guarantee.
+    """Random-channel audit of the one-bit guarantee, its records in draw order.
 
     A failure is a record whose exact deltas violate their thresholds or
     whose geometric one-bit certificate is false.  Failures are returned
-    as data, never raised.
+    as data, never raised.  The sweep starts as every sweep does
+    (:func:`_sweep`), and its records are read off its chunks' frames.
     """
-    n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
-    chunks = list(_sweep(n, seed, class_filter))
+    n, seed, chunks = _sweep(n, seed, class_filter)
+    chunks = list(chunks)
     worst = dict.fromkeys(_FAMILIES.values())
     for chunk in chunks:
         _fold_worst(worst, chunk, "one-bit")
-    rows = (zip(*_columns(_frame(chunk))) for chunk in chunks)
+    rows = (zip(*_columns(chunk.frame)) for chunk in chunks)
     records = tuple(map(SweepRecord._make, itertools.chain.from_iterable(rows)))
-    failed = b"".join(chunk.codes for chunk in chunks).translate(_FAILED["one-bit"])
+    failed = b"".join(_codes(chunk.frame) for chunk in chunks).translate(_FAILED["one-bit"])
     return SweepResult(
         n=n,
         seed=seed,
@@ -549,21 +550,6 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
         failures=tuple(itertools.compress(records, failed)),
         worst_deltas=worst,
     )
-
-
-# A frame is a chunk as bytes: its row codes, then its float block.
-_ROW_VALUES = 9
-_ROW_BYTES = 1 + 8 * _ROW_VALUES
-
-
-def _frame(chunk: _Chunk) -> bytes:
-    return chunk.codes + chunk.floats.tobytes()
-
-
-def _unframe(frame: bytes) -> tuple[bytes, list[float]]:
-    """The row codes of a frame and the values of its float block."""
-    size = len(frame) // _ROW_BYTES
-    return frame[:size], memoryview(frame)[size:].cast("d").tolist()
 
 
 def _columns(frame: bytes) -> tuple:
@@ -606,19 +592,8 @@ def _chunk_text(frame: bytes) -> str:
     return "".join(map(_CSV_TEMPLATES.__getitem__, codes)) % tuple(values)
 
 
-def _summary(n: int, failures: int, worst: dict[str, float | None], seed: int) -> dict:
-    return {
-        "n": n,
-        "failures": failures,
-        "worst_deltas": {
-            fam: (None if v is None else sigfig(v)) for fam, v in worst.items()
-        },
-        "seed": seed,
-    }
-
-
 class _RowWriter:
-    """Writes a sweep's CSV rows to ``fh``, one chunk's frame (:func:`_frame`)
+    """Writes a sweep's CSV rows to ``fh``, one chunk's frame (:class:`_Chunk`)
     per :meth:`write`: in this process, or, with ``fork``, in a writer child
     forked here, which formats a chunk while this process draws and audits
     the next one.  Either way a frame's rows are formatted by :func:`_chunk_text`.
@@ -737,19 +712,19 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     ``path`` is opened; a bad one raises :class:`DomainError`.  Returns the
     JSON-ready summary ``{n, failures, worst_deltas, seed}``.
 
-    A sweep of more than :data:`SWEEP_CHUNK` channels, where ``os.fork``
-    exists, writes its rows from a writer child (:class:`_RowWriter`) forked
-    after the header is written and before the engine imports numpy, so the
-    child is small and formats one chunk while this process draws and audits
-    the next; a smaller sweep writes them in process, by the same function.
-    Either way the file gets the same bytes: on an error mid-sweep, the
-    rows of every chunk audited before it; an :class:`OSError` in the
-    child is raised here.
+    The sweep starts as every sweep does (:func:`_sweep`).  One of more
+    than :data:`SWEEP_CHUNK` channels, where ``os.fork`` exists, writes its
+    rows from a writer child (:class:`_RowWriter`) forked after the header
+    is written and before the first pass loads the engine, which may import
+    numpy; so the child is small and formats one chunk's frame while this
+    process draws and audits the next.  A smaller sweep writes them in
+    process, by the same function.  Either way the file gets the same
+    bytes: on an error mid-sweep, the rows of every chunk audited before it;
+    an :class:`OSError` in the child is raised here.
     """
     if not (isinstance(check, str) and check in _FAILED):
         raise DomainError(f"unknown check {check!r}; expected one of {sorted(_FAILED)}")
-    n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
-    accepted = _accepted(class_filter)
+    n, seed, chunks = _sweep(n, seed, class_filter)
     failures = 0
     worst = dict.fromkeys(_FAMILIES.values())
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -757,13 +732,18 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
         fh.flush()
         rows = _RowWriter(fh, fork=n > SWEEP_CHUNK and hasattr(os, "fork"))
         try:
-            for chunk in _chunks(n, random.Random(seed), accepted, _chunk_engine(n)):
-                rows.write(_frame(chunk))
+            for chunk in chunks:
+                rows.write(chunk.frame)
                 failures += _fold_worst(worst, chunk, check)
                 del chunk  # drop this chunk before the next one is drawn
         finally:
             rows.close()
-    return _summary(n, failures, worst, seed)
+    return {
+        "n": n,
+        "failures": failures,
+        "worst_deltas": {fam: None if v is None else sigfig(v) for fam, v in worst.items()},
+        "seed": seed,
+    }
 
 
 def kramer_gap(snr: float, inr: float) -> float:

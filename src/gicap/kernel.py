@@ -9,18 +9,19 @@ exponents of the dB-to-ratio map; only a comparison near a tie, and the
 accepted candidates' ratios, take Python's pow, as the scalar engine does.
 
 :func:`audit_chunk` takes a chunk's class indices, dB values and ratios and
-returns it packed (:class:`gicap.gap._Chunk`): a row code per channel and
-a float64 block of its dB values and five family deltas, NaN where its
-class lacks the family.  It groups the channels by class index with array
-operations and runs the one per-channel judgment of the scalar engine,
-:func:`gicap.gap._judge`, once per group, on arrays: ``np.where`` chooses
-the rows' branches, ``np.minimum`` takes the family minima and the
-certificates' support functions, and :func:`_rows` folds the rows with
-``math.log2`` mapped once over each distinct argument (``np.log2`` rounds
-differently on some inputs), so every rate, family delta (passing below
-``c1 + c2`` bits) and verdict is the scalar engine's.  It writes each
-group's deltas and verdicts into the chunk's blocks in draw order and
-raises by the scalar engine's rule (:func:`gicap.gap._raise_first_bad`).
+returns it packed (:class:`gicap.gap._Chunk`): its frame, a row code per
+channel followed by a float64 block of its dB values and five family
+deltas, NaN where its class lacks the family, as the CSV writer reads it.
+It groups the channels by class index with array operations and runs the
+one per-channel judgment of the scalar engine, :func:`gicap.gap._judge`,
+once per group, on arrays: ``np.where`` chooses the rows' branches,
+``np.minimum`` takes the family minima and the certificates' support
+functions, and :func:`_rows` folds the rows with ``math.log2`` mapped once
+over each distinct argument (``np.log2`` rounds differently on some
+inputs), so every rate, family delta (passing below ``c1 + c2`` bits) and
+verdict is the scalar engine's.  It writes each group's deltas and
+verdicts into the chunk's blocks in draw order and raises by the scalar
+engine's rule (:func:`gicap.gap._raise_first_bad`).
 
 Only sweeps of at least :data:`gicap.gap.NUMPY_MIN_N` channels import
 this module, and only where numpy is installed (the ``fast`` extra);
@@ -110,8 +111,8 @@ def audit_chunk(tags, dbs, ratios):
     """The :class:`gicap.gap._Chunk` of :func:`gicap.gap._scalar_audit_chunk`
     for the same channels, or its error: channel ``k`` has class
     ``_CLASSES[tags[k]]``, dB values ``dbs[k]`` and ratios ``ratios[k]``.
-    The row codes are the ``tobytes()`` of a ``uint8`` array and the float
-    block an ``(m, 9)`` array.
+    The frame is the ``tobytes()`` of a ``uint8`` array of row codes and of
+    an ``(m, 9)`` float array.
     """
     size = len(tags)
     floats = np.full((size, 9), np.nan)
@@ -134,4 +135,4 @@ def audit_chunk(tags, dbs, ratios):
     codes = 8 * tags + 4 * passed + 2 * one_bit + within_half
     # fmax skips NaN, so a family no channel has stays NaN
     worst = [top if top == top else None for top in np.fmax.reduce(floats[:, 4:]).tolist()]
-    return _Chunk(codes.astype(np.uint8).tobytes(), floats, worst)
+    return _Chunk(codes.astype(np.uint8).tobytes() + floats.tobytes(), worst)

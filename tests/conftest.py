@@ -28,6 +28,14 @@ def gicap_child_env() -> dict[str, str]:
     return env
 
 
+def sweep_chunks(n, seed, class_filter="any"):
+    """A sweep's chunks in draw order, each as its 13 record columns in
+    :class:`gicap.SweepRecord` field order, read off the chunk's frame; the
+    arguments are checked at once."""
+    chunks = gicap.gap._sweep(n, seed, class_filter)[2]
+    return (gicap.gap._columns(chunk.frame) for chunk in chunks)
+
+
 def vertex_sets_equal(a, b, tol=1e-9) -> bool:
     """Compare two canonical vertex lists coordinate-wise within tol."""
     if len(a) != len(b):

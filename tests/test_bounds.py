@@ -252,6 +252,20 @@ class TestOneSidedSumCapacity:
         with pytest.raises(DomainError):
             one_sided_sum_capacity(10, 100, 20)
 
+    @pytest.mark.parametrize(
+        "ratios, name",
+        [
+            ((0.0, 0.0, -1.0), "inr2"),  # was a ZeroDivisionError
+            ((1.0, -math.inf, 0.0), "snr2"),  # was a bare ValueError
+            ((1.0, math.nan, 0.0), "snr2"),  # returned nan
+            ((math.inf, 1.0, 0.0), "snr1"),  # returned inf
+            ((-1.0, 1.0, -2.0), "snr1"),
+        ],
+    )
+    def test_bad_ratio_is_named(self, ratios, name):
+        with pytest.raises(DomainError, match=f"needs finite {name} >= 0"):
+            one_sided_sum_capacity(*ratios)
+
     def test_achieved_by_treating_interference_as_noise(self, rng):
         # with the cross link to receiver 1 absent, full-power private
         # transmission attains the sum capacity at a box corner

@@ -22,7 +22,7 @@ from gicap import (
     vertices,
 )
 from gicap.cli import _build_parser, main
-from conftest import gicap_child_env, slope_tie_grid, vertex_sets_equal
+from conftest import gicap_child_env, slope_tie_grid, sweep_chunks, vertex_sets_equal
 
 
 def run_cli(args):
@@ -310,7 +310,7 @@ class TestSweep:
         def engine(tags, dbs, ratios):  # the one drawn channel audits as ``record``
             return gicap.gap._pack(tags, dbs, [record[5:]])
 
-        scalar_draws = gicap.gap._Engine(gicap.gap._scalar_select, engine)
+        scalar_draws = (gicap.gap._scalar_select, engine)
         monkeypatch.setattr(gicap.gap, "_chunk_engine", lambda n: scalar_draws)
         code, text = run_cli(
             ["sweep", "--n", "1", "--seed", "1", "--class", "weak",
@@ -382,7 +382,7 @@ class TestSweepWriterChild:
         self, tmp_path, monkeypatch, forks
     ):
         n = 2 * gicap.gap.SWEEP_CHUNK
-        first_two = itertools.islice(gicap.gap.sweep_chunks(n, 1, "any"), 2)
+        first_two = itertools.islice(sweep_chunks(n, 1, "any"), 2)
         rows = sum(len(chunk[0]) for chunk in first_two)
         real_engine = gicap.gap._chunk_engine
 
@@ -395,7 +395,7 @@ class TestSweepWriterChild:
                     raise ContainmentError("forced in the third chunk")
                 return audit_chunk(*chunk)
 
-            return gicap.gap._Engine(select, audit)
+            return select, audit
 
         monkeypatch.setattr(gicap.gap, "_chunk_engine", engine)
         forked = self.sweep(tmp_path, "forked", "--n", str(n))
@@ -420,7 +420,7 @@ class TestSweepWriterChild:
         self, tmp_path, monkeypatch, capsys, forks, n, written
     ):
         if written is None:
-            *_, last = gicap.gap.sweep_chunks(n, 1, "any")
+            *_, last = sweep_chunks(n, 1, "any")
             written = n - len(last[0])
         rows = [0]  # rows formatted so far; the writer child counts in its own copy
         real_text = gicap.gap._chunk_text

@@ -8,6 +8,7 @@ numpy; and a streamed sweep must hold flat memory in n.
 import array
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -38,8 +39,8 @@ from gicap import (
 )
 from gicap.channel import TAG_BY_STRENGTH
 from gicap.cli import main
-from gicap.gap import NUMPY_MIN_N, SWEEP_CHUNK, SweepRecord, sweep_chunks
-from conftest import gicap_child_env, random_channel
+from gicap.gap import NUMPY_MIN_N, SWEEP_CHUNK, SweepRecord
+from conftest import gicap_child_env, random_channel, sweep_chunks
 from reference_audit import THRESHOLDS
 
 SCALAR_ENGINE = (gicap.gap._scalar_select, gicap.gap._scalar_audit_chunk)
@@ -323,11 +324,11 @@ class TestChunkHandoff:
 
         monkeypatch.setattr(gicap.gap, "_verdicts", verdicts)
         n = NUMPY_MIN_N
-        chunks = list(gicap.gap._sweep(n, 5, class_filter))
+        chunks = list(gicap.gap._sweep(n, 5, class_filter)[2])
         columns = list(sweep_chunks(n, 5, class_filter))
         assert len(chunks) == len(columns) > 1
         for chunk, want in zip(chunks, columns):
-            assert decoded_rows(gicap.gap._frame(chunk)) == list(zip(*want))
+            assert decoded_rows(chunk.frame) == list(zip(*want))
         if class_filter != "weak":
             # each of the two families a mixed bound lacks is absent on some
             # rows of a chunk and present on others
@@ -424,14 +425,15 @@ def drawn_chunks(engine_name, n, rng, accepted):
         return gicap.gap._pack(tags, dbs, [(None,) * 5 + (True,) * 3] * len(tags))
 
     chunks = []
-    engine = gicap.gap._Engine(select, placeholder_audit)
-    for chunk, (tags, dbs, ratios) in zip(gicap.gap._chunks(n, rng, accepted, engine), audited):
-        columns = gicap.gap._columns(gicap.gap._frame(chunk))
-        tags = [gicap.gap._CLASSES[tag] for tag in tags]
-        assert columns[4] == [tag.value for tag in tags]
-        assert list(zip(*columns[:4])) == [tuple(db) for db in dbs]
-        rows = zip(tags, zip(*columns[:4]), ratios)
-        chunks.append([(tag, *db, *ratio) for tag, db, ratio in rows])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gicap.gap, "_chunk_engine", lambda n: (select, placeholder_audit))
+        for chunk, (tags, dbs, ratios) in zip(gicap.gap._chunks(n, rng, accepted), audited):
+            columns = gicap.gap._columns(chunk.frame)
+            tags = [gicap.gap._CLASSES[tag] for tag in tags]
+            assert columns[4] == [tag.value for tag in tags]
+            assert list(zip(*columns[:4])) == [tuple(db) for db in dbs]
+            rows = zip(tags, zip(*columns[:4]), ratios)
+            chunks.append([(tag, *db, *ratio) for tag, db, ratio in rows])
     assert len(chunks) == len(audited)
     return chunks
 
@@ -586,6 +588,42 @@ print(seen[0], len(os.listdir("/proc/self/task")), dict(os.environ) == before)
 NUMPY_THREADS = "import os, numpy; print(len(os.listdir('/proc/self/task')))"
 
 
+# argv[1] names a step that must happen before a sweep loads its engine, and
+# argv[2] is a path: "path" streams a kernel-sized sweep to that unopenable
+# path, "filter" gives one_bit_sweep a bad class filter, and "fork" runs
+# `gicap sweep` over more than two chunks with os.fork wrapped.  Prints
+# whether numpy was loaded when the step failed or forked, and whether the
+# kernel was loaded at the end.
+ORDER_CHILD = """
+import io
+import os
+import sys
+import gicap.gap
+from gicap import DomainError, one_bit_sweep, stream_sweep
+from gicap.cli import main
+step, path = sys.argv[1:]
+seen = []
+if step == "fork":
+    real_fork = os.fork
+    def fork():
+        seen.append("numpy" in sys.modules)
+        return real_fork()
+    os.fork = fork
+    argv = ["sweep", "--seed", "1", "--n", str(2 * gicap.gap.SWEEP_CHUNK + 1), "--out", path]
+    assert main(argv, stdout=io.StringIO()) == 0
+else:
+    sweep, error = {
+        "path": (lambda: stream_sweep(gicap.gap.NUMPY_MIN_N, 1, "weak", "one-bit", path), OSError),
+        "filter": (lambda: one_bit_sweep(gicap.gap.NUMPY_MIN_N, 1, "bogus"), DomainError),
+    }[step]
+    try:
+        sweep()
+    except error:
+        seen.append("numpy" in sys.modules)
+print(seen, "gicap.kernel" in sys.modules)
+"""
+
+
 # sha256 of (stdout, CSV) of `gicap sweep --seed 1 --n 3000`: both engines
 # share one per-channel judgment, so comparing them with each other cannot
 # catch a change that moves both alike
@@ -699,6 +737,21 @@ class TestEngineChoice:
                 [sys.executable, "-c", NUMPY_THREADS], capture_output=True, env=env, check=True
             )
             assert (seen, threads) == (str(user_value), plain.stdout.decode().strip())
+
+    @pytest.mark.parametrize("step", ["path", "filter", "fork"])
+    def test_sweep_loads_its_engine_after_the_checks_and_the_fork(self, tmp_path, step):
+        # a sweep checks its arguments, opens its file and forks its writer
+        # child before the first draw pass loads the engine, which imports numpy
+        path = tmp_path / ("s.csv" if step == "fork" else "missing/s.csv")
+        child = subprocess.run(
+            [sys.executable, "-c", ORDER_CHILD, step, str(path)],
+            capture_output=True,
+            env=gicap_child_env(),
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        # the fork sweep runs on the kernel wherever numpy can be imported
+        kernel = step == "fork" and importlib.util.find_spec("numpy") is not None
+        assert child.stdout.decode().split() == ["[False]", str(kernel)]
 
     def test_other_subcommands_never_import_numpy(self):
         child = subprocess.run(

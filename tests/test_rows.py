@@ -420,7 +420,7 @@ def outcome(audit, channels, sequence=list):
         chunk = audit(sequence(tags), sequence(ratios), sequence(ratios))
     except gicap.GicapError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return repr((gicap.gap._columns(gicap.gap._frame(chunk)), chunk.worst))
+    return repr((gicap.gap._columns(chunk.frame), chunk.worst))
 
 
 class TestChunkAudit:
