@@ -43,11 +43,17 @@ __all__ = [
 
 
 def db_to_linear(db: float) -> float:
-    """Convert a dB value to a linear power ratio: 10**(db/10)."""
+    """Convert a dB value to a linear power ratio: 10**(db/10).
+
+    NaN dB and dB values whose ratio is beyond the float range (+inf
+    included) raise :class:`DomainError`; -inf dB is the zero ratio."""
     try:
-        return 10.0 ** (db / 10.0)
+        ratio = 10.0 ** (db / 10.0)
     except OverflowError:
-        raise DomainError(f"{db!r} dB is beyond the float range") from None
+        ratio = math.inf
+    if not ratio < math.inf:  # NaN too
+        raise DomainError(f"{db!r} dB gives no finite power ratio")
+    return ratio
 
 
 def linear_to_db(x: float) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -198,17 +199,25 @@ def _emit(obj, args, stream, table=None) -> None:
     """Write ``obj`` as JSON, or as key,value CSV with dotted paths.
 
     A figure passes ``table = (header, rows)`` in place of ``obj``: JSON
-    ``{"columns": header, "rows": rows}``, or CSV of the rows by default."""
+    ``{"columns": header, "rows": rows}``, or CSV of the rows by default.
+    A table holds floats only, so its CSV rows are formatted by one ``%``
+    over the whole table, as :func:`gicap.gap._chunk_text` formats a sweep
+    chunk: ``"%.12g" % v`` is ``f"{v:.12g}"`` for every float."""
     if table is not None:
         obj = {"columns": table[0], "rows": table[1]}
     if (args.format or ("json" if table is None else "csv")) == "json":
         json.dump(_round_floats(obj), stream, indent=2)
         stream.write("\n")
         return
-    header, rows = table or (("key", "value"), _flatten(obj))
+    if table is None:
+        stream.write("key,value\n")
+        for row in _flatten(obj):
+            stream.write(",".join(map(_cell, row)) + "\n")
+        return
+    header, rows = table
+    template = ",".join(["%.12g"] * len(header)) + "\n"
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(map(_cell, row)) + "\n")
+    stream.write((template * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def _cmd_classify(args, stdout) -> int:

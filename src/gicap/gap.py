@@ -623,7 +623,6 @@ class _RowWriter:
         frames_in, frames_out, errors_in, errors_out = fds
         os.close(frames_in)
         os.close(errors_out)
-        _widen(frames_out)
         self._pid, self._frames, self._errors = pid, frames_out, errors_in
 
     def write(self, frame: bytes) -> None:
@@ -651,26 +650,6 @@ class _RowWriter:
         if status:
             code = os.waitstatus_to_exitcode(status)
             raise OSError(f"the sweep's CSV writer process ended with status {code}")
-
-
-# A pipe that holds several frames (a weak chunk's is about 120 kB) lets the
-# sweep run ahead of its writer child instead of blocking on each frame and
-# being woken by the child, which often left the two processes sharing one
-# CPU: a 40,000-channel mixed sweep took 0.26-0.33 s with the default 64 KiB
-# pipe and 0.23 s with 1 MiB (medians of 8 sweeps, 2 vCPU VM; chunks of 1,024
-# channels).  1 MiB is Linux's default limit for an unprivileged process.
-_PIPE_BYTES = 1 << 20
-
-
-def _widen(fd: int) -> None:
-    """Grow the pipe ``fd`` to :data:`_PIPE_BYTES` where the platform allows it."""
-    import fcntl  # every platform with os.fork has it
-
-    if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
-        try:
-            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except OSError:  # above the system's limit: keep the default size
-            pass
 
 
 def _write_frames(fh, frames_in: int, frames_out: int, errors_in: int, errors_out: int) -> None:

@@ -230,6 +230,14 @@ class TestDbHelpers:
         with pytest.raises(DomainError, match="4000"):
             db_to_linear(4000.0)
 
+    @pytest.mark.parametrize("db", [math.nan, math.inf])
+    def test_non_finite_db_named(self, db):
+        with pytest.raises(DomainError, match=repr(db)):
+            db_to_linear(db)
+
+    def test_minus_infinity_is_the_zero_ratio(self):
+        assert db_to_linear(-math.inf) == 0.0
+
     def test_nonpositive_rejected(self):
         with pytest.raises(DomainError):
             linear_to_db(0.0)
@@ -249,6 +257,8 @@ class TestDbHelpers:
         (symmetric_hk_rate, (10.0, math.nan)),
         (symmetric_regime, (10.0, math.inf)),
         (baseline_gdof, (math.nan, "orthogonalize")),
+        (db_to_linear, (math.nan,)),
+        (db_to_linear, (math.inf,)),
     ],
     ids=lambda call: call[0].__name__,
 )

@@ -412,7 +412,7 @@ class TestSweepWriterChild:
         # the error in the last chunk, whose first row is row None: every frame
         # is sent before it, and the sweep learns of it when it ends the
         # frames; in the first chunk of 20,480 channels, whose frames (73 bytes
-        # a row) overfill the 1 MiB pipe: the sweep finds the pipe broken
+        # a row) overfill the pipe: the sweep finds the pipe broken
         [(2 * gicap.gap.SWEEP_CHUNK, None), (5 * gicap.gap.SWEEP_CHUNK, 0)],
         ids=["when-the-frames-end", "pipe-broken"],
     )
@@ -628,6 +628,17 @@ class TestFigures:
             main(["figures", "nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "figure_id, alpha",
+        [(f, None) for f in gicap.cli._FIGURE_IDS if f != "gdof-region"]
+        + [("gdof-region", a) for a in (0.0, 0.5, 2 / 3, 1.0, 2.0, 3.0)],
+    )
+    def test_every_cell_is_a_float(self, figure_id, alpha):
+        # _emit formats a table's CSV with one "%.12g" per cell
+        header, rows = gicap.cli._figure_rows(figure_id, alpha)
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert {type(cell) for row in rows for cell in row} == {float}
+
 
 def _slope(rng):
     """A slope in [0, 3]: a class or W-curve breakpoint a quarter of the time."""
@@ -687,6 +698,27 @@ def test_gdof_outputs_keep_their_bytes(group):
         assert code == 0, argv
         digest.update(out.encode())
     assert digest.hexdigest() == GDOF_DIGESTS[group]
+
+
+# sha256 of the stdout of each figure that takes no parameters, by format
+FIGURE_DIGESTS = {
+    "gdof-curve-csv": "af6cd2f2fed33cc5078a374a5996828c34c29908cc19e1c6a05b74886bad2540",
+    "gdof-curve-json": "90400f610d58adee97972f684be9eebf5f69d2ea1f0167ac98e5e2341ef059d8",
+    "hk-fraction-csv": "795c9aa5ef46d73f42cd09fb5c5deb261f9ca48f1ecab8878cb09fac4f2542ce",
+    "hk-fraction-json": "850238742c2b932ffa406a3394e07f046bd316637c6c83a6d3e24e11bd1e25bc",
+    "ub-vs-hk-csv": "b3131531e2706f352f445db25d062e5bf2476cc4580ef0aedc14272227a5c27e",
+    "ub-vs-hk-json": "417321a3ec1180a0a8521945443b05201f86454f1c3540c5641f21e9a696e13b",
+    "diff-rates-csv": "2f8089e338b06a424d5a8db7ef32c17d236275b7ed9541f650a953eaaacfbd65",
+    "diff-rates-json": "c5348fd934233ff96de31dcd517324dfe8340e29ba71c71fb14669ed60c45723",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_DIGESTS))
+def test_figures_keep_their_bytes(figure):
+    figure_id, fmt = figure.rsplit("-", 1)
+    code, out = run_cli(["figures", figure_id, "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_DIGESTS[figure]
 
 
 class TestDiffrate:
