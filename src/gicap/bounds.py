@@ -144,8 +144,9 @@ def weak_outer(params: ChannelParams) -> RateRegion:
     """Seven-constraint outer bound for weak interference channels.
 
     Constraint order (two singles, three sums, 2R1+R2, R1+2R2) is part of
-    the contract; gap audits pair it positionally with the achievable
-    region's constraints.
+    the contract.  Gap audits take the minimum of each family, so the order
+    matters only for the per-index ``paired_deltas`` of ``gap-audit`` and
+    for output bytes.
     """
     return class_outer(params, InterferenceTag.WEAK)
 

@@ -64,14 +64,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import (
-    TAG_BY_STRENGTH,
-    ChannelParams,
-    InterferenceTag,
-    _power_inr,
-    classify,
-    db_to_linear,
-)
+from .channel import ChannelParams, InterferenceTag, _power_inr, classify, db_to_linear
 from .errors import (
     ClassMismatchError,
     ContainmentError,
@@ -110,13 +103,12 @@ _SLACK = 1e-9
 # Swapping the users exchanges the first two achievable sum rows, so its sum
 # rows pair with the inner sums in this order.
 _SWAPPED_SUM_ORDER = (1, 0, 2)
-# (strong at receiver 1, strong at receiver 2) of each class
-_STRENGTHS = {tag: strengths for strengths, tag in TAG_BY_STRENGTH.items()}
 
 SNR_DB_RANGE = (0.0, 60.0)
 INR_DB_RANGE = (-20.0, 60.0)
-_SNR_SPAN = SNR_DB_RANGE[1] - SNR_DB_RANGE[0]
-_INR_SPAN = INR_DB_RANGE[1] - INR_DB_RANGE[0]
+# The sweep box: dB = low + span * rng.random(), per value: SNR1, SNR2, INR1, INR2
+_DB_LOW = (SNR_DB_RANGE[0],) * 2 + (INR_DB_RANGE[0],) * 2
+_DB_SPAN = (SNR_DB_RANGE[1] - SNR_DB_RANGE[0],) * 2 + (INR_DB_RANGE[1] - INR_DB_RANGE[0],) * 2
 
 
 @dataclass(frozen=True)
@@ -178,20 +170,20 @@ class _Judgment(NamedTuple):
     within_half: bool
 
 
-def _judge(tag, s1, s2, i1, i2, rows=log2_rows, where=_hk._where, minimum=min) -> _Judgment:
-    """The audit of channels of the weak or mixed class ``tag`` with ratios
-    ``s1, s2, i1, i2``: the recommended-split rows, the class-matched outer
-    rows, the five family deltas ``m_outer(c) - m_inner(c)``, and the
-    verdicts.  A family passes when its delta is below ``c1 + c2`` bits
-    (within :data:`_SLACK`).
+def _judge(code, s1, s2, i1, i2, rows=log2_rows, where=_hk._where, minimum=min) -> _Judgment:
+    """The audit of channels of the weak or mixed class of code ``code`` (see
+    :data:`_CLASSES`) with ratios ``s1, s2, i1, i2``: the recommended-split
+    rows, the class-matched outer rows, the five family deltas
+    ``m_outer(c) - m_inner(c)``, and the verdicts.  A family passes when its
+    delta is below ``c1 + c2`` bits (within :data:`_SLACK`).
 
     All rows are evaluated in one ``rows`` call, the inner ones first.  On
     floats the hooks are the defaults; on numpy arrays of a chunk's channels
     they are :func:`gicap.kernel._rows`, ``np.where`` and ``np.minimum``, and
     every rate, delta and verdict is an array.
     """
-    p2, p1 = _hk.recommended_levels(*_STRENGTHS[tag], i1, i2, where)
-    outer_coeffs, args = _bounds.outer_args(s1, s2, i1, i2, tag)
+    p2, p1 = _hk.recommended_levels(code & 1, code & 2, i1, i2, where)
+    outer_coeffs, args = _bounds.outer_args(s1, s2, i1, i2, _CLASSES[code])
     rhs = rows((*_hk.hk_args(s1, s2, i1, i2, p2, p1, where), *args))
     inner, outer = rhs[:len(_hk.HK_COEFFS)], rhs[len(_hk.HK_COEFFS):]
     inner_mins = _family_minima(zip(_hk.HK_COEFFS, inner), minimum)
@@ -241,7 +233,7 @@ def audit(params: ChannelParams) -> Audit:
             "gap audit is undefined for strong channels (capacity is exact)"
         )
     ratios = (params.snr1, params.snr2, params.inr1, params.inr2)
-    judged = _judge(tag, *ratios)
+    judged = _judge(_CLASSES.index(tag), *ratios)
     _raise_first_bad([judged.finite], [judged.contained], [ratios])
     inner_f = _families(_hk.HK_COEFFS, judged.inner)
     outer_f = _families(judged.outer_coeffs, judged.outer)
@@ -354,7 +346,8 @@ def _sweep(n, seed, class_filter) -> tuple[int, int, Iterator[_Chunk]]:
     as ints and ``chunks`` the :func:`_chunks` of ``n`` channels of the
     classes ``class_filter`` names, drawn from ``random.Random(seed)``.  A bad
     argument raises :class:`DomainError` here, before the first draw."""
-    n, seed = _checked_int(n, "an integer n >= 1", 1), _checked_int(seed, "an integer seed")
+    n = _checked_int(n, "an integer n >= 1", 1)
+    seed = _checked_int(seed, "an integer seed >= 0", 0)
     try:
         accepted = _CLASS_FILTERS[class_filter]
     except (KeyError, TypeError):
@@ -364,7 +357,8 @@ def _sweep(n, seed, class_filter) -> tuple[int, int, Iterator[_Chunk]]:
     return n, seed, _chunks(n, random.Random(seed), accepted)
 
 
-# The classes of sweep records, by their index in a row code (see _Chunk).
+# The classes by their code, strong_at_1 + 2 * strong_at_2: the order of
+# TAG_BY_STRENGTH.  A row code holds its record's class code (see _Chunk).
 _CLASSES = tuple(InterferenceTag)
 
 
@@ -372,9 +366,9 @@ class _Chunk(NamedTuple):
     """An audited chunk, as both engines pack it.
 
     ``frame`` is the chunk as bytes, as the CSV writer gets it: first one
-    byte per channel, its row code (the index of its class in
-    :data:`_CLASSES` times 8, plus 4 for a passing delta verdict, 2 for a
-    one-bit certificate and 1 for a within-half certificate), then a
+    byte per channel, its row code (8 times its class code, see
+    :data:`_CLASSES`, plus 4 for a passing delta verdict, 2 for a one-bit
+    certificate and 1 for a within-half certificate), then a
     row-major float64 block of nine values per channel: SNR1, SNR2, INR1,
     INR2 in dB and the five family deltas, NaN where the class lacks the
     family.  ``worst`` is each family's largest delta in the chunk, None
@@ -397,11 +391,7 @@ def _chunks(n, rng, accepted) -> Iterator[_Chunk]:
     """
     select, audit = _chunk_engine(n)
     draw = rng.random
-    accept = {
-        strength: _CLASSES.index(tag)
-        for strength, tag in TAG_BY_STRENGTH.items()
-        if tag in accepted
-    }
+    accept = bytes(tag in accepted for tag in _CLASSES)  # by class code
     done = 0
     while done < n:
         # A pass draws as many candidates as the sweep still needs, at most
@@ -417,39 +407,34 @@ def _chunks(n, rng, accepted) -> Iterator[_Chunk]:
 
 
 def _scalar_select(draws, accept):
-    """The candidates of a pass whose class ``accept`` maps to a class index,
-    in draw order: their class indices in :data:`_CLASSES`, their four dB
-    values and their four ratios, each channel's as a tuple.
+    """The candidates of a pass whose class code ``accept`` marks, in draw
+    order: their class codes (see :data:`_CLASSES`), their four dB values and
+    their four ratios, each channel's as a tuple.
 
     ``draws`` holds four ``rng.random()`` values per candidate (SNR1, SNR2,
-    INR1, INR2), scaled to dB; ``accept`` maps (strong at receiver 1, strong
-    at receiver 2) to the accepted classes.  The lists are empty when the
-    pass accepts none.
+    INR1, INR2), mapped to dB by the sweep box (:data:`_DB_LOW`,
+    :data:`_DB_SPAN`); ``accept`` holds a nonzero byte at the code of each
+    accepted class.  The lists are empty when the pass accepts none.
     """
-    snr_lo, inr_lo = SNR_DB_RANGE[0], INR_DB_RANGE[0]
-    tags, dbs, ratios = [], [], []
+    (low1, low2, low3, low4), (span1, span2, span3, span4) = _DB_LOW, _DB_SPAN
+    classes, dbs, ratios = [], [], []
     values = iter(draws)
-    for snr1_u, snr2_u, inr1_u, inr2_u in zip(values, values, values, values):
-        db = (
-            snr_lo + _SNR_SPAN * snr1_u,
-            snr_lo + _SNR_SPAN * snr2_u,
-            inr_lo + _INR_SPAN * inr1_u,
-            inr_lo + _INR_SPAN * inr2_u,
-        )
+    for u1, u2, u3, u4 in zip(values, values, values, values):
+        db = (low1 + span1 * u1, low2 + span2 * u2, low3 + span3 * u3, low4 + span4 * u4)
         ratio = snr1, snr2, inr1, inr2 = tuple(map(db_to_linear, db))
-        # ChannelParams.strong_at_1, strong_at_2
-        tag = accept.get((inr1 >= snr2, inr2 >= snr1))
-        if tag is not None:
-            tags.append(tag)
+        # ChannelParams.strong_at_1 + 2 * strong_at_2
+        code = (inr1 >= snr2) + 2 * (inr2 >= snr1)
+        if accept[code]:
+            classes.append(code)
             dbs.append(db)
             ratios.append(ratio)
-    return tags, dbs, ratios
+    return classes, dbs, ratios
 
 
 def _chunk_engine(n: int) -> tuple:
     """``(select, audit)`` of a sweep of ``n`` channels: ``select`` takes a
     pass's draws to its accepted candidates (:func:`_scalar_select`), and
-    ``audit`` a chunk's class indices, dB values and ratios to its
+    ``audit`` a chunk's class codes, dB values and ratios to its
     :class:`_Chunk` (:func:`_scalar_audit_chunk`).  The numpy engine's
     (:mod:`gicap.kernel`) for sweeps of at least :data:`NUMPY_MIN_N`
     channels where numpy can be imported, else the scalar one's."""
@@ -464,23 +449,23 @@ def _chunk_engine(n: int) -> tuple:
     return _scalar_select, _scalar_audit_chunk
 
 
-def _scalar_audit_chunk(tags, dbs, ratios) -> _Chunk:
-    """The :class:`_Chunk` of the channels of class ``_CLASSES[tags[k]]`` with
+def _scalar_audit_chunk(classes, dbs, ratios) -> _Chunk:
+    """The :class:`_Chunk` of the channels of class code ``classes[k]`` with
     dB values ``dbs[k]`` and ratios ``ratios[k]``, by :func:`_judge` of each;
     the first channel that cannot be audited raises (:func:`_raise_first_bad`).
     """
-    judged = [_judge(_CLASSES[tag], *channel) for tag, channel in zip(tags, ratios)]
+    judged = [_judge(code, *channel) for code, channel in zip(classes, ratios)]
     _raise_first_bad([j.finite for j in judged], [j.contained for j in judged], ratios)
-    return _pack(tags, dbs, [(*j.deltas, j.passed, j.one_bit, j.within_half) for j in judged])
+    return _pack(classes, dbs, [(*j.deltas, j.passed, j.one_bit, j.within_half) for j in judged])
 
 
-def _pack(tags, dbs, tails) -> _Chunk:
-    """The :class:`_Chunk` of channels with class indices ``tags``, dB values
+def _pack(classes, dbs, tails) -> _Chunk:
+    """The :class:`_Chunk` of channels with class codes ``classes``, dB values
     ``dbs`` and record tails ``tails``: each channel's five family deltas
     (None where its class lacks the family), delta verdict and two certificates."""
     from array import array  # here, so that commands which never sweep do not load it
 
-    codes = bytes(8 * tag + 4 * tail[5] + 2 * tail[6] + tail[7] for tag, tail in zip(tags, tails))
+    codes = bytes(8 * c + 4 * tail[5] + 2 * tail[6] + tail[7] for c, tail in zip(classes, tails))
     floats = array(
         "d",
         itertools.chain.from_iterable(

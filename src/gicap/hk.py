@@ -32,9 +32,9 @@ the region is
     R1 + 2R2  <= log((1+SNR2+INR2)/n2) + log(1 + S2p/n2)
                                        + log(1 + (S1p+INR1-inr_p1)/n1)
 
-The constraint order above is part of the contract: gap audits pair the
-three sum constraints (and the two weighted constraints) with the outer
-bound families positionally.
+The constraint order above is part of the contract.  Gap audits take the
+minimum of each family, so the order matters only for the per-index
+``paired_deltas`` of ``gap-audit`` and for output bytes.
 
 The rows are written once, as the log2 arguments of :func:`hk_args`;
 treating interference as noise (:func:`treat_as_noise_region`,
@@ -293,7 +293,9 @@ def regime2_rate(snr: float, inr: float, gamma: float) -> float:
 
     Uses INR_p = (INR/SNR)**(1-gamma), which drives the received private
     interference to zero as SNR grows.  Requires 1/2 < alpha < 2/3 and
-    gamma strictly inside the window (2a-1)/(1-a) < gamma < 1.
+    gamma strictly inside the window (2a-1)/(1-a) < gamma < 1.  The rate is
+    half the smaller of the first and third sum rows of :func:`hk_args` at
+    the split (INR_p, INR_p): the private rate plus the smaller common rate.
     """
     a = alpha(snr, inr)
     lo, hi = regime2_window(a)
@@ -302,13 +304,7 @@ def regime2_rate(snr: float, inr: float, gamma: float) -> float:
             f"gamma={gamma!r} outside the admissible window ({lo}, {hi}) at alpha={a}"
         )
     inr_p = (inr / snr) ** (1.0 - gamma)
-    private = _LOG2(1.0 + snr * inr_p / (inr * (1.0 + inr_p)))
-    denom = inr + (snr + inr) * inr_p
-    common = min(
-        0.5 * _LOG2(1.0 + (snr + inr) * (inr - inr_p) / denom),
-        _LOG2(1.0 + inr * (inr - inr_p) / denom),
-    )
-    return private + common
+    return 0.5 * min(log2_rows(hk_args(snr, snr, inr, inr, inr_p, inr_p)[2:5:2]))
 
 
 def differential_rates(z: float, snr1: float, inr2: float) -> DifferentialRatePair:

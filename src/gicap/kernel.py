@@ -2,17 +2,17 @@
 of channels audited, on arrays, bit-identical to the scalar engine.
 
 :func:`select` takes a draw pass's ``rng.random()`` values and keeps the
-candidates of the accepted classes, with their class indices, dB values
+candidates of the accepted classes, with their class codes, dB values
 and ratios as arrays; :func:`gicap.gap._chunks` audits them as one chunk.
 It maps the draws to dB and compares the two cross links in arrays, on the
 exponents of the dB-to-ratio map; only a comparison near a tie, and the
 accepted candidates' ratios, take Python's pow, as the scalar engine does.
 
-:func:`audit_chunk` takes a chunk's class indices, dB values and ratios and
+:func:`audit_chunk` takes a chunk's class codes, dB values and ratios and
 returns it packed (:class:`gicap.gap._Chunk`): its frame, a row code per
 channel followed by a float64 block of its dB values and five family
 deltas, NaN where its class lacks the family, as the CSV writer reads it.
-It groups the channels by class index with array operations and runs the
+It groups the channels by class code with array operations and runs the
 one per-channel judgment of the scalar engine, :func:`gicap.gap._judge`,
 once per group, on arrays: ``np.where`` chooses the rows' branches,
 ``np.minimum`` takes the family minima and the certificates' support
@@ -36,23 +36,11 @@ import math
 import numpy as np
 
 from .channel import db_to_linear
-from .gap import (
-    _CLASSES,
-    _INR_SPAN,
-    _SNR_SPAN,
-    INR_DB_RANGE,
-    SNR_DB_RANGE,
-    _Chunk,
-    _judge,
-    _raise_first_bad,
-)
+from .gap import _DB_LOW, _DB_SPAN, _Chunk, _judge, _raise_first_bad
 from .region import log2_rows
 
 __all__ = ["audit_chunk", "select"]
 
-# dB = low end + span * rng.random(), per column: SNR1, SNR2, INR1, INR2
-_DB_LOW = np.array([SNR_DB_RANGE[0]] * 2 + [INR_DB_RANGE[0]] * 2)
-_DB_SPAN = np.array([_SNR_SPAN] * 2 + [_INR_SPAN] * 2)
 # Cross links whose exponents (dB / 10) lie closer than this are compared
 # exactly, as db_to_linear's ratios; farther apart, Python's pow cannot
 # reverse their order (its error is below 1e-15 relative).
@@ -61,7 +49,7 @@ _TIE = 1e-9
 
 def select(draws, accept):
     """The lists of :func:`gicap.gap._scalar_select` for the same arguments,
-    as arrays: the accepted candidates' class indices, and their dB values
+    as arrays: the accepted candidates' class codes, and their dB values
     and ratios, each an ``(m, 4)`` array.
 
     The dB values and the two cross-link comparisons run on arrays, on the
@@ -77,13 +65,11 @@ def select(draws, accept):
     strong = gaps >= 0.0
     for k, j in zip(*np.nonzero(abs(gaps) < _TIE)):
         strong[k, j] = db_to_linear(float(db[k, 2 + j])) >= db_to_linear(float(db[k, 1 - j]))
-    # class index by strength code strong_at_1 + 2 * strong_at_2; -1 rejects
-    class_of_code = np.array([accept.get((bool(c & 1), bool(c & 2)), -1) for c in range(4)])
-    tags = class_of_code[strong[:, 0] + 2 * strong[:, 1]]
-    kept = np.flatnonzero(tags >= 0)
+    codes = strong[:, 0] + 2 * strong[:, 1]
+    kept = np.flatnonzero(np.frombuffer(accept, np.uint8)[codes])
     ten = itertools.repeat(10.0)
     ratios = np.array([list(map(pow, ten, column)) for column in exponents[kept].T.tolist()])
-    return tags[kept], db[kept], ratios.T
+    return codes[kept], db[kept], ratios.T
 
 
 def _rows(args):
@@ -107,24 +93,22 @@ def _rows(args):
     return np.array(log2_rows(args, log2))
 
 
-def audit_chunk(tags, dbs, ratios):
+def audit_chunk(classes, dbs, ratios):
     """The :class:`gicap.gap._Chunk` of :func:`gicap.gap._scalar_audit_chunk`
-    for the same channels, or its error: channel ``k`` has class
-    ``_CLASSES[tags[k]]``, dB values ``dbs[k]`` and ratios ``ratios[k]``.
+    for the same channels, or its error: channel ``k`` has class code
+    ``classes[k]``, dB values ``dbs[k]`` and ratios ``ratios[k]``.
     The frame is the ``tobytes()`` of a ``uint8`` array of row codes and of
     an ``(m, 9)`` float array.
     """
-    size = len(tags)
+    size = len(classes)
     floats = np.full((size, 9), np.nan)
     floats[:, :4] = dbs
     # the last five fields of gap._Judgment: passed, finite, contained, one_bit, within_half
     verdicts = np.empty((5, size), dtype=bool)
     with np.errstate(all="ignore"):
-        for tag in np.flatnonzero(np.bincount(tags)).tolist():
-            index = np.flatnonzero(tags == tag)
-            judged = _judge(
-                _CLASSES[tag], *ratios[index].T, rows=_rows, where=np.where, minimum=np.minimum
-            )
+        for code in np.flatnonzero(np.bincount(classes)).tolist():
+            index = np.flatnonzero(classes == code)
+            judged = _judge(code, *ratios[index].T, rows=_rows, where=np.where, minimum=np.minimum)
             for column, delta in enumerate(judged.deltas, 4):
                 if delta is not None:
                     floats[index, column] = delta
@@ -132,7 +116,7 @@ def audit_chunk(tags, dbs, ratios):
     passed, finite, contained, one_bit, within_half = verdicts
     if not (finite.all() and contained.all()):
         _raise_first_bad(finite.tolist(), contained.tolist(), ratios.tolist())
-    codes = 8 * tags + 4 * passed + 2 * one_bit + within_half
+    codes = 8 * classes + 4 * passed + 2 * one_bit + within_half
     # fmax skips NaN, so a family no channel has stays NaN
     worst = [top if top == top else None for top in np.fmax.reduce(floats[:, 4:]).tolist()]
     return _Chunk(codes.astype(np.uint8).tobytes() + floats.tobytes(), worst)

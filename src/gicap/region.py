@@ -10,8 +10,9 @@ Geometric predicates use a tolerance of 1e-9 bits (relative to vertex
 coordinates above 1); rates here are at most O(10^2) bits, so double
 precision sits around 1e-12 relative error, well under that tolerance.
 
-The constraint list is ordered and never silently pruned: downstream
-per-family gap audits pair inner and outer constraints by position.
+The constraint list is ordered and never silently pruned.  Gap audits take
+the minimum of each family, so the order matters only for the per-index
+``paired_deltas`` of ``gap-audit`` and for output bytes.
 """
 
 from __future__ import annotations

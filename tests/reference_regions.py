@@ -207,6 +207,20 @@ def closed_form_mixed_noise(p: ChannelParams) -> RateRegion:
     )
 
 
+def closed_form_regime2_rate(snr: float, inr: float, gamma: float) -> float:
+    """The symmetric regime-2 rate at INR_p = (INR/SNR)**(1-gamma), expanded
+    by hand: the private rate plus the smaller of the two common rates.
+    (Its products overflow near SNR = 1e300.)"""
+    inr_p = (inr / snr) ** (1.0 - gamma)
+    private = log2(1.0 + snr * inr_p / (inr * (1.0 + inr_p)))
+    denom = inr + (snr + inr) * inr_p
+    common = min(
+        0.5 * log2(1.0 + (snr + inr) * (inr - inr_p) / denom),
+        log2(1.0 + inr * (inr - inr_p) / denom),
+    )
+    return private + common
+
+
 def _pos(x):
     # a zero of x's own type, so Fraction slopes give exact rows
     return x if x > 0 else type(x)(0)

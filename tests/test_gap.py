@@ -25,6 +25,8 @@ from gicap import (
     stream_sweep,
     within_half_certificate,
 )
+from gicap.channel import TAG_BY_STRENGTH
+from gicap.gap import _CLASSES
 from conftest import random_channel
 from reference_audit import (
     ref_delta_audit,
@@ -121,6 +123,12 @@ class TestDeltaAudit:
 
 
 class TestSweeps:
+    @pytest.mark.parametrize("strong_at_2", [False, True])
+    @pytest.mark.parametrize("strong_at_1", [False, True])
+    def test_class_code_is_the_strength_code(self, strong_at_1, strong_at_2):
+        code = strong_at_1 + 2 * strong_at_2
+        assert _CLASSES[code] is TAG_BY_STRENGTH[strong_at_1, strong_at_2]
+
     def test_one_bit_weak_clean(self):
         result = one_bit_sweep(300, 7, "weak")
         assert result.n == 300
@@ -186,9 +194,10 @@ class TestSweeps:
         assert result.records == one_bit_sweep(10, 1, "weak").records
         assert type(result.n) is int
 
-    @pytest.mark.parametrize("seed", [None, "abc", True], ids=["none", "str", "bool"])
+    @pytest.mark.parametrize("seed", [None, "abc", True, -1], ids=["none", "str", "bool", "-1"])
     def test_non_integer_seed_rejected_before_opening_the_file(self, tmp_path, seed):
-        # None would seed from the operating system: the sweep could not be replayed
+        # None would seed from the operating system: the sweep could not be replayed;
+        # random.Random seeds with abs(seed), so -1 would replay seed 1
         with pytest.raises(DomainError, match="integer seed"):
             one_bit_sweep(5, seed, "weak")
         path = tmp_path / "s.csv"
@@ -295,6 +304,10 @@ class TestAsymptoticTightness:
         gaps = asymptotic_tightness_check(0.55, [1e6, 1e9, 1e12])
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.01
+
+    def test_regime2_gap_stays_finite_up_to_snr_1e300(self):
+        gaps = asymptotic_tightness_check(0.6, [1e100, 1e200, 1e300])
+        assert all(0.0 <= gap < 1e-9 for gap in gaps)
 
     def test_regime2_explicit_gamma(self):
         gaps = asymptotic_tightness_check(0.55, [1e12], gamma=0.5)

@@ -20,6 +20,7 @@ from gicap import (
     regime1_gap,
     regime1_rate,
     regime2_rate,
+    regime2_window,
     symmetric_hk_rate,
     symmetric_rate,
     treat_as_noise_region,
@@ -31,6 +32,7 @@ from reference_regions import (
     closed_form_mixed_common,
     closed_form_mixed_noise,
     closed_form_noise_split,
+    closed_form_regime2_rate,
     closed_form_unit_split,
     closed_form_weak_cross1,
     closed_form_weak_cross2,
@@ -341,6 +343,22 @@ class TestRegime2:
     def test_alpha_window_violation(self):
         with pytest.raises(DomainError):
             regime2_rate(1e8, 10 ** 3.2, 0.5)  # alpha = 0.4
+
+    def test_matches_closed_form(self):
+        rng = random.Random(23)
+        for _ in range(2000):
+            snr = 10.0 ** rng.uniform(1.0, 200.0)
+            inr = snr ** rng.uniform(0.501, 0.665)
+            lo, hi = regime2_window(math.log(inr) / math.log(snr))
+            gamma = rng.uniform(lo, hi)
+            want = closed_form_regime2_rate(snr, inr, gamma)
+            assert regime2_rate(snr, inr, gamma) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_finite_where_the_closed_form_overflows(self):
+        lo, hi = regime2_window(0.6)
+        gamma = lo + 0.25 * (hi - lo)
+        assert closed_form_regime2_rate(1e300, 1e180, gamma) == math.inf
+        assert regime2_rate(1e300, 1e180, gamma) == pytest.approx(597.947, abs=1e-3)
 
 
 class TestDifferentialRates:

@@ -412,7 +412,7 @@ def drawn_chunks(engine_name, n, rng, accepted):
     """The chunks of an ``n``-channel sweep of classes ``accepted`` that draws
     from ``rng`` on the engine ``engine_name`` (whatever ``n``), each as
     ``(tag, four dB values, four ratios)`` rows; a placeholder stands in for
-    the chunk audit, which sees each chunk's class indices, dB values and
+    the chunk audit, which sees each chunk's class codes, dB values and
     ratios.  The tags and dB values are read back off the chunk's frame."""
     if engine_name == "numpy":
         select = pytest.importorskip("gicap.kernel").select

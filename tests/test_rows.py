@@ -413,7 +413,7 @@ audited_channel = channel.filter(lambda p: not (p.strong_at_1 and p.strong_at_2)
 def outcome(audit, channels, sequence=list):
     """The columns and worst deltas of the chunk ``audit`` returns for
     ``channels`` as text, or the error it raises.  ``audit`` takes its class
-    indices, dB values (here the ratios again) and ratios as ``sequence``s."""
+    codes, dB values (here the ratios again) and ratios as ``sequence``s."""
     tags = [gicap.gap._CLASSES.index(classify(p).tag) for p in channels]
     ratios = [(p.snr1, p.snr2, p.inr1, p.inr2) for p in channels]
     try:
