@@ -45,13 +45,17 @@ __all__ = [
 def db_to_linear(db: float) -> float:
     """Convert a dB value to a linear power ratio: 10**(db/10).
 
-    NaN dB and dB values whose ratio is beyond the float range (+inf
-    included) raise :class:`DomainError`; -inf dB is the zero ratio."""
+    NaN dB, dB values whose ratio is beyond the float range (+inf
+    included) and values that are not real numbers raise
+    :class:`DomainError`; -inf dB is the zero ratio."""
     try:
         ratio = 10.0 ** (db / 10.0)
+        finite = ratio < math.inf  # NaN too
     except OverflowError:
-        ratio = math.inf
-    if not ratio < math.inf:  # NaN too
+        finite = False
+    except TypeError:  # a str, None, a complex
+        raise DomainError(f"db must be a real number, got {db!r}") from None
+    if not finite:
         raise DomainError(f"{db!r} dB gives no finite power ratio")
     return ratio
 
@@ -75,7 +79,11 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("snr1", "snr2", "inr1", "inr2"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not math.isfinite(v) or v < 0.0:
+            try:
+                bad = isinstance(v, bool) or not math.isfinite(v) or v < 0.0
+            except TypeError:  # a str, None, a complex
+                bad = True
+            if bad:
                 raise InvalidParameterError(
                     f"{name} must be a finite nonnegative number, got {v!r}"
                 )

@@ -164,14 +164,28 @@ def _channel_from_args(args) -> ChannelParams:
     )
 
 
-def _round_floats(obj):
+def _json(obj, pad="\n") -> str:
+    """``json.dumps(obj, indent=2)`` with every float rounded by :func:`sigfig`,
+    written in one pass; ``pad`` is the newline and indent of ``obj``'s line.
+
+    ``json.dump`` with an indent never reaches the C encoder, and rounding
+    first would copy ``obj``.  A float is ``float.__repr__`` of its rounding,
+    as ``json`` writes a finite float; every other leaf, and every key, is
+    ``json.dumps``'s text."""
     if isinstance(obj, float):
-        return sigfig(obj)
+        x = sigfig(obj)
+        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [json.dumps(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]"
+    return json.dumps(obj)
 
 
 def _flatten(obj, prefix=""):
@@ -198,16 +212,17 @@ def _cell(value) -> str:
 def _emit(obj, args, stream, table=None) -> None:
     """Write ``obj`` as JSON, or as key,value CSV with dotted paths.
 
-    A figure passes ``table = (header, rows)`` in place of ``obj``: JSON
-    ``{"columns": header, "rows": rows}``, or CSV of the rows by default.
+    JSON is :func:`_json`'s text: the ``json`` module's two-space layout with
+    every float at 12 significant digits.  A figure passes ``table =
+    (header, rows)`` in place of ``obj``: JSON ``{"columns": header, "rows":
+    rows}``, or CSV of the rows by default.
     A table holds floats only, so its CSV rows are formatted by one ``%``
     over the whole table, as :func:`gicap.gap._chunk_text` formats a sweep
     chunk: ``"%.12g" % v`` is ``f"{v:.12g}"`` for every float."""
     if table is not None:
         obj = {"columns": table[0], "rows": table[1]}
     if (args.format or ("json" if table is None else "csv")) == "json":
-        json.dump(_round_floats(obj), stream, indent=2)
-        stream.write("\n")
+        stream.write(_json(obj) + "\n")
         return
     if table is None:
         stream.write("key,value\n")
@@ -385,11 +400,23 @@ def _grid(count: int):
 
 
 def _figure_rows(figure_id: str, alpha_arg: float | None):
-    if alpha_arg is not None and figure_id != "gdof-region":
-        raise GicapError(f"figure {figure_id} takes no --alpha")
+    """``(header, rows)`` of a figure; rows is a tuple of float tuples."""
+    if figure_id != "gdof-region":
+        if alpha_arg is not None:
+            raise GicapError(f"figure {figure_id} takes no --alpha")
+        return _fixed_figure_rows(figure_id)
+    if alpha_arg is None:
+        raise GicapError("figure gdof-region needs --alpha")
+    region = _gdof.symmetric_gdof_region(alpha_arg)
+    return ("d1", "d2"), tuple((v.r1, v.r2) for v in vertices(region))
+
+
+@functools.cache
+def _fixed_figure_rows(figure_id: str):
+    """The table of a figure without parameters, built once per process."""
     if figure_id == "gdof-curve":
         header = ("alpha", "d_sym", "d_orth", "d_tin")
-        rows = [
+        rows = tuple(
             (
                 a,
                 _gdof.d_sym(a),
@@ -397,29 +424,18 @@ def _figure_rows(figure_id: str, alpha_arg: float | None):
                 _gdof.baseline_gdof(a, _gdof.BaselineScheme.TREAT_AS_NOISE),
             )
             for a in _grid(250)
-        ]
+        )
         return header, rows
     if figure_id in ("hk-fraction", "ub-vs-hk"):
         header = ("alpha", "hk_fraction", "ub_fraction")
-        rows = [(a, _gdof.d_sym(a), 1.0 - a / 2.0) for a in _grid(100)]
+        rows = tuple((a, _gdof.d_sym(a), 1.0 - a / 2.0) for a in _grid(100))
         if figure_id == "hk-fraction":
-            return header[:2], [row[:2] for row in rows]
+            return header[:2], tuple(row[:2] for row in rows)
         return header, rows
     if figure_id == "diff-rates":
         snr1, inr2 = db_to_linear(20.0), db_to_linear(10.0)
-        header = ("z", "r1", "r2")
-        rows = []
-        for z in _grid(100):
-            d = _hk.differential_rates(z, snr1, inr2)
-            rows.append((z, d.r1, d.r2))
-        return header, rows
-    if figure_id == "gdof-region":
-        if alpha_arg is None:
-            raise GicapError("figure gdof-region needs --alpha")
-        region = _gdof.symmetric_gdof_region(alpha_arg)
-        header = ("d1", "d2")
-        rows = [(v.r1, v.r2) for v in vertices(region)]
-        return header, rows
+        rows = tuple((z, *_hk.differential_rates(z, snr1, inr2)) for z in _grid(100))
+        return ("z", "r1", "r2"), rows
     raise GicapError(f"unknown figure id {figure_id!r}")
 
 

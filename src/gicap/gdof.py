@@ -40,7 +40,7 @@ from typing import NamedTuple
 from . import bounds as _bounds
 from . import hk as _hk
 from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _power_inr, classify
-from .errors import ClassMismatchError, DomainError
+from .errors import ClassMismatchError, DomainError, InvalidParameterError
 from .region import RateConstraint, RateRegion
 
 __all__ = [
@@ -69,12 +69,15 @@ class GdofParams:
     alpha3: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
-            raise DomainError(f"alpha1 must be positive and finite, got {self.alpha1!r}")
-        for name in ("alpha2", "alpha3"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+        try:
+            if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
+                raise DomainError(f"alpha1 must be positive and finite, got {self.alpha1!r}")
+            for name in ("alpha2", "alpha3"):
+                v = getattr(self, name)
+                if not math.isfinite(v) or v < 0.0:
+                    raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
+        except TypeError:  # a str, None, a complex
+            raise InvalidParameterError(f"slopes must be real numbers: {self}") from None
 
 
 def d_sym(alpha_value: float) -> float:

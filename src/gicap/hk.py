@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .channel import ChannelParams, _check_symmetric, alpha
-from .errors import DomainError, InvalidSplitError
+from .errors import DomainError, InvalidParameterError, InvalidSplitError
 from .region import RateRegion, Vertex, log2_rows, region_from_rows
 
 __all__ = [
@@ -85,7 +85,11 @@ class PowerSplit:
     def __post_init__(self) -> None:
         for name in ("inr_p2", "inr_p1"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
+            try:
+                bad = not math.isfinite(v) or v < 0.0
+            except TypeError:  # a str, None, a complex
+                raise InvalidParameterError(f"{name} must be a real number, got {v!r}") from None
+            if bad:
                 raise InvalidSplitError(f"{name} must be finite and >= 0, got {v!r}")
 
 

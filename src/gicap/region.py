@@ -63,7 +63,11 @@ class RateConstraint:
     rhs: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2) and math.isfinite(self.rhs)):
+        try:
+            finite = math.isfinite(self.c1) and math.isfinite(self.c2) and math.isfinite(self.rhs)
+        except TypeError:  # a str, None, a complex
+            raise InvalidParameterError(f"constraint entries must be real numbers: {self}") from None
+        if not finite:
             raise InvalidParameterError(f"constraint has non-finite entries: {self}")
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise InvalidParameterError(f"constraint coefficients must be >= 0: {self}")
@@ -86,7 +90,8 @@ class RateRegion:
 
 def region_from_rows(coeffs, rhs) -> RateRegion:
     """Region with a constraint ``c1*R1 + c2*R2 <= r`` per pair of ``(c1, c2)`` and ``r``."""
-    return RateRegion(RateConstraint(c1, c2, r) for (c1, c2), r in zip(coeffs, rhs))
+    # a list, not a generator, for the reason log2_rows gives
+    return RateRegion([RateConstraint(c1, c2, r) for (c1, c2), r in zip(coeffs, rhs)])
 
 
 def log2_rows(args, log2=math.log2) -> tuple:
@@ -95,8 +100,12 @@ def log2_rows(args, log2=math.log2) -> tuple:
     An explicit fold rather than ``sum``, which adds floats with compensation
     from Python 3.12 on and so can round ``a + b + c`` differently.  Numpy
     arguments take the kernel's ``log2`` hook (:func:`gicap.kernel._rows`).
+    The tuple is built from a list: one built from a generator is resized to
+    its length, and each freed one then joins that length's tuple free list,
+    which only a full garbage collection empties (0.5 MiB of 12- and
+    14-tuples in a query process that never runs one).
     """
-    return tuple(functools.reduce(operator.add, map(log2, row)) for row in args)
+    return tuple([functools.reduce(operator.add, map(log2, row)) for row in args])
 
 
 def vertices(region: RateRegion) -> list[Vertex]:

@@ -61,6 +61,16 @@ class TestChannelParams:
         with pytest.raises(InvalidParameterError):
             ChannelParams(1, math.nan, 1, 1)
 
+    @pytest.mark.parametrize("value", ["5", None, 1 + 0j])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_number_named(self, position, value):
+        ratios = [1.0, 1.0, 1.0, 1.0]
+        ratios[position] = value
+        name = ("snr1", "snr2", "inr1", "inr2")[position]
+        with pytest.raises(InvalidParameterError) as excinfo:
+            ChannelParams(*ratios)
+        assert f"{name} " in str(excinfo.value) and repr(value) in str(excinfo.value)
+
     @pytest.mark.parametrize("position", range(4))
     def test_bool_rejected(self, position):
         ratios = [1, 1, 1, 1]
@@ -234,6 +244,12 @@ class TestDbHelpers:
     def test_non_finite_db_named(self, db):
         with pytest.raises(DomainError, match=repr(db)):
             db_to_linear(db)
+
+    @pytest.mark.parametrize("db", ["3", None, 3 + 0j])
+    def test_non_number_db_named(self, db):
+        with pytest.raises(DomainError) as excinfo:
+            db_to_linear(db)
+        assert str(excinfo.value) == f"db must be a real number, got {db!r}"
 
     def test_minus_infinity_is_the_zero_ratio(self):
         assert db_to_linear(-math.inf) == 0.0

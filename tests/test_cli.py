@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gicap.cli
 import gicap.gap
@@ -22,7 +23,10 @@ from gicap import (
     vertices,
 )
 from gicap.cli import _build_parser, main
+from gicap.region import sigfig
 from conftest import gicap_child_env, slope_tie_grid, sweep_chunks, vertex_sets_equal
+
+FIXED_FIGURES = [f for f in gicap.cli._FIGURE_IDS if f != "gdof-region"]
 
 
 def run_cli(args):
@@ -613,7 +617,39 @@ class TestFigures:
         assert code == 0 and printed == ""
         assert out.read_bytes() == text.encode()
 
-    @pytest.mark.parametrize("figure_id", [f for f in gicap.cli._FIGURE_IDS if f != "gdof-region"])
+    @pytest.mark.parametrize("figure_id", FIXED_FIGURES)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_is_stdout_after_earlier_calls(self, tmp_path, figure_id, fmt):
+        # every figure in both formats first, so the tables come from the cache
+        for other in gicap.cli._FIGURE_IDS:
+            for other_fmt in ("json", "csv"):
+                extra = ["--alpha", "0.6"] if other == "gdof-region" else []
+                assert run_cli(["figures", other, "--format", other_fmt, *extra])[0] == 0
+        argv = ["figures", figure_id, "--format", fmt]
+        out = tmp_path / "figure.txt"
+        assert run_cli(argv + ["--out", str(out)]) == (0, "")
+        code, text = run_cli(argv)
+        assert code == 0
+        assert out.read_bytes() == text.encode()
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == FIGURE_DIGESTS[f"{figure_id}-{fmt}"]
+
+    @pytest.mark.parametrize("figure_id", FIXED_FIGURES)
+    def test_fixed_table_is_built_once(self, figure_id):
+        header, rows = table = gicap.cli._figure_rows(figure_id, None)
+        assert gicap.cli._figure_rows(figure_id, None) is table
+        assert type(header) is tuple and type(rows) is tuple
+        assert all(type(row) is tuple for row in rows)
+
+    def test_gdof_region_table_follows_alpha(self):
+        half = gicap.cli._figure_rows("gdof-region", 0.5)
+        two = gicap.cli._figure_rows("gdof-region", 2.0)
+        assert half != two
+        assert gicap.cli._figure_rows("gdof-region", 0.5) == half
+        # the cache holds the figures without parameters only
+        assert gicap.cli._fixed_figure_rows.cache_info().currsize <= len(FIXED_FIGURES)
+
+    @pytest.mark.parametrize("figure_id", FIXED_FIGURES)
     def test_alpha_only_for_gdof_region(self, figure_id, capsys):
         code, out = run_cli(["figures", figure_id, "--alpha", "0.6"])
         assert code == 2 and out == ""
@@ -630,7 +666,7 @@ class TestFigures:
 
     @pytest.mark.parametrize(
         "figure_id, alpha",
-        [(f, None) for f in gicap.cli._FIGURE_IDS if f != "gdof-region"]
+        [(f, None) for f in FIXED_FIGURES]
         + [("gdof-region", a) for a in (0.0, 0.5, 2 / 3, 1.0, 2.0, 3.0)],
     )
     def test_every_cell_is_a_float(self, figure_id, alpha):
@@ -719,6 +755,109 @@ def test_figures_keep_their_bytes(figure):
     code, out = run_cli(["figures", figure_id, "--format", fmt])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FIGURE_DIGESTS[figure]
+
+
+def output_argvs():
+    """Argvs of the commands that print no figure, by form and format: each
+    form over one seeded list of channels in dB, symmetric ones and channels
+    at a class tie (an INR equal to the other user's SNR) among them."""
+    rng = random.Random("output-digests")
+    channels = []
+    for k in range(48):
+        snr1, snr2, inr1, inr2 = (round(rng.uniform(-10.0, 60.0), 2) for _ in range(4))
+        if k % 4 == 1:  # symmetric
+            snr2, inr2 = snr1, inr1
+        elif k % 4 == 2:  # the strong-at-1 tie
+            inr1 = snr2
+        elif k % 4 == 3:  # ties at both receivers
+            inr1, inr2 = snr2, snr1
+        channels.append((snr1, snr2, inr1, inr2))
+    forms = {}
+    for snr1, snr2, inr1, inr2 in channels:
+        link = ["--snr1", repr(snr1), "--snr2", repr(snr2), "--inr1", repr(inr1),
+                "--inr2", repr(inr2), "--db"]
+        z = repr(round(rng.uniform(0.0, 2.0), 3))
+        for form, argv in (
+            ("classify", ["classify", *link]),
+            ("region-auto", ["region", *link]),
+            ("region-pt2pt", ["region", "--bound", "pt2pt", *link]),
+            ("region-explicit", ["region", "--split", "explicit", *link,
+                                 "--inr-p2", repr(inr2 - 4.5), "--inr-p1", repr(inr1 - 7.25)]),
+            ("symrate", ["symrate", "--snr", repr(snr1), "--inr", repr(inr1), "--db"]),
+            ("gap-audit", ["gap-audit", *link]),
+            ("diffrate", ["diffrate", "--snr1", repr(snr1), "--inr2", repr(inr2), "--z", z, "--db"]),
+        ):
+            forms.setdefault(form, []).append(argv)
+    return {f"{form}-{fmt}": [argv + ["--format", fmt] for argv in argvs]
+            for form, argvs in forms.items() for fmt in ("json", "csv")}
+
+
+# sha256 of the stdouts of each group of output_argvs(), in order; gap-audit
+# rejects the strong channels, whose stdout is empty
+OUTPUT_DIGESTS = {
+    "classify-csv": "3060adaad36e9ea794ccd878dd0f2a4f5b1ab1cd844760cae272ac4b17e5fb49",
+    "classify-json": "6e2d8b60035d182740a43d256c6144015d728f86bf75d2917422f2909edcf745",
+    "diffrate-csv": "5aaa2dac503f3a2ac90a515afd12acdf768159e25275f8365ea4e5dfcbeee031",
+    "diffrate-json": "221a4a52a0a70ad58133ebaa14d6e53643f7ccb7f5430242c81a39c33a5b3424",
+    "gap-audit-csv": "c15e4bcb57645e1f17eeede90134dfff84dcb9dc2e565796807b81c2d6322d12",
+    "gap-audit-json": "df558085b2ffd6a95883c2470a9c27c179219fd5609455f230913e35462f9731",
+    "region-auto-csv": "57aa372a9875e741c0e36f68d77750e51eb7293428d51bb14e0dbc0259c934a3",
+    "region-auto-json": "bacdf81a437d417a0dd9c6fd3ff84670d09e014aedd4bcb1ee3c1dd1fb61fd8a",
+    "region-explicit-csv": "269807ed6a415fe6994146ec38c0776198d520302c3e4e4ca774c10cb490bd15",
+    "region-explicit-json": "b4dd711701705f42837e59273982c886037613df07b99865a1ecf257fd4c4707",
+    "region-pt2pt-csv": "5f975af6749ff0431827942b841be944aee277da99ba2f6e8d8ad09f1fcd6169",
+    "region-pt2pt-json": "0174dc239824d90eb27e3a21fa0d2f3f76c53229babe7cd67eef581632f8ba68",
+    "symrate-csv": "58c69df3e17d76c42dfbf735578fecf2e1566ee05a1a470b54bd16c96ed99421",
+    "symrate-json": "0edc50aa9b8bcefd47ceb22719986cb3c71b1524c6676915eb6c60d49a1a3ac6",
+}
+
+
+@pytest.mark.parametrize("group", sorted(OUTPUT_DIGESTS))
+def test_outputs_keep_their_bytes(group, capsys):
+    digest = hashlib.sha256()
+    for argv in output_argvs()[group]:
+        code, out = run_cli(argv)
+        assert code == 0 or (code == 2 and group.startswith("gap-audit")), argv
+        digest.update(out.encode())
+    capsys.readouterr()
+    assert digest.hexdigest() == OUTPUT_DIGESTS[group]
+
+
+def round_floats(obj):
+    """The rounding ``cli._json`` fuses into its writer: a copy of ``obj``
+    with every float rounded by ``sigfig`` and every tuple made a list."""
+    if isinstance(obj, float):
+        return sigfig(obj)
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj
+
+
+# floats at the edges of sigfig and of the json module's float text
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1.0000000000005)
+JSON_TEXT = st.text() | st.text(alphabet='"\\/\n\t\x00\x7fé☃\U0001f600', max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(EDGE_FLOATS)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_VALUES)
+@example([])
+@example({})
+@example(())
+@example({"a": [[], {}, ()], "b": {"c": [{}, [[]]]}, "d": [{"e": ()}]})
+@example(list(EDGE_FLOATS))
+@example({'"q"\\ é☃': ['"', "\\", "\u2603", 0, -1, True, False, None]})
+def test_json_writer_is_the_json_module_on_rounded_floats(obj):
+    assert gicap.cli._json(obj) == json.dumps(round_floats(obj), indent=2)
 
 
 class TestDiffrate:

@@ -11,6 +11,7 @@ from gicap import (
     DomainError,
     GdofParams,
     InterferenceTag,
+    InvalidParameterError,
     baseline_gdof,
     classify,
     d_sym,
@@ -76,6 +77,16 @@ class TestGdofParams:
             GdofParams(0.0, 0.5, 0.5)
         with pytest.raises(DomainError):
             GdofParams(1.0, -0.5, 0.5)
+
+    @pytest.mark.parametrize("value", ["a", None, 1 + 0j])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_number_named(self, position, value):
+        slopes = [1.0, 1.0, 1.0]
+        slopes[position] = value
+        name = ("alpha1", "alpha2", "alpha3")[position]
+        with pytest.raises(InvalidParameterError) as excinfo:
+            GdofParams(*slopes)
+        assert f"{name}={value!r}" in str(excinfo.value)
 
 
 class TestWeakGdofRegion:

@@ -8,6 +8,7 @@ from gicap import (
     ChannelParams,
     DomainError,
     InterferenceTag,
+    InvalidParameterError,
     InvalidSplitError,
     PowerSplit,
     classify,
@@ -46,6 +47,16 @@ class TestSplitValidation:
     def test_negative(self):
         with pytest.raises(InvalidSplitError):
             PowerSplit(-0.1, 0)
+
+    @pytest.mark.parametrize("value", ["a", None, 1 + 0j])
+    @pytest.mark.parametrize("position", range(2))
+    def test_non_number_named(self, position, value):
+        levels = [0.0, 0.0]
+        levels[position] = value
+        name = ("inr_p2", "inr_p1")[position]
+        with pytest.raises(InvalidParameterError) as excinfo:
+            PowerSplit(*levels)
+        assert f"{name} " in str(excinfo.value) and repr(value) in str(excinfo.value)
 
     def test_exceeds_cross_ratio(self):
         with pytest.raises(InvalidSplitError):

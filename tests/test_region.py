@@ -61,6 +61,16 @@ class TestConstraintValidation:
         with pytest.raises(InvalidParameterError):
             RateConstraint(1, 0, math.inf)
 
+    @pytest.mark.parametrize("value", ["a", None, 1 + 0j])
+    @pytest.mark.parametrize("position", range(3))
+    def test_non_number_named(self, position, value):
+        entries = [1.0, 1.0, 1.0]
+        entries[position] = value
+        name = ("c1", "c2", "rhs")[position]
+        with pytest.raises(InvalidParameterError) as excinfo:
+            RateConstraint(*entries)
+        assert f"{name}={value!r}" in str(excinfo.value)
+
     def test_empty_region(self):
         with pytest.raises(InvalidParameterError):
             RateRegion([])
