@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag
 from .channel import _check_symmetric, _very_strong
-from .errors import ClassMismatchError, DomainError
+from .errors import ClassMismatchError, DomainError, _real
 from .region import RateRegion, log2_rows, region_from_rows
 
 __all__ = [
@@ -182,9 +182,9 @@ def one_sided_sum_capacity(snr1: float, snr2: float, inr2: float) -> float:
     bound and is handled by the mixed outer bound instead.  Each ratio must
     be finite and nonnegative; else :class:`DomainError` names it.
     """
-    for name, value in (("snr1", snr1), ("snr2", snr2), ("inr2", inr2)):
-        if not 0.0 <= value < math.inf:
-            raise DomainError(f"one-sided sum capacity needs finite {name} >= 0, got {value!r}")
+    _real("snr1", snr1)
+    _real("snr2", snr2)
+    _real("inr2", inr2)
     if not (inr2 < snr1):
         raise DomainError(
             f"one-sided sum capacity needs inr2 < snr1, got inr2={inr2!r}, snr1={snr1!r}"
@@ -197,12 +197,10 @@ def symmetric_capacity_strong(snr: float, inr: float) -> float:
 
     log(1+SNR) in the very strong case (INR >= SNR^2 + SNR, interference
     decodable up front at no cost), else 1/2 log(1+SNR+INR): strong rows
-    1 and 3.
+    1 and 3.  Needs finite SNR >= 0 and finite INR, else :class:`DomainError`.
     """
-    if not (0.0 <= snr < math.inf and math.isfinite(inr)):
-        raise DomainError(
-            f"strong symmetric capacity needs finite snr >= 0 and finite inr, got {snr!r}, {inr!r}"
-        )
+    _real("snr", snr)
+    _real("inr", inr, -math.inf, above=True)
     if inr < snr:
         raise ClassMismatchError(
             f"strong symmetric capacity needs inr >= snr, got inr={inr!r}, snr={snr!r}"
@@ -214,11 +212,8 @@ def symmetric_capacity_strong(snr: float, inr: float) -> float:
 
 
 def kramer_bound(snr: float, inr: float) -> float:
-    """Kramer-style symmetric rate bound; needs 0 < INR < SNR."""
-    if not (0.0 < inr < snr < math.inf):
-        raise DomainError(
-            f"kramer bound needs 0 < inr < snr < inf, got inr={inr!r}, snr={snr!r}"
-        )
+    """Kramer-style symmetric rate bound; needs 0 < INR < SNR < inf."""
+    _real("inr", inr, 0, _real("snr", snr), above=True)
     # log2(2 - a + sqrt(a^2 + 4 SNR a)) - 1, a = 1 + SNR/INR, with the cancelling
     # -a + sqrt(...) divided out and SNR/a written as INR/(1 + INR/SNR): the same
     # value in reals, and no step rounds INR << SNR away or overflows
@@ -244,7 +239,7 @@ def symmetric_bounds(snr: float, inr: float) -> SymmetricBoundSet:
     log(1+SNR) is folded into ``best`` as well.  They are weak rows 3, 5
     and 1 of the symmetric channel, the sum rows halved.
     """
-    _check_symmetric("symmetric_bounds", snr, inr)
+    _check_symmetric(snr, inr)
     cap, genie, new_ub = _rhs(InterferenceTag.WEAK, snr, snr, inr, inr, 0, 2, 4)
     genie /= 2.0
     new_ub /= 2.0

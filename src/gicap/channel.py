@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, _real
 
 __all__ = [
     "ChannelParams",
@@ -61,10 +61,8 @@ def db_to_linear(db: float) -> float:
 
 
 def linear_to_db(x: float) -> float:
-    """Convert a linear power ratio to dB: 10*log10(x)."""
-    if not (0.0 < x < math.inf):
-        raise DomainError(f"cannot express a ratio that is not positive and finite in dB: {x}")
-    return 10.0 * math.log10(x)
+    """Convert a linear power ratio to dB: 10*log10(x); ``x`` must be positive and finite."""
+    return 10.0 * math.log10(_real("x", x, above=True))
 
 
 @dataclass(frozen=True)
@@ -78,15 +76,7 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name in ("snr1", "snr2", "inr1", "inr2"):
-            v = getattr(self, name)
-            try:
-                bad = isinstance(v, bool) or not math.isfinite(v) or v < 0.0
-            except TypeError:  # a str, None, a complex
-                bad = True
-            if bad:
-                raise InvalidParameterError(
-                    f"{name} must be a finite nonnegative number, got {v!r}"
-                )
+            _real(name, getattr(self, name), error=InvalidParameterError)
 
     @property
     def is_symmetric(self) -> bool:
@@ -120,16 +110,12 @@ def from_physical(
 
     ``gij`` is the power gain from transmitter i to receiver j, ``pi`` the
     transmit power of user i, and ``n0`` the per-receiver noise power.
+    Gains and powers must be finite and nonnegative and ``n0`` finite and
+    positive, else :class:`InvalidParameterError` names the argument.
     """
-    vals = dict(g11=g11, g12=g12, g21=g21, g22=g22, p1=p1, p2=p2, n0=n0)
-    for name, v in vals.items():
-        if not math.isfinite(v):
-            raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-    if n0 <= 0.0:
-        raise InvalidParameterError(f"noise power must be positive, got {n0!r}")
-    for name in ("g11", "g12", "g21", "g22", "p1", "p2"):
-        if vals[name] < 0.0:
-            raise InvalidParameterError(f"{name} must be nonnegative, got {vals[name]!r}")
+    for name, v in dict(g11=g11, g12=g12, g21=g21, g22=g22, p1=p1, p2=p2).items():
+        _real(name, v, error=InvalidParameterError)
+    _real("n0", n0, above=True, error=InvalidParameterError)
     return ChannelParams(
         snr1=g11 * p1 / n0,
         snr2=g22 * p2 / n0,
@@ -180,18 +166,16 @@ def classify(params: ChannelParams) -> InterferenceClass:
 
 
 def alpha(snr: float, inr: float) -> float:
-    """Interference level: log INR / log SNR (base-independent)."""
-    if not (1.0 < snr < math.inf):
-        raise DomainError(f"alpha needs finite snr > 1, got snr={snr!r}")
-    if not (0.0 < inr < math.inf):
-        raise DomainError(f"alpha needs finite inr > 0, got inr={inr!r}")
+    """Interference level: log INR / log SNR (base-independent); needs SNR > 1, INR > 0."""
+    _real("snr", snr, 1, above=True)
+    _real("inr", inr, above=True)
     return math.log(inr) / math.log(snr)
 
 
-def _check_symmetric(name: str, snr: float, inr: float) -> None:
+def _check_symmetric(snr: float, inr: float) -> None:
     """Raise :class:`DomainError` unless 0 < SNR < inf and 0 <= INR < inf."""
-    if not (0.0 < snr < math.inf and 0.0 <= inr < math.inf):
-        raise DomainError(f"{name} needs finite snr > 0, inr >= 0, got {snr!r}, {inr!r}")
+    _real("snr", snr, above=True)
+    _real("inr", inr)
 
 
 def _very_strong(snr: float, inr: float) -> bool:
@@ -249,11 +233,8 @@ def symmetric_regime(snr: float, inr: float) -> SymmetricRegime:
     condition INR >= SNR^2 + SNR.  The inr^3 and B-set comparisons can
     overflow on both sides; those are decided in exact rationals.
     """
-    if not (1.0 < snr < math.inf):
-        raise DomainError(f"symmetric_regime needs finite snr > 1, got snr={snr!r}")
-    if not (0.0 <= inr < math.inf):
-        raise DomainError(f"symmetric_regime needs finite inr >= 0, got inr={inr!r}")
-
+    _real("snr", snr, 1, above=True)
+    _real("inr", inr)
     if _very_strong(snr, inr):
         regime = 5
     elif inr >= snr:

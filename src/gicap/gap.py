@@ -71,6 +71,7 @@ from .errors import (
     DomainError,
     InvalidParameterError,
     NotCoveredError,
+    _real,
 )
 from .region import RateRegion, _family_minima, _verdicts, log2_rows, region_from_rows, sigfig
 
@@ -718,10 +719,7 @@ def kramer_gap(snr: float, inr: float) -> float:
     sqrt(SNR)), which is exactly why the interference-limited bound is
     needed there.
     """
-    if not (1.0 <= inr < snr):
-        raise DomainError(
-            f"kramer_gap needs 1 <= inr < snr, got inr={inr!r}, snr={snr!r}"
-        )
+    _real("inr", inr, 1, _real("snr", snr))
     return _bounds.kramer_bound(snr, inr) - _hk.symmetric_hk_rate(snr, inr)
 
 
@@ -754,10 +752,10 @@ def asymptotic_tightness_check(
 
     The band 2/3 <= alpha <= 1 (and the boundary alpha = 1/2) has no
     vanishing-gap scheme and raises :class:`NotCoveredError`; a ``gamma``
-    given outside 1/2 < alpha < 2/3 raises :class:`DomainError`.
+    given outside 1/2 < alpha < 2/3 raises :class:`DomainError`, and so do a
+    ``snr_list`` that is not an iterable and an SNR that is not above 1.
     """
-    if not (alpha_value > 0.0) or not math.isfinite(alpha_value):
-        raise DomainError(f"alpha must be positive and finite, got {alpha_value!r}")
+    _real("alpha", alpha_value, above=True)
     regime2 = 0.5 < alpha_value < 2.0 / 3.0
     if not (alpha_value < 0.5 or regime2 or alpha_value > 1.0):
         raise NotCoveredError(
@@ -767,11 +765,14 @@ def asymptotic_tightness_check(
         raise DomainError(
             f"gamma={gamma!r} applies only when 1/2 < alpha < 2/3, got alpha={alpha_value!r}"
         )
-    snrs = list(snr_list)
+    try:
+        snrs = list(snr_list)
+    except TypeError:
+        raise DomainError(f"snr_list must be an iterable, got snr_list={snr_list!r}") from None
     if not snrs:
         raise DomainError("snr_list must be nonempty")
-    if any(not (1.0 < s < math.inf) for s in snrs):
-        raise DomainError("every snr must be finite and exceed 1")
+    for snr in snrs:
+        _real("snr", snr, 1, above=True)
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise DomainError("snr_list must be strictly increasing")
 

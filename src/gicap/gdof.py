@@ -40,7 +40,7 @@ from typing import NamedTuple
 from . import bounds as _bounds
 from . import hk as _hk
 from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _power_inr, classify
-from .errors import ClassMismatchError, DomainError, InvalidParameterError
+from .errors import ClassMismatchError, DomainError, _real
 from .region import RateConstraint, RateRegion
 
 __all__ = [
@@ -69,15 +69,9 @@ class GdofParams:
     alpha3: float
 
     def __post_init__(self) -> None:
-        try:
-            if not (math.isfinite(self.alpha1) and self.alpha1 > 0.0):
-                raise DomainError(f"alpha1 must be positive and finite, got {self.alpha1!r}")
-            for name in ("alpha2", "alpha3"):
-                v = getattr(self, name)
-                if not math.isfinite(v) or v < 0.0:
-                    raise DomainError(f"{name} must be finite and >= 0, got {v!r}")
-        except TypeError:  # a str, None, a complex
-            raise InvalidParameterError(f"slopes must be real numbers: {self}") from None
+        _real("alpha1", self.alpha1, above=True)
+        _real("alpha2", self.alpha2)
+        _real("alpha3", self.alpha3)
 
 
 def d_sym(alpha_value: float) -> float:
@@ -87,9 +81,7 @@ def d_sym(alpha_value: float) -> float:
     beyond 2.  Adjacent branches agree at the breakpoints; branch checks
     are ordered so each breakpoint evaluates exactly.
     """
-    a = alpha_value
-    if not math.isfinite(a) or a < 0.0:
-        raise DomainError(f"d_sym needs finite alpha >= 0, got {a!r}")
+    a = _real("alpha", alpha_value)
     if a <= 0.5:
         return 1.0 - a
     if a <= 2.0 / 3.0:
@@ -188,9 +180,7 @@ def strong_gdof_region(g: GdofParams) -> RateRegion:
 
 def symmetric_gdof_region(alpha_value: float) -> RateRegion:
     """Gdof region of the symmetric channel at interference level alpha."""
-    a = alpha_value
-    if not math.isfinite(a) or a < 0.0:
-        raise DomainError(f"symmetric gdof region needs finite alpha >= 0, got {a!r}")
+    a = _real("alpha", alpha_value)
     unit = [RateConstraint(1.0, 0.0, 1.0), RateConstraint(0.0, 1.0, 1.0)]
     if a >= 1.0:
         return RateRegion(unit + [RateConstraint(1.0, 1.0, a)])
@@ -240,8 +230,7 @@ def baseline_gdof(alpha_value: float, scheme: BaselineScheme | str) -> float:
     they should (alpha in {1/2, 1}, resp. alpha <= 1/2).  A ``scheme`` that
     is neither a member nor a member's value raises :class:`DomainError`.
     """
-    if not math.isfinite(alpha_value) or alpha_value < 0.0:
-        raise DomainError(f"baseline_gdof needs finite alpha >= 0, got {alpha_value!r}")
+    _real("alpha", alpha_value)
     if not isinstance(scheme, BaselineScheme):
         try:
             scheme = BaselineScheme(scheme)
@@ -269,10 +258,8 @@ def finite_snr_convergence(snr: float, alpha_value: float) -> FiniteSnrSandwich:
     is exact so both coincide.  Convergence is O(1/log SNR) thanks to the
     one-bit gap plus the bounded approximation slack.
     """
-    if not (snr > 2.0):
-        raise DomainError(f"finite_snr_convergence needs snr > 2, got {snr!r}")
-    if not math.isfinite(alpha_value) or alpha_value < 0.0:
-        raise DomainError(f"alpha must be finite and >= 0, got {alpha_value!r}")
+    _real("snr", snr, 2, above=True)
+    _real("alpha", alpha_value)
     scale = _LOG2(snr)
     inr = _power_inr(snr, alpha_value)
     if alpha_value >= 1.0:
@@ -298,10 +285,8 @@ def first_order_expansion(params: ChannelParams) -> RateRegion:
     :func:`gicap.bounds.outer_rows` row, at any cross ratio.  A zero cross
     ratio has slope -inf, which the ``1 + x`` it sits in turns into 0.
     """
-    if not (params.snr1 > 1.0 and params.snr2 > 1.0):
-        raise DomainError(
-            f"first-order expansion needs snr1, snr2 > 1, got {params}"
-        )
+    _real("snr1", params.snr1, 1, above=True)
+    _real("snr2", params.snr2, 1, above=True)
     tag = classify(params).tag
     if tag is InterferenceTag.STRONG:
         raise ClassMismatchError("first-order expansion covers weak and mixed only")

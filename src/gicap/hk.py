@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .channel import ChannelParams, _check_symmetric, alpha
-from .errors import DomainError, InvalidParameterError, InvalidSplitError
+from .errors import DomainError, InvalidSplitError, _real
 from .region import RateRegion, Vertex, log2_rows, region_from_rows
 
 __all__ = [
@@ -83,14 +83,8 @@ class PowerSplit:
     inr_p1: float
 
     def __post_init__(self) -> None:
-        for name in ("inr_p2", "inr_p1"):
-            v = getattr(self, name)
-            try:
-                bad = not math.isfinite(v) or v < 0.0
-            except TypeError:  # a str, None, a complex
-                raise InvalidParameterError(f"{name} must be a real number, got {v!r}") from None
-            if bad:
-                raise InvalidSplitError(f"{name} must be finite and >= 0, got {v!r}")
+        _real("inr_p2", self.inr_p2, error=InvalidSplitError)
+        _real("inr_p1", self.inr_p1, error=InvalidSplitError)
 
 
 class DifferentialRatePair(NamedTuple):
@@ -227,7 +221,7 @@ def symmetric_hk_rate(snr: float, inr: float) -> float:
     :func:`regime1_rate`.  A term that overflows double precision raises
     :class:`DomainError` naming the ratios.
     """
-    _check_symmetric("symmetric_hk_rate", snr, inr)
+    _check_symmetric(snr, inr)
     if inr < 1.0:
         terms = (regime1_rate(snr, inr),)
     else:
@@ -266,7 +260,7 @@ def costa_point(params: ChannelParams) -> Vertex:
 
 def regime1_rate(snr: float, inr: float) -> float:
     """Symmetric rate of pure treat-as-noise (all private, full power): log(1 + SNR/(1+INR))."""
-    _check_symmetric("regime1_rate", snr, inr)
+    _check_symmetric(snr, inr)
     return log2_rows(hk_args(snr, snr, inr, inr, inr, inr)[:1])[0]
 
 
@@ -279,16 +273,13 @@ def regime1_gap(snr: float, inr: float) -> float:
     as log2(1 + INR/(1 + SNR/(1 + INR))): the same value in reals, with no
     cancellation and no overflow on finite ratios.
     """
-    _check_symmetric("regime1_gap", snr, inr)
+    _check_symmetric(snr, inr)
     return _LOG2(1.0 + inr / (1.0 + snr / (1.0 + inr)))
 
 
 def regime2_window(alpha_value: float) -> tuple[float, float]:
-    """Admissible (open) window for the regime-2 power-split exponent gamma."""
-    if not (0.5 < alpha_value < 2.0 / 3.0):
-        raise DomainError(
-            f"regime-2 window needs 1/2 < alpha < 2/3, got alpha={alpha_value!r}"
-        )
+    """Admissible (open) window for the regime-2 exponent gamma; needs 1/2 < alpha < 2/3."""
+    _real("alpha", alpha_value, 0.5, 2.0 / 3.0, above=True)
     return ((2.0 * alpha_value - 1.0) / (1.0 - alpha_value), 1.0)
 
 
@@ -301,12 +292,7 @@ def regime2_rate(snr: float, inr: float, gamma: float) -> float:
     half the smaller of the first and third sum rows of :func:`hk_args` at
     the split (INR_p, INR_p): the private rate plus the smaller common rate.
     """
-    a = alpha(snr, inr)
-    lo, hi = regime2_window(a)
-    if not (lo < gamma < hi):
-        raise DomainError(
-            f"gamma={gamma!r} outside the admissible window ({lo}, {hi}) at alpha={a}"
-        )
+    _real("gamma", gamma, *regime2_window(alpha(snr, inr)), above=True)
     inr_p = (inr / snr) ** (1.0 - gamma)
     return 0.5 * min(log2_rows(hk_args(snr, snr, inr, inr, inr_p, inr_p)[2:5:2]))
 
@@ -319,9 +305,9 @@ def differential_rates(z: float, snr1: float, inr2: float) -> DifferentialRatePa
     1/ln 2 for bit densities.  Each argument must be finite and >= 0, or
     :class:`DomainError` is raised.
     """
-    for name, value in (("power level z", z), ("snr1", snr1), ("inr2", inr2)):
-        if not (0.0 <= value < math.inf):
-            raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    _real("z", z)
+    _real("snr1", snr1)
+    _real("inr2", inr2)
     return DifferentialRatePair(
         r1=snr1 / (1.0 + snr1 * z),
         r2=inr2 / (1.0 + inr2 * z),

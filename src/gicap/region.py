@@ -172,11 +172,19 @@ def vertices(region: RateRegion) -> list[Vertex]:
 
 def contains(region: RateRegion, point, tol: float = DEFAULT_TOL) -> bool:
     """Membership test: every constraint satisfied within ``tol`` bits.  Each
-    test fails on NaN, so a point with a NaN coordinate is outside."""
-    r1, r2 = point
-    return r1 >= -tol and r2 >= -tol and all(
-        c.c1 * r1 + c.c2 * r2 <= c.rhs + tol for c in region.constraints
-    )
+    test fails on NaN, so a point with a NaN coordinate is outside.  A point
+    that is not two real numbers (a bool included), or a ``tol`` that is not
+    one, raises :class:`InvalidParameterError`."""
+    try:
+        r1, r2 = point
+        floor = r1 >= -tol, r2 >= -tol  # a TypeError for a str, None, a complex
+    except (TypeError, ValueError):  # or for a point that is not a pair
+        floor = None
+    if floor is None or bool in (type(r1), type(r2), type(tol)):
+        raise InvalidParameterError(
+            f"contains needs a real point and tol, got point={point!r}, tol={tol!r}"
+        )
+    return all(floor) and all(c.c1 * r1 + c.c2 * r2 <= c.rhs + tol for c in region.constraints)
 
 
 def symmetric_rate(region: RateRegion) -> float:

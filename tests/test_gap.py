@@ -340,6 +340,11 @@ class TestAsymptoticTightness:
         with pytest.raises(DomainError):
             asymptotic_tightness_check(0.25, [0.5, 1e6])
 
+    @pytest.mark.parametrize("snr_list", [5, 1e6, None])
+    def test_non_iterable_snr_list_named(self, snr_list):
+        with pytest.raises(DomainError, match=f"snr_list={snr_list!r}$"):
+            asymptotic_tightness_check(0.3, snr_list)
+
     def test_overflowing_inr_names_snr_and_alpha(self):
         with pytest.raises(DomainError, match=r"snr=1e\+200, alpha=2\.5"):
             asymptotic_tightness_check(2.5, [1e200])

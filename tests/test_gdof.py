@@ -355,6 +355,15 @@ class TestFiniteSnrConvergence:
 
 
 class TestFirstOrderExpansion:
+    @pytest.mark.parametrize(
+        "params, named",
+        [(ChannelParams(1.0, 100, 10, 10), "snr1=1.0"),
+         (ChannelParams(100, 0.5, 10, 10), "snr2=0.5")],
+    )
+    def test_snr_at_most_one_named(self, params, named):
+        with pytest.raises(DomainError, match=f"got {named}$"):
+            first_order_expansion(params)
+
     def test_weak_interference_limited_row(self):
         r = first_order_expansion(ChannelParams(100, 100, 10, 10))
         sums = [c.rhs for c in r.constraints if (c.c1, c.c2) == (1.0, 1.0)]

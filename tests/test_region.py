@@ -61,7 +61,7 @@ class TestConstraintValidation:
         with pytest.raises(InvalidParameterError):
             RateConstraint(1, 0, math.inf)
 
-    @pytest.mark.parametrize("value", ["a", None, 1 + 0j])
+    @pytest.mark.parametrize("value", ["a", None, 1 + 0j, [1.0]])
     @pytest.mark.parametrize("position", range(3))
     def test_non_number_named(self, position, value):
         entries = [1.0, 1.0, 1.0]
@@ -163,6 +163,17 @@ class TestContains:
     def test_nan_point_is_outside(self, point):
         assert not contains(box(2, 3), point)
         assert not contains(box(2, 3), point, tol=0)
+
+    @pytest.mark.parametrize(
+        "point, tol",
+        [(("3", 0.0), 0.0), ((0.0, None), 0.0), ((1j, 0.0), 0.0), (([1.0], 0.0), 0.0),
+         ((True, 0.0), 0.0), ((math.nan, "3"), 0.0), ((-1.0, "3"), 0.0), ((0.0, 0.0), "0"),
+         (5.0, 0.0), ((0.0, 0.0, 0.0), 0.0)],
+    )
+    def test_non_real_point_is_an_invalid_parameter(self, point, tol):
+        with pytest.raises(InvalidParameterError) as excinfo:
+            contains(box(2, 3), point, tol=tol)
+        assert repr(point) in str(excinfo.value)
 
 
 class TestSymmetricRate:
