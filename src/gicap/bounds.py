@@ -73,7 +73,9 @@ def outer_args(s1, s2, i1, i2, tag: InterferenceTag):
     :func:`gicap.hk.hk_args`: only ``+ - * /`` on the ratios, so floats and
     numpy arrays give the same doubles, and an argument shared by two rows
     is the same object in both.  ``tag`` is trusted, not checked against
-    the ratios.
+    the ratios.  Unchecked, since it runs once per row: the ratios are
+    floats or numpy arrays by duck typing, and a non-number raises
+    ``TypeError``.
     """
     if tag is InterferenceTag.WEAK:
         ns1 = 1.0 + i1 + s1 / (1.0 + i2)

@@ -62,6 +62,8 @@ _FIGURE_IDS = ("gdof-curve", "hk-fraction", "ub-vs-hk", "diff-rates", "gdof-regi
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process; ``parser.commands`` maps each
+    subcommand name to its parser, the tree's own ``sub.choices``."""
     parser = argparse.ArgumentParser(
         prog="gicap",
         description="Two-user Gaussian interference channel calculator and verifier.",
@@ -82,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False, parents=[fmt])
     out.add_argument("--out", type=str, default=None, help="output file path")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("classify", parents=[channel], help="classify a channel")
     p.set_defaults(run=_cmd_classify)
@@ -164,22 +167,39 @@ def _channel_from_args(args) -> ChannelParams:
     )
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _json(obj, pad="\n") -> str:
     """``json.dumps(obj, indent=2)`` with every float rounded by :func:`sigfig`,
     written in one pass; ``pad`` is the newline and indent of ``obj``'s line.
 
     ``json.dump`` with an indent never reaches the C encoder, and rounding
     first would copy ``obj``.  A float is ``float.__repr__`` of its rounding,
-    as ``json`` writes a finite float; every other leaf, and every key, is
-    ``json.dumps``'s text."""
+    as ``json`` writes a finite float.  A ``str`` key or leaf is
+    ``encode_basestring_ascii``'s text, the C function ``json.dumps`` ends
+    in, and ``True``, ``False`` and ``None`` are their literals; every other
+    leaf or key, a ``str`` or ``int`` subclass included, is ``json.dumps``'s
+    text."""
     if isinstance(obj, float):
         x = sigfig(obj)
         return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+    if type(obj) is str:
+        return _quote(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [json.dumps(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        items = [
+            (_quote(k) if type(k) is str else json.dumps(k)) + ": " + _json(v, inner)
+            for k, v in obj.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -210,10 +230,12 @@ def _cell(value) -> str:
 
 
 def _emit(obj, args, stream, table=None) -> None:
-    """Write ``obj`` as JSON, or as key,value CSV with dotted paths.
+    """Write ``obj`` as JSON, or as key,value CSV with dotted paths, in one
+    ``stream.write``.
 
     JSON is :func:`_json`'s text: the ``json`` module's two-space layout with
-    every float at 12 significant digits.  A figure passes ``table =
+    every float at 12 significant digits, its strings, keys, booleans and
+    nulls written without ``json.dumps``.  A figure passes ``table =
     (header, rows)`` in place of ``obj``: JSON ``{"columns": header, "rows":
     rows}``, or CSV of the rows by default.
     A table holds floats only, so its CSV rows are formatted by one ``%``
@@ -225,14 +247,12 @@ def _emit(obj, args, stream, table=None) -> None:
         stream.write(_json(obj) + "\n")
         return
     if table is None:
-        stream.write("key,value\n")
-        for row in _flatten(obj):
-            stream.write(",".join(map(_cell, row)) + "\n")
+        stream.write("key,value\n" + "".join([f"{k},{_cell(v)}\n" for k, v in _flatten(obj)]))
         return
     header, rows = table
     template = ",".join(["%.12g"] * len(header)) + "\n"
-    stream.write(",".join(header) + "\n")
-    stream.write((template * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
+    cells = tuple(itertools.chain.from_iterable(rows))
+    stream.write(",".join(header) + "\n" + (template * len(rows)) % cells)
 
 
 def _cmd_classify(args, stdout) -> int:
@@ -459,9 +479,22 @@ def _cmd_diffrate(args, stdout) -> int:
 
 
 def main(argv: Sequence[str] | None = None, stdout=None) -> int:
-    """Run one subcommand; returns the process exit code."""
+    """Run one subcommand; returns the process exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  A well-formed command line is
+    parsed once, by its subcommand's parser, as argparse's subparsers action
+    parses it after the full parser's own pass.  The full parser runs only to
+    answer help and usage errors, with its own message and exit code: an
+    empty or unknown command, an option before the command, and strings the
+    subcommand's parser leaves unparsed."""
     stdout = sys.stdout if stdout is None else stdout
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+    if command is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.run(args, stdout)
     except GicapError as exc:

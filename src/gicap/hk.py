@@ -137,7 +137,8 @@ def hk_args(s1, s2, i1, i2, p2, p1, where=_where):
     ratios (``s1, s2, i1, i2``) and private levels (``p2, p1``) give the
     same doubles; ``where(cond, a, b)`` picks the private-SNR branch for
     the number type (``np.where`` for arrays).  An argument shared by two
-    rows is the same object in both.
+    rows is the same object in both.  Unchecked, since it runs once per row:
+    a non-number raises ``TypeError``.
     """
     s1p = _private_snr(s1, p2, i2, where)
     s2p = _private_snr(s2, p1, i1, where)
@@ -187,6 +188,7 @@ def recommended_levels(strong_at_1, strong_at_2, inr1, inr2, where=_where):
     ``inr1``/``inr2`` may be floats or numpy arrays of channels sharing the
     strengths; ``where`` is the choice for the number type, as for
     :func:`hk_args`.  ``where(inr < 1, inr, 1)`` is ``min(1, inr)``, ties included.
+    Unchecked, since it runs once per row: a non-number raises ``TypeError``.
     """
     return (
         0.0 if strong_at_2 else where(inr2 < 1.0, inr2, 1.0),

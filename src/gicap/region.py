@@ -104,6 +104,8 @@ def log2_rows(args, log2=math.log2) -> tuple:
     its length, and each freed one then joins that length's tuple free list,
     which only a full garbage collection empties (0.5 MiB of 12- and
     14-tuples in a query process that never runs one).
+    Unchecked, since it runs once per row: the arguments are floats or numpy
+    arrays by duck typing, and a non-number raises ``TypeError``.
     """
     return tuple([functools.reduce(operator.add, map(log2, row)) for row in args])
 
@@ -303,7 +305,10 @@ def within_half_certificate(inner: RateRegion, outer: RateRegion) -> bool:
 
 
 def sigfig(x: float) -> float:
-    """Round to 12 significant digits (serialization contract)."""
+    """Round to 12 significant digits (serialization contract).
+
+    Unchecked, since it runs once per emitted float: ``x`` is a float (or a
+    numpy float) by duck typing, and a non-number raises ``TypeError``."""
     if x == 0.0 or not math.isfinite(x):
         return x + 0.0
     return float(f"{x:.12g}")

@@ -5,6 +5,10 @@ bool) raises :class:`InvalidParameterError`; a real one outside its range
 (NaN and +inf included) raises the function's documented error.  Both
 messages name the argument as ``name=value``.  Each row below states one
 argument's range by a value just outside it and one just inside it.
+
+The row kernels are the exception: they take floats or numpy arrays by
+duck typing and run once per row, so they check nothing, and a non-number
+raises ``TypeError``.
 """
 
 import math
@@ -16,6 +20,7 @@ from gicap import (
     ChannelParams,
     DomainError,
     GdofParams,
+    InterferenceTag,
     InvalidParameterError,
     InvalidSplitError,
     PowerSplit,
@@ -40,6 +45,9 @@ from gicap import (
     symmetric_hk_rate,
     symmetric_regime,
 )
+from gicap.bounds import outer_args
+from gicap.hk import hk_args, recommended_levels
+from gicap.region import log2_rows, sigfig
 
 TINY = 5e-324  # the least positive float
 NON_REALS = ["3", None, 1j, [1.0], True]
@@ -150,3 +158,18 @@ def test_out_of_range_raises_the_documented_error(call, name, error, outside, in
 )
 def test_just_inside_the_range_returns(call, name, error, outside, inside):
     assert call(inside) is not None
+
+
+UNCHECKED_ROW_KERNELS = [
+    pytest.param(lambda: sigfig("3"), id="sigfig"),
+    pytest.param(lambda: log2_rows([("3",)]), id="log2_rows"),
+    pytest.param(lambda: hk_args("3", 1.0, 1.0, 1.0, 0.0, 0.0), id="hk_args"),
+    pytest.param(lambda: recommended_levels(False, False, "3", 1.0), id="recommended_levels"),
+    pytest.param(lambda: outer_args("3", 1.0, 1.0, 1.0, InterferenceTag.WEAK), id="outer_args"),
+]
+
+
+@pytest.mark.parametrize("call", UNCHECKED_ROW_KERNELS)
+def test_row_kernel_raises_type_error_on_a_non_number(call):
+    with pytest.raises(TypeError):
+        call()

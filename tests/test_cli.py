@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import io
@@ -17,6 +18,7 @@ import gicap.gap
 from gicap import (
     ContainmentError,
     GdofParams,
+    InterferenceTag,
     SweepRecord,
     Vertex,
     mixed_gdof_region,
@@ -838,12 +840,25 @@ def round_floats(obj):
 # floats at the edges of sigfig and of the json module's float text
 EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 1.0000000000005)
 JSON_TEXT = st.text() | st.text(alphabet='"\\/\n\t\x00\x7fé☃\U0001f600', max_size=8)
+
+
+class Count(int):
+    """An int subclass whose text is not int's; ``json`` writes ``int.__repr__``."""
+
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+    __str__ = __repr__
+
+
+# str and int subclasses (InterferenceTag members, Count) take json.dumps's path
+SUBCLASS_LEAVES = st.sampled_from(list(InterferenceTag)) | st.integers().map(Count)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(EDGE_FLOATS)
-    | JSON_TEXT,
+    | JSON_TEXT | SUBCLASS_LEAVES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    | st.dictionaries(JSON_TEXT | st.sampled_from(list(InterferenceTag)), inner, max_size=4),
     max_leaves=24,
 )
 
@@ -856,8 +871,19 @@ JSON_VALUES = st.recursive(
 @example({"a": [[], {}, ()], "b": {"c": [{}, [[]]]}, "d": [{"e": ()}]})
 @example(list(EDGE_FLOATS))
 @example({'"q"\\ é☃': ['"', "\\", "\u2603", 0, -1, True, False, None]})
+@example({InterferenceTag.WEAK: [InterferenceTag.STRONG, Count(-3), Count(0)], "1": Count(1)})
 def test_json_writer_is_the_json_module_on_rounded_floats(obj):
     assert gicap.cli._json(obj) == json.dumps(round_floats(obj), indent=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [1.5, None, True], "b": {"c": "x,y", "d": InterferenceTag.WEAK}})
+def test_key_value_csv_is_one_row_per_flattened_leaf(obj):
+    stream = io.StringIO()
+    gicap.cli._emit(obj, argparse.Namespace(format="csv"), stream)
+    rows = [",".join(map(gicap.cli._cell, row)) + "\n" for row in gicap.cli._flatten(obj)]
+    assert stream.getvalue() == "key,value\n" + "".join(rows)
 
 
 class TestDiffrate:
@@ -974,6 +1000,73 @@ class TestFlagSlots:
         for flag in flags:
             argv += [flag, *self.VALUES[flag]]
         _build_parser().parse_args(argv)
+
+
+def parse_then_run(argv, stdout):
+    """The reference for ``main`` on these argvs: the full parser, then the command."""
+    args = _build_parser().parse_args(argv)
+    return args.run(args, stdout)
+
+
+def call_outcome(call, argv, capsys):
+    """(exit code, answer, sys.stdout text, sys.stderr text) of one call."""
+    answer = io.StringIO()
+    try:
+        code = call(argv, answer)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, answer.getvalue(), captured.out, captured.err
+
+
+# one valid command line per subcommand; the sweep's CSV lands in the test's cwd
+DISPATCH_BASE = {**TestFlagSlots.BASE, "sweep": ["sweep", "--n", "1", "--out", "s.csv"]}
+
+
+def dispatch_argvs():
+    """Valid command lines and the help and usage errors around them."""
+    yield []
+    yield ["--help"]
+    yield ["-h"]
+    yield ["nope"]
+    yield ["nope", "--help"]
+    yield ["--format", "csv", *DISPATCH_BASE["classify"]]
+    yield ["--", *DISPATCH_BASE["classify"]]
+    missing = {  # a required flag, positional or flag value left out
+        "classify": ["classify", *CHANNEL[:-2]],
+        "region": ["region", *CHANNEL[2:]],
+        "symrate": ["symrate", "--snr", "100"],
+        "gap-audit": ["gap-audit", *CHANNEL[:4]],
+        "sweep": ["sweep", "--out", "s.csv"],
+        "gdof": ["gdof", "--alpha"],
+        "figures": ["figures"],
+        "diffrate": ["diffrate", "--snr1", "100", "--inr2", "10"],
+    }
+    for command, base in DISPATCH_BASE.items():
+        yield base
+        yield [command, "-h"]
+        yield [*base, "--help"]
+        yield missing[command]
+        yield [*base, "--bogus"]
+        yield [*base, "--bogus=1"]
+        yield [*base, "stray"]
+        yield [*base, "--format", "xml"]
+        yield [*base, "--form", "csv"]
+        yield [*base, "--format=csv", "--format", "json"]
+        yield [*base, "--"]
+        yield [*base, "--", "stray"]
+        yield [command, "--", *base[1:]]
+        yield [*base[:-1], "--", base[-1]]
+        yield [*base, "--", "--format", "csv"]
+
+
+@pytest.mark.parametrize("argv", list(dispatch_argvs()), ids=" ".join)
+def test_main_parses_like_the_full_parser(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    expected = call_outcome(parse_then_run, argv, capsys)
+    assert call_outcome(main, argv, capsys) == expected
+    if argv in DISPATCH_BASE.values():
+        assert expected[0] == 0 and expected[1]
 
 
 class TestBadInputNeverCrashes:
