@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag
-from .channel import _check_symmetric, _very_strong
+from .channel import _check_symmetric, _finite, _very_strong
 from .errors import ClassMismatchError, DomainError, _real
 from .region import RateRegion, log2_rows, region_from_rows
 
@@ -111,13 +111,16 @@ def outer_args(s1, s2, i1, i2, tag: InterferenceTag):
 
 
 def _rhs(tag: InterferenceTag, s1, s2, i1, i2, *rows: int) -> tuple[float, ...]:
-    """The rhs of the :func:`outer_args` rows numbered ``rows`` (from 0)."""
+    """The rhs of the :func:`outer_args` rows numbered ``rows`` (from 0); one
+    that overflows raises :class:`DomainError` naming the channel."""
     args = outer_args(s1, s2, i1, i2, tag)[1]
-    return log2_rows([args[k] for k in rows])
+    return _finite(log2_rows([args[k] for k in rows]), s1, s2, i1, i2)
 
 
 def new_sum_bound(params: ChannelParams) -> float:
-    """Interference-limited sum-rate upper bound, valid for any channel: weak row 5."""
+    """Interference-limited sum-rate upper bound, valid for any channel: weak row 5.
+
+    An overflowing bound raises :class:`DomainError` naming the channel."""
     return _rhs(InterferenceTag.WEAK, params.snr1, params.snr2, params.inr1, params.inr2, 4)[0]
 
 
@@ -134,12 +137,16 @@ def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
 
     Weak channels get :func:`weak_outer`, mixed ones :func:`mixed_outer`
     and strong ones the exact :func:`strong_capacity`.  A ``tag`` other
-    than the channel's class raises :class:`ClassMismatchError`.
+    than the channel's class raises :class:`ClassMismatchError`, and a
+    rate that overflows double precision :class:`DomainError` naming the
+    channel.
     """
     actual = TAG_BY_STRENGTH[params.strong_at_1, params.strong_at_2]
     if tag is not actual:
         raise ClassMismatchError(f"{params} is a {actual.value} channel, got tag {tag!r}")
-    return region_from_rows(*outer_rows(params, tag))
+    ratios = params.snr1, params.snr2, params.inr1, params.inr2
+    coeffs, rhs = outer_rows(params, tag)
+    return region_from_rows(coeffs, _finite(rhs, *ratios))
 
 
 def weak_outer(params: ChannelParams) -> RateRegion:
@@ -148,7 +155,8 @@ def weak_outer(params: ChannelParams) -> RateRegion:
     Constraint order (two singles, three sums, 2R1+R2, R1+2R2) is part of
     the contract.  Gap audits take the minimum of each family, so the order
     matters only for the per-index ``paired_deltas`` of ``gap-audit`` and
-    for output bytes.
+    for output bytes.  An overflowing rate raises :class:`DomainError`, as
+    in :func:`class_outer`.
     """
     return class_outer(params, InterferenceTag.WEAK)
 
@@ -161,13 +169,15 @@ def mixed_outer(params: ChannelParams) -> RateRegion:
     same rows on the swapped ratios with mirrored coefficients, so the
     weighted constraint becomes 2R1+R2.  Redundant constraints (the
     interference-limited sum bound and one weighted bound) are excluded.
+    An overflowing rate raises :class:`DomainError`, as in :func:`class_outer`.
     """
     # the mixed tag of the orientation given by receiver 2's strength
     return class_outer(params, TAG_BY_STRENGTH[not params.strong_at_2, params.strong_at_2])
 
 
 def strong_capacity(params: ChannelParams) -> RateRegion:
-    """Exact capacity of a strong channel: intersection of the two MACs."""
+    """Exact capacity of a strong channel: intersection of the two MACs;
+    an overflowing rate raises :class:`DomainError`, as in :func:`class_outer`."""
     return class_outer(params, InterferenceTag.STRONG)
 
 
@@ -199,7 +209,8 @@ def symmetric_capacity_strong(snr: float, inr: float) -> float:
 
     log(1+SNR) in the very strong case (INR >= SNR^2 + SNR, interference
     decodable up front at no cost), else 1/2 log(1+SNR+INR): strong rows
-    1 and 3.  Needs finite SNR >= 0 and finite INR, else :class:`DomainError`.
+    1 and 3.  Needs finite SNR >= 0 and finite INR, else :class:`DomainError`;
+    an overflowing capacity raises it too, naming the channel.
     """
     _real("snr", snr)
     _real("inr", inr, -math.inf, above=True)

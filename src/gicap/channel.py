@@ -97,6 +97,18 @@ class ChannelParams:
         return ChannelParams(self.snr2, self.snr1, self.inr2, self.inr1)
 
 
+_OVERFLOW = "cannot audit {}: its rates overflow double precision"
+
+
+def _finite(rates, s1, s2, i1, i2):
+    """``rates``, or :class:`DomainError` naming the channel ``(s1, s2, i1, i2)``
+    when one of them overflows.  Finite rates are at most a few thousand
+    bits, so the sum is finite exactly when every rate is."""
+    if abs(sum(rates)) < math.inf:  # NaN too
+        return rates
+    raise DomainError(_OVERFLOW.format(ChannelParams(s1, s2, i1, i2)))
+
+
 def from_physical(
     g11: float,
     g12: float,

@@ -45,7 +45,7 @@ from .channel import (
     db_to_linear,
     symmetric_regime,
 )
-from .errors import GicapError, InvalidParameterError
+from .errors import GicapError
 from .region import (
     RateRegion,
     certificates,
@@ -176,11 +176,12 @@ def _json(obj, pad="\n") -> str:
 
     ``json.dump`` with an indent never reaches the C encoder, and rounding
     first would copy ``obj``.  A float is ``float.__repr__`` of its rounding,
-    as ``json`` writes a finite float.  A ``str`` key or leaf is
+    as ``json`` writes a finite float.  A ``str`` leaf and any ``str`` key is
     ``encode_basestring_ascii``'s text, the C function ``json.dumps`` ends
     in, and ``True``, ``False`` and ``None`` are their literals; every other
-    leaf or key, a ``str`` or ``int`` subclass included, is ``json.dumps``'s
-    text."""
+    leaf, a ``str`` or ``int`` subclass included, is ``json.dumps``'s text,
+    and every other key that text quoted (``1`` as ``"1"``, ``None`` as
+    ``"null"``), as ``json`` writes a non-str key."""
     if isinstance(obj, float):
         x = sigfig(obj)
         return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
@@ -197,7 +198,7 @@ def _json(obj, pad="\n") -> str:
         if not obj:
             return "{}"
         items = [
-            (_quote(k) if type(k) is str else json.dumps(k)) + ": " + _json(v, inner)
+            _quote(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, inner)
             for k, v in obj.items()
         ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
@@ -285,14 +286,11 @@ def _cmd_region(args, stdout) -> int:
     else:
         split = _hk.recommended_split(params)
     tag = classify(params).tag
-
-    def regions():
-        inner = _hk.hk_region(params, split)
-        if args.bound == "pt2pt":
-            return inner, _bounds.pt2pt_outer(params)
-        return inner, _bounds.class_outer(params, tag)
-
-    inner, outer = _gap._overflow_checked(params, regions)
+    inner = _hk.hk_region(params, split)
+    if args.bound == "pt2pt":
+        outer = _bounds.pt2pt_outer(params)
+    else:
+        outer = _bounds.class_outer(params, tag)
     one_bit, within_half = certificates(inner, outer)
     out = {
         "class": tag.value,
@@ -310,17 +308,6 @@ def _cmd_symrate(args, stdout) -> int:
     snr = _ratio(args.snr, args.db)
     inr = _ratio(args.inr, args.db)
     params = ChannelParams(snr, snr, inr, inr)
-    out = _gap._overflow_checked(params, lambda: _symmetric_rates(params))
-    if snr > 1.0:
-        reg = symmetric_regime(snr, inr)
-        out["regime"] = reg.regime
-        out["bset"] = reg.bset
-    _emit(out, args, stdout)
-    return 0
-
-
-def _symmetric_rates(params: ChannelParams) -> dict:
-    snr, inr = params.snr1, params.inr1
     out: dict = {"snr": snr, "inr": inr}
     if inr >= snr:
         out["capacity"] = _bounds.symmetric_capacity_strong(snr, inr)
@@ -333,12 +320,12 @@ def _symmetric_rates(params: ChannelParams) -> dict:
         out["kramer_ub"] = sb.kramer_ub
         out["best_ub"] = sb.best
         out["gap_to_best"] = sb.best - out["hk_rate"]
-    # symmetric_hk_rate raises on an overflowed term itself; the bounds
-    # return inf, which this check turns into the overflow error.
-    infinite = [k for k, v in out.items() if v is not None and not math.isfinite(v)]
-    if infinite:
-        raise InvalidParameterError(f"{', '.join(infinite)} not finite")
-    return out
+    if snr > 1.0:
+        reg = symmetric_regime(snr, inr)
+        out["regime"] = reg.regime
+        out["bset"] = reg.bset
+    _emit(out, args, stdout)
+    return 0
 
 
 def _cmd_gap_audit(args, stdout) -> int:

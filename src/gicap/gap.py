@@ -64,15 +64,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import ChannelParams, InterferenceTag, _power_inr, classify, db_to_linear
-from .errors import (
-    ClassMismatchError,
-    ContainmentError,
-    DomainError,
-    InvalidParameterError,
-    NotCoveredError,
-    _real,
-)
+from .channel import _OVERFLOW, ChannelParams, InterferenceTag, _power_inr, classify
+from .channel import db_to_linear
+from .errors import ClassMismatchError, ContainmentError, DomainError, NotCoveredError, _real
 from .region import RateRegion, _family_minima, _verdicts, log2_rows, region_from_rows, sigfig
 
 __all__ = [
@@ -194,14 +188,13 @@ def _judge(code, s1, s2, i1, i2, rows=log2_rows, where=_hk._where, minimum=min) 
     for (c1, c2), delta in zip(_FAMILIES, deltas):
         if delta is not None:
             passed = passed & (delta < c1 + c2 + _SLACK)
-    # Finite rates are at most a few thousand bits, so the sum is finite
-    # exactly when every rate is.
+    # channel._finite's test kept as a flag (an array on a chunk): a chunk
+    # raises for its first bad channel only, in _raise_first_bad
     finite = abs(sum(rhs)) < math.inf
     verdicts = _verdicts(inner_mins, outer_mins, minimum)
     return _Judgment(inner, outer_coeffs, outer, deltas, passed, finite, *verdicts)
 
 
-_OVERFLOW = "cannot audit {}: its rates overflow double precision"
 _NOT_CONTAINED = "the inner region of {} exceeds its outer bound (formula bug upstream)"
 
 
@@ -249,15 +242,6 @@ def audit(params: ChannelParams) -> Audit:
     inner = region_from_rows(_hk.HK_COEFFS, judged.inner)
     outer = region_from_rows(judged.outer_coeffs, judged.outer)
     return Audit(tag, inner, outer, report, judged.one_bit, judged.within_half)
-
-
-def _overflow_checked(params: ChannelParams, build):
-    """``build()``; a rate that overflows raises :class:`DomainError` naming ``params``."""
-    try:
-        return build()
-    # RateConstraint rejects an inf rate, symmetric_hk_rate an overflowed term
-    except (InvalidParameterError, DomainError) as exc:
-        raise DomainError(f"{_OVERFLOW.format(params)} ({exc})") from exc
 
 
 def audit_regions(params: ChannelParams) -> tuple[RateRegion, RateRegion]:
@@ -753,7 +737,8 @@ def asymptotic_tightness_check(
     The band 2/3 <= alpha <= 1 (and the boundary alpha = 1/2) has no
     vanishing-gap scheme and raises :class:`NotCoveredError`; a ``gamma``
     given outside 1/2 < alpha < 2/3 raises :class:`DomainError`, and so do a
-    ``snr_list`` that is not an iterable and an SNR that is not above 1.
+    ``snr_list`` that is not an iterable, an SNR that is not above 1 and a
+    rate that overflows double precision (naming the channel).
     """
     _real("alpha", alpha_value, above=True)
     regime2 = 0.5 < alpha_value < 2.0 / 3.0

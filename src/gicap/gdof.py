@@ -256,7 +256,8 @@ def finite_snr_convergence(snr: float, alpha_value: float) -> FiniteSnrSandwich:
     ``lower`` is the achievable symmetric rate over log2 SNR, ``upper``
     the best symmetric upper bound over log2 SNR; for alpha >= 1 capacity
     is exact so both coincide.  Convergence is O(1/log SNR) thanks to the
-    one-bit gap plus the bounded approximation slack.
+    one-bit gap plus the bounded approximation slack.  A rate that overflows
+    double precision raises :class:`DomainError` naming the channel.
     """
     _real("snr", snr, 2, above=True)
     _real("alpha", alpha_value)

@@ -48,8 +48,8 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .channel import ChannelParams, _check_symmetric, alpha
-from .errors import DomainError, InvalidSplitError, _real
+from .channel import ChannelParams, _check_symmetric, _finite, alpha
+from .errors import InvalidSplitError, _real
 from .region import RateRegion, Vertex, log2_rows, region_from_rows
 
 __all__ = [
@@ -176,10 +176,12 @@ def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
 
     When a cross link is absent (INR_i = 0) the corresponding split value
     must be 0 and that user's message is all-private at full power: the
-    split is unobservable at the other receiver.
+    split is unobservable at the other receiver.  A rate that overflows
+    double precision raises :class:`DomainError` naming the channel.
     """
     _validate_split(params, split)
-    return region_from_rows(HK_COEFFS, hk_rhs(params, split))
+    ratios = params.snr1, params.snr2, params.inr1, params.inr2
+    return region_from_rows(HK_COEFFS, _finite(hk_rhs(params, split), *ratios))
 
 
 def recommended_levels(strong_at_1, strong_at_2, inr1, inr2, where=_where):
@@ -221,7 +223,7 @@ def symmetric_hk_rate(snr: float, inr: float) -> float:
     the first term active on B1 and the second on B2.  For INR < 1 the
     private level is capped at INR and everything is treated as noise:
     :func:`regime1_rate`.  A term that overflows double precision raises
-    :class:`DomainError` naming the ratios.
+    :class:`DomainError` naming the channel.
     """
     _check_symmetric(snr, inr)
     if inr < 1.0:
@@ -233,11 +235,7 @@ def symmetric_hk_rate(snr: float, inr: float) -> float:
             0.5 * _LOG2(1.0 + snr + inr) + 0.5 * _LOG2(2.0 + snr / inr) - 1.0,
             _LOG2(1.0 + inr + snr / inr) - 1.0,
         )
-    if not all(map(math.isfinite, terms)):
-        raise DomainError(
-            f"symmetric_hk_rate overflows double precision at snr={snr!r}, inr={inr!r}"
-        )
-    return min(terms)
+    return min(_finite(terms, snr, snr, inr, inr))
 
 
 def treat_as_noise_region(params: ChannelParams) -> RateRegion:

@@ -6,6 +6,9 @@ bool) raises :class:`InvalidParameterError`; a real one outside its range
 messages name the argument as ``name=value``.  Each row below states one
 argument's range by a value just outside it and one just inside it.
 
+A rate that overflows double precision raises :class:`DomainError` naming
+the channel, in every public function that returns rates.
+
 The row kernels are the exception: they take floats or numpy arrays by
 duck typing and run once per row, so they check nothing, and a non-number
 raises ``TypeError``.
@@ -27,23 +30,30 @@ from gicap import (
     alpha,
     asymptotic_tightness_check,
     baseline_gdof,
+    class_outer,
     d_sym,
     differential_rates,
     finite_snr_convergence,
     from_physical,
+    hk_region,
     kramer_bound,
     kramer_gap,
     linear_to_db,
+    mixed_outer,
+    new_sum_bound,
     one_sided_sum_capacity,
+    recommended_split,
     regime1_gap,
     regime1_rate,
     regime2_rate,
     regime2_window,
+    strong_capacity,
     symmetric_bounds,
     symmetric_capacity_strong,
     symmetric_gdof_region,
     symmetric_hk_rate,
     symmetric_regime,
+    weak_outer,
 )
 from gicap.bounds import outer_args
 from gicap.hk import hk_args, recommended_levels
@@ -158,6 +168,43 @@ def test_out_of_range_raises_the_documented_error(call, name, error, outside, in
 )
 def test_just_inside_the_range_returns(call, name, error, outside, inside):
     assert call(inside) is not None
+
+
+# weak, mixed and strong channels whose 1 + SNR + INR overflows
+WEAK_OVERFLOW = ChannelParams(1.7e308, 1.7e308, 1e308, 1e308)
+MIXED_OVERFLOW = ChannelParams(1.7e308, 1e308, 1.7e308, 1e308)
+STRONG_OVERFLOW = ChannelParams(1e308, 1e308, 1e308, 1e308)
+TIGHTNESS_INR = 1e308**1.0001
+
+
+OVERFLOWS = {
+    "symmetric_capacity_strong": (lambda: symmetric_capacity_strong(1e308, 1e308), STRONG_OVERFLOW),
+    "new_sum_bound": (
+        lambda: new_sum_bound(ChannelParams(0, 1e308, 0, 1e308)), ChannelParams(0, 1e308, 0, 1e308)
+    ),
+    "finite_snr_convergence": (lambda: finite_snr_convergence(1e308, 1.0), STRONG_OVERFLOW),
+    "asymptotic_tightness_check": (
+        lambda: asymptotic_tightness_check(1.0001, [1e308]),
+        ChannelParams(1e308, 1e308, TIGHTNESS_INR, TIGHTNESS_INR),
+    ),
+    "symmetric_hk_rate": (lambda: symmetric_hk_rate(1.7e308, 1e308), WEAK_OVERFLOW),
+    "hk_region": (
+        lambda: hk_region(WEAK_OVERFLOW, recommended_split(WEAK_OVERFLOW)), WEAK_OVERFLOW
+    ),
+    "weak_outer": (lambda: weak_outer(WEAK_OVERFLOW), WEAK_OVERFLOW),
+    "mixed_outer": (lambda: mixed_outer(MIXED_OVERFLOW), MIXED_OVERFLOW),
+    "strong_capacity": (lambda: strong_capacity(STRONG_OVERFLOW), STRONG_OVERFLOW),
+    "class_outer": (lambda: class_outer(STRONG_OVERFLOW, InterferenceTag.STRONG), STRONG_OVERFLOW),
+}
+
+
+@pytest.mark.parametrize("call, channel", OVERFLOWS.values(), ids=list(OVERFLOWS))
+def test_overflowed_rate_raises_domain_error_naming_the_channel(call, channel):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    message = str(excinfo.value)
+    assert "overflow" in message
+    assert str(channel) in message
 
 
 UNCHECKED_ROW_KERNELS = [

@@ -853,12 +853,14 @@ class Count(int):
 
 # str and int subclasses (InterferenceTag members, Count) take json.dumps's path
 SUBCLASS_LEAVES = st.sampled_from(list(InterferenceTag)) | st.integers().map(Count)
+# keys of every type json takes; it writes a non-str one quoted: 1 as "1", None as "null"
+JSON_KEYS = JSON_TEXT | SUBCLASS_LEAVES | st.none() | st.booleans() | st.integers() | st.floats()
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(EDGE_FLOATS)
     | JSON_TEXT | SUBCLASS_LEAVES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(JSON_TEXT | st.sampled_from(list(InterferenceTag)), inner, max_size=4),
+    | st.dictionaries(JSON_KEYS, inner, max_size=4),
     max_leaves=24,
 )
 
@@ -872,6 +874,7 @@ JSON_VALUES = st.recursive(
 @example(list(EDGE_FLOATS))
 @example({'"q"\\ é☃': ['"', "\\", "\u2603", 0, -1, True, False, None]})
 @example({InterferenceTag.WEAK: [InterferenceTag.STRONG, Count(-3), Count(0)], "1": Count(1)})
+@example({1: 2, None: 3, 1.5: True, True: None, math.inf: [], Count(4): {}})
 def test_json_writer_is_the_json_module_on_rounded_floats(obj):
     assert gicap.cli._json(obj) == json.dumps(round_floats(obj), indent=2)
 

@@ -195,14 +195,11 @@ def written_out_strong_capacity(p: ChannelParams) -> RateRegion:
     if not (p.strong_at_1 and p.strong_at_2):
         raise ClassMismatchError(f"strong_capacity needs a strong channel, got {p}")
     s1, s2, i1, i2 = p.snr1, p.snr2, p.inr1, p.inr2
-    return RateRegion(
-        [
-            RateConstraint(1.0, 0.0, log2(1.0 + s1)),
-            RateConstraint(0.0, 1.0, log2(1.0 + s2)),
-            RateConstraint(1.0, 1.0, log2(1.0 + s1 + i1)),
-            RateConstraint(1.0, 1.0, log2(1.0 + s2 + i2)),
-        ]
-    )
+    rhs = (log2(1.0 + s1), log2(1.0 + s2), log2(1.0 + s1 + i1), log2(1.0 + s2 + i2))
+    if not all(map(math.isfinite, rhs)):
+        raise DomainError("strong_capacity overflows double precision")
+    coeffs = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0))
+    return RateRegion([RateConstraint(*c, r) for c, r in zip(coeffs, rhs)])
 
 
 def written_out_pt2pt_outer(p: ChannelParams) -> RateRegion:
@@ -232,9 +229,13 @@ def written_out_one_sided_sum_capacity(snr1, snr2, inr2):
 def written_out_symmetric_capacity_strong(snr, inr):
     if inr < snr:
         raise ClassMismatchError("strong symmetric capacity needs inr >= snr")
+    cap = log2(1.0 + snr)
+    mac = log2(1.0 + snr + inr)
+    if not math.isfinite(mac):
+        raise DomainError("symmetric_capacity_strong overflows double precision")
     if inr >= snr * snr + snr:
-        return log2(1.0 + snr)
-    return 0.5 * log2(1.0 + snr + inr)
+        return cap
+    return 0.5 * mac
 
 
 def written_out_symmetric_bounds(snr, inr) -> SymmetricBoundSet:
