@@ -141,7 +141,7 @@ def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
     rate that overflows double precision :class:`DomainError` naming the
     channel.
     """
-    actual = TAG_BY_STRENGTH[params.strong_at_1, params.strong_at_2]
+    actual = TAG_BY_STRENGTH[params.strong_at_1 + 2 * params.strong_at_2]
     if tag is not actual:
         raise ClassMismatchError(f"{params} is a {actual.value} channel, got tag {tag!r}")
     ratios = params.snr1, params.snr2, params.inr1, params.inr2
@@ -172,7 +172,7 @@ def mixed_outer(params: ChannelParams) -> RateRegion:
     An overflowing rate raises :class:`DomainError`, as in :func:`class_outer`.
     """
     # the mixed tag of the orientation given by receiver 2's strength
-    return class_outer(params, TAG_BY_STRENGTH[not params.strong_at_2, params.strong_at_2])
+    return class_outer(params, TAG_BY_STRENGTH[1 + params.strong_at_2])
 
 
 def strong_capacity(params: ChannelParams) -> RateRegion:

@@ -143,13 +143,13 @@ class InterferenceTag(str, Enum):
     STRONG = "strong"
 
 
-# The class of a channel by (strong at receiver 1, strong at receiver 2).
-TAG_BY_STRENGTH = {
-    (False, False): InterferenceTag.WEAK,
-    (True, False): InterferenceTag.MIXED_STRONG_AT_1,
-    (False, True): InterferenceTag.MIXED_STRONG_AT_2,
-    (True, True): InterferenceTag.STRONG,
-}
+# The class of a channel by its class code, strong_at_1 + 2 * strong_at_2.
+TAG_BY_STRENGTH = (
+    InterferenceTag.WEAK,
+    InterferenceTag.MIXED_STRONG_AT_1,
+    InterferenceTag.MIXED_STRONG_AT_2,
+    InterferenceTag.STRONG,
+)
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def classify(params: ChannelParams) -> InterferenceClass:
     Weak requires both strict inequalities INR1 < SNR2 and INR2 < SNR1;
     equality on either cross link goes to the mixed or strong tag.
     """
-    tag = TAG_BY_STRENGTH[params.strong_at_1, params.strong_at_2]
+    tag = TAG_BY_STRENGTH[params.strong_at_1 + 2 * params.strong_at_2]
     very_strong: bool | None = None
     if params.is_symmetric:
         very_strong = _very_strong(params.snr1, params.inr1)

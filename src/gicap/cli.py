@@ -180,8 +180,8 @@ def _json(obj, pad="\n") -> str:
     ``encode_basestring_ascii``'s text, the C function ``json.dumps`` ends
     in, and ``True``, ``False`` and ``None`` are their literals; every other
     leaf, a ``str`` or ``int`` subclass included, is ``json.dumps``'s text,
-    and every other key that text quoted (``1`` as ``"1"``, ``None`` as
-    ``"null"``), as ``json`` writes a non-str key."""
+    and every other key is ``json``'s own text for it (``1`` as ``"1"``,
+    ``None`` as ``"null"``), or its ``TypeError`` for a key type it refuses."""
     if isinstance(obj, float):
         x = sigfig(obj)
         return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
@@ -197,8 +197,9 @@ def _json(obj, pad="\n") -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        # a non-str key: json's own text for it, cut from {key: 0}, or its TypeError
         items = [
-            _quote(k if isinstance(k, str) else json.dumps(k)) + ": " + _json(v, inner)
+            (_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " + _json(v, inner)
             for k, v in obj.items()
         ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"

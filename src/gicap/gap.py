@@ -64,7 +64,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import _OVERFLOW, ChannelParams, InterferenceTag, _power_inr, classify
+from .channel import _OVERFLOW, TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _power_inr
 from .channel import db_to_linear
 from .errors import ClassMismatchError, ContainmentError, DomainError, NotCoveredError, _real
 from .region import RateRegion, _family_minima, _verdicts, log2_rows, region_from_rows, sigfig
@@ -165,21 +165,22 @@ class _Judgment(NamedTuple):
     within_half: bool
 
 
-def _judge(code, s1, s2, i1, i2, rows=log2_rows, where=_hk._where, minimum=min) -> _Judgment:
+def _judge(code, s1, s2, i1, i2, log2=math.log2, where=_hk._where, minimum=min) -> _Judgment:
     """The audit of channels of the weak or mixed class of code ``code`` (see
-    :data:`_CLASSES`) with ratios ``s1, s2, i1, i2``: the recommended-split
-    rows, the class-matched outer rows, the five family deltas
-    ``m_outer(c) - m_inner(c)``, and the verdicts.  A family passes when its
-    delta is below ``c1 + c2`` bits (within :data:`_SLACK`).
+    :data:`gicap.channel.TAG_BY_STRENGTH`) with ratios ``s1, s2, i1, i2``:
+    the recommended-split rows, the class-matched outer rows, the five family
+    deltas ``m_outer(c) - m_inner(c)``, and the verdicts.  A family passes
+    when its delta is below ``c1 + c2`` bits (within :data:`_SLACK`).
 
-    All rows are evaluated in one ``rows`` call, the inner ones first.  On
-    floats the hooks are the defaults; on numpy arrays of a chunk's channels
-    they are :func:`gicap.kernel._rows`, ``np.where`` and ``np.minimum``, and
-    every rate, delta and verdict is an array.
+    All rows are folded by one :func:`gicap.region.log2_rows` call, the inner
+    ones first.  On floats the hooks are the defaults; on numpy arrays of a
+    chunk's channels they are the kernel's once-per-argument ``math.log2``,
+    ``np.where`` and ``np.minimum``, and every rate, delta and verdict is an
+    array.
     """
     p2, p1 = _hk.recommended_levels(code & 1, code & 2, i1, i2, where)
-    outer_coeffs, args = _bounds.outer_args(s1, s2, i1, i2, _CLASSES[code])
-    rhs = rows((*_hk.hk_args(s1, s2, i1, i2, p2, p1, where), *args))
+    outer_coeffs, args = _bounds.outer_args(s1, s2, i1, i2, TAG_BY_STRENGTH[code])
+    rhs = log2_rows((*_hk.hk_args(s1, s2, i1, i2, p2, p1, where), *args), log2)
     inner, outer = rhs[:len(_hk.HK_COEFFS)], rhs[len(_hk.HK_COEFFS):]
     inner_mins = _family_minima(zip(_hk.HK_COEFFS, inner), minimum)
     outer_mins = _family_minima(zip(outer_coeffs, outer), minimum)
@@ -221,13 +222,14 @@ def audit(params: ChannelParams) -> Audit:
     :class:`DomainError`, and one whose inner region exceeds its outer
     bound :class:`ContainmentError`, each naming the channel.
     """
-    tag = classify(params).tag
+    code = params.strong_at_1 + 2 * params.strong_at_2
+    tag = TAG_BY_STRENGTH[code]
     if tag is InterferenceTag.STRONG:
         raise ClassMismatchError(
             "gap audit is undefined for strong channels (capacity is exact)"
         )
     ratios = (params.snr1, params.snr2, params.inr1, params.inr2)
-    judged = _judge(_CLASSES.index(tag), *ratios)
+    judged = _judge(code, *ratios)
     _raise_first_bad([judged.finite], [judged.contained], [ratios])
     inner_f = _families(_hk.HK_COEFFS, judged.inner)
     outer_f = _families(judged.outer_coeffs, judged.outer)
@@ -285,14 +287,11 @@ class SweepResult:
     worst_deltas: dict[str, float | None]
 
 
+# The classes each filter accepts: the weak code, the two mixed ones, or both.
 _CLASS_FILTERS = {
-    "weak": (InterferenceTag.WEAK,),
-    "mixed": (InterferenceTag.MIXED_STRONG_AT_1, InterferenceTag.MIXED_STRONG_AT_2),
-    "any": (
-        InterferenceTag.WEAK,
-        InterferenceTag.MIXED_STRONG_AT_1,
-        InterferenceTag.MIXED_STRONG_AT_2,
-    ),
+    "weak": TAG_BY_STRENGTH[:1],
+    "mixed": TAG_BY_STRENGTH[1:3],
+    "any": TAG_BY_STRENGTH[:3],
 }
 
 
@@ -342,22 +341,17 @@ def _sweep(n, seed, class_filter) -> tuple[int, int, Iterator[_Chunk]]:
     return n, seed, _chunks(n, random.Random(seed), accepted)
 
 
-# The classes by their code, strong_at_1 + 2 * strong_at_2: the order of
-# TAG_BY_STRENGTH.  A row code holds its record's class code (see _Chunk).
-_CLASSES = tuple(InterferenceTag)
-
-
 class _Chunk(NamedTuple):
     """An audited chunk, as both engines pack it.
 
     ``frame`` is the chunk as bytes, as the CSV writer gets it: first one
     byte per channel, its row code (8 times its class code, see
-    :data:`_CLASSES`, plus 4 for a passing delta verdict, 2 for a one-bit
-    certificate and 1 for a within-half certificate), then a
-    row-major float64 block of nine values per channel: SNR1, SNR2, INR1,
-    INR2 in dB and the five family deltas, NaN where the class lacks the
-    family.  ``worst`` is each family's largest delta in the chunk, None
-    where no channel has the family.
+    :data:`gicap.channel.TAG_BY_STRENGTH`, plus 4 for a passing delta
+    verdict, 2 for a one-bit certificate and 1 for a within-half
+    certificate), then a row-major float64 block of nine values per channel:
+    SNR1, SNR2, INR1, INR2 in dB and the five family deltas, NaN where the
+    class lacks the family.  ``worst`` is each family's largest delta in
+    the chunk, None where no channel has the family.
     """
 
     frame: bytes
@@ -376,7 +370,7 @@ def _chunks(n, rng, accepted) -> Iterator[_Chunk]:
     """
     select, audit = _chunk_engine(n)
     draw = rng.random
-    accept = bytes(tag in accepted for tag in _CLASSES)  # by class code
+    accept = bytes(tag in accepted for tag in TAG_BY_STRENGTH)  # by class code
     done = 0
     while done < n:
         # A pass draws as many candidates as the sweep still needs, at most
@@ -393,8 +387,8 @@ def _chunks(n, rng, accepted) -> Iterator[_Chunk]:
 
 def _scalar_select(draws, accept):
     """The candidates of a pass whose class code ``accept`` marks, in draw
-    order: their class codes (see :data:`_CLASSES`), their four dB values and
-    their four ratios, each channel's as a tuple.
+    order: their class codes (see :data:`gicap.channel.TAG_BY_STRENGTH`),
+    their four dB values and their four ratios, each channel's as a tuple.
 
     ``draws`` holds four ``rng.random()`` values per candidate (SNR1, SNR2,
     INR1, INR2), mapped to dB by the sweep box (:data:`_DB_LOW`,
@@ -502,22 +496,24 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     A failure is a record whose exact deltas violate their thresholds or
     whose geometric one-bit certificate is false.  Failures are returned
     as data, never raised.  The sweep starts as every sweep does
-    (:func:`_sweep`), and its records are read off its chunks' frames.
+    (:func:`_sweep`), and each chunk is folded as it arrives: its records
+    are read off its frame, which is then dropped.
     """
     n, seed, chunks = _sweep(n, seed, class_filter)
-    chunks = list(chunks)
     worst = dict.fromkeys(_FAMILIES.values())
+    records, failures = [], []
     for chunk in chunks:
         _fold_worst(worst, chunk, "one-bit")
-    rows = (zip(*_columns(chunk.frame)) for chunk in chunks)
-    records = tuple(map(SweepRecord._make, itertools.chain.from_iterable(rows)))
-    failed = b"".join(_codes(chunk.frame) for chunk in chunks).translate(_FAILED["one-bit"])
+        rows = list(map(SweepRecord._make, zip(*_columns(chunk.frame))))
+        records += rows
+        failures += itertools.compress(rows, _codes(chunk.frame).translate(_FAILED["one-bit"]))
+        del chunk, rows  # drop this chunk before the next one is drawn
     return SweepResult(
         n=n,
         seed=seed,
         class_filter=class_filter,
-        records=records,
-        failures=tuple(itertools.compress(records, failed)),
+        records=tuple(records),
+        failures=tuple(failures),
         worst_deltas=worst,
     )
 
@@ -528,7 +524,7 @@ def _columns(frame: bytes) -> tuple:
     codes, values = _unframe(frame)
     dbs = (values[k::_ROW_VALUES] for k in range(4))
     deltas = ([None if math.isnan(v) else v for v in values[k::_ROW_VALUES]] for k in range(4, 9))
-    tags = [_CLASSES[code >> 3].value for code in codes]
+    tags = [TAG_BY_STRENGTH[code >> 3].value for code in codes]
     verdicts = ([bool(code & bit) for code in codes] for bit in (4, 2, 1))
     return (*dbs, tags, *deltas, *verdicts)
 
@@ -539,7 +535,7 @@ _CSV_HEADER = (
 )
 _BOOL = ("false", "true")
 # The families in each class's outer bound; _judge reports the others as None.
-_PRESENT = {tag: set(_bounds.outer_args(1.0, 1.0, 1.0, 1.0, tag)[0]) for tag in _CLASSES}
+_PRESENT = {tag: set(_bounds.outer_args(1.0, 1.0, 1.0, 1.0, tag)[0]) for tag in TAG_BY_STRENGTH}
 # The %-template of a CSV row by its row code, taking the row's nine numbers:
 # each at 12 significant digits, or an absent delta as an empty cell
 # (``%.0s``), with the class and the two pass cells baked in.
@@ -551,7 +547,7 @@ _CSV_TEMPLATES = [
         + [_BOOL[(verdicts & 6) == 6], _BOOL[verdicts & 1]]
     )
     + "\n"
-    for tag in _CLASSES
+    for tag in TAG_BY_STRENGTH
     for verdicts in range(8)  # the row code's low three bits
 ]
 

@@ -11,8 +11,8 @@ and gdof regions live in (d1, d2) with constraints of the form
 ``c1*d1 + (c2*alpha1)*d2 <= rhs``, reusing the rate-region machinery.
 All regions here sit inside the unit box.
 
-The slope class is ``TAG_BY_STRENGTH[alpha2 >= alpha1, alpha3 >= 1]``,
-the finite-SNR class split: alpha2 >= alpha1 means INR1 >= SNR2 and
+The slope class is ``TAG_BY_STRENGTH[(alpha2 >= alpha1) + 2 * (alpha3 >= 1)]``,
+the finite-SNR class code: alpha2 >= alpha1 means INR1 >= SNR2 and
 alpha3 >= 1 means INR2 >= SNR1.
 
 The region constraint sets are the first-order (log-domain) expansions
@@ -152,7 +152,7 @@ def _rows_to_gdof(rows, alpha1: float) -> RateRegion:
 
 
 def _slope_tag(g: GdofParams) -> InterferenceTag:
-    return TAG_BY_STRENGTH[g.alpha2 >= g.alpha1, g.alpha3 >= 1.0]
+    return TAG_BY_STRENGTH[(g.alpha2 >= g.alpha1) + 2 * (g.alpha3 >= 1.0)]
 
 
 def _class_gdof_region(g: GdofParams, tag: InterferenceTag) -> RateRegion:
@@ -160,7 +160,8 @@ def _class_gdof_region(g: GdofParams, tag: InterferenceTag) -> RateRegion:
     actual = _slope_tag(g)
     if tag is not actual:
         raise ClassMismatchError(f"{g} has {actual.value} slopes, got tag {tag!r}")
-    return _rows_to_gdof(_expansion_rows(tag, 1.0, g.alpha1, g.alpha2, g.alpha3), g.alpha1)
+    one = g.alpha1 / g.alpha1  # 1 in alpha1's own type: Fraction slopes stay exact
+    return _rows_to_gdof(_expansion_rows(tag, one, g.alpha1, g.alpha2, g.alpha3), g.alpha1)
 
 
 def weak_gdof_region(g: GdofParams) -> RateRegion:

@@ -16,8 +16,8 @@ It groups the channels by class code with array operations and runs the
 one per-channel judgment of the scalar engine, :func:`gicap.gap._judge`,
 once per group, on arrays: ``np.where`` chooses the rows' branches,
 ``np.minimum`` takes the family minima and the certificates' support
-functions, and :func:`_rows` folds the rows with ``math.log2`` mapped once
-over each distinct argument (``np.log2`` rounds differently on some
+functions, and each group's fresh :func:`_log2_once` maps ``math.log2``
+once over each distinct argument (``np.log2`` rounds differently on some
 inputs), so every rate, family delta (passing below ``c1 + c2`` bits) and
 verdict is the scalar engine's.  It writes each group's deltas and
 verdicts into the chunk's blocks in draw order and raises by the scalar
@@ -37,7 +37,6 @@ import numpy as np
 
 from .channel import db_to_linear
 from .gap import _DB_LOW, _DB_SPAN, _Chunk, _judge, _raise_first_bad
-from .region import log2_rows
 
 __all__ = ["audit_chunk", "select"]
 
@@ -72,13 +71,13 @@ def select(draws, accept):
     return codes[kept], db[kept], ratios.T
 
 
-def _rows(args):
-    """The rows hook of :func:`gicap.gap._judge` on a class group's arrays:
-    :func:`gicap.region.log2_rows` as one ``(rows, channels)`` array, with
-    ``math.log2`` mapped once over each distinct argument.  Equal arrays are
-    one (a mixed group's inner and outer rows share two by value): an
-    argument is looked up by its first value and matched by identity or by
-    ``np.array_equal``, so no argument is copied or hashed whole."""
+def _log2_once():
+    """A fresh ``log2`` hook of :func:`gicap.gap._judge` for a class group's
+    arrays: ``math.log2`` mapped over an argument once, its logs reused for
+    every later equal argument.  Equal arrays are one (a mixed group's inner
+    and outer rows share two by value): an argument is looked up by its first
+    value and matched by identity or by ``np.array_equal``, so no argument is
+    copied or hashed whole."""
     logged = {}  # an argument's first value -> [(argument, its logs)]
 
     def log2(arg):
@@ -90,7 +89,7 @@ def _rows(args):
         bucket.append((arg, logs))
         return logs
 
-    return np.array(log2_rows(args, log2))
+    return log2
 
 
 def audit_chunk(classes, dbs, ratios):
@@ -108,7 +107,7 @@ def audit_chunk(classes, dbs, ratios):
     with np.errstate(all="ignore"):
         for code in np.flatnonzero(np.bincount(classes)).tolist():
             index = np.flatnonzero(classes == code)
-            judged = _judge(code, *ratios[index].T, rows=_rows, where=np.where, minimum=np.minimum)
+            judged = _judge(code, *ratios[index].T, _log2_once(), np.where, np.minimum)
             for column, delta in enumerate(judged.deltas, 4):
                 if delta is not None:
                     floats[index, column] = delta

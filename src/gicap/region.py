@@ -99,7 +99,7 @@ def log2_rows(args, log2=math.log2) -> tuple:
 
     An explicit fold rather than ``sum``, which adds floats with compensation
     from Python 3.12 on and so can round ``a + b + c`` differently.  Numpy
-    arguments take the kernel's ``log2`` hook (:func:`gicap.kernel._rows`).
+    arguments take the kernel's ``log2`` hook (:func:`gicap.kernel._log2_once`).
     The tuple is built from a list: one built from a generator is resized to
     its length, and each freed one then joins that length's tuple free list,
     which only a full garbage collection empties (0.5 MiB of 12- and
@@ -108,6 +108,12 @@ def log2_rows(args, log2=math.log2) -> tuple:
     arrays by duck typing, and a non-number raises ``TypeError``.
     """
     return tuple([functools.reduce(operator.add, map(log2, row)) for row in args])
+
+
+def _check_bounded(rows) -> None:
+    """Raise :class:`UnboundedRegionError` unless a row's ``c1`` and a row's ``c2`` are positive."""
+    if not (any(row[0] > 0.0 for row in rows) and any(row[1] > 0.0 for row in rows)):
+        raise UnboundedRegionError("region is unbounded: need a positive coefficient on each rate")
 
 
 def vertices(region: RateRegion) -> list[Vertex]:
@@ -121,10 +127,7 @@ def vertices(region: RateRegion) -> list[Vertex]:
     coordinates overflow).
     """
     rows = [(c.c1, c.c2, c.rhs) for c in region.constraints]
-    if not (any(a > 0.0 for a, _, _ in rows) and any(b > 0.0 for _, b, _ in rows)):
-        raise UnboundedRegionError(
-            "region is unbounded: need a positive coefficient on each rate"
-        )
+    _check_bounded(rows)
     tol = DEFAULT_TOL
     caps = [(a, b, r + tol) for a, b, r in rows]
     lines = rows + [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
@@ -250,8 +253,7 @@ def _support_table(families, c) -> tuple:
     cap both rates; then the table is never empty."""
     from fractions import Fraction  # here, so commands that certify nothing never import it
 
-    if not (any(a1 > 0.0 for a1, _ in families) and any(a2 > 0.0 for _, a2 in families)):
-        raise UnboundedRegionError("region is unbounded: need a positive coefficient on each rate")
+    _check_bounded(families)
     c1, c2 = map(Fraction, c)
     table = []
     for k, a in enumerate(families):

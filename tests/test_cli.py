@@ -879,6 +879,17 @@ def test_json_writer_is_the_json_module_on_rounded_floats(obj):
     assert gicap.cli._json(obj) == json.dumps(round_floats(obj), indent=2)
 
 
+@pytest.mark.parametrize(
+    "key", [(1, 2), frozenset(), b"k", object()], ids=["tuple", "frozenset", "bytes", "object"]
+)
+def test_json_writer_refuses_a_key_as_the_json_module_does(key):
+    with pytest.raises(TypeError) as want:
+        json.dumps({key: 0}, indent=2)
+    with pytest.raises(TypeError) as got:
+        gicap.cli._json({"a": [{"b": 1, key: 0}]})
+    assert str(got.value) == str(want.value)
+
+
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 @example({"a": [1.5, None, True], "b": {"c": "x,y", "d": InterferenceTag.WEAK}})

@@ -26,7 +26,6 @@ from gicap import (
     within_half_certificate,
 )
 from gicap.channel import TAG_BY_STRENGTH
-from gicap.gap import _CLASSES
 from conftest import random_channel
 from reference_audit import (
     ref_delta_audit,
@@ -126,8 +125,14 @@ class TestSweeps:
     @pytest.mark.parametrize("strong_at_2", [False, True])
     @pytest.mark.parametrize("strong_at_1", [False, True])
     def test_class_code_is_the_strength_code(self, strong_at_1, strong_at_2):
+        # each cross link at a tie with its direct link, or an ulp below it
         code = strong_at_1 + 2 * strong_at_2
-        assert _CLASSES[code] is TAG_BY_STRENGTH[strong_at_1, strong_at_2]
+        snr1, snr2 = 10.0, 1000.0
+        inr1 = snr2 if strong_at_1 else math.nextafter(snr2, 0.0)
+        inr2 = snr1 if strong_at_2 else math.nextafter(snr1, 0.0)
+        params = ChannelParams(snr1, snr2, inr1, inr2)
+        assert (params.strong_at_1, params.strong_at_2) == (strong_at_1, strong_at_2)
+        assert classify(params).tag is TAG_BY_STRENGTH[code]
 
     def test_one_bit_weak_clean(self):
         result = one_bit_sweep(300, 7, "weak")

@@ -115,6 +115,16 @@ class TestWeakGdofRegion:
         with pytest.raises(ClassMismatchError):
             weak_gdof_region(GdofParams(1.0, 0.4, 1.2))
 
+    @pytest.mark.parametrize("alpha1", [Fraction(1), Fraction(3, 4)], ids=["1", "3/4"])
+    def test_fraction_slopes_stay_exact(self, alpha1):
+        # the normalization slope 1 of SNR1 takes alpha1's type, not float's
+        g = GdofParams(alpha1, Fraction(51, 100), Fraction(51, 100))
+        rhs = [c.rhs for c in weak_gdof_region(g).constraints]
+        assert all(type(r) is Fraction for r in rhs), rhs
+        rows = _expansion_rows(InterferenceTag.WEAK, Fraction(1), g.alpha1, g.alpha2, g.alpha3)
+        # the R2-only row is scaled to d2 = rate / alpha1
+        assert rhs == [r / alpha1 if (c1, c2) == (0.0, 1.0) else r for c1, c2, r in rows]
+
     def test_inside_unit_box(self, rng):
         for _ in range(50):
             a1 = rng.uniform(0.2, 2.0)

@@ -274,7 +274,7 @@ def decoded_rows(frame):
     for k, code in enumerate(frame[:size]):
         numbers = values[9 * k : 9 * k + 9]
         deltas = [None if math.isnan(value) else value for value in numbers[4:]]
-        tag = gicap.gap._CLASSES[code >> 3].value
+        tag = TAG_BY_STRENGTH[code >> 3].value
         rows.append((*numbers[:4], tag, *deltas, bool(code & 4), bool(code & 2), bool(code & 1)))
     return rows
 
@@ -429,7 +429,7 @@ def drawn_chunks(engine_name, n, rng, accepted):
         patch.setattr(gicap.gap, "_chunk_engine", lambda n: (select, placeholder_audit))
         for chunk, (tags, dbs, ratios) in zip(gicap.gap._chunks(n, rng, accepted), audited):
             columns = gicap.gap._columns(chunk.frame)
-            tags = [gicap.gap._CLASSES[tag] for tag in tags]
+            tags = [TAG_BY_STRENGTH[tag] for tag in tags]
             assert columns[4] == [tag.value for tag in tags]
             assert list(zip(*columns[:4])) == [tuple(db) for db in dbs]
             rows = zip(tags, zip(*columns[:4]), ratios)
@@ -485,7 +485,7 @@ class TestDrawPasses:
             assert dbs == [low + span * u for (low, span), u in zip(DB_SCALES, uniforms)]
             params = ChannelParams(snr1, snr2, inr1, inr2)
             assert tuple(map(db_to_linear, dbs)) == (snr1, snr2, inr1, inr2)
-            assert tag is TAG_BY_STRENGTH[params.strong_at_1, params.strong_at_2], params
+            assert tag is classify(params).tag, params
             flattened += (dbs[2] < dbs[1] and inr1 == snr2) or (dbs[3] < dbs[0] and inr2 == snr1)
         assert len(rows) == len(candidates)
         assert flattened >= 10

@@ -367,18 +367,18 @@ def array_rows(kernel, channels):
     ratios = np.array([(p.snr1, p.snr2, p.inr1, p.inr2) for p in channels]).T
     inner = [None] * len(channels)
     with np.errstate(all="ignore"):
-        for strengths in TAG_BY_STRENGTH:
-            index = [
-                k for k, p in enumerate(channels) if (p.strong_at_1, p.strong_at_2) == strengths
-            ]
+        for code in range(len(TAG_BY_STRENGTH)):
+            index = [k for k, p in enumerate(channels) if p.strong_at_1 + 2 * p.strong_at_2 == code]
             if index:
                 s1, s2, i1, i2 = ratios[:, index]
-                p2, p1 = recommended_levels(*strengths, i1, i2, np.where)
-                rows = kernel._rows(hk_args(s1, s2, i1, i2, p2, p1, np.where)).T
+                p2, p1 = recommended_levels(code & 1, code & 2, i1, i2, np.where)
+                args = hk_args(s1, s2, i1, i2, p2, p1, np.where)
+                rows = np.array(log2_rows(args, kernel._log2_once())).T
                 for k, row in zip(index, rows.tolist()):
                     inner[k] = row
         outer = {
-            tag: kernel._rows(outer_args(*ratios, tag)[1]).T for tag in AUDITED_TAGS
+            tag: np.array(log2_rows(outer_args(*ratios, tag)[1], kernel._log2_once())).T
+            for tag in AUDITED_TAGS
         }
     return inner, {tag: rows.tolist() for tag, rows in outer.items()}
 
@@ -415,7 +415,7 @@ def outcome(audit, channels, sequence=list):
     """The columns and worst deltas of the chunk ``audit`` returns for
     ``channels`` as text, or the error it raises.  ``audit`` takes its class
     codes, dB values (here the ratios again) and ratios as ``sequence``s."""
-    tags = [gicap.gap._CLASSES.index(classify(p).tag) for p in channels]
+    tags = [TAG_BY_STRENGTH.index(classify(p).tag) for p in channels]
     ratios = [(p.snr1, p.snr2, p.inr1, p.inr2) for p in channels]
     try:
         chunk = audit(sequence(tags), sequence(ratios), sequence(ratios))
