@@ -369,9 +369,7 @@ def _gdof_region_for(args) -> tuple[dict, RateRegion]:
     if args.alpha is not None:
         if triple != (None, None, None):
             raise GicapError("gdof takes --alpha or --alpha1/--alpha2/--alpha3, not both")
-        region = _gdof.symmetric_gdof_region(args.alpha)
-        meta = {"alpha": args.alpha, "d_sym": _gdof.d_sym(args.alpha)}
-        return meta, region
+        return {"alpha": args.alpha}, _gdof.symmetric_gdof_region(args.alpha)
     if any(v is None for v in triple):
         raise GicapError("gdof needs --alpha or all of --alpha1/--alpha2/--alpha3")
     g = _gdof.GdofParams(*triple)
@@ -394,10 +392,12 @@ def _gdof_region_for(args) -> tuple[dict, RateRegion]:
 
 
 def _cmd_gdof(args, stdout) -> int:
-    meta, region = _gdof_region_for(args)
-    out = dict(meta)
+    out, region = _gdof_region_for(args)
+    point = symmetric_rate(region)
+    if args.alpha is not None:
+        out["d_sym"] = point  # gdof.d_sym: the symmetric region's symmetric point
     out["region"] = region_to_jsonable(region)
-    out["symmetric_point"] = symmetric_rate(region)
+    out["symmetric_point"] = point
     _emit(out, args, stdout)
     return 0
 

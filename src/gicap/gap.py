@@ -42,7 +42,7 @@ A chunk stays in binary form from the audit to the CSV: both engines build
 its frame (:class:`_Chunk`), the row codes then the float block.  The frame
 is formatted into CSV rows by one ``%`` per chunk (:func:`_chunk_text`),
 the records of :func:`one_bit_sweep` are read off it (:func:`_columns`),
-and so are the failure count and the worst deltas (:func:`_fold_worst`).
+and both sweeps fold its failure count and worst deltas (:func:`_fold`).
 :func:`stream_sweep` writes each chunk's rows as it goes and keeps only the
 failure count and the worst deltas, so its memory does not grow with the
 sweep size.  On a sweep of more than :data:`SWEEP_CHUNK` channels the
@@ -481,13 +481,20 @@ def _unframe(frame: bytes) -> tuple[bytes, list[float]]:
     return codes, memoryview(frame)[len(codes):].cast("d").tolist()
 
 
-def _fold_worst(worst: dict[str, float | None], chunk: _Chunk, check: str) -> int:
-    """Raise each family's entry of ``worst`` to its largest delta in ``chunk``;
-    returns the number of the chunk's channels that fail ``check``."""
-    for fam, top in zip(_FAMILIES.values(), chunk.worst):
-        if top is not None and (worst[fam] is None or top > worst[fam]):
-            worst[fam] = top
-    return _codes(chunk.frame).translate(_FAILED[check]).count(1)
+def _fold(chunks: Iterable[_Chunk], check: str, write) -> tuple[int, dict[str, float | None]]:
+    """Pass each chunk's frame to ``write`` and fold the chunk as it arrives:
+    returns the number of channels that fail ``check`` and each family's
+    largest delta (None where no channel has the family)."""
+    failures = 0
+    worst = dict.fromkeys(_FAMILIES.values())
+    for chunk in chunks:
+        write(chunk.frame)
+        for fam, top in zip(_FAMILIES.values(), chunk.worst):
+            if top is not None and (worst[fam] is None or top > worst[fam]):
+                worst[fam] = top
+        failures += _codes(chunk.frame).translate(_FAILED[check]).count(1)
+        del chunk  # before the next one is drawn
+    return failures, worst
 
 
 def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
@@ -496,18 +503,18 @@ def one_bit_sweep(n: int, seed: int, class_filter: str = "any") -> SweepResult:
     A failure is a record whose exact deltas violate their thresholds or
     whose geometric one-bit certificate is false.  Failures are returned
     as data, never raised.  The sweep starts as every sweep does
-    (:func:`_sweep`), and each chunk is folded as it arrives: its records
-    are read off its frame, which is then dropped.
+    (:func:`_sweep`), and each chunk is folded as it arrives (:func:`_fold`):
+    its records are read off its frame, which is then dropped.
     """
     n, seed, chunks = _sweep(n, seed, class_filter)
-    worst = dict.fromkeys(_FAMILIES.values())
     records, failures = [], []
-    for chunk in chunks:
-        _fold_worst(worst, chunk, "one-bit")
-        rows = list(map(SweepRecord._make, zip(*_columns(chunk.frame))))
-        records += rows
-        failures += itertools.compress(rows, _codes(chunk.frame).translate(_FAILED["one-bit"]))
-        del chunk, rows  # drop this chunk before the next one is drawn
+
+    def collect(frame: bytes) -> None:
+        rows = list(map(SweepRecord._make, zip(*_columns(frame))))
+        records.extend(rows)
+        failures.extend(itertools.compress(rows, _codes(frame).translate(_FAILED["one-bit"])))
+
+    worst = _fold(chunks, "one-bit", collect)[1]
     return SweepResult(
         n=n,
         seed=seed,
@@ -670,17 +677,12 @@ def stream_sweep(n: int, seed: int, class_filter: str, check: str, path: str) ->
     if not (isinstance(check, str) and check in _FAILED):
         raise DomainError(f"unknown check {check!r}; expected one of {sorted(_FAILED)}")
     n, seed, chunks = _sweep(n, seed, class_filter)
-    failures = 0
-    worst = dict.fromkeys(_FAMILIES.values())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_CSV_HEADER)
         fh.flush()
         rows = _RowWriter(fh, fork=n > SWEEP_CHUNK and hasattr(os, "fork"))
         try:
-            for chunk in chunks:
-                rows.write(chunk.frame)
-                failures += _fold_worst(worst, chunk, check)
-                del chunk  # drop this chunk before the next one is drawn
+            failures, worst = _fold(chunks, check, rows.write)
         finally:
             rows.close()
     return {

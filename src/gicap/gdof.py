@@ -19,8 +19,11 @@ The region constraint sets are the first-order (log-domain) expansions
 of the finite-SNR bounds: each row is read off the class's
 ``bounds.outer_args`` row, evaluated on log slopes by max-plus rules
 (both mixed orientations included, since ``outer_args`` swaps the
-users).  :func:`first_order_expansion` reads the same rows in bits for a
-concrete channel, and
+users), or, for the symmetric region (whose symmetric point is the W
+curve :func:`d_sym`) and the one-sided one, written out and pinned to
+those rows by tests.  ``Fraction`` slopes give exact regions.
+:func:`first_order_expansion` reads the same rows in bits for a concrete
+channel, and
 :func:`finite_snr_convergence` checks the defining limit at finite scale
 by sandwiching d_sym between the scaled achievable rate and the scaled
 best upper bound.  Limits are always computed from closed forms, never
@@ -41,7 +44,7 @@ from . import bounds as _bounds
 from . import hk as _hk
 from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _power_inr, classify
 from .errors import ClassMismatchError, DomainError, _real
-from .region import RateConstraint, RateRegion
+from .region import RateConstraint, RateRegion, symmetric_rate
 
 __all__ = [
     "BaselineScheme",
@@ -75,22 +78,13 @@ class GdofParams:
 
 
 def d_sym(alpha_value: float) -> float:
-    """Symmetric degrees of freedom per user: the W curve.
+    """Symmetric degrees of freedom per user, the W curve: the symmetric
+    point of :func:`symmetric_gdof_region`.
 
     1-a on [0,1/2], a on [1/2,2/3], 1-a/2 on [2/3,1], a/2 on [1,2], and 1
-    beyond 2.  Adjacent branches agree at the breakpoints; branch checks
-    are ordered so each breakpoint evaluates exactly.
+    beyond 2; each breakpoint evaluates exactly.
     """
-    a = _real("alpha", alpha_value)
-    if a <= 0.5:
-        return 1.0 - a
-    if a <= 2.0 / 3.0:
-        return a
-    if a <= 1.0:
-        return 1.0 - a / 2.0
-    if a <= 2.0:
-        return a / 2.0
-    return 1.0
+    return symmetric_rate(symmetric_gdof_region(alpha_value))
 
 
 class _Slope:
@@ -141,16 +135,6 @@ def _expansion_rows(tag: InterferenceTag, ls1, ls2, li1, li2) -> list[tuple[floa
     return rows
 
 
-def _rows_to_gdof(rows, alpha1: float) -> RateRegion:
-    constraints = []
-    for m1, m2, rhs in rows:
-        if m1 == 0.0 and m2 == 1.0:
-            constraints.append(RateConstraint(0.0, 1.0, rhs / alpha1))
-        else:
-            constraints.append(RateConstraint(m1, m2 * alpha1, rhs))
-    return RateRegion(constraints)
-
-
 def _slope_tag(g: GdofParams) -> InterferenceTag:
     return TAG_BY_STRENGTH[(g.alpha2 >= g.alpha1) + 2 * (g.alpha3 >= 1.0)]
 
@@ -161,7 +145,12 @@ def _class_gdof_region(g: GdofParams, tag: InterferenceTag) -> RateRegion:
     if tag is not actual:
         raise ClassMismatchError(f"{g} has {actual.value} slopes, got tag {tag!r}")
     one = g.alpha1 / g.alpha1  # 1 in alpha1's own type: Fraction slopes stay exact
-    return _rows_to_gdof(_expansion_rows(tag, one, g.alpha1, g.alpha2, g.alpha3), g.alpha1)
+    return RateRegion([  # a list, not a generator, for the reason region.log2_rows gives
+        RateConstraint(0.0, 1.0, rhs / g.alpha1)  # the R2-only row: d2 = rate / alpha1
+        if (m1, m2) == (0.0, 1.0)
+        else RateConstraint(m1, type(one)(m2) * g.alpha1, rhs)
+        for m1, m2, rhs in _expansion_rows(tag, one, g.alpha1, g.alpha2, g.alpha3)
+    ])
 
 
 def weak_gdof_region(g: GdofParams) -> RateRegion:
@@ -180,18 +169,22 @@ def strong_gdof_region(g: GdofParams) -> RateRegion:
 
 
 def symmetric_gdof_region(alpha_value: float) -> RateRegion:
-    """Gdof region of the symmetric channel at interference level alpha."""
+    """Gdof region of the symmetric channel at interference level alpha.
+
+    Written out, as the ``gdof`` and ``figures`` bytes pin its rounding:
+    the weak rows' 2R1+R2 rhs ``((1 + m) + 1) - a`` can round below ``(2 - a) + m``.
+    """
     a = _real("alpha", alpha_value)
     unit = [RateConstraint(1.0, 0.0, 1.0), RateConstraint(0.0, 1.0, 1.0)]
     if a >= 1.0:
         return RateRegion(unit + [RateConstraint(1.0, 1.0, a)])
-    m = max(a, 1.0 - a)
+    m = max(a, 1 - a)
     return RateRegion(
         unit
         + [
-            RateConstraint(1.0, 1.0, min(2.0 - a, 2.0 * m)),
-            RateConstraint(2.0, 1.0, 2.0 - a + m),
-            RateConstraint(1.0, 2.0, 2.0 - a + m),
+            RateConstraint(1.0, 1.0, min(2 - a, 2 * m)),
+            RateConstraint(2.0, 1.0, 2 - a + m),
+            RateConstraint(1.0, 2.0, 2 - a + m),
         ]
     )
 
@@ -208,7 +201,8 @@ def one_sided_gdof_region(g: GdofParams) -> RateRegion:
             f"one-sided gdof region needs alpha2 = 0, got alpha2={g.alpha2!r}"
         )
     strong = _slope_tag(g) is not InterferenceTag.WEAK
-    rhs = max(g.alpha1, g.alpha3) if strong else max(1.0, 1.0 + g.alpha1 - g.alpha3)
+    one = g.alpha1 / g.alpha1  # as in _class_gdof_region
+    rhs = max(g.alpha1, g.alpha3) if strong else max(one, one + g.alpha1 - g.alpha3)
     return RateRegion(
         [
             RateConstraint(1.0, 0.0, 1.0),

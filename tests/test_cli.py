@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import errno
 import hashlib
+import importlib.util
 import io
 import itertools
 import json
@@ -9,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -823,6 +826,23 @@ def test_outputs_keep_their_bytes(group, capsys):
         digest.update(out.encode())
     capsys.readouterr()
     assert digest.hexdigest() == OUTPUT_DIGESTS[group]
+
+
+def test_query_mix_keeps_its_bytes():
+    # every query of the benchmark's mix (perfbench/querymix.py, loaded from
+    # its file) for five seeds: its exit code, stdout and stderr
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "querymix.py"
+    spec = importlib.util.spec_from_file_location("querymix", path)
+    querymix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(querymix)
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3, 2718, 11):
+        for argv in querymix.generate(seed):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv, out)
+            digest.update(repr((code, out.getvalue(), err.getvalue())).encode())
+    assert digest.hexdigest() == "8f9e4df7d35757e082249fba68f5a796f008c9f1b2ee7e8e98f127bdde214ad1"
 
 
 def round_floats(obj):

@@ -28,7 +28,8 @@ from gicap import (
 )
 from conftest import random_channel, slope_tie_grid, vertex_sets_equal
 from gicap.bounds import outer_args, outer_rows
-from gicap.gdof import _expansion_rows
+from gicap.gdof import _class_gdof_region, _expansion_rows, _slope_tag
+from gicap.region import _family_minima
 from reference_regions import EXPANSION_ROWS
 
 log2 = math.log2
@@ -119,11 +120,41 @@ class TestWeakGdofRegion:
     def test_fraction_slopes_stay_exact(self, alpha1):
         # the normalization slope 1 of SNR1 takes alpha1's type, not float's
         g = GdofParams(alpha1, Fraction(51, 100), Fraction(51, 100))
-        rhs = [c.rhs for c in weak_gdof_region(g).constraints]
+        region = weak_gdof_region(g)
+        rhs = [c.rhs for c in region.constraints]
         assert all(type(r) is Fraction for r in rhs), rhs
         rows = _expansion_rows(InterferenceTag.WEAK, Fraction(1), g.alpha1, g.alpha2, g.alpha3)
-        # the R2-only row is scaled to d2 = rate / alpha1
+        # the R2-only row is scaled to d2 = rate / alpha1; every other row's
+        # R2 coefficient is alpha1 times the rate row's, exactly
         assert rhs == [r / alpha1 if (c1, c2) == (0.0, 1.0) else r for c1, c2, r in rows]
+        assert [c.c2 for c in region.constraints] == [
+            c2 if (c1, c2) == (0.0, 1.0) else c2 * alpha1 for c1, c2, _ in rows
+        ]
+        assert all(type(c.c2) is Fraction for c in region.constraints if c.c1 != 0.0)
+
+    def test_fraction_slopes_exact_in_every_region(self):
+        third, quarter, half = Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)
+        classes = (
+            weak_gdof_region(GdofParams(third, quarter, half)),
+            mixed_gdof_region(GdofParams(third, half, quarter)),
+            strong_gdof_region(GdofParams(third, half, Fraction(3, 2))),
+        )
+        written = (
+            symmetric_gdof_region(third),
+            symmetric_gdof_region(Fraction(3, 2)),
+            one_sided_gdof_region(GdofParams(third, 0, quarter)),
+            one_sided_gdof_region(GdofParams(third, 0, Fraction(3, 2))),
+        )
+        # every rhs but the unit box's, and every R2 coefficient scaled by alpha1
+        for region in classes + written:
+            assert all(type(c.rhs) is Fraction for c in region.constraints if c.rhs != 1), region
+        for region in classes:
+            assert all(type(c.c2) is Fraction for c in region.constraints if c.c1 != 0), region
+        weak_c2 = [c.c2 for c in classes[0].constraints if c.c1 != 0]
+        assert weak_c2 == [0, third, third, third, third, 2 * third]
+        sym_rhs = [c.rhs for c in written[0].constraints]
+        assert sym_rhs == [1, 1, Fraction(4, 3), Fraction(7, 3), Fraction(7, 3)]
+        assert written[2].constraints[2].rhs == Fraction(13, 12)
 
     def test_inside_unit_box(self, rng):
         for _ in range(50):
@@ -142,12 +173,15 @@ class TestMixedStrongGdofRegions:
         weighted = [c.rhs for c in r.constraints if (c.c1, c.c2) == (1.0, 2.0)]
         assert weighted[0] == pytest.approx(2.5, abs=1e-12)
 
-    def test_strong_matches_symmetric_form(self):
-        for a in (1.0, 1.3, 1.9):
-            g = GdofParams(1.0, a, a)
-            got = vertices(strong_gdof_region(g))
-            ref = vertices(symmetric_gdof_region(a))
-            assert vertex_sets_equal(got, ref)
+    def test_strong_matches_symmetric_form(self, rng):
+        # from alpha = 1 on, each written-out symmetric row is the smallest
+        # rhs of its family in the strong rows, to the last bit
+        alphas = [1.0, math.nextafter(1.0, 2.0), 1.3, 1.9, 2.0, 6.0]
+        alphas += [rng.uniform(1.0, 6.0) for _ in range(2000)]
+        for a in alphas:
+            rows = {(c.c1, c.c2): c.rhs for c in symmetric_gdof_region(a).constraints}
+            strong = strong_gdof_region(GdofParams(1.0, a, a)).constraints
+            assert rows == _family_minima(((c.c1, c.c2), c.rhs) for c in strong), a
 
     def test_very_strong_unit_box(self):
         r = strong_gdof_region(GdofParams(1.0, 2.0, 2.0))
@@ -211,9 +245,12 @@ class TestSymmetricGdofRegion:
         assert triple[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_symmetric_point_equals_d_sym_on_grid(self):
+        # d_sym is the symmetric point of the written-out region; the class
+        # rows on equal slopes reach the same point
         for i in range(0, 251):
             a = i / 100
-            point = symmetric_rate(symmetric_gdof_region(a))
+            g = GdofParams(1.0, a, a)
+            point = symmetric_rate(_class_gdof_region(g, _slope_tag(g)))
             assert abs(point - d_sym(a)) <= 1e-12, f"alpha={a}"
 
     def test_matches_general_weak_rows(self, rng):
@@ -255,15 +292,19 @@ class TestOneSidedGdofRegion:
         with pytest.raises(ClassMismatchError):
             one_sided_gdof_region(GdofParams(1.0, 0.3, 0.4))
 
-    def test_weak_case_matches_general_weak_region(self, rng):
+    def test_matches_class_rows(self, rng):
         # with one cross link absent the compact three-constraint form
-        # describes the same polygon as the seven-constraint weak region
-        for _ in range(60):
-            g = GdofParams(rng.uniform(0.2, 2.0), 0.0, rng.uniform(0.0, 0.999))
+        # describes the same polygon as the rows of the slopes' class (weak,
+        # or mixed strong at receiver 2), on four-decimal slopes and the
+        # alpha3 = 1 tie
+        for k in range(2000):
+            a1 = round(rng.uniform(0.0001, 3.0), 4)
+            a3 = 1.0 if k % 10 == 0 else round(rng.uniform(0.0, 3.0), 4)
+            g = GdofParams(a1, 0.0, a3)
             assert vertex_sets_equal(
                 vertices(one_sided_gdof_region(g)),
-                vertices(weak_gdof_region(g)),
-            )
+                vertices(_class_gdof_region(g, _slope_tag(g))),
+            ), g
 
 
 class TestBaselines:

@@ -338,8 +338,9 @@ class TestChunkHandoff:
                     for chunk in columns
                 )
         for check in ("one-bit", "within-half"):
-            worst = dict.fromkeys(gicap.gap._FAMILIES.values())
-            failures = sum(gicap.gap._fold_worst(worst, chunk, check) for chunk in chunks)
+            written = []
+            failures, worst = gicap.gap._fold(chunks, check, written.append)
+            assert written == [chunk.frame for chunk in chunks]
             want_worst, want_failures = reference_fold(columns, check)
             assert failures == want_failures > 0, check
             assert hexed(worst) == hexed(want_worst)
