@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag
+from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _class_code
 from .channel import _check_symmetric, _finite, _very_strong
 from .errors import ClassMismatchError, DomainError, _real
 from .region import RateRegion, log2_rows, region_from_rows
@@ -121,14 +121,14 @@ def new_sum_bound(params: ChannelParams) -> float:
     """Interference-limited sum-rate upper bound, valid for any channel: weak row 5.
 
     An overflowing bound raises :class:`DomainError` naming the channel."""
-    return _rhs(InterferenceTag.WEAK, params.snr1, params.snr2, params.inr1, params.inr2, 4)[0]
+    return _rhs(InterferenceTag.WEAK, *params, 4)[0]
 
 
 def outer_rows(
     params: ChannelParams, tag: InterferenceTag
 ) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
     """``(coeffs, rhs)`` of the outer bound of a channel of class ``tag``."""
-    coeffs, args = outer_args(params.snr1, params.snr2, params.inr1, params.inr2, tag)
+    coeffs, args = outer_args(*params, tag)
     return coeffs, log2_rows(args)
 
 
@@ -141,12 +141,11 @@ def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
     rate that overflows double precision :class:`DomainError` naming the
     channel.
     """
-    actual = TAG_BY_STRENGTH[params.strong_at_1 + 2 * params.strong_at_2]
+    actual = TAG_BY_STRENGTH[_class_code(*params)]
     if tag is not actual:
         raise ClassMismatchError(f"{params} is a {actual.value} channel, got tag {tag!r}")
-    ratios = params.snr1, params.snr2, params.inr1, params.inr2
     coeffs, rhs = outer_rows(params, tag)
-    return region_from_rows(coeffs, _finite(rhs, *ratios))
+    return region_from_rows(coeffs, _finite(rhs, *params))
 
 
 def weak_outer(params: ChannelParams) -> RateRegion:
@@ -183,8 +182,7 @@ def strong_capacity(params: ChannelParams) -> RateRegion:
 
 def pt2pt_outer(params: ChannelParams) -> RateRegion:
     """Interference-free point-to-point box: R_i <= log(1 + SNR_i), the first two rows."""
-    ratios = params.snr1, params.snr2, params.inr1, params.inr2
-    return region_from_rows(_STRONG_COEFFS[:2], _rhs(InterferenceTag.STRONG, *ratios, 0, 1))
+    return region_from_rows(_STRONG_COEFFS[:2], _rhs(InterferenceTag.STRONG, *params, 0, 1))
 
 
 def one_sided_sum_capacity(snr1: float, snr2: float, inr2: float) -> float:

@@ -78,23 +78,32 @@ class ChannelParams:
         for name in ("snr1", "snr2", "inr1", "inr2"):
             _real(name, getattr(self, name), error=InvalidParameterError)
 
+    def __iter__(self):
+        """The four ratios in field order, so ``ChannelParams(*params) == params``."""
+        return iter((self.snr1, self.snr2, self.inr1, self.inr2))
+
     @property
     def is_symmetric(self) -> bool:
         return self.snr1 == self.snr2 and self.inr1 == self.inr2
 
     @property
     def strong_at_1(self) -> bool:
-        """Receiver 1 sees strong interference: INR1 >= SNR2."""
-        return self.inr1 >= self.snr2
+        """Receiver 1 sees strong interference: INR1 >= SNR2, bit 1 of the class code."""
+        return bool(_class_code(*self) & 1)
 
     @property
     def strong_at_2(self) -> bool:
-        """Receiver 2 sees strong interference: INR2 >= SNR1."""
-        return self.inr2 >= self.snr1
+        """Receiver 2 sees strong interference: INR2 >= SNR1, bit 2 of the class code."""
+        return bool(_class_code(*self) & 2)
 
     def swapped(self) -> "ChannelParams":
         """The same channel with the user indices exchanged."""
         return ChannelParams(self.snr2, self.snr1, self.inr2, self.inr1)
+
+
+def _class_code(s1, s2, i1, i2):
+    """``strong_at_1 + 2 * strong_at_2`` of four ratios (floats or arrays) or slopes."""
+    return (i1 >= s2) + 2 * (i2 >= s1)
 
 
 _OVERFLOW = "cannot audit {}: its rates overflow double precision"
@@ -143,7 +152,7 @@ class InterferenceTag(str, Enum):
     STRONG = "strong"
 
 
-# The class of a channel by its class code, strong_at_1 + 2 * strong_at_2.
+# The class of a channel by its class code (_class_code).
 TAG_BY_STRENGTH = (
     InterferenceTag.WEAK,
     InterferenceTag.MIXED_STRONG_AT_1,
@@ -170,7 +179,7 @@ def classify(params: ChannelParams) -> InterferenceClass:
     Weak requires both strict inequalities INR1 < SNR2 and INR2 < SNR1;
     equality on either cross link goes to the mixed or strong tag.
     """
-    tag = TAG_BY_STRENGTH[params.strong_at_1 + 2 * params.strong_at_2]
+    tag = TAG_BY_STRENGTH[_class_code(*params)]
     very_strong: bool | None = None
     if params.is_symmetric:
         very_strong = _very_strong(params.snr1, params.inr1)

@@ -65,7 +65,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import bounds as _bounds
 from . import hk as _hk
 from .channel import _OVERFLOW, TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _power_inr
-from .channel import db_to_linear
+from .channel import _class_code, db_to_linear
 from .errors import ClassMismatchError, ContainmentError, DomainError, NotCoveredError, _real
 from .region import RateRegion, _family_minima, _verdicts, log2_rows, region_from_rows, sigfig
 
@@ -222,15 +222,14 @@ def audit(params: ChannelParams) -> Audit:
     :class:`DomainError`, and one whose inner region exceeds its outer
     bound :class:`ContainmentError`, each naming the channel.
     """
-    code = params.strong_at_1 + 2 * params.strong_at_2
+    code = _class_code(*params)
     tag = TAG_BY_STRENGTH[code]
     if tag is InterferenceTag.STRONG:
         raise ClassMismatchError(
             "gap audit is undefined for strong channels (capacity is exact)"
         )
-    ratios = (params.snr1, params.snr2, params.inr1, params.inr2)
-    judged = _judge(code, *ratios)
-    _raise_first_bad([judged.finite], [judged.contained], [ratios])
+    judged = _judge(code, *params)
+    _raise_first_bad([judged.finite], [judged.contained], [params])
     inner_f = _families(_hk.HK_COEFFS, judged.inner)
     outer_f = _families(judged.outer_coeffs, judged.outer)
     if tag is InterferenceTag.MIXED_STRONG_AT_2:
@@ -400,9 +399,8 @@ def _scalar_select(draws, accept):
     values = iter(draws)
     for u1, u2, u3, u4 in zip(values, values, values, values):
         db = (low1 + span1 * u1, low2 + span2 * u2, low3 + span3 * u3, low4 + span4 * u4)
-        ratio = snr1, snr2, inr1, inr2 = tuple(map(db_to_linear, db))
-        # ChannelParams.strong_at_1 + 2 * strong_at_2
-        code = (inr1 >= snr2) + 2 * (inr2 >= snr1)
+        ratio = tuple(map(db_to_linear, db))
+        code = _class_code(*ratio)
         if accept[code]:
             classes.append(code)
             dbs.append(db)

@@ -11,9 +11,8 @@ and gdof regions live in (d1, d2) with constraints of the form
 ``c1*d1 + (c2*alpha1)*d2 <= rhs``, reusing the rate-region machinery.
 All regions here sit inside the unit box.
 
-The slope class is ``TAG_BY_STRENGTH[(alpha2 >= alpha1) + 2 * (alpha3 >= 1)]``,
-the finite-SNR class code: alpha2 >= alpha1 means INR1 >= SNR2 and
-alpha3 >= 1 means INR2 >= SNR1.
+The slope class is the finite-SNR class code,
+``channel._class_code(1, alpha1, alpha2, alpha3)``, on the slopes.
 
 The region constraint sets are the first-order (log-domain) expansions
 of the finite-SNR bounds: each row is read off the class's
@@ -42,7 +41,7 @@ from typing import NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _power_inr, classify
+from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _class_code, _power_inr
 from .errors import ClassMismatchError, DomainError, _real
 from .region import RateConstraint, RateRegion, symmetric_rate
 
@@ -136,7 +135,7 @@ def _expansion_rows(tag: InterferenceTag, ls1, ls2, li1, li2) -> list[tuple[floa
 
 
 def _slope_tag(g: GdofParams) -> InterferenceTag:
-    return TAG_BY_STRENGTH[(g.alpha2 >= g.alpha1) + 2 * (g.alpha3 >= 1.0)]
+    return TAG_BY_STRENGTH[_class_code(1.0, g.alpha1, g.alpha2, g.alpha3)]
 
 
 def _class_gdof_region(g: GdofParams, tag: InterferenceTag) -> RateRegion:
@@ -159,8 +158,9 @@ def weak_gdof_region(g: GdofParams) -> RateRegion:
 
 
 def mixed_gdof_region(g: GdofParams) -> RateRegion:
-    """Five-constraint gdof region, strong-at-receiver-1 orientation."""
-    return _class_gdof_region(g, InterferenceTag.MIXED_STRONG_AT_1)
+    """Five-constraint gdof region for mixed slopes of either orientation."""
+    strong_at_2 = _class_code(1.0, g.alpha1, g.alpha2, g.alpha3) >> 1
+    return _class_gdof_region(g, TAG_BY_STRENGTH[1 + strong_at_2])
 
 
 def strong_gdof_region(g: GdofParams) -> RateRegion:
@@ -283,9 +283,8 @@ def first_order_expansion(params: ChannelParams) -> RateRegion:
     """
     _real("snr1", params.snr1, 1, above=True)
     _real("snr2", params.snr2, 1, above=True)
-    tag = classify(params).tag
+    tag = TAG_BY_STRENGTH[_class_code(*params)]
     if tag is InterferenceTag.STRONG:
         raise ClassMismatchError("first-order expansion covers weak and mixed only")
-    ratios = (params.snr1, params.snr2, params.inr1, params.inr2)
-    logs = [_LOG2(x) if x > 0.0 else -math.inf for x in ratios]
+    logs = [_LOG2(x) if x > 0.0 else -math.inf for x in params]
     return RateRegion(RateConstraint(*row) for row in _expansion_rows(tag, *logs))

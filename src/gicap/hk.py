@@ -166,9 +166,7 @@ def hk_rhs(params: ChannelParams, split: PowerSplit) -> tuple[float, ...]:
 
     The split is not checked against the channel; :func:`hk_region` does that.
     """
-    return log2_rows(
-        hk_args(params.snr1, params.snr2, params.inr1, params.inr2, split.inr_p2, split.inr_p1)
-    )
+    return log2_rows(hk_args(*params, split.inr_p2, split.inr_p1))
 
 
 def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
@@ -180,8 +178,7 @@ def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
     double precision raises :class:`DomainError` naming the channel.
     """
     _validate_split(params, split)
-    ratios = params.snr1, params.snr2, params.inr1, params.inr2
-    return region_from_rows(HK_COEFFS, _finite(hk_rhs(params, split), *ratios))
+    return region_from_rows(HK_COEFFS, _finite(hk_rhs(params, split), *params))
 
 
 def recommended_levels(strong_at_1, strong_at_2, inr1, inr2, where=_where):
@@ -241,8 +238,8 @@ def symmetric_hk_rate(snr: float, inr: float) -> float:
 def treat_as_noise_region(params: ChannelParams) -> RateRegion:
     """Box achieved by decoding nothing of the interference: the R1 and R2
     rows of the all-private split (inr_p2, inr_p1) = (INR2, INR1)."""
-    s1, s2, i1, i2 = params.snr1, params.snr2, params.inr1, params.inr2
-    return region_from_rows(HK_COEFFS[:2], log2_rows(hk_args(s1, s2, i1, i2, i2, i1)[:2]))
+    rows = hk_args(*params, params.inr2, params.inr1)[:2]
+    return region_from_rows(HK_COEFFS[:2], log2_rows(rows))
 
 
 def costa_point(params: ChannelParams) -> Vertex:

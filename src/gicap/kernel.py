@@ -4,9 +4,9 @@ of channels audited, on arrays, bit-identical to the scalar engine.
 :func:`select` takes a draw pass's ``rng.random()`` values and keeps the
 candidates of the accepted classes, with their class codes, dB values
 and ratios as arrays; :func:`gicap.gap._chunks` audits them as one chunk.
-It maps the draws to dB and compares the two cross links in arrays, on the
-exponents of the dB-to-ratio map; only a comparison near a tie, and the
-accepted candidates' ratios, take Python's pow, as the scalar engine does.
+It maps the draws to dB and classifies them in arrays, on the exponents of
+the dB-to-ratio map; only a candidate near a tie, and the accepted
+candidates' ratios, take Python's pow, as the scalar engine does.
 
 :func:`audit_chunk` takes a chunk's class codes, dB values and ratios and
 returns it packed (:class:`gicap.gap._Chunk`): its frame, a row code per
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .channel import db_to_linear
+from .channel import _class_code, db_to_linear
 from .gap import _DB_LOW, _DB_SPAN, _Chunk, _judge, _raise_first_bad
 
 __all__ = ["audit_chunk", "select"]
@@ -51,20 +51,18 @@ def select(draws, accept):
     as arrays: the accepted candidates' class codes, and their dB values
     and ratios, each an ``(m, 4)`` array.
 
-    The dB values and the two cross-link comparisons run on arrays, on the
-    exponents ``dB / 10`` of :func:`db_to_linear`'s ratios ``10 ** (dB / 10)``;
-    a comparison near a tie is made on the ratios themselves.  Only the
-    accepted candidates' ratios are raised to ``10 ** exponent``, by Python's
-    pow (``np.power`` rounds differently on some inputs).
+    The dB values and class codes run on arrays, on the exponents ``dB / 10``
+    of :func:`db_to_linear`'s ratios ``10 ** (dB / 10)``; a candidate near a
+    tie is classified again, whole, from its ratios.  Only the accepted
+    candidates' ratios are raised to ``10 ** exponent``, by Python's pow
+    (``np.power`` rounds differently on some inputs).
     """
     db = _DB_LOW + _DB_SPAN * np.fromiter(draws, float).reshape(-1, 4)
     exponents = db / 10.0
-    # INR1 over SNR2 and INR2 over SNR1: ChannelParams.strong_at_1, strong_at_2
-    gaps = exponents[:, 2:] - exponents[:, 1::-1]
-    strong = gaps >= 0.0
-    for k, j in zip(*np.nonzero(abs(gaps) < _TIE)):
-        strong[k, j] = db_to_linear(float(db[k, 2 + j])) >= db_to_linear(float(db[k, 1 - j]))
-    codes = strong[:, 0] + 2 * strong[:, 1]
+    codes = _class_code(*exponents.T)  # on exponents, as 10 ** x is increasing
+    near = abs(exponents[:, 2:] - exponents[:, 1::-1]) < _TIE  # INR1 - SNR2, INR2 - SNR1
+    for k in np.flatnonzero(near.any(axis=1)).tolist():
+        codes[k] = _class_code(*map(db_to_linear, db[k].tolist()))
     kept = np.flatnonzero(np.frombuffer(accept, np.uint8)[codes])
     ten = itertools.repeat(10.0)
     ratios = np.array([list(map(pow, ten, column)) for column in exponents[kept].T.tolist()])

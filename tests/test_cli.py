@@ -452,6 +452,18 @@ class TestSweepWriterChild:
         assert (code, text, err) == (1, "", ENOSPC_MESSAGE)
         assert data.count(b"\n") == 1 + written
 
+    def test_writer_error_other_than_os_error_is_raised_as_one(self, tmp_path, monkeypatch, forks):
+        def boom(frame):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(gicap.gap, "_chunk_text", boom)
+        n = gicap.gap.SWEEP_CHUNK + 1
+        with pytest.raises(OSError) as info:
+            gicap.gap.stream_sweep(n, 1, "any", "one-bit", str(tmp_path / "s.csv"))
+        assert info.value.args == ("the sweep's CSV writer failed: ValueError('boom')",)
+        assert len(forks) == 1
+        assert_no_child()
+
     def test_failed_second_pipe_closes_the_first(self, tmp_path, monkeypatch, capsys, forks):
         real_pipe = os.pipe
         first = []

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from gicap import (
     stream_sweep,
     within_half_certificate,
 )
-from gicap.channel import TAG_BY_STRENGTH
+from gicap.channel import TAG_BY_STRENGTH, _class_code
 from conftest import random_channel
 from reference_audit import (
     ref_delta_audit,
@@ -131,8 +132,18 @@ class TestSweeps:
         inr1 = snr2 if strong_at_1 else math.nextafter(snr2, 0.0)
         inr2 = snr1 if strong_at_2 else math.nextafter(snr1, 0.0)
         params = ChannelParams(snr1, snr2, inr1, inr2)
+        assert ChannelParams(*params) == params
         assert (params.strong_at_1, params.strong_at_2) == (strong_at_1, strong_at_2)
+        assert _class_code(*params) == code
         assert classify(params).tag is TAG_BY_STRENGTH[code]
+        # the same ties on exact log slopes (1, alpha1, alpha2, alpha3)
+        below = Fraction(1, 2**80)
+        alpha2 = Fraction(3) - (not strong_at_1) * below
+        assert _class_code(1, Fraction(3), alpha2, 1 - (not strong_at_2) * below) == code
+        # and on arrays of channels, the channel and its user-swapped image
+        np = pytest.importorskip("numpy")
+        columns = np.array([tuple(params), tuple(params.swapped())]).T
+        assert _class_code(*columns).tolist() == [code, strong_at_2 + 2 * strong_at_1]
 
     def test_one_bit_weak_clean(self):
         result = one_bit_sweep(300, 7, "weak")

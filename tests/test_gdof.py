@@ -12,6 +12,7 @@ from gicap import (
     GdofParams,
     InterferenceTag,
     InvalidParameterError,
+    Vertex,
     baseline_gdof,
     classify,
     d_sym,
@@ -191,6 +192,16 @@ class TestMixedStrongGdofRegions:
             (1.0, 0.0),
         ]
 
+    def test_mixed_takes_both_orientations(self):
+        # swapping the users maps the slopes (a1, a2, a3) to (1/a1, a3/a1, a2/a1)
+        # and each gdof point (d1, d2) to (d2, d1)
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        for a1, a2, a3 in ((1.0, 0.5, 1.5), (2.0, 0.0001, 1.0), (half, quarter, 3 * half)):
+            strong_at_2 = mixed_gdof_region(GdofParams(a1, a2, a3))
+            strong_at_1 = mixed_gdof_region(GdofParams(1 / a1, a3 / a1, a2 / a1))
+            mirrored = [Vertex(v.r2, v.r1) for v in reversed(vertices(strong_at_1))]
+            assert vertex_sets_equal(vertices(strong_at_2), mirrored), (a1, a2, a3)
+
     def test_class_mismatch(self):
         with pytest.raises(ClassMismatchError):
             mixed_gdof_region(GdofParams(1.0, 0.5, 0.5))
@@ -203,7 +214,7 @@ class TestSlopeClassTies:
 
     WRITTEN_OUT = {
         weak_gdof_region: lambda g: g.alpha2 < g.alpha1 and g.alpha3 < 1.0,
-        mixed_gdof_region: lambda g: g.alpha2 >= g.alpha1 and g.alpha3 < 1.0,
+        mixed_gdof_region: lambda g: (g.alpha2 >= g.alpha1) != (g.alpha3 >= 1.0),
         strong_gdof_region: lambda g: g.alpha2 >= g.alpha1 and g.alpha3 >= 1.0,
     }
 

@@ -754,6 +754,13 @@ class TestEngineChoice:
         kernel = step == "fork" and importlib.util.find_spec("numpy") is not None
         assert child.stdout.decode().split() == ["[False]", str(kernel)]
 
+    def test_a_missing_kernel_is_raised_not_replaced(self, monkeypatch):
+        # only a missing numpy falls back to the scalar engine
+        monkeypatch.setitem(sys.modules, "gicap.kernel", None)
+        with pytest.raises(ModuleNotFoundError) as info:
+            gicap.gap._chunk_engine(NUMPY_MIN_N)
+        assert info.value.name == "gicap.kernel"
+
     def test_other_subcommands_never_import_numpy(self):
         child = subprocess.run(
             [sys.executable, "-c", IMPORT_CHILD], capture_output=True, env=gicap_child_env()
