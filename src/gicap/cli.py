@@ -238,23 +238,29 @@ def _emit(obj, args, stream, table=None) -> None:
     JSON is :func:`_json`'s text: the ``json`` module's two-space layout with
     every float at 12 significant digits, its strings, keys, booleans and
     nulls written without ``json.dumps``.  A figure passes ``table =
-    (header, rows)`` in place of ``obj``: JSON ``{"columns": header, "rows":
-    rows}``, or CSV of the rows by default.
-    A table holds floats only, so its CSV rows are formatted by one ``%``
+    (header, rows)`` in place of ``obj``: CSV of the rows by default, or the
+    text :func:`_json` writes for ``{"columns": header, "rows": rows}``.
+    A table holds finite floats only, so either format is one ``%`` pass
     over the whole table, as :func:`gicap.gap._chunk_text` formats a sweep
-    chunk: ``"%.12g" % v`` is ``f"{v:.12g}"`` for every float."""
-    if table is not None:
-        obj = {"columns": table[0], "rows": table[1]}
-    if (args.format or ("json" if table is None else "csv")) == "json":
-        stream.write(_json(obj) + "\n")
-        return
+    chunk: CSV by ``"%.12g"``, which is ``f"{v:.12g}"`` for every float, and
+    JSON by ``"%r"`` of each cell rounded by :func:`sigfig` at write time,
+    the ``float.__repr__`` that ``json`` writes for a finite float."""
     if table is None:
-        stream.write("key,value\n" + "".join([f"{k},{_cell(v)}\n" for k, v in _flatten(obj)]))
+        if args.format == "csv":
+            stream.write("key,value\n" + "".join([f"{k},{_cell(v)}\n" for k, v in _flatten(obj)]))
+        else:
+            stream.write(_json(obj) + "\n")
         return
     header, rows = table
+    cells = itertools.chain.from_iterable(rows)
+    if args.format == "json":
+        row = "[" + ",".join(["\n      %r"] * len(header)) + "\n    ]"
+        text = ",\n    ".join([row] * len(rows)) % tuple(map(sigfig, cells))
+        head = '{\n  "columns": [\n    ' + ",\n    ".join(map(_quote, header))
+        stream.write(head + '\n  ],\n  "rows": [\n    ' + text + "\n  ]\n}\n")
+        return
     template = ",".join(["%.12g"] * len(header)) + "\n"
-    cells = tuple(itertools.chain.from_iterable(rows))
-    stream.write(",".join(header) + "\n" + (template * len(rows)) % cells)
+    stream.write(",".join(header) + "\n" + (template * len(rows)) % tuple(cells))
 
 
 def _cmd_classify(args, stdout) -> int:

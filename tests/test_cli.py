@@ -687,10 +687,12 @@ class TestFigures:
         + [("gdof-region", a) for a in (0.0, 0.5, 2 / 3, 1.0, 2.0, 3.0)],
     )
     def test_every_cell_is_a_float(self, figure_id, alpha):
-        # _emit formats a table's CSV with one "%.12g" per cell
+        # _emit formats a table's CSV with one "%.12g" per cell and its JSON
+        # with one "%r", which writes inf where json writes Infinity
         header, rows = gicap.cli._figure_rows(figure_id, alpha)
         assert rows and all(len(row) == len(header) for row in rows)
         assert {type(cell) for row in rows for cell in row} == {float}
+        assert all(math.isfinite(cell) for row in rows for cell in row)
 
 
 def _slope(rng):
@@ -920,6 +922,30 @@ def test_json_writer_refuses_a_key_as_the_json_module_does(key):
     with pytest.raises(TypeError) as got:
         gicap.cli._json({"a": [{"b": 1, key: 0}]})
     assert str(got.value) == str(want.value)
+
+
+@st.composite
+def figure_tables(draw):
+    """``(header, rows)``: 1–4 columns of any text, 1–300 rows of finite floats."""
+    header = tuple(draw(st.lists(JSON_TEXT, min_size=1, max_size=4)))
+    row = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * len(header))
+    return header, tuple(draw(st.lists(row, min_size=1, max_size=300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(figure_tables())
+@example((("x",), ((-0.0,),)))
+@example((("x", "y"), ((5e-324, -5e-324), (1e308, -1.7976931348623157e308))))
+# "%.12g" turns to exponents below 1e-4 and from 1e12, repr below 1e-4 and from 1e16
+@example((("x", "y"), ((9.99999e-6, 1e-5), (9.99999e-5, 1e-4), (1.23456789e-5, 1.23456789e-4))))
+@example((("x", "y"), ((999999999999.0, 1e12), (9999999999999998.0, 1e16))))
+@example((("x", "%s", '"q"\\%r'), ((9.9999999999995, -9.9999999999995, 0.99999999999995),)))
+def test_table_json_is_the_json_module_on_rounded_floats(table):
+    header, rows = table
+    stream = io.StringIO()
+    gicap.cli._emit(None, argparse.Namespace(format="json"), stream, table)
+    want = json.dumps(round_floats({"columns": header, "rows": rows}), indent=2)
+    assert stream.getvalue() == want + "\n"
 
 
 @settings(max_examples=300, deadline=None)
