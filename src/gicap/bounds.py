@@ -34,7 +34,7 @@ as undefined outside it; it has no row of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _class_code
 from .channel import _check_symmetric, _finite, _very_strong
@@ -231,8 +231,7 @@ def kramer_bound(snr: float, inr: float) -> float:
     return math.log2(1.0 + snr / (0.5 + math.sqrt(0.25 + inr / (1.0 + inr / snr))))
 
 
-@dataclass(frozen=True)
-class SymmetricBoundSet:
+class SymmetricBoundSet(NamedTuple):
     """Symmetric-rate upper bounds; ``kramer_ub`` is None outside 0 < INR < SNR."""
 
     genie_ub: float

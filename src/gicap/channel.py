@@ -23,8 +23,8 @@ alpha >= 2 form is only its high-SNR approximation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidParameterError, _real
 
@@ -65,22 +65,24 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(_real("x", x, above=True))
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """The four linear power ratios defining a channel instance."""
-
+class _ChannelFields(NamedTuple):
     snr1: float
     snr2: float
     inr1: float
     inr2: float
 
-    def __post_init__(self) -> None:
-        for name in ("snr1", "snr2", "inr1", "inr2"):
-            _real(name, getattr(self, name), error=InvalidParameterError)
 
-    def __iter__(self):
-        """The four ratios in field order, so ``ChannelParams(*params) == params``."""
-        return iter((self.snr1, self.snr2, self.inr1, self.inr2))
+class ChannelParams(_ChannelFields):
+    """The four linear power ratios defining a channel instance, in field
+    order as a tuple, so ``ChannelParams(*params) == params``."""
+
+    __slots__ = ()
+
+    def __new__(cls, snr1, snr2, inr1, inr2):
+        ratios = (snr1, snr2, inr1, inr2)
+        for name, value in zip(cls._fields, ratios):
+            _real(name, value, error=InvalidParameterError)
+        return tuple.__new__(cls, ratios)
 
     @property
     def is_symmetric(self) -> bool:
@@ -161,8 +163,7 @@ TAG_BY_STRENGTH = (
 )
 
 
-@dataclass(frozen=True)
-class InterferenceClass:
+class InterferenceClass(NamedTuple):
     """Interference class tag plus the very-strong flag.
 
     ``very_strong`` is only defined for symmetric channels; asymmetric
@@ -214,8 +215,7 @@ def _power_inr(snr: float, alpha_value: float) -> float:
         ) from None
 
 
-@dataclass(frozen=True)
-class SymmetricRegime:
+class SymmetricRegime(NamedTuple):
     """Symmetric-channel regime index (1..5) and active common-rate set.
 
     ``bset`` is "B1" or "B2" when INR >= 1 and ``None`` otherwise (the

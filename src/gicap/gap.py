@@ -59,7 +59,6 @@ import math
 import operator
 import os
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from . import bounds as _bounds
@@ -106,8 +105,7 @@ _DB_LOW = (SNR_DB_RANGE[0],) * 2 + (INR_DB_RANGE[0],) * 2
 _DB_SPAN = (SNR_DB_RANGE[1] - SNR_DB_RANGE[0],) * 2 + (INR_DB_RANGE[1] - INR_DB_RANGE[0],) * 2
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Per-family deltas between an outer bound and an achievable region.
 
     ``delta_2r1_r2`` / ``delta_r1_2r2`` are None when the outer bound has
@@ -127,8 +125,7 @@ class GapReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class Audit:
+class Audit(NamedTuple):
     """Everything one audit pass derives for a weak or mixed channel.
 
     ``inner`` is the recommended-split achievable region, ``outer`` the
@@ -274,8 +271,7 @@ class SweepRecord(NamedTuple):
     within_half: bool
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Audited records plus the failure view relevant to the caller."""
 
     n: int

@@ -35,7 +35,6 @@ one-sided sum terms) and nowhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -62,18 +61,23 @@ __all__ = [
 
 _LOG2 = math.log2
 
-@dataclass(frozen=True)
-class GdofParams:
-    """Log-slope triple (alpha1, alpha2, alpha3); alpha1 > 0, others >= 0."""
 
+class _SlopeFields(NamedTuple):
     alpha1: float
     alpha2: float
     alpha3: float
 
-    def __post_init__(self) -> None:
-        _real("alpha1", self.alpha1, above=True)
-        _real("alpha2", self.alpha2)
-        _real("alpha3", self.alpha3)
+
+class GdofParams(_SlopeFields):
+    """Log-slope triple (alpha1, alpha2, alpha3); alpha1 > 0, others >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha1, alpha2, alpha3):
+        _real("alpha1", alpha1, above=True)
+        _real("alpha2", alpha2)
+        _real("alpha3", alpha3)
+        return tuple.__new__(cls, (alpha1, alpha2, alpha3))
 
 
 def d_sym(alpha_value: float) -> float:

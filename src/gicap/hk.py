@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .channel import ChannelParams, _check_symmetric, _finite, alpha
@@ -75,16 +74,20 @@ _LOG2 = math.log2
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
-@dataclass(frozen=True)
-class PowerSplit:
-    """Private-message interference levels (inr_p2, inr_p1), linear."""
-
+class _SplitFields(NamedTuple):
     inr_p2: float
     inr_p1: float
 
-    def __post_init__(self) -> None:
-        _real("inr_p2", self.inr_p2, error=InvalidSplitError)
-        _real("inr_p1", self.inr_p1, error=InvalidSplitError)
+
+class PowerSplit(_SplitFields):
+    """Private-message interference levels (inr_p2, inr_p1), linear."""
+
+    __slots__ = ()
+
+    def __new__(cls, inr_p2, inr_p1):
+        _real("inr_p2", inr_p2, error=InvalidSplitError)
+        _real("inr_p1", inr_p1, error=InvalidSplitError)
+        return tuple.__new__(cls, (inr_p2, inr_p1))
 
 
 class DifferentialRatePair(NamedTuple):

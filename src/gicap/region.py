@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ContainmentError, DomainError, InvalidParameterError, UnboundedRegionError
@@ -54,38 +53,48 @@ class Vertex(NamedTuple):
     r2: float
 
 
-@dataclass(frozen=True)
-class RateConstraint:
-    """Half-plane constraint c1*R1 + c2*R2 <= rhs (rhs in bits)."""
-
+class _ConstraintFields(NamedTuple):
     c1: float
     c2: float
     rhs: float
 
-    def __post_init__(self) -> None:
+
+class RateConstraint(_ConstraintFields):
+    """Half-plane constraint c1*R1 + c2*R2 <= rhs (rhs in bits)."""
+
+    __slots__ = ()
+
+    def __new__(cls, c1, c2, rhs):
+        self = tuple.__new__(cls, (c1, c2, rhs))  # built first: the messages show it
         try:
-            finite = math.isfinite(self.c1) and math.isfinite(self.c2) and math.isfinite(self.rhs)
+            finite = math.isfinite(c1) and math.isfinite(c2) and math.isfinite(rhs)
         except TypeError:  # a str, None, a complex
             raise InvalidParameterError(f"constraint entries must be real numbers: {self}") from None
         if not finite:
             raise InvalidParameterError(f"constraint has non-finite entries: {self}")
-        if self.c1 < 0.0 or self.c2 < 0.0:
+        if c1 < 0.0 or c2 < 0.0:
             raise InvalidParameterError(f"constraint coefficients must be >= 0: {self}")
-        if self.c1 == 0.0 and self.c2 == 0.0:
+        if c1 == 0.0 and c2 == 0.0:
             raise InvalidParameterError("constraint must involve at least one rate")
+        return self
 
 
-@dataclass(frozen=True)
-class RateRegion:
-    """Ordered half-plane representation of a down-closed rate polytope."""
-
+class _RegionFields(NamedTuple):
     constraints: tuple[RateConstraint, ...]
 
-    def __post_init__(self) -> None:
-        # callers pass lists and generators; store the immutable tuple
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if not self.constraints:
+
+class RateRegion(_RegionFields):
+    """Ordered half-plane representation of a down-closed rate polytope.
+
+    Callers pass lists and generators; the record holds the tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, constraints):
+        constraints = tuple(constraints)
+        if not constraints:
             raise InvalidParameterError("a rate region needs at least one constraint")
+        return tuple.__new__(cls, (constraints,))
 
 
 def region_from_rows(coeffs, rhs) -> RateRegion:
@@ -126,11 +135,11 @@ def vertices(region: RateRegion) -> list[Vertex]:
     and :class:`DomainError` when a vertex is not finite (its determinant or
     coordinates overflow).
     """
-    rows = [(c.c1, c.c2, c.rhs) for c in region.constraints]
+    rows = region.constraints  # each constraint is its (c1, c2, rhs) row
     _check_bounded(rows)
     tol = DEFAULT_TOL
     caps = [(a, b, r + tol) for a, b, r in rows]
-    lines = rows + [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    lines = [*rows, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
     pts: list[tuple[float, float]] = []
     for i, (a1, b1, r1) in enumerate(lines, 1):
         for a2, b2, r2 in lines[i:]:
@@ -189,12 +198,12 @@ def contains(region: RateRegion, point, tol: float = DEFAULT_TOL) -> bool:
         raise InvalidParameterError(
             f"contains needs a real point and tol, got point={point!r}, tol={tol!r}"
         )
-    return all(floor) and all(c.c1 * r1 + c.c2 * r2 <= c.rhs + tol for c in region.constraints)
+    return all(floor) and all(a * r1 + b * r2 <= r + tol for a, b, r in region.constraints)
 
 
 def symmetric_rate(region: RateRegion) -> float:
     """Largest t with (t, t) in the region: min over constraints of rhs/(c1+c2)."""
-    return min(c.rhs / (c.c1 + c.c2) for c in region.constraints)
+    return min(rhs / (c1 + c2) for c1, c2, rhs in region.constraints)
 
 
 def certificates(inner: RateRegion, outer: RateRegion) -> tuple[bool, bool]:
@@ -227,7 +236,7 @@ def certificates(inner: RateRegion, outer: RateRegion) -> tuple[bool, bool]:
     ``outer``: an achievable region beyond its outer bound is a formula bug.
     """
     contained, one_bit, within_half = _verdicts(*(
-        _family_minima(((c.c1, c.c2), c.rhs) for c in region.constraints)
+        _family_minima(((c1, c2), rhs) for c1, c2, rhs in region.constraints)
         for region in (inner, outer)
     ))
     if not contained:
@@ -320,8 +329,8 @@ def region_to_jsonable(region: RateRegion) -> dict:
     """Canonical JSON shape: constraints plus the enumerated vertex chain."""
     return {
         "constraints": [
-            {"c1": sigfig(c.c1), "c2": sigfig(c.c2), "rhs": sigfig(c.rhs)}
-            for c in region.constraints
+            {"c1": sigfig(c1), "c2": sigfig(c2), "rhs": sigfig(rhs)}
+            for c1, c2, rhs in region.constraints
         ],
         "vertices": [[sigfig(v.r1), sigfig(v.r2)] for v in vertices(region)],
     }

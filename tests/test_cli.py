@@ -1199,12 +1199,22 @@ class TestBadInputNeverCrashes:
 # The interactive commands of a query mix, in one process.  Importing numpy
 # would add about 12 MiB to a query process's peak RSS and fractions about
 # 0.4 MiB, so numpy must never load, and fractions not before `region`,
-# whose certificates build their support tables in exact rationals.
+# whose certificates build their support tables in exact rationals.  The
+# records are NamedTuples: neither `import gicap.cli` nor a command may load
+# dataclasses or inspect, which cost a fresh process about 12 ms, unless the
+# standard library's own argparse loads them first, as its colour themes may.
 IMPORT_SET_CHILD = """
+import argparse
 import hashlib
 import io
 import sys
+parser = argparse.ArgumentParser(prog="baseline")
+parser.add_subparsers().add_parser("run").add_argument("--x", type=float)
+parser.parse_args(["run", "--x", "1"])
+slow = {"dataclasses", "inspect"} - set(sys.modules)
 import gicap.cli
+if slow & set(sys.modules):
+    sys.exit(f"import gicap.cli imported {sorted(slow & set(sys.modules))}")
 channel = ["--snr1", "100", "--snr2", "10", "--inr1", "20", "--inr2", "5"]
 for k, argv in enumerate((
     ["classify", "--snr1", "100", "--snr2", "100", "--inr1", "10", "--inr2", "10"],
@@ -1221,6 +1231,8 @@ for k, argv in enumerate((
         sys.exit(f"{argv} imported numpy")
     if k < 5 and "fractions" in sys.modules:
         sys.exit(f"{argv} imported fractions")
+    if slow & set(sys.modules):
+        sys.exit(f"{argv} imported {sorted(slow & set(sys.modules))}")
 """
 
 
