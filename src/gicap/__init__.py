@@ -28,8 +28,6 @@ from .channel import (
     alpha,
     classify,
     db_to_linear,
-    from_physical,
-    linear_to_db,
     symmetric_regime,
 )
 from .errors import (
@@ -62,17 +60,13 @@ from .gdof import (
     baseline_gdof,
     d_sym,
     finite_snr_convergence,
-    first_order_expansion,
-    mixed_gdof_region,
+    gdof_region,
     one_sided_gdof_region,
-    strong_gdof_region,
     symmetric_gdof_region,
-    weak_gdof_region,
 )
 from .hk import (
     DifferentialRatePair,
     PowerSplit,
-    costa_point,
     differential_rates,
     hk_region,
     recommended_split,

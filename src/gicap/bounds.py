@@ -13,9 +13,8 @@ Three bound families cover the class taxonomy:
 Each row is written once, as log2 arguments in :func:`outer_args`;
 :func:`class_outer` checks the class and builds the region, and the other
 bounds here read their terms off the same rows.  So does :mod:`gicap.gdof`:
-its gdof regions and first-order expansions are these rows evaluated on
-log slopes.  The interference-limited
-sum bound (``new_sum_bound``) is
+its gdof regions are these rows evaluated on log slopes.  The
+interference-limited sum bound (``new_sum_bound``) is
 
     R1 + R2 <= log(1 + INR1 + SNR1/(1+INR2)) + log(1 + INR2 + SNR2/(1+INR1)),
 

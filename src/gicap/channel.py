@@ -36,8 +36,6 @@ __all__ = [
     "alpha",
     "classify",
     "db_to_linear",
-    "from_physical",
-    "linear_to_db",
     "symmetric_regime",
 ]
 
@@ -58,11 +56,6 @@ def db_to_linear(db: float) -> float:
     if not finite:
         raise DomainError(f"{db!r} dB gives no finite power ratio")
     return ratio
-
-
-def linear_to_db(x: float) -> float:
-    """Convert a linear power ratio to dB: 10*log10(x); ``x`` must be positive and finite."""
-    return 10.0 * math.log10(_real("x", x, above=True))
 
 
 class _ChannelFields(NamedTuple):
@@ -118,33 +111,6 @@ def _finite(rates, s1, s2, i1, i2):
     if abs(sum(rates)) < math.inf:  # NaN too
         return rates
     raise DomainError(_OVERFLOW.format(ChannelParams(s1, s2, i1, i2)))
-
-
-def from_physical(
-    g11: float,
-    g12: float,
-    g21: float,
-    g22: float,
-    p1: float,
-    p2: float,
-    n0: float,
-) -> ChannelParams:
-    """Build :class:`ChannelParams` from power gains, powers, and noise.
-
-    ``gij`` is the power gain from transmitter i to receiver j, ``pi`` the
-    transmit power of user i, and ``n0`` the per-receiver noise power.
-    Gains and powers must be finite and nonnegative and ``n0`` finite and
-    positive, else :class:`InvalidParameterError` names the argument.
-    """
-    for name, v in dict(g11=g11, g12=g12, g21=g21, g22=g22, p1=p1, p2=p2).items():
-        _real(name, v, error=InvalidParameterError)
-    _real("n0", n0, above=True, error=InvalidParameterError)
-    return ChannelParams(
-        snr1=g11 * p1 / n0,
-        snr2=g22 * p2 / n0,
-        inr1=g21 * p2 / n0,
-        inr2=g12 * p1 / n0,
-    )
 
 
 class InterferenceTag(str, Enum):

@@ -387,7 +387,7 @@ def _gdof_region_for(args) -> tuple[dict, RateRegion]:
         kind = "one_sided_weak" if tag is InterferenceTag.WEAK else "one_sided_strong"
     else:
         # the class name without its orientation: mixed_strong_at_2 -> mixed
-        region, kind = _gdof._class_gdof_region(g, tag), tag.value.partition("_")[0]
+        region, kind = _gdof.gdof_region(g), tag.value.partition("_")[0]
     meta = {
         "alpha1": g.alpha1,
         "alpha2": g.alpha2,

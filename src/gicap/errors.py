@@ -10,6 +10,17 @@ function's documented error, and both messages name the argument.
 
 import math
 
+__all__ = [
+    "ClassMismatchError",
+    "ContainmentError",
+    "DomainError",
+    "GicapError",
+    "InvalidParameterError",
+    "InvalidSplitError",
+    "NotCoveredError",
+    "UnboundedRegionError",
+]
+
 
 class GicapError(Exception):
     """Base class for all errors raised by gicap."""

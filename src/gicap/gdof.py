@@ -15,14 +15,12 @@ The slope class is the finite-SNR class code,
 ``channel._class_code(1, alpha1, alpha2, alpha3)``, on the slopes.
 
 The region constraint sets are the first-order (log-domain) expansions
-of the finite-SNR bounds: each row is read off the class's
-``bounds.outer_args`` row, evaluated on log slopes by max-plus rules
+of the finite-SNR bounds: :func:`gdof_region` reads each row off the
+class's ``bounds.outer_args`` row, evaluated on log slopes by max-plus rules
 (both mixed orientations included, since ``outer_args`` swaps the
 users), or, for the symmetric region (whose symmetric point is the W
 curve :func:`d_sym`) and the one-sided one, written out and pinned to
 those rows by tests.  ``Fraction`` slopes give exact regions.
-:func:`first_order_expansion` reads the same rows in bits for a concrete
-channel, and
 :func:`finite_snr_convergence` checks the defining limit at finite scale
 by sandwiching d_sym between the scaled achievable rate and the scaled
 best upper bound.  Limits are always computed from closed forms, never
@@ -40,7 +38,7 @@ from typing import NamedTuple
 
 from . import bounds as _bounds
 from . import hk as _hk
-from .channel import TAG_BY_STRENGTH, ChannelParams, InterferenceTag, _class_code, _power_inr
+from .channel import TAG_BY_STRENGTH, InterferenceTag, _class_code, _power_inr
 from .errors import ClassMismatchError, DomainError, _real
 from .region import RateConstraint, RateRegion, symmetric_rate
 
@@ -51,12 +49,9 @@ __all__ = [
     "baseline_gdof",
     "d_sym",
     "finite_snr_convergence",
-    "first_order_expansion",
-    "mixed_gdof_region",
+    "gdof_region",
     "one_sided_gdof_region",
-    "strong_gdof_region",
     "symmetric_gdof_region",
-    "weak_gdof_region",
 ]
 
 _LOG2 = math.log2
@@ -125,8 +120,8 @@ def _expansion_rows(tag: InterferenceTag, ls1, ls2, li1, li2) -> list[tuple[floa
     Each rhs is the left-to-right sum of the terms of all the row's
     arguments, so it rounds as the paper's closed form does: weak row 6 is
     ``((A + B) + ls1) - li2``.  It is homogeneous of degree one in the logs,
-    so the same rows serve the gdof normalization (ls1 = 1) and the
-    bit-domain expansion.
+    so the same rows serve the gdof normalization (ls1 = 1) and a
+    channel's log2 ratios.
     """
     coeffs, args = _bounds.outer_args(_Slope(ls1), _Slope(ls2), _Slope(li1), _Slope(li2), tag)
     rows = []
@@ -142,34 +137,16 @@ def _slope_tag(g: GdofParams) -> InterferenceTag:
     return TAG_BY_STRENGTH[_class_code(1.0, g.alpha1, g.alpha2, g.alpha3)]
 
 
-def _class_gdof_region(g: GdofParams, tag: InterferenceTag) -> RateRegion:
-    """Gdof region of class ``tag``; slopes of another class raise."""
-    actual = _slope_tag(g)
-    if tag is not actual:
-        raise ClassMismatchError(f"{g} has {actual.value} slopes, got tag {tag!r}")
+def gdof_region(g: GdofParams) -> RateRegion:
+    """Gdof region of the slopes' class: seven rows for weak slopes, five for
+    mixed ones of either orientation and four, both MAC cuts, for strong ones."""
     one = g.alpha1 / g.alpha1  # 1 in alpha1's own type: Fraction slopes stay exact
     return RateRegion([  # a list, not a generator, for the reason region.log2_rows gives
         RateConstraint(0.0, 1.0, rhs / g.alpha1)  # the R2-only row: d2 = rate / alpha1
         if (m1, m2) == (0.0, 1.0)
         else RateConstraint(m1, type(one)(m2) * g.alpha1, rhs)
-        for m1, m2, rhs in _expansion_rows(tag, one, g.alpha1, g.alpha2, g.alpha3)
+        for m1, m2, rhs in _expansion_rows(_slope_tag(g), one, g.alpha1, g.alpha2, g.alpha3)
     ])
-
-
-def weak_gdof_region(g: GdofParams) -> RateRegion:
-    """Seven-constraint gdof region for weak interference slopes."""
-    return _class_gdof_region(g, InterferenceTag.WEAK)
-
-
-def mixed_gdof_region(g: GdofParams) -> RateRegion:
-    """Five-constraint gdof region for mixed slopes of either orientation."""
-    strong_at_2 = _class_code(1.0, g.alpha1, g.alpha2, g.alpha3) >> 1
-    return _class_gdof_region(g, TAG_BY_STRENGTH[1 + strong_at_2])
-
-
-def strong_gdof_region(g: GdofParams) -> RateRegion:
-    """Gdof region for strong interference slopes (both MAC cuts)."""
-    return _class_gdof_region(g, InterferenceTag.STRONG)
 
 
 def symmetric_gdof_region(alpha_value: float) -> RateRegion:
@@ -205,7 +182,7 @@ def one_sided_gdof_region(g: GdofParams) -> RateRegion:
             f"one-sided gdof region needs alpha2 = 0, got alpha2={g.alpha2!r}"
         )
     strong = _slope_tag(g) is not InterferenceTag.WEAK
-    one = g.alpha1 / g.alpha1  # as in _class_gdof_region
+    one = g.alpha1 / g.alpha1  # as in gdof_region
     rhs = max(g.alpha1, g.alpha3) if strong else max(one, one + g.alpha1 - g.alpha3)
     return RateRegion(
         [
@@ -269,26 +246,3 @@ def finite_snr_convergence(snr: float, alpha_value: float) -> FiniteSnrSandwich:
         lower = _hk.symmetric_hk_rate(snr, inr) / scale
         upper = _bounds.symmetric_bounds(snr, inr).best / scale
     return FiniteSnrSandwich(lower=lower, upper=upper, d_limit=d_sym(alpha_value))
-
-
-def first_order_expansion(params: ChannelParams) -> RateRegion:
-    """Log-domain piecewise-linear expansion of the capacity region, in bits.
-
-    The rows are the max-plus images of the channel's
-    ``bounds.outer_args`` rows in the log2 ratios: weak channels keep all
-    seven rows; mixed channels, of either orientation, have five, since
-    their outer bound drops the two rows that are provably redundant.
-
-    Each log2 argument of an outer row is a sum of at most three terms with
-    at most one ``1 + x`` denominator, so its image is at most log2 3 below
-    and 1 above it: every row lies within 2 bits per argument of its
-    :func:`gicap.bounds.outer_rows` row, at any cross ratio.  A zero cross
-    ratio has slope -inf, which the ``1 + x`` it sits in turns into 0.
-    """
-    _real("snr1", params.snr1, 1, above=True)
-    _real("snr2", params.snr2, 1, above=True)
-    tag = TAG_BY_STRENGTH[_class_code(*params)]
-    if tag is InterferenceTag.STRONG:
-        raise ClassMismatchError("first-order expansion covers weak and mixed only")
-    logs = [_LOG2(x) if x > 0.0 else -math.inf for x in params]
-    return RateRegion(RateConstraint(*row) for row in _expansion_rows(tag, *logs))

@@ -49,13 +49,12 @@ from typing import NamedTuple
 
 from .channel import ChannelParams, _check_symmetric, _finite, alpha
 from .errors import InvalidSplitError, _real
-from .region import RateRegion, Vertex, log2_rows, region_from_rows
+from .region import RateRegion, log2_rows, region_from_rows
 
 __all__ = [
     "DifferentialRatePair",
     "HK_COEFFS",
     "PowerSplit",
-    "costa_point",
     "differential_rates",
     "hk_args",
     "hk_region",
@@ -243,19 +242,6 @@ def treat_as_noise_region(params: ChannelParams) -> RateRegion:
     rows of the all-private split (inr_p2, inr_p1) = (INR2, INR1)."""
     rows = hk_args(*params, params.inr2, params.inr1)[:2]
     return region_from_rows(HK_COEFFS[:2], log2_rows(rows))
-
-
-def costa_point(params: ChannelParams) -> Vertex:
-    """Corner point where receiver 2 decodes user 1's (all-common) message first.
-
-    Achieved by making user 1 all common and user 2 all private, i.e. the
-    split (inr_p2, inr_p1) = (0, INR1), whenever the cross link at
-    receiver 2 is the bottleneck for the common rate.
-    """
-    return Vertex(
-        _LOG2(1.0 + params.inr2 / (1.0 + params.snr2)),
-        _LOG2(1.0 + params.snr2),
-    )
 
 
 def regime1_rate(snr: float, inr: float) -> float:

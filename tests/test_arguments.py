@@ -34,11 +34,9 @@ from gicap import (
     d_sym,
     differential_rates,
     finite_snr_convergence,
-    from_physical,
     hk_region,
     kramer_bound,
     kramer_gap,
-    linear_to_db,
     mixed_outer,
     new_sum_bound,
     one_sided_sum_capacity,
@@ -92,16 +90,10 @@ def tightness_snr(snr):
 IPE = InvalidParameterError
 RULES = [
     # channel
-    rule(linear_to_db, [X], "x", 0.0, TINY),
     *(
         rule(ChannelParams, [X if k == i else 1.0 for k in range(4)], name, -TINY, 0.0, IPE)
         for i, name in enumerate(("snr1", "snr2", "inr1", "inr2"))
     ),
-    *(
-        rule(from_physical, [X if k == i else 0.0 for k in range(6)] + [1.0], name, -TINY, 0.0, IPE)
-        for i, name in enumerate(("g11", "g12", "g21", "g22", "p1", "p2"))
-    ),
-    rule(from_physical, [0.0] * 6 + [X], "n0", 0.0, TINY, IPE),
     rule(alpha, [X, 5.0], "snr", 1.0, up(1.0)),
     rule(alpha, [10.0, X], "inr", 0.0, TINY),
     rule(symmetric_regime, [X, 5.0], "snr", 1.0, up(1.0)),

@@ -24,7 +24,7 @@ from gicap import (
     InterferenceTag,
     SweepRecord,
     Vertex,
-    mixed_gdof_region,
+    gdof_region,
     vertices,
 )
 from gicap.cli import _build_parser, main
@@ -549,7 +549,7 @@ class TestGdofCommand:
             if a1 != 1.0:
                 continue
             got = [Vertex(*v) for v in obj["region"]["vertices"]]
-            strong_at_1 = vertices(mixed_gdof_region(GdofParams(1.0, a3, a2)))
+            strong_at_1 = vertices(gdof_region(GdofParams(1.0, a3, a2)))
             mirrored = [Vertex(v.r2, v.r1) for v in reversed(strong_at_1)]
             assert vertex_sets_equal(got, mirrored), argv
 

@@ -12,24 +12,23 @@ from gicap import (
     GdofParams,
     InterferenceTag,
     InvalidParameterError,
+    RateConstraint,
+    RateRegion,
     Vertex,
     baseline_gdof,
     classify,
     d_sym,
     finite_snr_convergence,
-    first_order_expansion,
-    mixed_gdof_region,
+    gdof_region,
     one_sided_gdof_region,
-    strong_gdof_region,
     symmetric_gdof_region,
     symmetric_hk_rate,
     symmetric_rate,
     vertices,
-    weak_gdof_region,
 )
 from conftest import random_channel, slope_tie_grid, vertex_sets_equal
 from gicap.bounds import outer_args, outer_rows
-from gicap.gdof import _class_gdof_region, _expansion_rows, _slope_tag
+from gicap.gdof import _expansion_rows
 from gicap.region import _family_minima
 from reference_regions import EXPANSION_ROWS
 
@@ -93,35 +92,29 @@ class TestGdofParams:
 
 class TestWeakGdofRegion:
     def test_symmetric_point_04(self):
-        r = weak_gdof_region(GdofParams(1.0, 0.4, 0.4))
+        r = gdof_region(GdofParams(1.0, 0.4, 0.4))
         sums = [c.rhs for c in r.constraints if (c.c1, c.c2) == (1.0, 1.0)]
         assert min(sums) == pytest.approx(1.2, abs=1e-12)
         assert sorted(sums) == pytest.approx([1.2, 1.6, 1.6], abs=1e-12)
         assert symmetric_rate(r) == pytest.approx(d_sym(0.4), abs=1e-12)
 
     def test_no_interference_unit_box(self):
-        r = weak_gdof_region(GdofParams(1.0, 0.0, 0.0))
+        r = gdof_region(GdofParams(1.0, 0.0, 0.0))
         vs = vertices(r)
         assert [(v.r1, v.r2) for v in vs] == [(0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
         assert vertex_sets_equal(vs, vertices(symmetric_gdof_region(0.0)))
 
     def test_symmetric_point_075(self):
-        r = weak_gdof_region(GdofParams(1.0, 0.75, 0.75))
+        r = gdof_region(GdofParams(1.0, 0.75, 0.75))
         triple = [c.rhs for c in r.constraints if (c.c1, c.c2) == (2.0, 1.0)]
         assert triple[0] == pytest.approx(2.0, abs=1e-12)
         assert symmetric_rate(r) == pytest.approx(0.625, abs=1e-12)
-
-    def test_class_mismatch(self):
-        with pytest.raises(ClassMismatchError):
-            weak_gdof_region(GdofParams(1.0, 1.2, 0.4))
-        with pytest.raises(ClassMismatchError):
-            weak_gdof_region(GdofParams(1.0, 0.4, 1.2))
 
     @pytest.mark.parametrize("alpha1", [Fraction(1), Fraction(3, 4)], ids=["1", "3/4"])
     def test_fraction_slopes_stay_exact(self, alpha1):
         # the normalization slope 1 of SNR1 takes alpha1's type, not float's
         g = GdofParams(alpha1, Fraction(51, 100), Fraction(51, 100))
-        region = weak_gdof_region(g)
+        region = gdof_region(g)
         rhs = [c.rhs for c in region.constraints]
         assert all(type(r) is Fraction for r in rhs), rhs
         rows = _expansion_rows(InterferenceTag.WEAK, Fraction(1), g.alpha1, g.alpha2, g.alpha3)
@@ -136,9 +129,9 @@ class TestWeakGdofRegion:
     def test_fraction_slopes_exact_in_every_region(self):
         third, quarter, half = Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)
         classes = (
-            weak_gdof_region(GdofParams(third, quarter, half)),
-            mixed_gdof_region(GdofParams(third, half, quarter)),
-            strong_gdof_region(GdofParams(third, half, Fraction(3, 2))),
+            gdof_region(GdofParams(third, quarter, half)),
+            gdof_region(GdofParams(third, half, quarter)),
+            gdof_region(GdofParams(third, half, Fraction(3, 2))),
         )
         written = (
             symmetric_gdof_region(third),
@@ -161,14 +154,14 @@ class TestWeakGdofRegion:
         for _ in range(50):
             a1 = rng.uniform(0.2, 2.0)
             g = GdofParams(a1, rng.uniform(0, a1 * 0.99), rng.uniform(0, 0.99))
-            for v in vertices(weak_gdof_region(g)):
+            for v in vertices(gdof_region(g)):
                 assert -1e-12 <= v.r1 <= 1 + 1e-12
                 assert -1e-12 <= v.r2 <= 1 + 1e-12
 
 
 class TestMixedStrongGdofRegions:
     def test_mixed_example(self):
-        r = mixed_gdof_region(GdofParams(1.0, 1.5, 0.5))
+        r = gdof_region(GdofParams(1.0, 1.5, 0.5))
         sums = [c.rhs for c in r.constraints if (c.c1, c.c2) == (1.0, 1.0)]
         assert sorted(sums) == pytest.approx([1.5, 1.5], abs=1e-12)
         weighted = [c.rhs for c in r.constraints if (c.c1, c.c2) == (1.0, 2.0)]
@@ -181,11 +174,11 @@ class TestMixedStrongGdofRegions:
         alphas += [rng.uniform(1.0, 6.0) for _ in range(2000)]
         for a in alphas:
             rows = {(c.c1, c.c2): c.rhs for c in symmetric_gdof_region(a).constraints}
-            strong = strong_gdof_region(GdofParams(1.0, a, a)).constraints
+            strong = gdof_region(GdofParams(1.0, a, a)).constraints
             assert rows == _family_minima(((c.c1, c.c2), c.rhs) for c in strong), a
 
     def test_very_strong_unit_box(self):
-        r = strong_gdof_region(GdofParams(1.0, 2.0, 2.0))
+        r = gdof_region(GdofParams(1.0, 2.0, 2.0))
         assert [(v.r1, v.r2) for v in vertices(r)] == [
             (0.0, 1.0),
             (1.0, 1.0),
@@ -197,36 +190,39 @@ class TestMixedStrongGdofRegions:
         # and each gdof point (d1, d2) to (d2, d1)
         half, quarter = Fraction(1, 2), Fraction(1, 4)
         for a1, a2, a3 in ((1.0, 0.5, 1.5), (2.0, 0.0001, 1.0), (half, quarter, 3 * half)):
-            strong_at_2 = mixed_gdof_region(GdofParams(a1, a2, a3))
-            strong_at_1 = mixed_gdof_region(GdofParams(1 / a1, a3 / a1, a2 / a1))
+            strong_at_2 = gdof_region(GdofParams(a1, a2, a3))
+            strong_at_1 = gdof_region(GdofParams(1 / a1, a3 / a1, a2 / a1))
             mirrored = [Vertex(v.r2, v.r1) for v in reversed(vertices(strong_at_1))]
             assert vertex_sets_equal(vertices(strong_at_2), mirrored), (a1, a2, a3)
 
-    def test_class_mismatch(self):
-        with pytest.raises(ClassMismatchError):
-            mixed_gdof_region(GdofParams(1.0, 0.5, 0.5))
-        with pytest.raises(ClassMismatchError):
-            strong_gdof_region(GdofParams(1.0, 1.5, 0.5))
-
 
 class TestSlopeClassTies:
-    """Each class region raises exactly where its hand-written slope test fails."""
+    """``gdof_region`` takes the class that the hand-written slope test picks, ties included."""
 
-    WRITTEN_OUT = {
-        weak_gdof_region: lambda g: g.alpha2 < g.alpha1 and g.alpha3 < 1.0,
-        mixed_gdof_region: lambda g: (g.alpha2 >= g.alpha1) != (g.alpha3 >= 1.0),
-        strong_gdof_region: lambda g: g.alpha2 >= g.alpha1 and g.alpha3 >= 1.0,
-    }
+    # (tag, its slope test, row count, the weighted families (c1, c2 / alpha1) present)
+    WRITTEN_OUT = (
+        (InterferenceTag.WEAK, lambda a1, a2, a3: a2 < a1 and a3 < 1, 7, {(2, 1), (1, 2)}),
+        (InterferenceTag.MIXED_STRONG_AT_1, lambda a1, a2, a3: a2 >= a1 and a3 < 1, 5, {(1, 2)}),
+        (InterferenceTag.MIXED_STRONG_AT_2, lambda a1, a2, a3: a2 < a1 and a3 >= 1, 5, {(2, 1)}),
+        (InterferenceTag.STRONG, lambda a1, a2, a3: a2 >= a1 and a3 >= 1, 4, set()),
+    )
 
-    @pytest.mark.parametrize("build", list(WRITTEN_OUT), ids=lambda f: f.__name__)
-    def test_raises_exactly_off_class(self, build):
-        holds = self.WRITTEN_OUT[build]
-        for g in (GdofParams(*slopes) for slopes in slope_tie_grid()):
-            if holds(g):
-                build(g)
-            else:
-                with pytest.raises(ClassMismatchError):
-                    build(g)
+    @pytest.mark.parametrize("number", [float, Fraction])
+    def test_rows_of_the_written_out_class(self, number):
+        for slopes in slope_tie_grid():
+            a1, a2, a3 = map(number, slopes)
+            (tag, _, count, weighted), = (w for w in self.WRITTEN_OUT if w[1](a1, a2, a3))
+            region = gdof_region(GdofParams(a1, a2, a3))
+            # the paper's rows, R2 coefficients scaled by alpha1 and the R2-only row's rhs by 1/alpha1
+            expected = RateRegion([
+                RateConstraint(0.0, 1.0, rhs / a1) if (c1, c2) == (0.0, 1.0)
+                else RateConstraint(c1, number(c2) * a1, rhs)
+                for c1, c2, rhs in EXPANSION_ROWS[tag](number(1), a1, a2, a3)
+            ])
+            assert repr(region) == repr(expected), (tag, slopes)
+            assert len(region.constraints) == count, (tag, slopes)
+            families = {(c.c1, c.c2 / a1) for c in region.constraints if c.c1 + c.c2 / a1 == 3}
+            assert families == weighted, (tag, slopes)
 
     def test_one_sided_form_switches_at_alpha3_one(self):
         # at alpha1 = 1/2 the weak form gives 1 and the strong one alpha3;
@@ -261,7 +257,7 @@ class TestSymmetricGdofRegion:
         for i in range(0, 251):
             a = i / 100
             g = GdofParams(1.0, a, a)
-            point = symmetric_rate(_class_gdof_region(g, _slope_tag(g)))
+            point = symmetric_rate(gdof_region(g))
             assert abs(point - d_sym(a)) <= 1e-12, f"alpha={a}"
 
     def test_matches_general_weak_rows(self, rng):
@@ -271,7 +267,7 @@ class TestSymmetricGdofRegion:
             a = rng.uniform(0.0, 0.999)
             assert vertex_sets_equal(
                 vertices(symmetric_gdof_region(a)),
-                vertices(weak_gdof_region(GdofParams(1.0, a, a))),
+                vertices(gdof_region(GdofParams(1.0, a, a))),
             )
 
 
@@ -314,7 +310,7 @@ class TestOneSidedGdofRegion:
             g = GdofParams(a1, 0.0, a3)
             assert vertex_sets_equal(
                 vertices(one_sided_gdof_region(g)),
-                vertices(_class_gdof_region(g, _slope_tag(g))),
+                vertices(gdof_region(g)),
             ), g
 
 
@@ -417,47 +413,15 @@ class TestFiniteSnrConvergence:
 
 
 class TestFirstOrderExpansion:
-    @pytest.mark.parametrize(
-        "params, named",
-        [(ChannelParams(1.0, 100, 10, 10), "snr1=1.0"),
-         (ChannelParams(100, 0.5, 10, 10), "snr2=0.5")],
-    )
-    def test_snr_at_most_one_named(self, params, named):
-        with pytest.raises(DomainError, match=f"got {named}$"):
-            first_order_expansion(params)
+    """The gdof rows are the limits of the outer rows: ``_expansion_rows`` on a
+    channel's log2 ratios stays within a few bits of ``outer_rows``."""
 
-    def test_weak_interference_limited_row(self):
-        r = first_order_expansion(ChannelParams(100, 100, 10, 10))
-        sums = [c.rhs for c in r.constraints if (c.c1, c.c2) == (1.0, 1.0)]
-        # interference-limited row: max(log 10, log 10) + max(log 10, log 10)
-        assert min(sums) == pytest.approx(2 * log2(10), abs=1e-12)
-        assert min(sums) == pytest.approx(6.6439, abs=1e-4)
-
-    def test_weak_unit_cross_box_dominates(self):
-        r = first_order_expansion(ChannelParams(100, 200, 1, 1))
-        vs = vertices(r)
-        assert vs[0].r2 == pytest.approx(log2(200), abs=1e-9)
-        assert vs[-1].r1 == pytest.approx(log2(100), abs=1e-9)
-        assert len(vs) == 3  # box behavior
-
-    def test_mixed_mac_row(self):
-        r = first_order_expansion(ChannelParams(100, 10, 20, 5))
-        sums = [c.rhs for c in r.constraints if (c.c1, c.c2) == (1.0, 1.0)]
-        assert min(sums) == pytest.approx(max(log2(100), log2(20)), abs=1e-12)
-        assert min(sums) == pytest.approx(6.6439, abs=1e-4)
-
-    def test_mixed_at_2_is_mirror(self):
-        a = first_order_expansion(ChannelParams(100, 10, 20, 5))
-        b = first_order_expansion(ChannelParams(10, 100, 5, 20))
-        assert [(c.c2, c.c1, c.rhs) for c in b.constraints] == [
-            (c.c1, c.c2, c.rhs) for c in a.constraints
-        ]
-
-    def test_zero_cross_ratio_degenerates_to_box(self):
-        r = first_order_expansion(ChannelParams(100, 200, 0, 0))
-        assert len(r.constraints) == 7
-        got = [(v.r1, v.r2) for v in vertices(r)]
-        assert got == [(0.0, log2(200)), (log2(100), log2(200)), (log2(100), 0.0)]
+    @staticmethod
+    def expansion(p):
+        """The max-plus rows of ``p``'s class, in bits; a zero cross ratio has
+        slope -inf, which the ``1 + x`` it sits in turns into 0."""
+        logs = [log2(x) if x > 0.0 else -math.inf for x in p]
+        return _expansion_rows(classify(p).tag, *logs)
 
     @staticmethod
     def cross_ratio(rng, snr, strong):
@@ -485,10 +449,10 @@ class TestFirstOrderExpansion:
                 continue
             coeffs, rhs = outer_rows(p, tag)
             args = outer_args(snr1, snr2, inr1, inr2, tag)[1]
-            rows = first_order_expansion(p).constraints
-            assert [(c.c1, c.c2) for c in rows] == list(coeffs)
-            for c, bound, row_args in zip(rows, rhs, args):
-                assert abs(c.rhs - bound) <= 2.0 * len(row_args), (p, c)
+            rows = self.expansion(p)
+            assert [(c1, c2) for c1, c2, _ in rows] == list(coeffs)
+            for row, bound, row_args in zip(rows, rhs, args):
+                assert abs(row[2] - bound) <= 2.0 * len(row_args), (p, row)
             checked += 1
 
     def test_scaled_gdof_region_matches(self, rng):
@@ -503,22 +467,14 @@ class TestFirstOrderExpansion:
             if not (0.0 <= a2 < a1 and 0.0 <= a3 < 1.0):
                 continue
             g = GdofParams(a1, a2, a3)
-            expansion = first_order_expansion(p)
-            gregion = weak_gdof_region(g)
-            assert len(expansion.constraints) == len(gregion.constraints)
-            for ce, cg in zip(expansion.constraints, gregion.constraints):
+            expansion = self.expansion(p)
+            gregion = gdof_region(g)
+            assert len(expansion) == len(gregion.constraints)
+            for (_, _, rhs), cg in zip(expansion, gregion.constraints):
                 if cg.c1 == 0.0:
-                    assert ce.rhs == pytest.approx(
-                        cg.rhs * g.alpha1 * scale, abs=1e-9
-                    )
+                    assert rhs == pytest.approx(cg.rhs * g.alpha1 * scale, abs=1e-9)
                 else:
-                    assert ce.rhs == pytest.approx(cg.rhs * scale, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ClassMismatchError):
-            first_order_expansion(ChannelParams(10, 10, 100, 100))
-        with pytest.raises(DomainError):
-            first_order_expansion(ChannelParams(0.5, 10, 0.1, 0.1))
+                    assert rhs == pytest.approx(cg.rhs * scale, abs=1e-9)
 
 
 # slopes with the W curve's breakpoints 1/2, 2/3, 1 and 2 among them

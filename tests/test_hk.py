@@ -13,7 +13,6 @@ from gicap import (
     PowerSplit,
     classify,
     contains,
-    costa_point,
     differential_rates,
     hk_region,
     mixed_outer,
@@ -260,39 +259,6 @@ class TestTreatAsNoise:
         r = treat_as_noise_region(ChannelParams(1, 1, 1, 1))
         assert r.constraints[0].rhs == pytest.approx(log2(1.5), abs=1e-12)
         assert r.constraints[0].rhs == pytest.approx(0.585, abs=1e-3)
-
-
-class TestCostaPoint:
-    def test_strong_cross(self):
-        v = costa_point(ChannelParams(5, 10, 3, 100))
-        assert v.r1 == pytest.approx(log2(1 + 100 / 11), abs=1e-12)
-        assert v.r2 == pytest.approx(log2(11), abs=1e-12)
-
-    def test_no_cross_link(self):
-        v = costa_point(ChannelParams(5, 10, 3, 0))
-        assert v.r1 == 0
-        assert v.r2 == pytest.approx(log2(11), abs=1e-12)
-
-    def test_unit(self):
-        v = costa_point(ChannelParams(1, 1, 1, 1))
-        assert v.r1 == pytest.approx(log2(1.5), abs=1e-12)
-        assert v.r2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_achievable_by_all_common_user1_split(self, rng):
-        # whenever receiver 2's cross link is the common-rate bottleneck
-        checked = 0
-        while checked < 60:
-            p = ChannelParams(
-                10 ** rng.uniform(1, 6),
-                10 ** rng.uniform(0, 4),
-                10 ** rng.uniform(-2, 2),
-                10 ** rng.uniform(0, 5),
-            )
-            if log2(1 + p.inr2 / (1 + p.snr2)) > log2(1 + p.snr1 / (1 + p.inr1)):
-                continue
-            checked += 1
-            region = hk_region(p, PowerSplit(0.0, p.inr1))
-            assert contains(region, costa_point(p), tol=1e-9)
 
 
 class TestRegime1:
