@@ -476,6 +476,42 @@ class TestFirstOrderExpansion:
                 else:
                     assert rhs == pytest.approx(cg.rhs * scale, abs=1e-9)
 
+    @staticmethod
+    def sum_rows(rows):
+        return [rhs for c1, c2, rhs in rows if (c1, c2) == (1.0, 1.0)]
+
+    @staticmethod
+    def region(rows):
+        return RateRegion([RateConstraint(*row) for row in rows])
+
+    def test_weak_interference_limited_row(self):
+        sums = self.sum_rows(self.expansion(ChannelParams(100, 100, 10, 10)))
+        # interference-limited row: max(log 10, log 10) + max(log 10, log 10)
+        assert min(sums) == pytest.approx(2 * log2(10), abs=1e-12)
+        assert min(sums) == pytest.approx(6.6439, abs=1e-4)
+
+    def test_weak_unit_cross_box_dominates(self):
+        vs = vertices(self.region(self.expansion(ChannelParams(100, 200, 1, 1))))
+        assert vs[0].r2 == pytest.approx(log2(200), abs=1e-9)
+        assert vs[-1].r1 == pytest.approx(log2(100), abs=1e-9)
+        assert len(vs) == 3  # box behavior
+
+    def test_mixed_mac_row(self):
+        sums = self.sum_rows(self.expansion(ChannelParams(100, 10, 20, 5)))
+        assert min(sums) == pytest.approx(max(log2(100), log2(20)), abs=1e-12)
+        assert min(sums) == pytest.approx(6.6439, abs=1e-4)
+
+    def test_mixed_at_2_is_mirror(self):
+        a = self.expansion(ChannelParams(100, 10, 20, 5))
+        b = self.expansion(ChannelParams(10, 100, 5, 20))
+        assert [(c2, c1, rhs) for c1, c2, rhs in b] == a
+
+    def test_zero_cross_ratio_degenerates_to_box(self):
+        rows = self.expansion(ChannelParams(100, 200, 0, 0))
+        assert len(rows) == 7
+        got = [(v.r1, v.r2) for v in vertices(self.region(rows))]
+        assert got == [(0.0, log2(200)), (log2(100), log2(200)), (log2(100), 0.0)]
+
 
 # slopes with the W curve's breakpoints 1/2, 2/3, 1 and 2 among them
 SLOPES = [

@@ -261,6 +261,29 @@ class TestTreatAsNoise:
         assert r.constraints[0].rhs == pytest.approx(0.585, abs=1e-3)
 
 
+class TestCostaPoint:
+    """The corner where receiver 2 decodes user 1's whole message first,
+    treating its own signal as noise, and user 2 sends at its
+    interference-free rate."""
+
+    def test_achievable_by_all_common_user1_split(self, rng):
+        # whenever receiver 2's cross link is the common-rate bottleneck
+        checked = 0
+        while checked < 60:
+            p = ChannelParams(
+                10 ** rng.uniform(1, 6),
+                10 ** rng.uniform(0, 4),
+                10 ** rng.uniform(-2, 2),
+                10 ** rng.uniform(0, 5),
+            )
+            if log2(1 + p.inr2 / (1 + p.snr2)) > log2(1 + p.snr1 / (1 + p.inr1)):
+                continue
+            checked += 1
+            region = hk_region(p, PowerSplit(0.0, p.inr1))
+            corner = (log2(1 + p.inr2 / (1 + p.snr2)), log2(1 + p.snr2))
+            assert contains(region, corner, tol=1e-9)
+
+
 class TestRegime1:
     def test_rate(self):
         assert regime1_rate(100, 5) == pytest.approx(log2(1 + 100 / 6), abs=1e-12)

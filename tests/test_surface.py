@@ -103,10 +103,13 @@ def test_public_names_are_pinned():
     assert names == PUBLIC
 
 
-def test_each_public_name_is_in_its_modules_all():
-    for name in PUBLIC:
-        module = sys.modules[getattr(gicap, name).__module__]
-        assert name in module.__all__, (name, module.__name__)
+@pytest.mark.parametrize("name", PUBLIC)
+def test_each_public_name_is_in_its_modules_all(name):
+    # exported under the name its defining module gives it, not an alias
+    value = getattr(gicap, name)
+    module = sys.modules[value.__module__]
+    assert name in module.__all__, module.__name__
+    assert getattr(module, name) is value, module.__name__
 
 
 @pytest.mark.parametrize("stem", LIBRARY)
