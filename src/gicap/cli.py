@@ -227,7 +227,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return f"{value + 0.0:.12g}"  # + 0.0 turns -0.0 into 0.0, as sigfig does for JSON
     return str(value)
 
 
@@ -240,11 +240,12 @@ def _emit(obj, args, stream, table=None) -> None:
     nulls written without ``json.dumps``.  A figure passes ``table =
     (header, rows)`` in place of ``obj``: CSV of the rows by default, or the
     text :func:`_json` writes for ``{"columns": header, "rows": rows}``.
-    A table holds finite floats only, so either format is one ``%`` pass
-    over the whole table, as :func:`gicap.gap._chunk_text` formats a sweep
+    A table holds finite floats already at 12 significant digits, as
+    :func:`_rounded` leaves them, so either format is one ``%`` pass over
+    the cells as given, as :func:`gicap.gap._chunk_text` formats a sweep
     chunk: CSV by ``"%.12g"``, which is ``f"{v:.12g}"`` for every float, and
-    JSON by ``"%r"`` of each cell rounded by :func:`sigfig` at write time,
-    the ``float.__repr__`` that ``json`` writes for a finite float."""
+    JSON by ``"%r"``, the ``float.__repr__`` that ``json`` writes for a
+    finite float."""
     if table is None:
         if args.format == "csv":
             stream.write("key,value\n" + "".join([f"{k},{_cell(v)}\n" for k, v in _flatten(obj)]))
@@ -252,15 +253,15 @@ def _emit(obj, args, stream, table=None) -> None:
             stream.write(_json(obj) + "\n")
         return
     header, rows = table
-    cells = itertools.chain.from_iterable(rows)
+    cells = tuple(itertools.chain.from_iterable(rows))
     if args.format == "json":
         row = "[" + ",".join(["\n      %r"] * len(header)) + "\n    ]"
-        text = ",\n    ".join([row] * len(rows)) % tuple(map(sigfig, cells))
+        text = ",\n    ".join([row] * len(rows)) % cells
         head = '{\n  "columns": [\n    ' + ",\n    ".join(map(_quote, header))
         stream.write(head + '\n  ],\n  "rows": [\n    ' + text + "\n  ]\n}\n")
         return
     template = ",".join(["%.12g"] * len(header)) + "\n"
-    stream.write(",".join(header) + "\n" + (template * len(rows)) % tuple(cells))
+    stream.write(",".join(header) + "\n" + (template * len(rows)) % cells)
 
 
 def _cmd_classify(args, stdout) -> int:
@@ -413,8 +414,15 @@ def _grid(count: int):
     return [i / 100 for i in range(count + 1)]
 
 
+def _rounded(rows) -> tuple:
+    """``rows`` as a tuple of float tuples, each cell rounded by :func:`sigfig`
+    once, when its table is built, so that writing a table rounds nothing."""
+    return tuple(tuple(map(sigfig, row)) for row in rows)
+
+
 def _figure_rows(figure_id: str, alpha_arg: float | None):
-    """``(header, rows)`` of a figure; rows is a tuple of float tuples."""
+    """``(header, rows)`` of a figure; rows is a tuple of float tuples, each
+    cell rounded by :func:`_rounded`."""
     if figure_id != "gdof-region":
         if alpha_arg is not None:
             raise GicapError(f"figure {figure_id} takes no --alpha")
@@ -422,12 +430,19 @@ def _figure_rows(figure_id: str, alpha_arg: float | None):
     if alpha_arg is None:
         raise GicapError("figure gdof-region needs --alpha")
     region = _gdof.symmetric_gdof_region(alpha_arg)
-    return ("d1", "d2"), tuple((v.r1, v.r2) for v in vertices(region))
+    return ("d1", "d2"), _rounded((v.r1, v.r2) for v in vertices(region))
 
 
 @functools.cache
 def _fixed_figure_rows(figure_id: str):
-    """The table of a figure without parameters, built once per process."""
+    """The table of a figure without parameters, its cells rounded by
+    :func:`_rounded`, built and rounded once per process."""
+    header, rows = _raw_figure_rows(figure_id)
+    return header, _rounded(rows)
+
+
+def _raw_figure_rows(figure_id: str):
+    """The unrounded table of a figure without parameters, built afresh."""
     if figure_id == "gdof-curve":
         header = ("alpha", "d_sym", "d_orth", "d_tin")
         rows = tuple(

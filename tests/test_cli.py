@@ -657,6 +657,24 @@ class TestFigures:
         assert gicap.cli._figure_rows(figure_id, None) is table
         assert type(header) is tuple and type(rows) is tuple
         assert all(type(row) is tuple for row in rows)
+        # the cached cells are the raw builder's, rounded when the table was built
+        raw_header, raw_rows = gicap.cli._raw_figure_rows(figure_id)
+        assert header == raw_header and rows == gicap.cli._rounded(raw_rows)
+        assert all(cell == sigfig(cell) for row in rows for cell in row)
+
+    @pytest.mark.parametrize(
+        "figure_id, levels",
+        [(f, [None]) for f in FIXED_FIGURES] + [("gdof-region", [i / 100 for i in range(301)])],
+        ids=[*FIXED_FIGURES, "gdof-region"],
+    )
+    def test_every_cell_is_rounded_and_no_negative_zero(self, figure_id, levels):
+        # _emit writes a table's cells as given: the builders round them, at
+        # the levels gdof_argvs() sends to `figures gdof-region` too
+        for alpha in levels:
+            _, rows = gicap.cli._figure_rows(figure_id, alpha)
+            for cell in itertools.chain.from_iterable(rows):
+                assert cell == sigfig(cell), (alpha, cell)
+                assert not (cell == 0.0 and math.copysign(1.0, cell) < 0.0), alpha
 
     def test_gdof_region_table_follows_alpha(self):
         half = gicap.cli._figure_rows("gdof-region", 0.5)
@@ -943,7 +961,9 @@ def figure_tables(draw):
 def test_table_json_is_the_json_module_on_rounded_floats(table):
     header, rows = table
     stream = io.StringIO()
-    gicap.cli._emit(None, argparse.Namespace(format="json"), stream, table)
+    # the figure builders round each cell once, by _rounded; _emit writes them as given
+    rounded = (header, gicap.cli._rounded(rows))
+    gicap.cli._emit(None, argparse.Namespace(format="json"), stream, rounded)
     want = json.dumps(round_floats({"columns": header, "rows": rows}), indent=2)
     assert stream.getvalue() == want + "\n"
 
@@ -977,6 +997,23 @@ class TestNumberFormatting:
         _, text = run_cli(["symrate", "--snr", "100", "--inr", "10"])
         assert "3.39231742278" in text
         assert "4.99659786523" in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["diffrate", "--snr1", "0", "--inr2", "0", "--z", "-0"], "z"),
+         (["gdof", "--alpha", "-0.0"], "alpha")],
+        ids=["diffrate", "gdof"],
+    )
+    def test_negative_zero_leaf_is_written_as_zero(self, argv, key, fmt):
+        code, text = run_cli(argv + ["--format", fmt])
+        assert code == 0
+        if fmt == "csv":
+            assert f"\n{key},0\n" in text
+            assert ",-0\n" not in text
+        else:
+            assert f'\n  "{key}": 0.0,\n' in text
+            assert "-0.0" not in text
 
 
 class TestFormatFlag:

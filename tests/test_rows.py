@@ -37,7 +37,7 @@ from gicap import (
 )
 from gicap.bounds import outer_args, outer_rows
 from gicap.channel import TAG_BY_STRENGTH
-from gicap.cli import _figure_rows
+from gicap.cli import _raw_figure_rows
 from gicap.hk import hk_args, hk_rhs, recommended_levels
 from gicap.region import log2_rows
 
@@ -347,7 +347,8 @@ class TestRewiredFunctions:
         self.check([p])
 
     def test_hk_fraction_is_d_sym_on_its_grid(self):
-        header, rows = _figure_rows("hk-fraction", None)
+        # the exact cells, before _figure_rows rounds them to 12 digits
+        header, rows = _raw_figure_rows("hk-fraction")
         assert header == ("alpha", "hk_fraction")
         assert len(rows) == 101
         for a, fraction in rows:
