@@ -48,7 +48,6 @@ __all__ = [
     "new_sum_bound",
     "one_sided_sum_capacity",
     "outer_args",
-    "outer_rows",
     "pt2pt_outer",
     "strong_capacity",
     "symmetric_bounds",
@@ -123,14 +122,6 @@ def new_sum_bound(params: ChannelParams) -> float:
     return _rhs(InterferenceTag.WEAK, *params, 4)[0]
 
 
-def outer_rows(
-    params: ChannelParams, tag: InterferenceTag
-) -> tuple[tuple[tuple[float, float], ...], tuple[float, ...]]:
-    """``(coeffs, rhs)`` of the outer bound of a channel of class ``tag``."""
-    coeffs, args = outer_args(*params, tag)
-    return coeffs, log2_rows(args)
-
-
 def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
     """Outer region matched to the channel's class ``tag = classify(params).tag``.
 
@@ -143,8 +134,8 @@ def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
     actual = TAG_BY_STRENGTH[_class_code(*params)]
     if tag is not actual:
         raise ClassMismatchError(f"{params} is a {actual.value} channel, got tag {tag!r}")
-    coeffs, rhs = outer_rows(params, tag)
-    return region_from_rows(coeffs, _finite(rhs, *params))
+    coeffs, args = outer_args(*params, tag)
+    return region_from_rows(coeffs, _finite(log2_rows(args), *params))
 
 
 def weak_outer(params: ChannelParams) -> RateRegion:

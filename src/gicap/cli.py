@@ -29,7 +29,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -47,7 +46,6 @@ from .channel import (
 )
 from .errors import GicapError
 from .region import (
-    RateRegion,
     certificates,
     region_to_jsonable,
     sigfig,
@@ -356,50 +354,31 @@ def _cmd_sweep(args, stdout) -> int:
         raise GicapError("sweep needs --out for the per-instance CSV")
     if args.check == "within-half" and args.class_filter != "any":
         raise GicapError("--check within-half sweeps weak and mixed jointly")
-    # A sweep that imports numpy never calls BLAS, and an OpenBLAS pool of one
-    # thread per CPU made `import numpy` take 105 rather than 53 ms (2 vCPU
-    # VM).  A numpy already loaded, or a value the user set, is left alone.
-    one_thread = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
-    if one_thread:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        summary = _gap.stream_sweep(args.n, args.seed, args.class_filter, args.check, args.out)
-    finally:
-        if one_thread:
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    summary = _gap.stream_sweep(args.n, args.seed, args.class_filter, args.check, args.out)
     _emit(summary, args, stdout)
     return 3 if summary["failures"] else 0
 
 
-def _gdof_region_for(args) -> tuple[dict, RateRegion]:
+def _cmd_gdof(args, stdout) -> int:
     triple = (args.alpha1, args.alpha2, args.alpha3)
     if args.alpha is not None:
         if triple != (None, None, None):
             raise GicapError("gdof takes --alpha or --alpha1/--alpha2/--alpha3, not both")
-        return {"alpha": args.alpha}, _gdof.symmetric_gdof_region(args.alpha)
-    if any(v is None for v in triple):
+        out, region = {"alpha": args.alpha}, _gdof.symmetric_gdof_region(args.alpha)
+    elif any(v is None for v in triple):
         raise GicapError("gdof needs --alpha or all of --alpha1/--alpha2/--alpha3")
-    g = _gdof.GdofParams(*triple)
-    tag = _gdof._slope_tag(g)
-    if g.alpha2 == 0.0:
-        # one cross link absent: emit the compact one-sided region (for
-        # weak slopes its polygon coincides with the general weak one)
-        region = _gdof.one_sided_gdof_region(g)
-        kind = "one_sided_weak" if tag is InterferenceTag.WEAK else "one_sided_strong"
     else:
-        # the class name without its orientation: mixed_strong_at_2 -> mixed
-        region, kind = _gdof.gdof_region(g), tag.value.partition("_")[0]
-    meta = {
-        "alpha1": g.alpha1,
-        "alpha2": g.alpha2,
-        "alpha3": g.alpha3,
-        "class": kind,
-    }
-    return meta, region
-
-
-def _cmd_gdof(args, stdout) -> int:
-    out, region = _gdof_region_for(args)
+        g = _gdof.GdofParams(*triple)
+        tag = _gdof._slope_tag(g)
+        if g.alpha2 == 0.0:
+            # one cross link absent: emit the compact one-sided region (for
+            # weak slopes its polygon coincides with the general weak one)
+            region = _gdof.one_sided_gdof_region(g)
+            kind = "one_sided_weak" if tag is InterferenceTag.WEAK else "one_sided_strong"
+        else:
+            # the class name without its orientation: mixed_strong_at_2 -> mixed
+            region, kind = _gdof.gdof_region(g), tag.value.partition("_")[0]
+        out = {"alpha1": g.alpha1, "alpha2": g.alpha2, "alpha3": g.alpha3, "class": kind}
     point = symmetric_rate(region)
     if args.alpha is not None:
         out["d_sym"] = point  # gdof.d_sym: the symmetric region's symmetric point

@@ -5,7 +5,8 @@ callers (in particular the CLI) can map library failures to exit codes
 without pattern-matching on messages.  One private helper, :func:`_real`,
 checks the numeric arguments of the public functions: one that is not a
 real number raises :class:`InvalidParameterError`, one out of range the
-function's documented error, and both messages name the argument.
+function's documented error, and both messages name the argument.  Another,
+:func:`_choice`, checks an argument that names one of a fixed set.
 """
 
 import math
@@ -78,3 +79,12 @@ def _real(name, value, low=0, high=math.inf, *, above=False, error=DomainError):
             rule = f"{low!r} {'<' if above else '<='} {name} < {high!r}"
         raise error(f"needs {rule}, got {name}={value!r}")
     return value
+
+
+def _choice(what, value, choices):
+    """``choices[value]``; a ``value`` that is not a key (an unhashable one
+    included) raises :class:`DomainError` naming it and the sorted keys."""
+    try:
+        return choices[value]
+    except (KeyError, TypeError):
+        raise DomainError(f"unknown {what} {value!r}; expected one of {sorted(choices)}") from None

@@ -39,7 +39,7 @@ from typing import NamedTuple
 from . import bounds as _bounds
 from . import hk as _hk
 from .channel import TAG_BY_STRENGTH, InterferenceTag, _class_code, _power_inr
-from .errors import ClassMismatchError, DomainError, _real
+from .errors import ClassMismatchError, _choice, _real
 from .region import RateConstraint, RateRegion, symmetric_rate
 
 __all__ = [
@@ -207,14 +207,7 @@ def baseline_gdof(alpha_value: float, scheme: BaselineScheme | str) -> float:
     is neither a member nor a member's value raises :class:`DomainError`.
     """
     _real("alpha", alpha_value)
-    if not isinstance(scheme, BaselineScheme):
-        try:
-            scheme = BaselineScheme(scheme)
-        except ValueError:
-            raise DomainError(
-                f"unknown baseline scheme {scheme!r}; expected one of "
-                f"{[member.value for member in BaselineScheme]}"
-            ) from None
+    scheme = _choice("baseline scheme", scheme, {m.value: m for m in BaselineScheme})
     if scheme is BaselineScheme.ORTHOGONALIZE:
         return 0.5
     return max(0.0, 1.0 - alpha_value)

@@ -47,7 +47,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .channel import ChannelParams, _check_symmetric, _finite, alpha
+from .channel import ChannelParams, _check_symmetric, _class_code, _finite, alpha
 from .errors import InvalidSplitError, _real
 from .region import RateRegion, log2_rows, region_from_rows
 
@@ -58,7 +58,6 @@ __all__ = [
     "differential_rates",
     "hk_args",
     "hk_region",
-    "hk_rhs",
     "recommended_levels",
     "recommended_split",
     "regime1_gap",
@@ -163,14 +162,6 @@ def hk_args(s1, s2, i1, i2, p2, p1, where=_where):
     )
 
 
-def hk_rhs(params: ChannelParams, split: PowerSplit) -> tuple[float, ...]:
-    """Right-hand sides of the seven :func:`hk_region` rows, in :data:`HK_COEFFS` order.
-
-    The split is not checked against the channel; :func:`hk_region` does that.
-    """
-    return log2_rows(hk_args(*params, split.inr_p2, split.inr_p1))
-
-
 def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
     """Seven-constraint achievable region for a fixed power split.
 
@@ -180,20 +171,21 @@ def hk_region(params: ChannelParams, split: PowerSplit) -> RateRegion:
     double precision raises :class:`DomainError` naming the channel.
     """
     _validate_split(params, split)
-    return region_from_rows(HK_COEFFS, _finite(hk_rhs(params, split), *params))
+    return region_from_rows(HK_COEFFS, _finite(log2_rows(hk_args(*params, *split)), *params))
 
 
-def recommended_levels(strong_at_1, strong_at_2, inr1, inr2, where=_where):
+def recommended_levels(strong_at_1, strong_at_2, inr1, inr2, minimum=min):
     """``(inr_p2, inr_p1)`` of :func:`recommended_split` for a channel of the given strengths.
 
     ``inr1``/``inr2`` may be floats or numpy arrays of channels sharing the
-    strengths; ``where`` is the choice for the number type, as for
-    :func:`hk_args`.  ``where(inr < 1, inr, 1)`` is ``min(1, inr)``, ties included.
+    strengths; ``minimum`` is the two-argument min for the number type
+    (``np.minimum`` for arrays).  ``minimum(1.0, inr)`` is ``inr`` below 1
+    and the float 1.0 from 1 on, ties, -0.0 and int ratios included.
     Unchecked, since it runs once per row: a non-number raises ``TypeError``.
     """
     return (
-        0.0 if strong_at_2 else where(inr2 < 1.0, inr2, 1.0),
-        0.0 if strong_at_1 else where(inr1 < 1.0, inr1, 1.0),
+        0.0 if strong_at_2 else minimum(1.0, inr2),
+        0.0 if strong_at_1 else minimum(1.0, inr1),
     )
 
 
@@ -206,9 +198,8 @@ def recommended_split(params: ChannelParams) -> PowerSplit:
     common.  So a user goes all common exactly when its interference is
     strong at the other receiver.
     """
-    return PowerSplit(
-        *recommended_levels(params.strong_at_1, params.strong_at_2, params.inr1, params.inr2)
-    )
+    code = _class_code(*params)
+    return PowerSplit(*recommended_levels(code & 1, code & 2, params.inr1, params.inr2))
 
 
 def symmetric_hk_rate(snr: float, inr: float) -> float:

@@ -564,27 +564,46 @@ sys.exit("numpy was imported" if "numpy" in sys.modules else 0)
 """
 
 
-# argv[1] is "preloaded" (numpy imported before the sweep) or "fresh"; prints
-# the OPENBLAS_NUM_THREADS the sweep ran with, the process's thread count
-# after it and whether os.environ came back unchanged
+# argv[1] is "preloaded" (numpy imported before the sweep) or "fresh", argv[2]
+# a CSV path and argv[3] "cli" (`gicap sweep` over NUMPY_MIN_N channels) or
+# "library" (one_bit_sweep over NUMPY_MIN_N weak channels, then a stream_sweep
+# over more than two chunks, which forks its writer child).  Prints the
+# OPENBLAS_NUM_THREADS set while gicap.kernel was imported, the process's
+# thread count at each fork ("-" for none) and after the sweeps, and whether
+# os.environ came back unchanged
 THREADS_CHILD = """
 import io
 import os
 import sys
 if sys.argv[1] == "preloaded":
     import numpy
-import gicap.gap
+from gicap import one_bit_sweep, stream_sweep
 from gicap.cli import main
-real_sweep = gicap.gap.stream_sweep
-seen = []
-def stream_sweep(*args):
-    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-    return real_sweep(*args)
-gicap.gap.stream_sweep = stream_sweep
+from gicap.gap import NUMPY_MIN_N, SWEEP_CHUNK
+path, kind = sys.argv[2:]
+seen, forks = [], []
+def threads():
+    return len(os.listdir("/proc/self/task"))
+class KernelImport:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "gicap.kernel":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, KernelImport)
+real_fork = os.fork
+def fork():
+    forks.append(threads())
+    return real_fork()
+os.fork = fork
 before = dict(os.environ)
-code = main(sys.argv[2:], stdout=io.StringIO())
-assert code == 0 and "gicap.kernel" in sys.modules, code
-print(seen[0], len(os.listdir("/proc/self/task")), dict(os.environ) == before)
+if kind == "cli":
+    argv = ["sweep", "--seed", "1", "--n", str(NUMPY_MIN_N), "--out", path]
+    assert main(argv, stdout=io.StringIO()) == 0
+else:
+    one_bit_sweep(NUMPY_MIN_N, 1, "weak")
+    stream_sweep(2 * SWEEP_CHUNK + 1, 1, "any", "one-bit", path)
+assert "gicap.kernel" in sys.modules
+print(seen[0], ",".join(map(str, forks)) or "-", threads(), dict(os.environ) == before)
 """
 NUMPY_THREADS = "import os, numpy; print(len(os.listdir('/proc/self/task')))"
 
@@ -711,6 +730,26 @@ class TestEngineChoice:
             assert child.returncode == 0, child.stderr.decode(errors="replace")
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, mode
 
+    @staticmethod
+    def threads_child(tmp_path, kind, mode, user_value):
+        """THREADS_CHILD's fields, and the thread count of a plain ``import
+        numpy`` under the same environment (numpy's own pool)."""
+        pytest.importorskip("numpy")
+        env = gicap_child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        child = subprocess.run(
+            [sys.executable, "-c", THREADS_CHILD, mode, str(tmp_path / "s.csv"), kind],
+            capture_output=True,
+            env=env,
+        )
+        assert child.returncode == 0, child.stderr.decode(errors="replace")
+        plain = subprocess.run(
+            [sys.executable, "-c", NUMPY_THREADS], capture_output=True, env=env, check=True
+        )
+        return (*child.stdout.decode().split(), plain.stdout.decode().strip())
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
     @pytest.mark.parametrize(
         "mode, user_value", [("fresh", None), ("fresh", "2"), ("preloaded", None)]
@@ -718,26 +757,32 @@ class TestEngineChoice:
     def test_sweep_loads_numpy_with_one_blas_thread(self, tmp_path, mode, user_value):
         # one OpenBLAS thread only where the sweep itself imports numpy and
         # the user set no thread count; os.environ is restored either way
-        pytest.importorskip("numpy")
-        env = gicap_child_env()
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if user_value is not None:
-            env["OPENBLAS_NUM_THREADS"] = user_value
-        argv = ["sweep", "--seed", "1", "--n", str(NUMPY_MIN_N), "--out", str(tmp_path / "s.csv")]
-        child = subprocess.run(
-            [sys.executable, "-c", THREADS_CHILD, mode, *argv], capture_output=True, env=env
+        seen, forks, threads, restored, plain = self.threads_child(
+            tmp_path, "cli", mode, user_value
         )
-        assert child.returncode == 0, child.stderr.decode(errors="replace")
-        seen, threads, restored = child.stdout.decode().split()
-        assert restored == "True"
+        assert (forks, restored) == ("-", "True")
         if mode == "fresh" and user_value is None:
             assert (seen, threads) == ("1", "1")
         else:
-            # numpy's own pool, as a plain import under the same environment starts it
-            plain = subprocess.run(
-                [sys.executable, "-c", NUMPY_THREADS], capture_output=True, env=env, check=True
-            )
-            assert (seen, threads) == (str(user_value), plain.stdout.decode().strip())
+            assert (seen, threads) == (str(user_value), plain)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    @pytest.mark.parametrize(
+        "mode, user_value", [("fresh", None), ("fresh", "2"), ("preloaded", None)]
+    )
+    def test_library_sweeps_fork_their_writer_from_one_thread(self, tmp_path, mode, user_value):
+        # the library sweeps load numpy as `gicap sweep` does, so a later
+        # sweep forks its writer child from a process of one thread; numpy's
+        # own pool forks it from as many threads as a plain import starts
+        # (OpenBLAS stops that pool at a fork, so the count after is not checked)
+        seen, forks, threads, restored, plain = self.threads_child(
+            tmp_path, "library", mode, user_value
+        )
+        assert restored == "True"
+        if mode == "fresh" and user_value is None:
+            assert (seen, forks, threads) == ("1", "1", "1")
+        else:
+            assert (seen, forks) == (str(user_value), plain)
 
     @pytest.mark.parametrize("step", ["path", "filter", "fork"])
     def test_sweep_loads_its_engine_after_the_checks_and_the_fork(self, tmp_path, step):

@@ -1,7 +1,7 @@
 """The region rows, written once as log2 arguments, on floats and on numpy arrays.
 
 ``hk.hk_args`` and ``bounds.outer_args`` give each row's log2 arguments;
-``hk_rhs``/``outer_rows`` sum their logs left to right, and the sweep's
+``region.log2_rows`` sums their logs left to right, and the sweep's
 numpy kernel feeds the same functions arrays.  Every comparison here is
 exact (same bits, sign of zero included), never within a tolerance.
 """
@@ -35,10 +35,10 @@ from gicap import (
     symmetric_hk_rate,
     treat_as_noise_region,
 )
-from gicap.bounds import outer_args, outer_rows
+from gicap.bounds import outer_args
 from gicap.channel import TAG_BY_STRENGTH
 from gicap.cli import _raw_figure_rows
-from gicap.hk import hk_args, hk_rhs, recommended_levels
+from gicap.hk import hk_args, recommended_levels
 from gicap.region import log2_rows
 
 log2 = math.log2
@@ -172,19 +172,23 @@ class TestFloatRows:
 
     def test_written_out_formulas_on_the_float_range(self):
         for p in EDGE_CHANNELS + wide_channels("float-rows", 4000):
-            assert bits(hk_rhs(p, recommended_split(p))) == bits(
+            assert bits(log2_rows(hk_args(*p, *recommended_split(p)))) == bits(
                 written_out_hk_rows(p, recommended_split(p))
             ), p
             for tag in AUDITED_TAGS:
-                assert bits(outer_rows(p, tag)[1]) == bits(written_out_outer_rows(p, tag)), (p, tag)
+                assert bits(log2_rows(outer_args(*p, tag)[1])) == bits(
+                    written_out_outer_rows(p, tag)
+                ), (p, tag)
 
     def test_written_out_formulas_on_sweep_channels(self):
         rng = random.Random("sweep-rows")
         for p in sweep_box_channels("sweep-rows", 4000):
             split = PowerSplit(rng.random() * p.inr2, rng.random() * p.inr1)
-            assert bits(hk_rhs(p, split)) == bits(written_out_hk_rows(p, split)), p
+            assert bits(log2_rows(hk_args(*p, *split))) == bits(written_out_hk_rows(p, split)), p
             for tag in AUDITED_TAGS:
-                assert bits(outer_rows(p, tag)[1]) == bits(written_out_outer_rows(p, tag)), (p, tag)
+                assert bits(log2_rows(outer_args(*p, tag)[1])) == bits(
+                    written_out_outer_rows(p, tag)
+                ), (p, tag)
 
 
 # The closed forms the functions below evaluated before they read their
@@ -372,7 +376,7 @@ def array_rows(kernel, channels):
             index = [k for k, p in enumerate(channels) if p.strong_at_1 + 2 * p.strong_at_2 == code]
             if index:
                 s1, s2, i1, i2 = ratios[:, index]
-                p2, p1 = recommended_levels(code & 1, code & 2, i1, i2, np.where)
+                p2, p1 = recommended_levels(code & 1, code & 2, i1, i2, np.minimum)
                 args = hk_args(s1, s2, i1, i2, p2, p1, np.where)
                 rows = np.array(log2_rows(args, kernel._log2_once())).T
                 for k, row in zip(index, rows.tolist()):
@@ -385,14 +389,14 @@ def array_rows(kernel, channels):
 
 
 class TestArrayRows:
-    """``hk_args``/``outer_args`` on numpy arrays give ``hk_rhs``/``outer_rows`` bit for bit."""
+    """``hk_args``/``outer_args`` on numpy arrays give their rows on floats bit for bit."""
 
     def check(self, kernel, channels):
         inner, outer = array_rows(kernel, channels)
         for k, p in enumerate(channels):
-            assert bits(inner[k]) == bits(hk_rhs(p, recommended_split(p))), p
+            assert bits(inner[k]) == bits(log2_rows(hk_args(*p, *recommended_split(p)))), p
             for tag in AUDITED_TAGS:
-                assert bits(outer[tag][k]) == bits(outer_rows(p, tag)[1]), (p, tag)
+                assert bits(outer[tag][k]) == bits(log2_rows(outer_args(*p, tag)[1])), (p, tag)
 
     def test_float_range(self, kernel):
         self.check(kernel, EDGE_CHANNELS + wide_channels("array-rows", 4000))
