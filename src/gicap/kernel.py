@@ -18,10 +18,11 @@ once per group, on arrays: ``np.where`` chooses the rows' branches,
 ``np.minimum`` takes the private levels, the family minima and the
 certificates' support functions, and each group's fresh
 :func:`_log2_once` maps ``math.log2`` once over each distinct argument
-(``np.log2`` rounds differently on some inputs), so every rate, family delta (passing below ``c1 + c2`` bits) and
-verdict is the scalar engine's.  It writes each group's deltas and
-verdicts into the chunk's blocks in draw order and raises by the scalar
-engine's rule (:func:`gicap.gap._raise_first_bad`).
+(``np.log2`` rounds differently on some inputs), so every rate, family
+delta (passing below ``c1 + c2`` bits) and verdict is the scalar engine's.
+It writes each group's deltas and verdicts into the chunk's blocks in
+draw order and raises by the scalar engine's rule
+(:func:`gicap.gap._raise_first_bad`).
 
 Only sweeps of at least :data:`gicap.gap.NUMPY_MIN_N` channels import
 this module, and only where numpy is installed (the ``fast`` extra);
