@@ -55,7 +55,7 @@ __all__ = [
     "weak_outer",
 ]
 
-# (c1, c2) of the outer-bound rows, in contract order.  The mixed rows are
+# (c1, c2) of the outer-bound rows, in output order.  The mixed rows are
 # stated for a channel strong at receiver 1; the other orientation mirrors
 # the coefficients.
 _WEAK_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
@@ -141,11 +141,9 @@ def class_outer(params: ChannelParams, tag: InterferenceTag) -> RateRegion:
 def weak_outer(params: ChannelParams) -> RateRegion:
     """Seven-constraint outer bound for weak interference channels.
 
-    Constraint order (two singles, three sums, 2R1+R2, R1+2R2) is part of
-    the contract.  Gap audits take the minimum of each family, so the order
-    matters only for the per-index ``paired_deltas`` of ``gap-audit`` and
-    for output bytes.  An overflowing rate raises :class:`DomainError`, as
-    in :func:`class_outer`.
+    Constraint order (two singles, three sums, 2R1+R2, R1+2R2) fixes the
+    output bytes.  An overflowing rate raises :class:`DomainError`, as in
+    :func:`class_outer`.
     """
     return class_outer(params, InterferenceTag.WEAK)
 

@@ -340,7 +340,6 @@ def _cmd_gap_audit(args, stdout) -> int:
     out = {
         "class": result.tag.value,
         "deltas": {fam: getattr(rep, f"delta_{fam}") for fam in _gap._FAMILIES.values()},
-        "paired_deltas": {k: list(v) for k, v in rep.paired_deltas.items()},
         "delta_pass": rep.passed,
         "one_bit": result.one_bit,
         "within_half": result.within_half,

@@ -14,12 +14,8 @@ the mixed outer bound are skipped and reported as None.  The judgment runs
 on floats, or on numpy arrays of a chunk's channels with numpy's ``where``
 and ``minimum`` (:mod:`gicap.kernel`).
 
-:func:`audit` judges one channel and adds the two regions and the
-per-index paired deltas (i-th outer row minus i-th inner row of a
-family), reported for diagnosis only; :func:`delta_audit` and
-:func:`audit_regions` are views of it.  On MIXED_STRONG_AT_2 channels the
-inner sum rows are paired in their user-swapped order, so both mixed
-orientations pair alike.
+:func:`audit` judges one channel and adds the two regions;
+:func:`delta_audit` and :func:`audit_regions` are views of it.
 
 Sweeps sample SNRs log-uniformly over [0, 60] dB and INRs over [-20, 60]
 dB with a caller-supplied seed, rejection-filtered to the requested
@@ -95,10 +91,6 @@ _FAMILIES = {
     (1.0, 2.0): "r1_2r2",
 }
 _SLACK = 1e-9
-# The MIXED_STRONG_AT_2 bound is the user-swapped image of the AT_1 bound.
-# Swapping the users exchanges the first two achievable sum rows, so its sum
-# rows pair with the inner sums in this order.
-_SWAPPED_SUM_ORDER = (1, 0, 2)
 
 SNR_DB_RANGE = (0.0, 60.0)
 INR_DB_RANGE = (-20.0, 60.0)
@@ -110,10 +102,9 @@ _DB_SPAN = (SNR_DB_RANGE[1] - SNR_DB_RANGE[0],) * 2 + (INR_DB_RANGE[1] - INR_DB_
 class GapReport(NamedTuple):
     """Per-family deltas between an outer bound and an achievable region.
 
-    ``delta_2r1_r2`` / ``delta_r1_2r2`` are None when the outer bound has
-    no constraint of that family (mixed channels).  ``paired_deltas``
-    maps a family to the positional outer-minus-inner differences; each
-    exact family delta is bounded above by the max of its paired deltas.
+    Each delta is the least outer rhs of its family minus the least inner
+    one.  ``delta_2r1_r2`` / ``delta_r1_2r2`` are None when the outer bound
+    has no constraint of that family (mixed channels).
     """
 
     params: ChannelParams
@@ -123,7 +114,6 @@ class GapReport(NamedTuple):
     delta_sum: float
     delta_2r1_r2: float | None
     delta_r1_2r2: float | None
-    paired_deltas: dict[str, tuple[float, ...]]
     passed: bool
 
 
@@ -141,13 +131,6 @@ class Audit(NamedTuple):
     report: GapReport
     one_bit: bool
     within_half: bool
-
-
-def _families(coeffs, rhs) -> dict[str, list[float]]:
-    out: dict[str, list[float]] = {}
-    for c, r in zip(coeffs, rhs):
-        out.setdefault(_FAMILIES[c], []).append(r)
-    return out
 
 
 class _Judgment(NamedTuple):
@@ -229,16 +212,7 @@ def audit(params: ChannelParams) -> Audit:
         )
     judged = _judge(code, *params)
     _raise_first_bad([judged.finite], [judged.contained], [params])
-    inner_f = _families(_hk.HK_COEFFS, judged.inner)
-    outer_f = _families(judged.outer_coeffs, judged.outer)
-    if tag is InterferenceTag.MIXED_STRONG_AT_2:
-        inner_f["sum"] = [inner_f["sum"][k] for k in _SWAPPED_SUM_ORDER]
-    paired = {
-        fam: tuple(o - i for o, i in zip(outer_f[fam], inner_f[fam]))
-        for fam in _FAMILIES.values()
-        if fam in outer_f
-    }
-    report = GapReport(params, tag, *judged.deltas, paired_deltas=paired, passed=judged.passed)
+    report = GapReport(params, tag, *judged.deltas, judged.passed)
     inner = region_from_rows(_hk.HK_COEFFS, judged.inner)
     outer = region_from_rows(judged.outer_coeffs, judged.outer)
     return Audit(tag, inner, outer, report, judged.one_bit, judged.within_half)

@@ -32,9 +32,7 @@ the region is
     R1 + 2R2  <= log((1+SNR2+INR2)/n2) + log(1 + S2p/n2)
                                        + log(1 + (S1p+INR1-inr_p1)/n1)
 
-The constraint order above is part of the contract.  Gap audits take the
-minimum of each family, so the order matters only for the per-index
-``paired_deltas`` of ``gap-audit`` and for output bytes.
+The constraint order above fixes the output bytes.
 
 The rows are written once, as the log2 arguments of :func:`hk_args`;
 treating interference as noise (:func:`treat_as_noise_region`,
@@ -126,7 +124,7 @@ def _private_snr(snr, inr_p, inr, where):
     return where(zero, snr, quotient)
 
 
-# (c1, c2) of the seven hk_region rows, in contract order.
+# (c1, c2) of the seven hk_region rows, in the order above.
 HK_COEFFS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 
 

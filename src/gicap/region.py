@@ -10,9 +10,8 @@ Geometric predicates use a tolerance of 1e-9 bits (relative to vertex
 coordinates above 1); rates here are at most O(10^2) bits, so double
 precision sits around 1e-12 relative error, well under that tolerance.
 
-The constraint list is ordered and never silently pruned.  Gap audits take
-the minimum of each family, so the order matters only for the per-index
-``paired_deltas`` of ``gap-audit`` and for output bytes.
+The constraint list is ordered and never silently pruned; its order fixes
+the output bytes.
 """
 
 from __future__ import annotations
@@ -130,7 +129,8 @@ def vertices(region: RateRegion) -> list[Vertex]:
 
     Returns the boundary chain sorted by increasing R1 then decreasing R2
     (the origin itself is dropped when other vertices exist), deduplicated
-    at :data:`DEFAULT_TOL` relative to coordinates above 1.  Raises
+    at :data:`DEFAULT_TOL` relative to coordinates above 1.  A vertex within
+    that tolerance below an axis is put on the axis.  Raises
     :class:`UnboundedRegionError` when no constraint caps one of the rates,
     and :class:`DomainError` when a vertex is not finite (its determinant or
     coordinates overflow).
@@ -154,7 +154,7 @@ def vertices(region: RateRegion) -> list[Vertex]:
                 if ca * x + cb * y > cap:
                     break
             else:
-                pts.append((x, y))
+                pts.append((max(x, 0.0), max(y, 0.0)))
 
     # Dedup within tol, relative to each coordinate above 1 as the sort snaps r1.
     unique: list[tuple[float, float]] = []

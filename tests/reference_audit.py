@@ -10,8 +10,7 @@ An oracle for :func:`gicap.gap.audit`, written the long way round:
   relabels its families (r1 <-> r2, 2R1+R2 <-> R1+2R2);
 * each certificate runs its own inner-in-outer containment check.
 
-``audit`` must agree with this path exactly: same deltas, same paired
-deltas in the same key order, same verdicts.
+``audit`` must agree with this path exactly: same deltas, same verdicts.
 """
 
 from __future__ import annotations
@@ -106,14 +105,6 @@ def ref_delta_audit(p: ChannelParams) -> GapReport:
     tag = classify(p).tag
     if tag is InterferenceTag.MIXED_STRONG_AT_2:
         rep = ref_delta_audit(p.swapped())
-        paired = dict(rep.paired_deltas)
-        paired["r1"], paired["r2"] = paired.get("r2", ()), paired.get("r1", ())
-        swap21 = paired.pop("2r1_r2", None)
-        swap12 = paired.pop("r1_2r2", None)
-        if swap12 is not None:
-            paired["2r1_r2"] = swap12
-        if swap21 is not None:
-            paired["r1_2r2"] = swap21
         return GapReport(
             params=p,
             tag=tag,
@@ -122,7 +113,6 @@ def ref_delta_audit(p: ChannelParams) -> GapReport:
             delta_sum=rep.delta_sum,
             delta_2r1_r2=rep.delta_r1_2r2,
             delta_r1_2r2=rep.delta_2r1_r2,
-            paired_deltas=paired,
             passed=rep.passed,
         )
 
@@ -130,7 +120,6 @@ def ref_delta_audit(p: ChannelParams) -> GapReport:
     inner_f = _family_rhs(inner)
     outer_f = _family_rhs(outer)
     deltas: dict[str, float | None] = {}
-    paired: dict[str, tuple[float, ...]] = {}
     ok = True
     for fam, thresh in THRESHOLDS.items():
         if fam not in outer_f:
@@ -138,7 +127,6 @@ def ref_delta_audit(p: ChannelParams) -> GapReport:
             continue
         d = min(outer_f[fam]) - min(inner_f[fam])
         deltas[fam] = d
-        paired[fam] = tuple(o - i for o, i in zip(outer_f[fam], inner_f[fam]))
         if not (d < thresh + SLACK):
             ok = False
     return GapReport(
@@ -149,7 +137,6 @@ def ref_delta_audit(p: ChannelParams) -> GapReport:
         delta_sum=deltas["sum"],
         delta_2r1_r2=deltas["2r1_r2"],
         delta_r1_2r2=deltas["r1_2r2"],
-        paired_deltas=paired,
         passed=ok,
     )
 

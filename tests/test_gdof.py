@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -157,6 +158,15 @@ class TestWeakGdofRegion:
             for v in vertices(gdof_region(g)):
                 assert -1e-12 <= v.r1 <= 1 + 1e-12
                 assert -1e-12 <= v.r2 <= 1 + 1e-12
+
+
+def test_vertices_stay_in_the_quadrant():
+    # a vertex a few ulps below an axis is put on it, in every slope class
+    rng = random.Random(1)
+    for _ in range(3000):
+        g = GdofParams(*(float(f"{rng.uniform(0.0, 3.0):.4f}") for _ in range(3)))
+        for v in vertices(gdof_region(g)):
+            assert v.r1 >= 0.0 and v.r2 >= 0.0, g
 
 
 class TestMixedStrongGdofRegions:

@@ -59,10 +59,10 @@ RECORDS = [
         ("constraints", (), InvalidParameterError, "at least one constraint"),
     ),
     (
-        g.GapReport(_PARAMS, Tag.MIXED_STRONG_AT_1, 0.0, 0.5, 0.25, None, 1.5, {"r1": (0.0,)}, True),
+        g.GapReport(_PARAMS, Tag.MIXED_STRONG_AT_1, 0.0, 0.5, 0.25, None, 1.5, True),
         f"GapReport(params={_PARAMS_REPR}, tag=<InterferenceTag.MIXED_STRONG_AT_1: "
         "'mixed_strong_at_1'>, delta_r1=0.0, delta_r2=0.5, delta_sum=0.25, "
-        "delta_2r1_r2=None, delta_r1_2r2=1.5, paired_deltas={'r1': (0.0,)}, passed=True)",
+        "delta_2r1_r2=None, delta_r1_2r2=1.5, passed=True)",
         None,
     ),
     (
